@@ -103,7 +103,7 @@ int Run() {
   lod.with_labels = false;
   rdf::TripleStore mem;
   workload::GenerateSyntheticLod(lod, &mem);
-  mem.Compact();  // parity contract: dedup before mirroring to disk
+  mem.Compact();
   std::vector<rdf::Triple> triples;
   mem.Scan(rdf::TriplePattern(), [&](const rdf::Triple& t) {
     triples.push_back(t);
@@ -127,7 +127,7 @@ int Run() {
       rdf::TermId s = static_cast<rdf::TermId>(1 + rng.Uniform(100000));
       disk.Count({s, rdf::kInvalidTermId, rdf::kInvalidTermId});
     }
-    const auto& preds = mem.predicate_counts();
+    const auto preds = mem.predicate_counts();
     int scans = 0;
     for (const auto& [pred, count] : preds) {
       if (scans++ >= 20) break;

@@ -8,7 +8,7 @@
 #      (skipped with a notice when clang++ is not installed; the annotation
 #      macros are no-ops elsewhere, so only clang can check them)
 #   3. ASan+UBSan       — full tier-1 suite under address+undefined
-#   4. TSan             — obs/exec/sparql/serve concurrency tests
+#   4. TSan             — obs/exec/sparql/serve/rdf-store concurrency tests
 #   5. mode parity      — SparqlParity suite re-run five ways on the ASan
 #      build: LODVIZ_PROFILE=1 (profiling force-enabled; pins the EXPLAIN
 #      ANALYZE observe-don't-perturb contract), LODVIZ_EXEC_MODE=row and
@@ -66,7 +66,7 @@ cmake -B "$ASAN_BUILD" -S . -C cmake/sanitize.cmake >/dev/null
 cmake --build "$ASAN_BUILD" -j "$JOBS"
 ctest --test-dir "$ASAN_BUILD" --output-on-failure -j "$JOBS"
 
-echo "== [4/6] TSan obs + exec + sparql + serve concurrency tests =="
+echo "== [4/6] TSan obs + exec + sparql + serve + rdf store concurrency tests =="
 # ThreadSanitizer is exclusive with ASan, so the concurrency tests get their
 # own build tree. The Exec suites cover the thread pool plus every
 # parallelized hot path (hetree, progressive, clustering, bundling, layout,
@@ -79,11 +79,15 @@ echo "== [4/6] TSan obs + exec + sparql + serve concurrency tests =="
 # The Serve suites run the full HTTP server (acceptor + worker tasks on
 # the shared pool, bounded fd queue, plan cache) under TSan — the race
 # gate for the serving layer's front door.
+# RdfStoreConcurrency races readers to the memory store's first fold and
+# keeps scans running (with their callbacks parked) while a writer
+# publishes a new snapshot — the race gate for the snapshot swap.
 cmake -B "$TSAN_BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DLODVIZ_SANITIZE=thread >/dev/null
 cmake --build "$TSAN_BUILD" --target obs_test exec_test sparql_parity_test \
-  serve_test -j "$JOBS"
-ctest --test-dir "$TSAN_BUILD" -R '^(Obs|Exec|SparqlParity|Serve)' \
+  serve_test rdf_store_test -j "$JOBS"
+ctest --test-dir "$TSAN_BUILD" \
+  -R '^(Obs|Exec|SparqlParity|Serve|RdfStoreConcurrency)' \
   --output-on-failure -j "$JOBS"
 
 echo "== [5/6] SparqlParity under forced profiling and forced exec modes =="

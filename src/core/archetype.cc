@@ -129,7 +129,6 @@ Result<uint64_t> ArchetypeAdapter::RunDiskBased() {
   std::string path = "/tmp/lodviz_archetype_" + std::to_string(::getpid()) +
                      ".db";
   rdf::TripleStore& store = engine_->store();
-  store.Compact();
   std::vector<rdf::Triple> triples;
   store.Scan(rdf::TriplePattern(), [&](const rdf::Triple& t) {
     triples.push_back(t);

@@ -38,7 +38,11 @@ Engine::Engine(Options options) : options_(std::move(options)) {
   }
 }
 
-void Engine::InvalidateDerived() {
+void Engine::FinishLoad() {
+  // Publish the loaded triples now rather than on the first read: the sort
+  // is then part of the load, and the snapshot is built on the loading
+  // thread, next to the dictionary and pending buffer it came from.
+  store_.Compact();
   profile_.reset();
   keyword_.reset();
   disk_dirty_ = true;
@@ -51,9 +55,6 @@ Status Engine::RebuildDiskMirror() {
   LODVIZ_ASSIGN_OR_RETURN(
       std::unique_ptr<storage::DiskTripleStore> disk,
       storage::DiskTripleStore::Create(path, options_.pool_pages));
-  // Compact so the memory store is deduplicated: both backends then hold
-  // the same triple multiset and produce bit-identical query results.
-  store_.Compact();
   std::vector<rdf::Triple> triples;
   triples.reserve(store_.size());
   store_.Scan({}, [&](const rdf::Triple& t) {
@@ -84,7 +85,7 @@ Status Engine::LoadNTriples(std::string_view document) {
   Stopwatch sw;
   Result<size_t> n = rdf::LoadNTriplesString(document, &store_);
   if (!n.ok()) return n.status();
-  InvalidateDerived();
+  FinishLoad();
   session_.Record(explore::OpKind::kLoad, "ntriples", sw.ElapsedMillis(),
                   n.ValueOrDie());
   return Status::OK();
@@ -95,7 +96,7 @@ size_t Engine::LoadSynthetic(const workload::SyntheticLodOptions& options) {
   CountCapability("load_synthetic");
   Stopwatch sw;
   size_t n = workload::GenerateSyntheticLod(options, &store_);
-  InvalidateDerived();
+  FinishLoad();
   session_.Record(explore::OpKind::kLoad, "synthetic", sw.ElapsedMillis(), n);
   return n;
 }
@@ -105,7 +106,7 @@ size_t Engine::IngestStream(rdf::StreamSource* source, size_t batch_size) {
   CountCapability("ingest_stream");
   Stopwatch sw;
   size_t n = rdf::IngestStream(source, &store_, batch_size);
-  InvalidateDerived();
+  FinishLoad();
   session_.Record(explore::OpKind::kLoad, "stream", sw.ElapsedMillis(), n);
   return n;
 }
@@ -131,7 +132,7 @@ Status Engine::LoadTurtle(std::string_view document) {
   Stopwatch sw;
   Result<size_t> n = rdf::LoadTurtleString(document, &store_);
   if (!n.ok()) return n.status();
-  InvalidateDerived();
+  FinishLoad();
   session_.Record(explore::OpKind::kLoad, "turtle", sw.ElapsedMillis(),
                   n.ValueOrDie());
   return Status::OK();

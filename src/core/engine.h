@@ -140,13 +140,15 @@ class Engine {
   const Options& options() const { return options_; }
 
  private:
-  void InvalidateDerived();
+  /// Ends every load: publishes the store's snapshot and drops the state
+  /// derived from the old data.
+  void FinishLoad();
   /// The TripleSource queries run against: the in-memory store, or the
   /// (lazily rebuilt) disk mirror for Backend::kDisk.
   Result<const rdf::TripleSource*> ActiveSource();
-  /// Rebuilds the disk mirror from the in-memory store (compacts first so
-  /// both backends hold identical deduplicated data — the parity
-  /// contract).
+  /// Rebuilds the disk mirror from the in-memory store. The store only
+  /// ever serves deduplicated snapshots, so both backends hold identical
+  /// data — the parity contract.
   Status RebuildDiskMirror();
   /// (x, y) numeric pairs per subject for two properties.
   std::vector<geo::Point> CollectPairs(const std::string& x_iri,

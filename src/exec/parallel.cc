@@ -7,6 +7,7 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace lodviz::exec {
@@ -36,6 +37,9 @@ struct GlobalExec {
   std::unique_ptr<ThreadPool> pool LODVIZ_GUARDED_BY(mu);
 
   static GlobalExec& Get() {
+    // The pool's destructor sets a registry gauge, so the registry is
+    // constructed first and therefore destroyed after this state.
+    obs::MetricRegistry::Global();
     static GlobalExec state;
     return state;
   }

@@ -30,13 +30,13 @@ namespace lodviz::rdf {
 ///    (p,o,s) prefixes identically, so for any pattern the delivery order
 ///    is a pure function of the data — never of the backend. This is what
 ///    makes query execution bit-identical across memory and disk.
-///  - **Reentrancy:** `fn` must not call back into the same source (an
-///    implementation may hold an internal lock for the whole scan).
+///  - **Reentrancy:** `fn` may call back into the same source (for
+///    example `Count` or a nested `Scan`); no implementation holds a lock
+///    while `fn` runs.
 ///  - **Thread-safety:** concurrent `Scan` calls on one source must be
-///    safe; implementations serialize internally where the underlying
-///    structure is not concurrent (TripleStore's index mutex) or rely on
-///    concurrent substructures (the disk adapter scans B-trees over the
-///    lock-striped buffer pool, so disjoint scans run in parallel).
+///    safe and must not wait on each other's callbacks. The memory store
+///    scans immutable snapshots; the disk adapter scans B-trees over the
+///    lock-striped buffer pool, so disjoint scans run in parallel.
 class TripleSource {
  public:
   using ScanFn = std::function<bool(const Triple&)>;

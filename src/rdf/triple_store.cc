@@ -1,39 +1,50 @@
 #include "rdf/triple_store.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/check.h"
 
 namespace lodviz::rdf {
 
-TripleStore::TripleStore(size_t compaction_threshold)
-    : compaction_threshold_(compaction_threshold) {}
+namespace {
 
-TripleStore::TripleStore(TripleStore&& other) noexcept
-    LODVIZ_NO_THREAD_SAFETY_ANALYSIS
-    : dict_(std::move(other.dict_)),
-      compaction_threshold_(other.compaction_threshold_),
-      pred_counts_(std::move(other.pred_counts_)) {
-  MutexLock lock(&other.mu_);
-  spo_ = std::move(other.spo_);
-  pos_ = std::move(other.pos_);
-  osp_ = std::move(other.osp_);
-  pending_ = std::move(other.pending_);
+/// This thread's reader slot: threads take slots round-robin, so up to
+/// kReaderSlots concurrent readers never share a counter's cache line.
+size_t ThisThreadSlot(size_t num_slots) {
+  static std::atomic<size_t> next_slot{0};
+  thread_local const size_t slot = next_slot.fetch_add(1);
+  return slot % num_slots;
+}
+
+}  // namespace
+
+const TripleStore::Indexes* TripleStore::EmptyIndexes() {
+  static const Indexes empty;
+  return &empty;
+}
+
+TripleStore::TripleStore() : current_(EmptyIndexes()) {}
+
+TripleStore::TripleStore(TripleStore&& other) noexcept : TripleStore() {
+  *this = std::move(other);
 }
 
 TripleStore& TripleStore::operator=(TripleStore&& other) noexcept
     LODVIZ_NO_THREAD_SAFETY_ANALYSIS {
   if (this == &other) return *this;
   dict_ = std::move(other.dict_);
-  compaction_threshold_ = other.compaction_threshold_;
-  pred_counts_ = std::move(other.pred_counts_);
   MutexLock lock_other(&other.mu_);
   MutexLock lock_this(&mu_);
-  spo_ = std::move(other.spo_);
-  pos_ = std::move(other.pos_);
-  osp_ = std::move(other.osp_);
   pending_ = std::move(other.pending_);
+  other.pending_.clear();
+  published_ = std::move(other.published_);
+  retired_ = std::move(other.retired_);
+  other.retired_.clear();
+  current_.store(other.current_.exchange(EmptyIndexes()));
+  has_pending_.store(other.has_pending_.exchange(false));
+  has_retired_.store(other.has_retired_.exchange(false));
   return *this;
 }
 
@@ -47,37 +58,101 @@ void TripleStore::AddEncoded(const Triple& t) {
   LODVIZ_DCHECK(t.s != kInvalidTermId && t.p != kInvalidTermId &&
                 t.o != kInvalidTermId)
       << "triple references the reserved invalid term id";
-  ++pred_counts_[t.p];
   MutexLock lock(&mu_);
   pending_.push_back(t);
-  MaybeCompactLocked();
+  has_pending_.store(true);
 }
 
-void TripleStore::MaybeCompactLocked() const {
-  if (pending_.size() >= compaction_threshold_) CompactLocked();
+// The reader count is raised before the snapshot pointer is loaded, and
+// ReclaimLocked reads the counts after the pointer was swapped (all
+// sequentially consistent): either the reader loads the new snapshot, or
+// the reclaimer sees the reader and keeps the old one.
+TripleStore::SnapshotRef::SnapshotRef(const TripleStore* store)
+    : store_(store),
+      readers_(&store->reader_slots_[ThisThreadSlot(kReaderSlots)].readers) {
+  readers_->fetch_add(1);
+  if (store_->has_pending_.load()) {
+    MutexLock lock(&store_->mu_);
+    store_->FoldLocked();
+  }
+  snap_ = store_->current_.load();
 }
 
-void TripleStore::Compact() const {
-  MutexLock lock(&mu_);
-  CompactLocked();
+TripleStore::SnapshotRef::~SnapshotRef() {
+  readers_->fetch_sub(1);
+  if (store_->has_retired_.load()) {
+    MutexLock lock(&store_->mu_);
+    store_->ReclaimLocked();
+  }
 }
 
-void TripleStore::CompactLocked() const {
+void TripleStore::ReclaimLocked() const {
+  for (const ReaderSlot& slot : reader_slots_) {
+    if (slot.readers.load() != 0) return;
+  }
+  retired_.clear();
+  has_retired_.store(false);
+}
+
+void TripleStore::Compact() const { SnapshotRef pin(this); }
+
+namespace {
+
+/// Merges two disjoint runs sorted by `order` into one.
+template <typename Order>
+std::vector<Triple> MergeSorted(const std::vector<Triple>& a,
+                                const std::vector<Triple>& b, Order order) {
+  std::vector<Triple> out;
+  out.reserve(a.size() + b.size());
+  std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out),
+             order);
+  return out;
+}
+
+}  // namespace
+
+void TripleStore::FoldLocked() const {
   if (pending_.empty()) return;
-  spo_.insert(spo_.end(), pending_.begin(), pending_.end());
-  pending_.clear();
-  std::sort(spo_.begin(), spo_.end(), OrderSpo());
-  spo_.erase(std::unique(spo_.begin(), spo_.end()), spo_.end());
-  pos_ = spo_;
-  std::sort(pos_.begin(), pos_.end(), OrderPos());
-  osp_ = spo_;
-  std::sort(osp_.begin(), osp_.end(), OrderOsp());
+  // Swapping (not clearing) hands the buffer's capacity to `fresh`, which
+  // is freed when the fold returns.
+  std::vector<Triple> fresh;
+  fresh.swap(pending_);
+  std::sort(fresh.begin(), fresh.end(), OrderSpo());
+  fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
+
+  const Indexes& old = *current_.load();
+  if (!old.spo.empty()) {
+    std::vector<Triple> added;
+    std::set_difference(fresh.begin(), fresh.end(), old.spo.begin(),
+                        old.spo.end(), std::back_inserter(added), OrderSpo());
+    fresh = std::move(added);
+  }
+  if (!fresh.empty()) {
+    auto next = std::make_unique<Indexes>();
+    next->pred_counts = old.pred_counts;
+    for (const Triple& t : fresh) ++next->pred_counts[t.p];
+    next->spo = MergeSorted(old.spo, fresh, OrderSpo());
+    std::sort(fresh.begin(), fresh.end(), OrderPos());
+    next->pos = MergeSorted(old.pos, fresh, OrderPos());
+    std::sort(fresh.begin(), fresh.end(), OrderOsp());
+    next->osp = MergeSorted(old.osp, fresh, OrderOsp());
+
+    current_.store(next.get());
+    if (published_ != nullptr) {
+      retired_.push_back(std::move(published_));
+      has_retired_.store(true);
+    }
+    published_ = std::move(next);
+  }
+  // Cleared only once the new snapshot is published: a reader that sees
+  // no pending writes must also see the snapshot that holds them.
+  has_pending_.store(false);
 }
 
 namespace {
 
 /// Delivers [lo, hi) as maximal contiguous spans of pattern matches —
-/// zero-copy runs straight out of the sorted index (or pending buffer).
+/// zero-copy runs straight out of the sorted index.
 bool RunRange(const Triple* lo, const Triple* hi, const TriplePattern& pattern,
               const TripleSource::ScanRunFn& fn) {
   const Triple* it = lo;
@@ -92,25 +167,53 @@ bool RunRange(const Triple* lo, const Triple* hi, const TriplePattern& pattern,
   return true;
 }
 
-}  // namespace
-
-void TripleStore::Scan(const TriplePattern& pattern, const ScanFn& fn) const {
-  MutexLock lock(&mu_);
-  ScanLocked(pattern, fn);
+/// Delivers the [lo, hi] key range of one sorted permutation index.
+template <typename Order>
+void ScanIndex(const std::vector<Triple>& index, const Triple& lo,
+               const Triple& hi, const TriplePattern& pattern,
+               const TripleSource::ScanRunFn& fn) {
+  auto b = std::lower_bound(index.begin(), index.end(), lo, Order());
+  auto e = std::upper_bound(b, index.end(), hi, Order());
+  RunRange(index.data() + (b - index.begin()),
+           index.data() + (e - index.begin()), pattern, fn);
 }
+
+}  // namespace
 
 void TripleStore::ScanRuns(const TriplePattern& pattern,
                            const ScanRunFn& fn) const {
-  MutexLock lock(&mu_);
-  ScanRunsLocked(pattern, fn);
+  // The pin keeps the snapshot alive (and unchanged) for the whole scan;
+  // no lock is held while `fn` runs.
+  const SnapshotRef snap(this);
+  constexpr TermId kMax = ~TermId(0);
+  if (pattern.s != kInvalidTermId) {
+    // SPO index: range over (s) or (s,p) prefix.
+    ScanIndex<OrderSpo>(
+        snap->spo, Triple(pattern.s, pattern.p, 0),
+        Triple(pattern.s, pattern.p != kInvalidTermId ? pattern.p : kMax,
+               kMax),
+        pattern, fn);
+  } else if (pattern.p != kInvalidTermId) {
+    // POS index: range over (p) or (p,o) prefix.
+    ScanIndex<OrderPos>(
+        snap->pos, Triple(0, pattern.p, pattern.o),
+        Triple(kMax, pattern.p,
+               pattern.o != kInvalidTermId ? pattern.o : kMax),
+        pattern, fn);
+  } else if (pattern.o != kInvalidTermId) {
+    // OSP index: range over (o).
+    ScanIndex<OrderOsp>(snap->osp, Triple(0, 0, pattern.o),
+                        Triple(kMax, kMax, pattern.o), pattern, fn);
+  } else {
+    RunRange(snap->spo.data(), snap->spo.data() + snap->spo.size(), pattern,
+             fn);
+  }
 }
 
-void TripleStore::ScanLocked(
-    const TriplePattern& pattern,
-    const std::function<bool(const Triple&)>& fn) const {
+void TripleStore::Scan(const TriplePattern& pattern, const ScanFn& fn) const {
   // Per-triple delivery is the run delivery unrolled, so both entry points
   // share one index-selection path (and provably one order).
-  ScanRunsLocked(pattern, [&](const Triple* run, size_t n) {
+  ScanRuns(pattern, [&](const Triple* run, size_t n) {
     for (size_t i = 0; i < n; ++i) {
       if (!fn(run[i])) return false;
     }
@@ -118,50 +221,10 @@ void TripleStore::ScanLocked(
   });
 }
 
-void TripleStore::ScanRunsLocked(const TriplePattern& pattern,
-                                 const ScanRunFn& fn) const {
-  bool keep_going = true;
-  if (!spo_.empty() || !pending_.empty()) {
-    if (pattern.s != kInvalidTermId) {
-      // SPO index: range over (s) or (s,p) prefix.
-      Triple lo(pattern.s, pattern.p, 0);
-      Triple hi(pattern.s,
-                pattern.p != kInvalidTermId ? pattern.p : ~TermId(0),
-                ~TermId(0));
-      auto b = std::lower_bound(spo_.begin(), spo_.end(), lo, OrderSpo());
-      auto e = std::upper_bound(spo_.begin(), spo_.end(), hi, OrderSpo());
-      keep_going = RunRange(spo_.data() + (b - spo_.begin()),
-                            spo_.data() + (e - spo_.begin()), pattern, fn);
-    } else if (pattern.p != kInvalidTermId) {
-      // POS index: range over (p) or (p,o) prefix.
-      Triple lo(0, pattern.p, pattern.o);
-      Triple hi(~TermId(0), pattern.p,
-                pattern.o != kInvalidTermId ? pattern.o : ~TermId(0));
-      auto b = std::lower_bound(pos_.begin(), pos_.end(), lo, OrderPos());
-      auto e = std::upper_bound(pos_.begin(), pos_.end(), hi, OrderPos());
-      keep_going = RunRange(pos_.data() + (b - pos_.begin()),
-                            pos_.data() + (e - pos_.begin()), pattern, fn);
-    } else if (pattern.o != kInvalidTermId) {
-      // OSP index: range over (o).
-      Triple lo(0, 0, pattern.o);
-      Triple hi(~TermId(0), ~TermId(0), pattern.o);
-      auto b = std::lower_bound(osp_.begin(), osp_.end(), lo, OrderOsp());
-      auto e = std::upper_bound(osp_.begin(), osp_.end(), hi, OrderOsp());
-      keep_going = RunRange(osp_.data() + (b - osp_.begin()),
-                            osp_.data() + (e - osp_.begin()), pattern, fn);
-    } else {
-      keep_going =
-          RunRange(spo_.data(), spo_.data() + spo_.size(), pattern, fn);
-    }
-  }
-  if (!keep_going) return;
-  RunRange(pending_.data(), pending_.data() + pending_.size(), pattern, fn);
-}
-
 std::vector<Triple> TripleStore::Match(const TriplePattern& pattern) const {
   std::vector<Triple> out;
-  Scan(pattern, [&](const Triple& t) {
-    out.push_back(t);
+  ScanRuns(pattern, [&](const Triple* run, size_t n) {
+    out.insert(out.end(), run, run + n);
     return true;
   });
   return out;
@@ -169,19 +232,34 @@ std::vector<Triple> TripleStore::Match(const TriplePattern& pattern) const {
 
 uint64_t TripleStore::Count(const TriplePattern& pattern) const {
   uint64_t n = 0;
-  Scan(pattern, [&](const Triple&) {
-    ++n;
+  ScanRuns(pattern, [&](const Triple*, size_t run) {
+    n += run;
     return true;
   });
   return n;
 }
 
+uint64_t TripleStore::size() const {
+  const SnapshotRef snap(this);
+  return snap->spo.size();
+}
+
+uint64_t TripleStore::PredicateCount(TermId p) const {
+  const SnapshotRef snap(this);
+  auto it = snap->pred_counts.find(p);
+  return it == snap->pred_counts.end() ? 0 : it->second;
+}
+
+std::unordered_map<TermId, uint64_t> TripleStore::predicate_counts() const {
+  const SnapshotRef snap(this);
+  return snap->pred_counts;
+}
+
 std::vector<TermId> TripleStore::DistinctSubjects() const {
-  MutexLock lock(&mu_);
-  CompactLocked();
+  const SnapshotRef snap(this);
   std::vector<TermId> out;
   TermId last = kInvalidTermId;
-  for (const Triple& t : spo_) {
+  for (const Triple& t : snap->spo) {
     if (t.s != last) {
       out.push_back(t.s);
       last = t.s;
@@ -191,24 +269,21 @@ std::vector<TermId> TripleStore::DistinctSubjects() const {
 }
 
 std::vector<TermId> TripleStore::DistinctObjects(TermId p) const {
-  MutexLock lock(&mu_);
-  CompactLocked();
   std::vector<TermId> out;
-  TriplePattern pat(kInvalidTermId, p, kInvalidTermId);
-  ScanLocked(pat, [&](const Triple& t) {
-    out.push_back(t.o);
-    return true;
-  });
+  ScanRuns({kInvalidTermId, p, kInvalidTermId},
+           [&](const Triple* run, size_t n) {
+             for (size_t i = 0; i < n; ++i) out.push_back(run[i].o);
+             return true;
+           });
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
 size_t TripleStore::MemoryUsage() const {
-  MutexLock lock(&mu_);
+  const SnapshotRef snap(this);
   return dict_.MemoryUsage() +
-         (spo_.capacity() + pos_.capacity() + osp_.capacity() +
-          pending_.capacity()) *
+         (snap->spo.capacity() + snap->pos.capacity() + snap->osp.capacity()) *
              sizeof(Triple);
 }
 

@@ -1,8 +1,9 @@
 #ifndef LODVIZ_RDF_TRIPLE_STORE_H_
 #define LODVIZ_RDF_TRIPLE_STORE_H_
 
+#include <atomic>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -14,126 +15,162 @@
 
 namespace lodviz::rdf {
 
-/// In-memory triple store with three sorted permutation indexes
-/// (SPO, POS, OSP) and an unsorted insert buffer for dynamic arrival.
-/// Implements the TripleSource query contract (see triple_source.h for
-/// the canonical Scan early-exit and ordering semantics).
+/// In-memory triple store that answers every read from an immutable,
+/// sorted snapshot: three permutation indexes (SPO, POS, OSP) plus exact
+/// statistics, all deduplicated. Implements the TripleSource query
+/// contract (see triple_source.h for the canonical Scan early-exit and
+/// ordering semantics).
 ///
 /// The survey's "dynamic setting" precludes heavyweight preprocessing:
-/// inserts are O(1) appends into a pending buffer; queries merge the sorted
-/// indexes with a linear scan of the buffer, and the buffer is folded into
-/// the indexes once it exceeds a threshold (amortized incremental indexing).
+/// inserts are O(1) appends into a pending buffer. The first read after a
+/// write folds that buffer into a new snapshot — the buffer is sorted and
+/// deduplicated once, then merged into each permutation of the previous
+/// snapshot — and publishes it. Reads never look at the buffer, so every
+/// scan is a binary-searched range of a sorted index, and a triple
+/// inserted twice is delivered once.
 ///
-/// Thread-safety: the permutation indexes and pending buffer are guarded by
-/// `mu_` (clang -Wthread-safety verified), so concurrent reads — which may
-/// trigger a logically-const compaction — are safe. The dictionary and
-/// predicate statistics are only written by Add/AddEncoded; writers must
-/// still be externally serialized against each other and against readers.
+/// Thread-safety: `mu_` guards the pending buffer and snapshot ownership,
+/// and is taken only to fold or to free a replaced snapshot. A read pins
+/// the published snapshot by bumping a per-thread-striped reader count,
+/// so concurrent readers share no lock and no written cache line, and the
+/// scan and the caller's callback run with no lock held on a snapshot
+/// that cannot change: readers never wait on each other's callbacks, and
+/// a callback may reenter the store. A replaced snapshot is freed once no
+/// reader is active. Writers must be serialized against each other.
+/// AddEncoded may overlap readers (they see the snapshot published before
+/// their call, or a later one); Add also interns into the dictionary,
+/// which is not synchronized, so Add must not overlap readers of dict().
 class TripleStore : public TripleSource {
  public:
-  /// `compaction_threshold`: pending-buffer size that triggers a fold into
-  /// the sorted indexes.
-  explicit TripleStore(size_t compaction_threshold = 1 << 16);
+  TripleStore();
 
   TripleStore(const TripleStore&) = delete;
   TripleStore& operator=(const TripleStore&) = delete;
 
-  /// Moves lock the source's index mutex; the destination must not be
-  /// visible to other threads yet.
+  /// Moves lock the source's mutex; neither store may have readers, and
+  /// the destination must not be visible to other threads yet.
   TripleStore(TripleStore&& other) noexcept;
   TripleStore& operator=(TripleStore&& other) noexcept;
 
   Dictionary& dict() { return dict_; }
   const Dictionary& dict() const override { return dict_; }
 
-  /// Interns the terms and inserts the triple. Duplicates are removed on
-  /// the next compaction.
+  /// Interns the terms and inserts the triple. Duplicates are removed
+  /// when the triple is folded into the next snapshot.
   Triple Add(const Term& s, const Term& p, const Term& o);
 
   /// Inserts an already-encoded triple.
-  void AddEncoded(const Triple& t);
+  void AddEncoded(const Triple& t) LODVIZ_EXCLUDES(mu_);
 
-  /// Total triples (post-dedup count may be lower until compaction).
-  [[nodiscard]] uint64_t size() const override LODVIZ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return spo_.size() + pending_.size();
-  }
+  /// Distinct triples.
+  [[nodiscard]] uint64_t size() const override LODVIZ_EXCLUDES(mu_);
 
   /// Streams matches of `pattern` to `fn` under the TripleSource Scan
-  /// contract (triple_source.h): `fn` returns false to stop early, must
-  /// not reenter this store (the index lock is held during the scan).
-  /// Uses the best permutation index.
+  /// contract (triple_source.h): `fn` returns false to stop early. Uses
+  /// the best permutation index of the current snapshot.
   void Scan(const TriplePattern& pattern, const ScanFn& fn) const override
       LODVIZ_EXCLUDES(mu_);
 
   /// Run-granular Scan (TripleSource contract): delivers maximal
   /// contiguous matching spans of the chosen sorted index — zero-copy
-  /// pointers into the index — then spans of the pending buffer. The run
-  /// concatenation is exactly the Scan sequence.
+  /// pointers into the snapshot, which stays alive for the whole scan.
+  /// The run concatenation is exactly the Scan sequence.
   void ScanRuns(const TriplePattern& pattern, const ScanRunFn& fn) const
       override LODVIZ_EXCLUDES(mu_);
 
   /// Materializes all matches.
-  [[nodiscard]] std::vector<Triple> Match(const TriplePattern& pattern) const;
+  [[nodiscard]] std::vector<Triple> Match(const TriplePattern& pattern) const
+      LODVIZ_EXCLUDES(mu_);
 
   /// Number of matches.
-  [[nodiscard]] uint64_t Count(const TriplePattern& pattern) const override;
+  [[nodiscard]] uint64_t Count(const TriplePattern& pattern) const override
+      LODVIZ_EXCLUDES(mu_);
 
-  /// Occurrences of predicate `p` (0 if absent).
-  [[nodiscard]] uint64_t PredicateCount(TermId p) const override {
-    auto it = pred_counts_.find(p);
-    return it == pred_counts_.end() ? 0 : it->second;
-  }
+  /// Distinct triples with predicate `p` (0 if absent).
+  [[nodiscard]] uint64_t PredicateCount(TermId p) const override
+      LODVIZ_EXCLUDES(mu_);
 
-  /// Distinct predicates with occurrence counts.
-  const std::unordered_map<TermId, uint64_t>& predicate_counts() const {
-    return pred_counts_;
-  }
+  /// Distinct predicates with their distinct-triple counts. Returned by
+  /// value: the map belongs to a snapshot that a later fold may release.
+  [[nodiscard]] std::unordered_map<TermId, uint64_t> predicate_counts() const
+      LODVIZ_EXCLUDES(mu_);
 
-  /// Distinct subjects that have at least one triple (from the SPO index +
-  /// buffer; deduplicated).
+  /// Distinct subjects that have at least one triple, ascending.
   [[nodiscard]] std::vector<TermId> DistinctSubjects() const
       LODVIZ_EXCLUDES(mu_);
 
-  /// Distinct objects of triples with predicate `p`.
+  /// Distinct objects of triples with predicate `p`, ascending.
   [[nodiscard]] std::vector<TermId> DistinctObjects(TermId p) const
       LODVIZ_EXCLUDES(mu_);
 
-  /// Folds the pending buffer into the sorted indexes and deduplicates.
+  /// Publishes the pending triples now instead of on the next read; a
+  /// no-op when nothing is pending.
   void Compact() const LODVIZ_EXCLUDES(mu_);
 
   /// Approximate heap bytes including the dictionary.
   [[nodiscard]] size_t MemoryUsage() const LODVIZ_EXCLUDES(mu_);
 
  private:
-  void MaybeCompactLocked() const LODVIZ_REQUIRES(mu_);
-  void CompactLocked() const LODVIZ_REQUIRES(mu_);
-  void ScanLocked(const TriplePattern& pattern,
-                  const std::function<bool(const Triple&)>& fn) const
-      LODVIZ_REQUIRES(mu_);
-  void ScanRunsLocked(const TriplePattern& pattern, const ScanRunFn& fn) const
-      LODVIZ_REQUIRES(mu_);
+  /// One published, immutable state of the store.
+  struct Indexes {
+    std::vector<Triple> spo;
+    std::vector<Triple> pos;
+    std::vector<Triple> osp;
+    std::unordered_map<TermId, uint64_t> pred_counts;
+  };
 
-  /// The dictionary and predicate statistics are written only by
-  /// Add/AddEncoded, which the class contract (see the header comment)
-  /// requires to be externally serialized against each other and against
-  /// readers — so they deliberately sit outside mu_, keeping concurrent
-  /// Scan/Count fully lock-free on them.
+  /// Pins the current snapshot for one read, folding pending triples
+  /// first. Takes `mu_` only when there is something to fold or free.
+  class SnapshotRef {
+   public:
+    explicit SnapshotRef(const TripleStore* store);
+    ~SnapshotRef();
+    SnapshotRef(const SnapshotRef&) = delete;
+    SnapshotRef& operator=(const SnapshotRef&) = delete;
+
+    const Indexes* operator->() const { return snap_; }
+
+   private:
+    const TripleStore* store_;
+    std::atomic<uint64_t>* readers_;
+    const Indexes* snap_;
+  };
+
+  /// A reader count on its own cache line; threads spread over the slots.
+  struct alignas(64) ReaderSlot {
+    std::atomic<uint64_t> readers{0};
+  };
+  static constexpr size_t kReaderSlots = 16;
+
+  /// The snapshot of an empty store; shared and never freed, so it needs
+  /// no retiring.
+  static const Indexes* EmptyIndexes();
+  void FoldLocked() const LODVIZ_REQUIRES(mu_);
+  /// Frees replaced snapshots if no reader is active.
+  void ReclaimLocked() const LODVIZ_REQUIRES(mu_);
+
+  /// The dictionary is written only by Add, which the class contract (see
+  /// the header comment) requires to be serialized against readers of
+  /// dict() — so it deliberately sits outside mu_.
   // LINT-ALLOW(concurrency.guarded_by): written by externally-serialized Add
   Dictionary dict_;
-  // LINT-ALLOW(concurrency.guarded_by): set once in the constructor
-  size_t compaction_threshold_;
 
-  /// Guards the sorted permutation indexes and the pending buffer
-  /// (mutable: compaction is logically const and may run inside reads).
+  /// Guards the pending buffer and snapshot ownership (mutable: folding
+  /// is logically const and runs inside reads).
   mutable Mutex mu_;
-  mutable std::vector<Triple> spo_ LODVIZ_GUARDED_BY(mu_);
-  mutable std::vector<Triple> pos_ LODVIZ_GUARDED_BY(mu_);
-  mutable std::vector<Triple> osp_ LODVIZ_GUARDED_BY(mu_);
   mutable std::vector<Triple> pending_ LODVIZ_GUARDED_BY(mu_);
+  /// Owns the published snapshot (null while it is EmptyIndexes()).
+  mutable std::unique_ptr<const Indexes> published_ LODVIZ_GUARDED_BY(mu_);
+  /// Replaced snapshots that a reader may still be scanning.
+  mutable std::vector<std::unique_ptr<const Indexes>> retired_
+      LODVIZ_GUARDED_BY(mu_);
 
-  // LINT-ALLOW(concurrency.guarded_by): written by externally-serialized Add
-  std::unordered_map<TermId, uint64_t> pred_counts_;
+  /// The published snapshot, read without the lock.
+  mutable std::atomic<const Indexes*> current_;
+  mutable std::atomic<bool> has_pending_{false};
+  mutable std::atomic<bool> has_retired_{false};
+  // LINT-ALLOW(concurrency.guarded_by): each slot is one atomic counter
+  mutable ReaderSlot reader_slots_[kReaderSlots];
 };
 
 }  // namespace lodviz::rdf

@@ -851,14 +851,17 @@ class BatchSink {
     }
   }
 
-  /// Splices whole batches (an OPTIONAL subtree's output) into the list.
-  /// Spliced batches may carry selections, so subsequent appends open a
-  /// fresh batch rather than writing into them.
-  void AppendBatchList(std::vector<ColumnBatch>&& list) {
-    for (ColumnBatch& b : list) {
-      if (b.active() > 0) out_->push_back(std::move(b));
+  /// Gathers the active rows of `list` (an OPTIONAL subtree's output for
+  /// one parent row) into the open batch, in order, so the per-row
+  /// results pack into full batches instead of one small batch each.
+  void AppendActiveRows(const std::vector<ColumnBatch>& list) {
+    row_.resize(width_);
+    for (const ColumnBatch& b : list) {
+      for (size_t i = 0; i < b.active(); ++i) {
+        b.GatherRow(b.ActiveRow(i), row_.data());
+        AppendRow(row_.data());
+      }
     }
-    open_ = false;
   }
 
  private:
@@ -873,6 +876,7 @@ class BatchSink {
   size_t width_;
   std::vector<ColumnBatch>* out_;
   bool open_ = false;
+  std::vector<TermId> row_;  // AppendActiveRows gather buffer
 };
 
 /// Batch counterpart of the row engine's `extend` lambda: conflict-checks
@@ -1110,7 +1114,7 @@ std::vector<ColumnBatch> Executor::EvalGroupBatches(
           if (TotalActiveRows(extended) == 0) {
             sink.AppendRow(sol.data());
           } else {
-            sink.AppendBatchList(std::move(extended));
+            sink.AppendActiveRows(extended);
           }
         }
       }

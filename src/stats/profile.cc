@@ -128,8 +128,6 @@ Result<PropertyProfile> ProfileProperty(const rdf::TripleStore& store,
 Result<DatasetProfile> ProfileDataset(const rdf::TripleStore& store,
                                       const ProfilerOptions& options) {
   DatasetProfile out;
-  // DistinctSubjects compacts (deduplicates) the store, so take the
-  // triple count afterwards for a consistent snapshot.
   out.subject_count = store.DistinctSubjects().size();
   out.triple_count = store.size();
 

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "common/random.h"
 #include "rdf/ntriples.h"
@@ -100,17 +102,21 @@ TEST_F(TripleStoreFixture, ScanEarlyStop) {
 }
 
 TEST_F(TripleStoreFixture, VisibleBeforeCompaction) {
-  // Small store: nothing has hit the compaction threshold, yet everything
-  // must be query-visible (dynamic setting).
+  // Nothing was compacted explicitly, yet everything must be
+  // query-visible (dynamic setting): the first read publishes it.
   EXPECT_EQ(store_.Count(TriplePattern()), 4u);
   store_.Compact();
   EXPECT_EQ(store_.Count(TriplePattern()), 4u);
 }
 
 TEST_F(TripleStoreFixture, DuplicatesRemovedOnCompact) {
+  // Removed on the fold, so a duplicate is never delivered, before or
+  // after an explicit Compact().
   store_.AddEncoded({alice_, knows_, bob_});
+  EXPECT_EQ(store_.Count({alice_, knows_, bob_}), 1u);
   store_.Compact();
   EXPECT_EQ(store_.Count({alice_, knows_, bob_}), 1u);
+  EXPECT_EQ(store_.size(), 4u);
 }
 
 TEST_F(TripleStoreFixture, DistinctSubjectsAndObjects) {
@@ -127,13 +133,92 @@ TEST_F(TripleStoreFixture, PredicateCounts) {
   EXPECT_EQ(store_.predicate_counts().at(age_), 2u);
 }
 
+TEST_F(TripleStoreFixture, StatisticsCountDistinctTriples) {
+  store_.AddEncoded({alice_, knows_, bob_});
+  store_.AddEncoded({alice_, knows_, bob_});
+  store_.AddEncoded({carol_, knows_, alice_});
+  EXPECT_EQ(store_.size(), 5u);
+  EXPECT_EQ(store_.PredicateCount(knows_), 3u);
+  EXPECT_EQ(store_.predicate_counts().at(knows_), 3u);
+  EXPECT_EQ(store_.PredicateCount(age_), 2u);
+  EXPECT_EQ(store_.PredicateCount(v30_), 0u);
+}
+
+TEST_F(TripleStoreFixture, CallbackMayReenterStore) {
+  // Each subject has two triples, so the nested counts sum to 4 x 2.
+  uint64_t nested = 0;
+  store_.Scan(TriplePattern(), [&](const Triple& t) {
+    nested += store_.Count({t.s, kInvalidTermId, kInvalidTermId});
+    return true;
+  });
+  EXPECT_EQ(nested, 8u);
+}
+
+TEST_F(TripleStoreFixture, ScanKeepsItsSnapshotAcrossAFold) {
+  // A write plus a nested read inside the callback publishes a new
+  // snapshot; the running scan still delivers the one it started on.
+  uint64_t delivered = 0;
+  uint64_t nested = 0;
+  store_.Scan(TriplePattern(), [&](const Triple&) {
+    if (delivered++ == 0) {
+      store_.AddEncoded({carol_, knows_, alice_});
+      nested = store_.Count(TriplePattern());
+    }
+    return true;
+  });
+  EXPECT_EQ(delivered, 4u);
+  EXPECT_EQ(nested, 5u);
+  EXPECT_EQ(store_.Count(TriplePattern()), 5u);
+}
+
+std::vector<TriplePattern> RandomPatterns(Rng& rng, TermId s_max, TermId p_max,
+                                          TermId o_max) {
+  std::vector<TriplePattern> out;
+  for (int mask = 0; mask < 8; ++mask) {
+    TriplePattern pat;
+    if (mask & 1) pat.s = static_cast<TermId>(1 + rng.Uniform(s_max));
+    if (mask & 2) pat.p = static_cast<TermId>(1 + rng.Uniform(p_max));
+    if (mask & 4) pat.o = static_cast<TermId>(1 + rng.Uniform(o_max));
+    out.push_back(pat);
+  }
+  return out;
+}
+
+TEST(TripleStoreSnapshotTest, ScanOrderDoesNotDependOnCompact) {
+  // Same inserts — out of order, with duplicates — into a store that is
+  // never compacted explicitly and one compacted every few writes.
+  Rng rng(11);
+  TripleStore lazy;
+  TripleStore eager;
+  for (int i = 0; i < 400; ++i) {
+    Triple t(static_cast<TermId>(1 + rng.Uniform(15)),
+             static_cast<TermId>(1 + rng.Uniform(4)),
+             static_cast<TermId>(1 + rng.Uniform(15)));
+    lazy.AddEncoded(t);
+    eager.AddEncoded(t);
+    if (i % 37 == 0) eager.Compact();
+  }
+  EXPECT_EQ(lazy.size(), eager.size());
+  const std::vector<Triple> all = lazy.Match(TriplePattern());
+  EXPECT_TRUE(std::is_sorted(all.begin(), all.end(), OrderSpo()));
+  EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
+  for (int round = 0; round < 10; ++round) {
+    for (const TriplePattern& pat : RandomPatterns(rng, 15, 4, 15)) {
+      EXPECT_EQ(lazy.Match(pat), eager.Match(pat));
+      EXPECT_EQ(lazy.Count(pat), eager.Count(pat));
+    }
+  }
+}
+
 /// Property test: for random data and every pattern shape, the indexed scan
-/// must agree with a naive filter over all triples.
+/// must agree with a naive filter over all triples. Reads interleave with
+/// the writes, so every read folds the writes since the last one into a
+/// new snapshot.
 class PatternAgreement : public ::testing::TestWithParam<int> {};
 
 TEST_P(PatternAgreement, IndexedMatchesNaive) {
   Rng rng(GetParam());
-  TripleStore store(/*compaction_threshold=*/64);  // force compactions
+  TripleStore store;
   std::vector<Triple> all;
   for (int i = 0; i < 500; ++i) {
     Triple t(static_cast<TermId>(1 + rng.Uniform(20)),
@@ -141,25 +226,134 @@ TEST_P(PatternAgreement, IndexedMatchesNaive) {
              static_cast<TermId>(1 + rng.Uniform(30)));
     store.AddEncoded(t);
     all.push_back(t);
-  }
-  // Dedup the oracle the same way the store does.
-  std::sort(all.begin(), all.end(), OrderSpo());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
-
-  for (int mask = 0; mask < 8; ++mask) {
-    TriplePattern pat;
-    if (mask & 1) pat.s = static_cast<TermId>(1 + rng.Uniform(20));
-    if (mask & 2) pat.p = static_cast<TermId>(1 + rng.Uniform(5));
-    if (mask & 4) pat.o = static_cast<TermId>(1 + rng.Uniform(30));
-    store.Compact();
-    uint64_t naive = static_cast<uint64_t>(
-        std::count_if(all.begin(), all.end(),
-                      [&](const Triple& t) { return pat.Matches(t); }));
-    EXPECT_EQ(store.Count(pat), naive) << "mask=" << mask;
+    if (i % 50 != 49) continue;
+    // Dedup the oracle the same way the store does.
+    std::vector<Triple> oracle = all;
+    std::sort(oracle.begin(), oracle.end(), OrderSpo());
+    oracle.erase(std::unique(oracle.begin(), oracle.end()), oracle.end());
+    EXPECT_EQ(store.size(), oracle.size());
+    for (const TriplePattern& pat : RandomPatterns(rng, 20, 5, 30)) {
+      uint64_t naive = static_cast<uint64_t>(
+          std::count_if(oracle.begin(), oracle.end(),
+                        [&](const Triple& o) { return pat.Matches(o); }));
+      EXPECT_EQ(store.Count(pat), naive) << "after " << i + 1 << " writes";
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PatternAgreement, ::testing::Range(1, 6));
+
+/// Readers never hold the store's lock while their callback runs, and a
+/// running scan keeps the snapshot it started on. Writes stay serialized
+/// (one writer thread); run under TSan by scripts/check.sh.
+TEST(RdfStoreConcurrency, ReadersRaceToFoldAndKeepTheirSnapshot) {
+  constexpr int kReaders = 4;
+  TripleStore store;
+  Rng rng(3);
+  std::vector<Triple> written;
+  auto write_phase = [&](TermId s_base, int n) {
+    for (int i = 0; i < n; ++i) {
+      Triple t(s_base + static_cast<TermId>(rng.Uniform(50)),
+               static_cast<TermId>(1 + rng.Uniform(5)),
+               static_cast<TermId>(1 + rng.Uniform(40)));
+      store.AddEncoded(t);
+      written.push_back(t);
+    }
+    std::vector<Triple> distinct = written;
+    std::sort(distinct.begin(), distinct.end(), OrderSpo());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    return static_cast<uint64_t>(distinct.size());
+  };
+  // Phase 1 is written before any reader exists.
+  const uint64_t n1 = write_phase(1, 2000);
+
+  std::atomic<bool> go{false};
+  std::atomic<int> in_scan{0};
+  std::atomic<bool> published{false};
+  std::vector<uint64_t> first(kReaders), old_scan(kReaders), after(kReaders);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      while (!go.load()) std::this_thread::yield();
+      first[r] = store.Count(TriplePattern());  // races to the first fold
+      // Park inside the callback until phase 2 is published; a lock held
+      // across the callback would block the writer here forever.
+      uint64_t seen = 0;
+      bool parked = false;
+      store.ScanRuns(TriplePattern(), [&](const Triple*, size_t n) {
+        if (!parked) {
+          parked = true;
+          in_scan.fetch_add(1);
+          while (!published.load()) std::this_thread::yield();
+        }
+        seen += n;
+        return true;
+      });
+      old_scan[r] = seen;
+      after[r] = store.Count(TriplePattern());
+    });
+  }
+  go.store(true);
+  while (in_scan.load() < kReaders) std::this_thread::yield();
+  const uint64_t n_all = write_phase(1000, 1000);
+  store.Compact();
+  published.store(true);
+  for (std::thread& t : readers) t.join();
+
+  for (int r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(first[r], n1) << "reader " << r;
+    EXPECT_EQ(old_scan[r], n1) << "reader " << r;
+    EXPECT_EQ(after[r], n_all) << "reader " << r;
+  }
+}
+
+TEST(RdfStoreConcurrency, ReadersScanWhileWriterPublishes) {
+  constexpr int kReaders = 4;
+  constexpr int kPhases = 5;
+  constexpr int kPerPhase = 300;
+  TripleStore store;
+  std::atomic<bool> done{false};
+  std::vector<int> bad(kReaders, 0);
+  std::vector<uint64_t> scans(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      uint64_t last = 0;
+      // Every scan must see one whole snapshot: sorted, duplicate-free
+      // and never smaller than an earlier one. (Readers fold on read, so
+      // a snapshot may end mid-phase.)
+      do {
+        std::vector<Triple> all = store.Match(TriplePattern());
+        if (!std::is_sorted(all.begin(), all.end(), OrderSpo()) ||
+            std::adjacent_find(all.begin(), all.end()) != all.end() ||
+            all.size() < last) {
+          ++bad[r];
+        }
+        last = all.size();
+        ++scans[r];
+      } while (!done.load());
+    });
+  }
+  // One writer; every phase adds kPerPhase distinct new triples, each
+  // twice, then publishes whatever the readers have not yet folded.
+  for (int phase = 0; phase < kPhases; ++phase) {
+    for (int i = 0; i < kPerPhase; ++i) {
+      Triple t(static_cast<TermId>(1 + phase), 1,
+               static_cast<TermId>(kPerPhase - i));
+      store.AddEncoded(t);
+      store.AddEncoded(t);
+    }
+    store.Compact();
+  }
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+  for (int r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(bad[r], 0) << "reader " << r;
+    EXPECT_GT(scans[r], 0u) << "reader " << r;
+  }
+  EXPECT_EQ(store.size(), static_cast<uint64_t>(kPhases * kPerPhase));
+}
 
 TEST(NTriplesTest, ParsesBasicLine) {
   auto r = ParseNTriplesLine("<http://x/s> <http://x/p> <http://x/o> .");

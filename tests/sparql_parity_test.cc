@@ -126,9 +126,6 @@ class SparqlParityFixture : public ::testing::Test {
   void SetUp() override {
     path_ = "/tmp/lodviz_parity_" + std::to_string(::getpid()) + ".db";
     ASSERT_TRUE(rdf::LoadNTriplesString(kDoc, &store_).ok());
-    // Parity contract: compact (dedup) before mirroring so both backends
-    // hold identical triples.
-    store_.Compact();
     std::vector<rdf::Triple> triples;
     store_.Scan(rdf::TriplePattern(), [&](const rdf::Triple& t) {
       triples.push_back(t);
@@ -216,7 +213,6 @@ TEST(SparqlParityLeafFormat, FixedAndCompressedDiskLegsIdentical) {
   // in-memory reference.
   rdf::TripleStore store;
   ASSERT_TRUE(rdf::LoadNTriplesString(kDoc, &store).ok());
-  store.Compact();
   std::vector<rdf::Triple> triples;
   store.Scan(rdf::TriplePattern(), [&](const rdf::Triple& t) {
     triples.push_back(t);
@@ -571,7 +567,6 @@ TEST_F(SparqlParityFixture, RowAndBatchModesIdentical) {
 TEST(SparqlParitySharedEngine, ConcurrentRowAndBatchModesOnOneEngine) {
   rdf::TripleStore store;
   ASSERT_TRUE(rdf::LoadNTriplesString(kDoc, &store).ok());
-  store.Compact();
   QueryEngine::Options row_opts;
   row_opts.exec_mode = ExecMode::kRow;
   QueryEngine::Options batch_opts;
@@ -614,7 +609,6 @@ TEST(SparqlParitySharedEngine, ConcurrentRowAndBatchModesOnOneEngine) {
 TEST(SparqlParitySharedEngine, ConcurrentQueriesOnOneEngine) {
   rdf::TripleStore store;
   ASSERT_TRUE(rdf::LoadNTriplesString(kDoc, &store).ok());
-  store.Compact();
   QueryEngine engine(&store);
 
   const char* q =
@@ -662,7 +656,6 @@ TEST(SparqlParitySharedEngine, ConcurrentQueriesOnDiskBackend) {
                            std::to_string(::getpid()) + ".db";
   rdf::TripleStore store;
   ASSERT_TRUE(rdf::LoadNTriplesString(kDoc, &store).ok());
-  store.Compact();
   std::vector<rdf::Triple> triples;
   store.Scan(rdf::TriplePattern(), [&](const rdf::Triple& t) {
     triples.push_back(t);

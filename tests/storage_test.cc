@@ -13,6 +13,7 @@
 #include "storage/btree.h"
 #include "storage/buffer_pool.h"
 #include "storage/cracking.h"
+#include "storage/disk_source_adapter.h"
 #include "storage/disk_triple_store.h"
 #include "storage/page_file.h"
 #include "test_util.h"
@@ -285,6 +286,29 @@ TEST(DiskTripleStoreTest, ScanAgreesWithMemoryStore) {
     if (mask & 2) pat.p = static_cast<rdf::TermId>(1 + rng.Uniform(8));
     if (mask & 4) pat.o = static_cast<rdf::TermId>(1 + rng.Uniform(200));
     EXPECT_EQ(disk.Count(pat), mem.Count(pat)) << "mask=" << mask;
+  }
+}
+
+TEST(DiskTripleStoreTest, MemoryStatisticsMatchDiskMirrorWithDuplicates) {
+  // Repeated inserts (the synthetic generator can emit the same edge
+  // twice) must not inflate the memory store's statistics: its size and
+  // predicate counts equal the deduplicated disk mirror's.
+  Rng rng(78);
+  rdf::TripleStore mem;
+  for (int i = 0; i < 2000; ++i) {
+    rdf::Triple t(static_cast<rdf::TermId>(1 + rng.Uniform(40)),
+                  static_cast<rdf::TermId>(1 + rng.Uniform(6)),
+                  static_cast<rdf::TermId>(1 + rng.Uniform(30)));
+    mem.AddEncoded(t);
+    if (i % 3 == 0) mem.AddEncoded(t);
+  }
+  auto disk_r = DiskTripleStore::Create(TempPath("dts_stats"), 32);
+  ASSERT_TRUE(disk_r.ok());
+  ASSERT_TRUE((*disk_r)->BulkLoad(mem.Match(rdf::TriplePattern())).ok());
+  DiskSourceAdapter adapter(disk_r->get(), &mem.dict());
+  EXPECT_EQ(mem.size(), adapter.size());
+  for (rdf::TermId p = 1; p <= 7; ++p) {
+    EXPECT_EQ(mem.PredicateCount(p), adapter.PredicateCount(p)) << "p=" << p;
   }
 }
 

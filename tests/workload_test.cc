@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "graph/graph.h"
 #include "rdf/triple_store.h"
@@ -19,7 +21,16 @@ TEST(SyntheticLodTest, GeneratesExpectedShape) {
   SyntheticLodOptions opts;
   opts.num_entities = 500;
   size_t n = GenerateSyntheticLod(opts, &store);
-  EXPECT_EQ(n, store.size());
+  // n counts every emitted triple; the store keeps each distinct one once
+  // (the generator may repeat a knows edge).
+  std::vector<rdf::ParsedTriple> emitted = GenerateSyntheticLodTriples(opts);
+  ASSERT_EQ(emitted.size(), n);
+  std::set<std::string> distinct;
+  for (const rdf::ParsedTriple& t : emitted) {
+    distinct.insert(t.subject.ToNTriples() + " " + t.predicate.ToNTriples() +
+                    " " + t.object.ToNTriples());
+  }
+  EXPECT_EQ(store.size(), distinct.size());
   // Each entity gets type + label + age + created + lat + long + category
   // + ~3 knows links.
   EXPECT_GT(n, 500u * 7);
