@@ -58,8 +58,14 @@ TEST(TermTest, AsDoubleErrors) {
 }
 
 struct EscapeCase {
+  std::string label;
   std::string raw;
 };
+
+// gtest_discover_tests names each case after its printed parameter; the
+// default byte dump includes the string's data pointer, which changes on
+// every run, so print a fixed label instead.
+void PrintTo(const EscapeCase& c, std::ostream* os) { *os << c.label; }
 
 class EscapeRoundTrip : public ::testing::TestWithParam<EscapeCase> {};
 
@@ -73,11 +79,12 @@ TEST_P(EscapeRoundTrip, RoundTrips) {
 
 INSTANTIATE_TEST_SUITE_P(
     Strings, EscapeRoundTrip,
-    ::testing::Values(EscapeCase{""}, EscapeCase{"plain"},
-                      EscapeCase{"quote\"inside"}, EscapeCase{"back\\slash"},
-                      EscapeCase{"tab\tand\nnewline\r"},
-                      EscapeCase{"mixed \"\\\t\n all"},
-                      EscapeCase{"utf8 \xC3\xA9\xE2\x82\xAC intact"}));
+    ::testing::Values(EscapeCase{"empty", ""}, EscapeCase{"plain", "plain"},
+                      EscapeCase{"quote", "quote\"inside"},
+                      EscapeCase{"backslash", "back\\slash"},
+                      EscapeCase{"tab_newline", "tab\tand\nnewline\r"},
+                      EscapeCase{"mixed", "mixed \"\\\t\n all"},
+                      EscapeCase{"utf8", "utf8 \xC3\xA9\xE2\x82\xAC intact"}));
 
 TEST(EscapeTest, UnescapeUnicode) {
   EXPECT_EQ(test::Unwrap(UnescapeNTriplesString("\\u0041")), "A");
@@ -137,6 +144,8 @@ struct DateCase {
   std::string text;
   int64_t expected;
 };
+
+void PrintTo(const DateCase& c, std::ostream* os) { *os << c.text; }
 
 class DateTimeParse : public ::testing::TestWithParam<DateCase> {};
 
