@@ -169,7 +169,7 @@ int Run() {
                          "disk rows/s", "pool hit rate", "identical"});
   for (size_t qi = 0; qi < std::size(kQueries); ++qi) {
     const char* q = kQueries[qi];
-    const std::string label = "q" + std::to_string(qi + 1);
+    const std::string label = std::string("q") + std::to_string(qi + 1);
 
     Stopwatch mem_sw;
     sparql::QueryStats mem_stats;
@@ -305,66 +305,8 @@ int Run() {
                "the adaptive planner picks between them per pattern from "
                "shared statistics.\n";
 
-  std::cout << "\nPart F — row vs batch execution (40k entities, in-memory "
-               "backend, same queries both modes):\n";
-  sparql::QueryEngine::Options row_mode;
-  row_mode.exec_mode = sparql::ExecMode::kRow;
-  sparql::QueryEngine::Options batch_mode;
-  batch_mode.exec_mode = sparql::ExecMode::kBatch;
-  sparql::QueryEngine row_engine(&store, row_mode);
-  sparql::QueryEngine batch_engine(&store, batch_mode);
-  struct ModeQuery {
-    const char* label;
-    const char* text;
-  };
-  const ModeQuery mode_queries[] = {
-      {"bgp_filter", kQueries[0]},
-      {"bgp_2hop", kQueries[1]},
-      {"group_by", kQueries[2]},
-      {"optional", kQueries[3]},
-  };
-  TablePrinter modes({"query", "row ms", "batch ms", "speedup", "identical"});
-  double bgp_row_ms = 0, bgp_batch_ms = 0;
-  for (const ModeQuery& mq : mode_queries) {
-    (void)row_engine.ExecuteString(mq.text);  // warm both engines
-    (void)batch_engine.ExecuteString(mq.text);
-    Stopwatch row_sw;
-    auto row_r = row_engine.ExecuteString(mq.text);
-    const double row_ms = row_sw.ElapsedMillis();
-    Stopwatch batch_sw;
-    auto batch_r = batch_engine.ExecuteString(mq.text);
-    const double batch_ms = batch_sw.ElapsedMillis();
-    if (!row_r.ok() || !batch_r.ok()) return 1;
-    const bool identical = row_r->ToString(row_r->num_rows()) ==
-                           batch_r->ToString(batch_r->num_rows());
-    char speed[32];
-    std::snprintf(speed, sizeof(speed), "%.2fx",
-                  batch_ms > 0 ? row_ms / batch_ms : 0);
-    modes.AddRow({mq.label, bench::Ms(row_ms), bench::Ms(batch_ms), speed,
-                  identical ? "yes" : "NO"});
-    telemetry.RecordPhase(std::string("partF_") + mq.label + "_row_ms",
-                          row_ms);
-    telemetry.RecordPhase(std::string("partF_") + mq.label + "_batch_ms",
-                          batch_ms);
-    if (!identical) {
-      std::cerr << "row/batch divergence on " << mq.label << "\n";
-      return 1;
-    }
-    if (std::string(mq.label) == "bgp_2hop") {
-      bgp_row_ms = row_ms;
-      bgp_batch_ms = batch_ms;
-    }
-  }
-  telemetry.RecordPhase("partF_bgp_batch_speedup",
-                        bgp_batch_ms > 0 ? bgp_row_ms / bgp_batch_ms : 0);
-  modes.Print(std::cout);
-  std::cout << "\nShape check: both modes return bit-identical rows (the "
-               "ExecMode contract); the batch engine's advantage is widest "
-               "on scan/extend-heavy BGPs, where per-row dispatch and "
-               "full-width row copies disappear from the inner loop.\n";
-
-  std::cout << "\nPart G — disk leaf format: fixed 24-byte entries vs "
-               "delta-compressed varint pages (same data, same queries):\n";
+  std::cout << "\nPart G — compressed disk leaves (same data, Q2 over a "
+               "256-page pool):\n";
   std::vector<rdf::Triple> leaf_triples;
   store.Scan({}, [&](const rdf::Triple& t) {
     leaf_triples.push_back(t);
@@ -375,71 +317,67 @@ int Run() {
     LODVIZ_CHECK(r.ok()) << r.status().ToString();
     return r->ToString(r->num_rows());
   }();
-  struct FormatLeg {
-    storage::LeafFormat format;
-    const char* name;
-  } legs[] = {{storage::LeafFormat::kFixed, "fixed"},
-              {storage::LeafFormat::kCompressed, "compressed"}};
-  TablePrinter leaf_table({"leaf format", "pages", "pages/triple", "Q2 ms",
-                           "pool hit rate", "identical"});
-  double pages_per_triple[2] = {};
-  for (int li = 0; li < 2; ++li) {
-    const std::string leg_path = "/tmp/lodviz_e10_leaf_" +
-                                 std::string(legs[li].name) + "_" +
-                                 std::to_string(::getpid()) + ".db";
-    auto leg_store = bench::Unwrap(
-        storage::DiskTripleStore::Create(leg_path, 256, legs[li].format));
-    LODVIZ_CHECK_OK(leg_store->BulkLoad(leaf_triples));
-    storage::DiskSourceAdapter leg_adapter(leg_store.get(), &store.dict());
-    sparql::QueryEngine leg_engine(&leg_adapter);
+  const std::string leaf_path =
+      "/tmp/lodviz_e10_leaf_" + std::to_string(::getpid()) + ".db";
+  auto leaf_store =
+      bench::Unwrap(storage::DiskTripleStore::Create(leaf_path, 256));
+  LODVIZ_CHECK_OK(leaf_store->BulkLoad(leaf_triples));
+  storage::DiskSourceAdapter leaf_adapter(leaf_store.get(), &store.dict());
+  sparql::QueryEngine leaf_engine(&leaf_adapter);
 
-    const double ppt = static_cast<double>(leg_store->file().num_pages()) /
-                       static_cast<double>(leg_store->size());
-    pages_per_triple[li] = ppt;
+  const uint64_t leaf_pages = leaf_store->file().num_pages();
+  const double ppt = static_cast<double>(leaf_pages) /
+                     static_cast<double>(leaf_store->size());
+  // Reference: the leaf pages alone that 24-byte Key128+value entries
+  // would need for the two triple indexes, at (8192 - 16) / 24 - 1 = 339
+  // entries per leaf (a fixed-entry bulk loader leaving room for one
+  // insert). Internal nodes and the aggregated indexes would only add to
+  // it, so the ratio below understates the real saving.
+  const uint64_t fixed_per_leaf = (storage::kPageSize - 16) / 24 - 1;
+  const uint64_t fixed_pages =
+      2 * ((leaf_store->size() + fixed_per_leaf - 1) / fixed_per_leaf);
+  const double page_ratio =
+      leaf_pages > 0 ? static_cast<double>(fixed_pages) /
+                           static_cast<double>(leaf_pages)
+                     : 0;
 
-    (void)leg_engine.ExecuteString(kQueries[1]);  // warm the pool
-    leg_store->pool().ResetCounters();
-    Stopwatch leg_sw;
-    auto leg_r = leg_engine.ExecuteString(kQueries[1]);
-    const double leg_ms = leg_sw.ElapsedMillis();
-    if (!leg_r.ok()) {
-      std::remove(leg_path.c_str());
-      return 1;
-    }
-    const double leg_hit = leg_store->pool().HitRate();
-    const bool identical = leg_r->ToString(leg_r->num_rows()) == mem_q2;
+  (void)leaf_engine.ExecuteString(kQueries[1]);  // warm the pool
+  leaf_store->pool().ResetCounters();
+  Stopwatch leaf_sw;
+  auto leaf_r = leaf_engine.ExecuteString(kQueries[1]);
+  const double leaf_ms = leaf_sw.ElapsedMillis();
+  std::remove(leaf_path.c_str());
+  if (!leaf_r.ok()) return 1;
+  const double leaf_hit = leaf_store->pool().HitRate();
+  const bool identical = leaf_r->ToString(leaf_r->num_rows()) == mem_q2;
 
-    char ppt_text[32];
-    std::snprintf(ppt_text, sizeof(ppt_text), "%.4f", ppt);
-    leaf_table.AddRow({legs[li].name,
-                       FormatCount(leg_store->file().num_pages()), ppt_text,
-                       bench::Ms(leg_ms), bench::Pct(leg_hit),
-                       identical ? "yes" : "NO"});
-    const std::string tag = legs[li].name;
-    telemetry.RecordPhase("partG_pages_per_triple_" + tag, ppt);
-    telemetry.RecordPhase("partG_disk_bgp_" + tag + "_ms", leg_ms);
-    telemetry.RecordPhase("partG_pool_hit_rate_" + tag, leg_hit);
-    std::remove(leg_path.c_str());
-    if (!identical) {
-      std::cerr << "leaf-format divergence on " << legs[li].name << "\n";
-      return 1;
-    }
-  }
-  const double page_ratio = pages_per_triple[1] > 0
-                                ? pages_per_triple[0] / pages_per_triple[1]
-                                : 0;
+  TablePrinter leaf_table({"pages", "24-byte layout pages", "pages/triple",
+                           "Q2 ms", "pool hit rate", "identical"});
+  char ppt_text[32];
+  std::snprintf(ppt_text, sizeof(ppt_text), "%.4f", ppt);
+  leaf_table.AddRow({FormatCount(leaf_pages), FormatCount(fixed_pages),
+                     ppt_text, bench::Ms(leaf_ms), bench::Pct(leaf_hit),
+                     identical ? "yes" : "NO"});
+  telemetry.RecordPhase("partG_pages_per_triple_compressed", ppt);
+  telemetry.RecordPhase("partG_disk_bgp_compressed_ms", leaf_ms);
+  telemetry.RecordPhase("partG_pool_hit_rate_compressed", leaf_hit);
   telemetry.RecordPhase("partG_pages_ratio_fixed_over_compressed", page_ratio);
   leaf_table.Print(std::cout);
+  if (!identical) {
+    std::cerr << "disk Q2 diverges from the in-memory answer\n";
+    return 1;
+  }
   char ratio_text[32];
   std::snprintf(ratio_text, sizeof(ratio_text), "%.2f", page_ratio);
-  std::cout << "\nShape check: both leaf formats serve bit-identical rows; "
-               "the compressed layout stores the same triples in "
+  std::cout << "\nShape check: the disk store serves rows bit-identical to "
+               "memory; the compressed layout needs "
             << ratio_text
-            << "x fewer pages per triple, which is the same factor of extra "
-               "triples each buffer-pool frame now caches.\n";
+            << "x fewer pages than the 24-byte entry layout's leaf pages "
+               "alone, the same factor of extra triples each buffer-pool "
+               "frame caches.\n";
   if (page_ratio < 2.0) {
-    std::cerr << "compressed leaves must reduce pages/triple by >= 2x "
-                 "(measured "
+    std::cerr << "compressed leaves must need >= 2x fewer pages than the "
+                 "24-byte layout (measured "
               << ratio_text << "x)\n";
     return 1;
   }

@@ -158,12 +158,6 @@ int Run() {
   storage::DiskSourceAdapter adapter(&sparql_disk, &mem.dict());
   sparql::QueryEngine mem_engine(&mem);
   sparql::QueryEngine disk_engine(&adapter);
-  // Row-mode leg: the same explore queries through the row-at-a-time
-  // executor, so the batch engine's contribution to interactive latency is
-  // visible (and its answers provably unchanged) on every query shape.
-  sparql::QueryEngine::Options row_mode;
-  row_mode.exec_mode = sparql::ExecMode::kRow;
-  sparql::QueryEngine mem_row_engine(&mem, row_mode);
 
   const struct {
     const char* label;
@@ -179,15 +173,10 @@ int Run() {
        "SELECT ?a ?b WHERE { ?a <http://lod.example/ontology/knows> ?b . } "
        "LIMIT 10000"},
   };
-  TablePrinter sparql_table({"query", "mem row ms", "mem ms", "mem rows/s",
+  TablePrinter sparql_table({"query", "mem ms", "mem rows/s",
                              "disk ms", "disk 4t ms", "disk rows/s",
                              "pool hit rate", "identical"});
   for (const auto& q : kExploreQueries) {
-    Stopwatch mem_row_sw;
-    auto mem_row_result = mem_row_engine.ExecuteString(q.text);
-    double mem_row_ms = mem_row_sw.ElapsedMillis();
-    if (!mem_row_result.ok()) return 1;
-
     Stopwatch mem_sw;
     sparql::QueryStats mem_stats;
     auto mem_result = mem_engine.ExecuteString(q.text, &mem_stats);
@@ -224,19 +213,14 @@ int Run() {
                      disk_result->ToString(disk_result->num_rows());
     bool identical4 = disk_result->ToString(disk_result->num_rows()) ==
                       disk4_result->ToString(disk4_result->num_rows());
-    bool identical_row = mem_row_result->ToString(mem_row_result->num_rows()) ==
-                         mem_result->ToString(mem_result->num_rows());
-    identical = identical && identical_row;
     sparql_table.AddRow(
-        {q.label, bench::Ms(mem_row_ms), bench::Ms(mem_ms),
+        {q.label, bench::Ms(mem_ms),
          FormatCount(static_cast<uint64_t>(mem_rows_s)), bench::Ms(disk_ms),
          bench::Ms(disk4_ms),
          FormatCount(static_cast<uint64_t>(disk_rows_s)),
          bench::Pct(hit_rate),
          identical && identical4 ? "yes" : "NO"});
     telemetry.RecordPhase(std::string("disk_") + q.label + "_4t_ms", disk4_ms);
-    telemetry.RecordPhase(std::string("mem_row_") + q.label + "_ms",
-                          mem_row_ms);
     telemetry.RecordPhase(std::string("mem_") + q.label + "_ms", mem_ms);
     telemetry.RecordPhase(std::string("mem_") + q.label + "_rows_per_s",
                           mem_rows_s);

@@ -13,14 +13,12 @@
 #include "sparql/column_batch.h"
 #include "sparql/engine.h"
 #include "sparql/parser.h"
-#include "sparql/row_append.h"
 #include "stats/sketch.h"
 #include "storage/btree.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -81,7 +79,7 @@ void BM_BTreeLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_BTreeLookup);
 
-/// Shared fixture for the leaf-format benchmarks: dense SPO-shaped keys
+/// Shared fixture for the leaf-codec benchmarks: dense SPO-shaped keys
 /// (clustered hi, small lo gaps, zero values — the triple-index common
 /// case the compressed format is tuned for).
 std::vector<storage::BTree::Item> LeafBenchItems() {
@@ -108,29 +106,6 @@ void BM_VarintGapEncode(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(encoded));
 }
 BENCHMARK(BM_VarintGapEncode);
-
-void BM_LeafDecodeFixed(benchmark::State& state) {
-  // A fixed-format leaf is raw 24-byte entries after the header; decoding
-  // is a bounds-checked copy-out, the baseline the varint decoder races.
-  const std::vector<storage::BTree::Item> items = LeafBenchItems();
-  alignas(8) uint8_t page[storage::kPageSize] = {};
-  const size_t capacity = (storage::kPageSize - 16) / 24;
-  const size_t n = std::min(capacity, items.size());
-  std::memcpy(page + 16, items.data(), n * sizeof(storage::BTree::Item));
-  std::vector<storage::BTree::Item> out;
-  out.reserve(capacity);
-  size_t decoded = 0;
-  for (auto _ : state) {
-    out.clear();
-    const auto* entries =
-        reinterpret_cast<const storage::BTree::Item*>(page + 16);
-    out.insert(out.end(), entries, entries + n);
-    benchmark::DoNotOptimize(out.data());
-    decoded += n;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(decoded));
-}
-BENCHMARK(BM_LeafDecodeFixed);
 
 void BM_LeafDecodeVarint(benchmark::State& state) {
   const std::vector<storage::BTree::Item> items = LeafBenchItems();
@@ -498,48 +473,16 @@ void BM_FilterNumericStringParse(benchmark::State& state) {
 }
 BENCHMARK(BM_FilterNumericStringParse);
 
-// --- Row vs batch operator substrates ----------------------------------
+// --- Batch operator substrates -----------------------------------------
 //
-// The vectorized executor's two inner loops against their row-engine
-// counterparts, at the representation level. Extend: the row engine copies
-// the full parent solution (width TermIds) per match and appends it to a
-// row-major table; the batch engine appends one run via
-// ColumnBatch::AppendRun, paying only for the columns that actually vary
-// (constant-encoded carries cost O(1) per run). Filter: the row engine
-// reads the filtered slot with a row-major stride and dispatches each row
-// through the expression evaluator (modeled by an opaque function
-// pointer); the batch engine's specialized path streams one contiguous
-// column segment with the comparison inlined, emitting a selection vector.
+// The vectorized executor's two inner loops at the representation level.
+// Extend: one run appended via ColumnBatch::AppendRun, paying only for the
+// columns that actually vary (constant-encoded carries cost O(1) per run).
+// Filter: the specialized path streams one contiguous column segment with
+// the comparison inlined, emitting a selection vector.
 
 constexpr size_t kOpWidth = 8;     // typical mid-plan solution width
 constexpr size_t kOpRows = 4096;   // four full batches of work per tick
-
-using FilterFn = bool (*)(const rdf::DecodedValue&);
-bool DecodedAtLeast500(const rdf::DecodedValue& d) {
-  return d.kind == rdf::DecodedValue::Kind::kNum && d.num >= 500.0;
-}
-
-void BM_FilterRow(benchmark::State& state) {
-  rdf::Dictionary dict;
-  sparql::FlatRows<rdf::TermId> rows(kOpWidth);
-  std::vector<rdf::TermId> rowbuf(kOpWidth, 7);
-  for (size_t i = 0; i < kOpRows; ++i) {
-    rowbuf[5] = dict.Intern(rdf::Term::IntLiteral(static_cast<int>(i % 1000)));
-    rows.AppendRow(rowbuf.data());
-  }
-  FilterFn fn = DecodedAtLeast500;
-  benchmark::DoNotOptimize(fn);  // opaque, like the per-row AST dispatch
-  std::vector<uint32_t> keep;
-  for (auto _ : state) {
-    keep.clear();
-    for (uint32_t r = 0; r < kOpRows; ++r) {
-      if (fn(dict.decoded(rows.row(r)[5]))) keep.push_back(r);
-    }
-    benchmark::DoNotOptimize(keep.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kOpRows);
-}
-BENCHMARK(BM_FilterRow);
 
 void BM_FilterBatch(benchmark::State& state) {
   rdf::Dictionary dict;
@@ -568,29 +511,6 @@ void BM_FilterBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kOpRows);
 }
 BENCHMARK(BM_FilterBatch);
-
-void BM_BgpExtendRow(benchmark::State& state) {
-  const std::vector<rdf::TermId> sol(kOpWidth, 7);
-  std::vector<rdf::TermId> matches(kOpRows);
-  for (size_t i = 0; i < kOpRows; ++i) {
-    matches[i] = static_cast<rdf::TermId>(i + 1);
-  }
-  sparql::FlatRows<rdf::TermId> out(kOpWidth);
-  std::vector<rdf::TermId> rowbuf(kOpWidth);
-  for (auto _ : state) {
-    out.Clear();
-    for (size_t m = 0; m < matches.size(); ++m) {
-      rowbuf.assign(sol.begin(), sol.end());
-      rowbuf[5] = matches[m];
-      out.AppendRow(rowbuf.data());
-    }
-    benchmark::DoNotOptimize(out.data().data());
-  }
-  state.SetItemsProcessed(state.iterations() * kOpRows);
-  state.SetBytesProcessed(state.iterations() * kOpRows * kOpWidth *
-                          sizeof(rdf::TermId));
-}
-BENCHMARK(BM_BgpExtendRow);
 
 void BM_BgpExtendBatch(benchmark::State& state) {
   const std::vector<rdf::TermId> sol(kOpWidth, 7);

@@ -9,13 +9,10 @@
 #      macros are no-ops elsewhere, so only clang can check them)
 #   3. ASan+UBSan       — full tier-1 suite under address+undefined
 #   4. TSan             — obs/exec/sparql/serve/rdf-store concurrency tests
-#   5. mode parity      — SparqlParity suite re-run five ways on the ASan
-#      build: LODVIZ_PROFILE=1 (profiling force-enabled; pins the EXPLAIN
-#      ANALYZE observe-don't-perturb contract), LODVIZ_EXEC_MODE=row and
-#      LODVIZ_EXEC_MODE=batch (the whole suite forced through each
-#      executor; results must stay bit-identical, pinning the ExecMode
-#      contract from both sides), and LODVIZ_DISK_LEAF=fixed/compressed
-#      (every disk leg forced through each B+-tree leaf format)
+#   5. profiled parity  — SparqlParity suite re-run on the ASan build with
+#      LODVIZ_PROFILE=1 (profiling force-enabled; every leg must still
+#      match the golden answers, pinning the EXPLAIN ANALYZE
+#      observe-don't-perturb contract)
 #   6. serving parity   — serve_check drives a live HTTP server with
 #      concurrent clients and asserts every answer (cold plan cache, warm
 #      plan cache, and under contention) is bit-identical to a direct
@@ -90,34 +87,15 @@ ctest --test-dir "$TSAN_BUILD" \
   -R '^(Obs|Exec|SparqlParity|Serve|RdfStoreConcurrency)' \
   --output-on-failure -j "$JOBS"
 
-echo "== [5/6] SparqlParity under forced profiling and forced exec modes =="
+echo "== [5/6] SparqlParity under forced profiling =="
 # LODVIZ_PROFILE=1 turns per-operator profiling on for every query in the
-# process (sparql/engine.cc reads it once). The parity suite asserts
-# memory/disk/forced-strategy executions stay bit-identical, so running it
-# under forced profiling pins that the profiler only observes — any row it
-# adds, drops, or reorders fails this gate. Reuses the ASan build: the
-# instrumented paths also get leak/UB coverage that way.
+# process (sparql/engine.cc reads it once). The parity suite asserts every
+# memory/disk × join-strategy × thread-count leg equals the checked-in
+# golden answers (tests/golden/), so running it under forced profiling pins
+# that the profiler only observes — any row it adds, drops, or reorders
+# fails this gate. Reuses the ASan build: the instrumented paths also get
+# leak/UB coverage that way.
 LODVIZ_PROFILE=1 ctest --test-dir "$ASAN_BUILD" -R '^SparqlParity' \
-  --output-on-failure -j "$JOBS"
-# LODVIZ_EXEC_MODE forces every engine in the process through one executor
-# (sparql/engine.cc, read once, overriding per-engine Options). Running the
-# full parity suite once per mode proves the row engine still answers
-# everything correctly (it is the reference the batch engine is checked
-# against) and that the batch engine survives the whole memory/disk/
-# join-strategy/thread-count grid — under ASan, so either executor's
-# memory bugs surface here.
-LODVIZ_EXEC_MODE=row ctest --test-dir "$ASAN_BUILD" -R '^SparqlParity' \
-  --output-on-failure -j "$JOBS"
-LODVIZ_EXEC_MODE=batch ctest --test-dir "$ASAN_BUILD" -R '^SparqlParity' \
-  --output-on-failure -j "$JOBS"
-# LODVIZ_DISK_LEAF forces the disk B+-tree leaf format for every store the
-# process creates (storage/disk_triple_store.cc, read per Create). The
-# parity suite's memory/disk legs must stay bit-identical under both the
-# fixed 24-byte layout and the delta-compressed varint layout — a decode
-# bug in either format shows up here as a row-level diff, under ASan.
-LODVIZ_DISK_LEAF=fixed ctest --test-dir "$ASAN_BUILD" -R '^SparqlParity' \
-  --output-on-failure -j "$JOBS"
-LODVIZ_DISK_LEAF=compressed ctest --test-dir "$ASAN_BUILD" -R '^SparqlParity' \
   --output-on-failure -j "$JOBS"
 
 echo "== [6/6] serving layer end-to-end parity (serve_check) =="

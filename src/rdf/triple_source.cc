@@ -67,10 +67,4 @@ TripleSource::CardinalityEstimate TripleSource::EstimateCardinality(
   return {std::min(est, total), exact};
 }
 
-double TripleSource::EstimateSelectivity(const TriplePattern& pattern) const {
-  const double total = static_cast<double>(size());
-  if (total == 0) return 0.0;
-  return std::min(1.0, EstimateCardinality(pattern).rows / total);
-}
-
 }  // namespace lodviz::rdf

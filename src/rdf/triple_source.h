@@ -94,10 +94,6 @@ class TripleSource {
   /// flagged estimated.
   [[nodiscard]] CardinalityEstimate EstimateCardinality(
       const TriplePattern& pattern) const;
-
-  /// Estimated fraction of the source matched by `pattern`:
-  /// EstimateCardinality(pattern).rows / size().
-  [[nodiscard]] double EstimateSelectivity(const TriplePattern& pattern) const;
 };
 
 }  // namespace lodviz::rdf

@@ -29,16 +29,4 @@ size_t TotalActiveRows(const std::vector<ColumnBatch>& batches) {
   return sum;
 }
 
-std::vector<ColumnBatch> RowsToBatches(const rdf::TermId* data, size_t rows,
-                                       size_t width) {
-  std::vector<ColumnBatch> out;
-  out.reserve(rows / kBatchRows + 1);
-  for (size_t begin = 0; begin < rows; begin += kBatchRows) {
-    const size_t end = std::min(rows, begin + kBatchRows);
-    ColumnBatch& batch = out.emplace_back(width);
-    for (size_t r = begin; r < end; ++r) batch.AppendRow(data + r * width);
-  }
-  return out;
-}
-
 }  // namespace lodviz::sparql

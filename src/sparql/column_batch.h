@@ -111,8 +111,8 @@ class ColumnSegment {
 /// selection vector (ascending physical row indices) is how filters drop
 /// rows without materializing anything — downstream operators iterate
 /// active rows only. Logical row order is physical order restricted to
-/// the selection, which is what keeps batch execution bit-identical to
-/// the row engine (see DESIGN.md §4.9).
+/// the selection, which is what keeps the executor's output order
+/// independent of batch boundaries (see DESIGN.md §4.9).
 class ColumnBatch {
  public:
   ColumnBatch() = default;
@@ -258,13 +258,6 @@ class BatchListView {
 /// Sum of active rows across `batches` (cheaper than a BatchListView when
 /// only the count is needed).
 [[nodiscard]] size_t TotalActiveRows(const std::vector<ColumnBatch>& batches);
-
-/// Splits a row-major table (`rows` x `width`) into batches of at most
-/// kBatchRows — the row-engine-to-batch bridge the engine tail uses so
-/// solution modifiers consume one representation regardless of ExecMode.
-[[nodiscard]] std::vector<ColumnBatch> RowsToBatches(const rdf::TermId* data,
-                                                     size_t rows,
-                                                     size_t width);
 
 }  // namespace lodviz::sparql
 

@@ -171,47 +171,14 @@ bool ProfilingForced() {
   return forced;
 }
 
-/// LODVIZ_EXEC_MODE ("row" or "batch") force-overrides Options::exec_mode
-/// for every engine in the process — scripts/check.sh re-runs the parity
-/// suite under both values to pin that the two executors agree on the same
-/// binaries. Any other value is ignored. Read once, like LODVIZ_PROFILE.
-ExecMode EffectiveExecMode(const QueryEngine::Options& options) {
-  enum class Forced : uint8_t { kNone, kRow, kBatch };
-  static const Forced forced = [] {
-    const char* v = std::getenv("LODVIZ_EXEC_MODE");
-    if (v == nullptr) return Forced::kNone;
-    const std::string_view s(v);
-    if (s == "row") return Forced::kRow;
-    if (s == "batch") return Forced::kBatch;
-    return Forced::kNone;
-  }();
-  switch (forced) {
-    case Forced::kRow:
-      return ExecMode::kRow;
-    case Forced::kBatch:
-      return ExecMode::kBatch;
-    case Forced::kNone:
-      break;
-  }
-  return options.exec_mode;
-}
-
-/// Evaluates the plan's root group under `mode`, always yielding batches:
-/// batch mode natively, row mode through the BindingTable→ColumnBatch
-/// bridge. Everything downstream of this call (solution modifiers,
-/// projection, templates) consumes one representation regardless of mode.
+/// Evaluates the plan's root group from a single all-unbound seed row.
 std::vector<ColumnBatch> RunRootGroup(Executor& executor,
-                                      const QueryPlan& plan, ExecMode mode) {
+                                      const QueryPlan& plan) {
   const size_t width = RowWidth(plan);
-  if (mode == ExecMode::kBatch) {
-    std::vector<ColumnBatch> seeds(1, ColumnBatch(width));
-    const std::vector<TermId> empty_row(width, kInvalidTermId);
-    seeds[0].AppendRow(empty_row.data());
-    return executor.EvalGroupBatches(plan.root, seeds);
-  }
-  BindingTable seeds(width);
-  seeds.AppendEmptyRow();
-  return executor.EvalGroup(plan.root, seeds).ToBatches();
+  std::vector<ColumnBatch> seeds(1, ColumnBatch(width));
+  const std::vector<TermId> empty_row(width, kInvalidTermId);
+  seeds[0].AppendRow(empty_row.data());
+  return executor.EvalGroupBatches(plan.root, seeds);
 }
 
 /// Shared tail of both execution paths, run from the ExecFold destructor
@@ -363,8 +330,7 @@ Result<std::vector<rdf::ParsedTriple>> QueryEngine::ExecuteGraphImpl(
   auto eval_where = [&]() {
     Executor executor(source_, RowWidth(plan), prof, options_.budget);
     obs::OperatorTimer timer(prof);
-    std::vector<ColumnBatch> solutions =
-        RunRootGroup(executor, plan, EffectiveExecMode(options_));
+    std::vector<ColumnBatch> solutions = RunRootGroup(executor, plan);
     timer.Finish(TotalActiveRows(solutions));
     metrics.intermediate_rows.Increment(executor.intermediate_rows());
     intermediate = executor.intermediate_rows();
@@ -512,8 +478,7 @@ Result<ResultTable> QueryEngine::ExecutePlannedImpl(
 
   Executor executor(source_, RowWidth(plan), prof, options_.budget);
   obs::OperatorTimer root_timer(prof);
-  std::vector<ColumnBatch> solutions =
-      RunRootGroup(executor, plan, EffectiveExecMode(options_));
+  std::vector<ColumnBatch> solutions = RunRootGroup(executor, plan);
   const size_t total_rows = TotalActiveRows(solutions);
   root_timer.Finish(total_rows);
   metrics.intermediate_rows.Increment(executor.intermediate_rows());
@@ -694,8 +659,7 @@ Result<ResultTable> QueryEngine::ExecutePlannedImpl(
   // ---- Plain projection path (late materialization) ----
   // ORDER BY, DISTINCT and OFFSET/LIMIT permute and prune RowRefs over the
   // batch list; only the rows that survive every modifier materialize
-  // Terms. The row engine materialized the full ResultTable first — same
-  // rows, same order, fewer Term copies.
+  // Terms.
   std::vector<RowRef> refs = CollectRefs(solutions);
 
   // ORDER BY. Sort keys resolve through the projected columns, as before:

@@ -15,18 +15,6 @@
 
 namespace lodviz::sparql {
 
-/// How the executor evaluates the operator tree. Both modes run the same
-/// plan and return bit-identical results in the same order (the parity
-/// suite pins the full grid, see DESIGN.md §4.9); they differ only in the
-/// intermediate representation — per-row slot arrays vs vectorized
-/// ColumnBatch chunks — and therefore in speed.
-enum class ExecMode : uint8_t {
-  /// Row-at-a-time BindingTable execution (the original engine).
-  kRow = 0,
-  /// Vectorized batch execution over ColumnBatch segments (the default).
-  kBatch = 1,
-};
-
 /// Per-query execution statistics, returned through an out-parameter so
 /// the engine keeps no mutable per-query state and a single QueryEngine is
 /// safely shareable across threads.
@@ -86,13 +74,6 @@ class QueryEngine {
     /// never perturbs results.
     bool profile = false;
 
-    /// Execution mode (see ExecMode). Batch by default; kRow keeps the
-    /// original row-at-a-time executor for comparison and as the reference
-    /// implementation the parity suite checks batch mode against. Setting
-    /// the LODVIZ_EXEC_MODE environment variable to "row" or "batch"
-    /// force-overrides this flag process-wide — the gate in
-    /// scripts/check.sh re-runs the parity suite under both values.
-    ExecMode exec_mode = ExecMode::kBatch;
   };
 
   explicit QueryEngine(const rdf::TripleSource* source)

@@ -470,15 +470,14 @@ struct JoinKeyHash {
 using JoinTable =
     std::unordered_map<JoinKey, std::vector<rdf::Triple>, JoinKeyHash>;
 
-/// Build side of a hash-join step, shared verbatim by the row and batch
-/// executors: one scan with the join slots wildcarded (only plan constants
-/// stay fixed), bucketed on the key positions. Every bucket is then sorted
-/// back into NLJ probe delivery order: the index a probe would pick is a
-/// function of which positions are bound (SPO when the s position is, else
-/// POS when p is, else SPO for o-only — both backends agree, see DESIGN.md
-/// §4.5), and a sorted bucket filtered by the runtime bindings stays in
-/// that order. This is what keeps hash-join output bit-identical to NLJ
-/// output in both execution modes.
+/// Build side of a hash-join step: one scan with the join slots wildcarded
+/// (only plan constants stay fixed), bucketed on the key positions. Every
+/// bucket is then sorted back into NLJ probe delivery order: the index a
+/// probe would pick is a function of which positions are bound (SPO when
+/// the s position is, else POS when p is, else SPO for o-only — both
+/// backends agree, see DESIGN.md §4.5), and a sorted bucket filtered by the
+/// runtime bindings stays in that order. This is what keeps hash-join
+/// output bit-identical to NLJ output.
 JoinTable BuildJoinTable(const rdf::TripleSource& source,
                          const PatternStep& st) {
   SparqlMetrics::Get().op_hash_joins.Increment();
@@ -563,239 +562,12 @@ bool Executor::TimeExpired() {
   return false;
 }
 
-BindingTable Executor::EvalBgp(const std::vector<PatternStep>& steps,
-                               const BindingTable& seeds,
-                               obs::OperatorProfile* prof) {
-  if (steps.empty()) return seeds;
-  LODVIZ_TRACE_SPAN("sparql.bgp");
-  // One clock read per step when a time budget is set; zero otherwise.
-  const bool timed = budget_.time_budget_us >= 0;
-
-  const BindingTable* input = &seeds;
-  BindingTable current;
-  size_t step_index = 0;
-  for (const PatternStep& st : steps) {
-    // Per-operator instrumentation: with profiling off this whole block is
-    // the construction branch below plus one null test at Finish — no
-    // clock reads, nothing per row.
-    obs::OperatorTimer timer(
-        prof == nullptr ? nullptr : &prof->children[step_index],
-        input->num_rows());
-    ++step_index;
-    BindingTable next(width_);
-    if (!st.dead && input->num_rows() > 0) {
-      // Extends `sol` with one matching triple: bind pattern variables,
-      // reject on conflict with an existing binding. Shared verbatim by
-      // both join strategies so kept rows (and their order within one
-      // solution's match list) are identical by construction.
-      auto extend = [&](BindingTable& out, const TermId* sol,
-                        std::vector<TermId>& extended, const rdf::Triple& t) {
-        std::copy(sol, sol + width_, extended.begin());
-        bool ok = true;
-        auto bind = [&](SlotId slot, TermId value) {
-          if (slot == kNoSlot) return;
-          TermId& cell = extended[slot];
-          if (cell == kInvalidTermId) {
-            cell = value;
-          } else if (cell != value) {
-            ok = false;
-          }
-        };
-        bind(st.s_slot, t.s);
-        if (ok) bind(st.p_slot, t.p);
-        if (ok) bind(st.o_slot, t.o);
-        if (ok) out.AppendRow(extended.data());
-      };
-
-      // Index nested-loop for one solution: probe the source with the
-      // runtime-substituted pattern. Matches are copied out of the Scan
-      // callback so the source is held only for the index walk, not the
-      // binding work.
-      auto nlj_row = [&](BindingTable& out, const TermId* sol,
-                         std::vector<rdf::Triple>& matches,
-                         std::vector<TermId>& extended) {
-        rdf::TriplePattern pat(
-            st.s_slot == kNoSlot ? st.s_id : sol[st.s_slot],
-            st.p_slot == kNoSlot ? st.p_id : sol[st.p_slot],
-            st.o_slot == kNoSlot ? st.o_id : sol[st.o_slot]);
-        matches.clear();
-        source_->Scan(pat, [&](const rdf::Triple& t) {
-          matches.push_back(t);
-          return true;
-        });
-        for (const rdf::Triple& t : matches) extend(out, sol, extended, t);
-      };
-
-      auto combine = [](BindingTable& acc, BindingTable&& rhs) {
-        acc.Append(std::move(rhs));
-      };
-
-      if (st.strategy == JoinStrategy::kHash) {
-        const JoinTable table = BuildJoinTable(*source_, st);
-
-        next = exec::ParallelReduce<BindingTable>(
-            0, input->num_rows(), 8,
-            [&](size_t cb, size_t ce) {
-              BindingTable out(width_);
-              if (timed && TimeExpired()) return out;
-              std::vector<rdf::Triple> matches;
-              std::vector<TermId> extended(width_);
-              for (size_t si = cb; si < ce; ++si) {
-                const TermId* sol = input->row(si);
-                // The planner's "certainly bound" is a static property: a
-                // key slot can still be unbound at runtime (seeds from an
-                // outer group), where NLJ semantics treat it as a
-                // wildcard. Fall back to the index probe for such rows.
-                if ((st.s_bound && sol[st.s_slot] == kInvalidTermId) ||
-                    (st.p_bound && sol[st.p_slot] == kInvalidTermId) ||
-                    (st.o_bound && sol[st.o_slot] == kInvalidTermId)) {
-                  nlj_row(out, sol, matches, extended);
-                  continue;
-                }
-                JoinKey k{st.s_bound ? sol[st.s_slot] : kInvalidTermId,
-                          st.p_bound ? sol[st.p_slot] : kInvalidTermId,
-                          st.o_bound ? sol[st.o_slot] : kInvalidTermId};
-                auto it = table.find(k);
-                if (it == table.end()) continue;
-                for (const rdf::Triple& t : it->second) {
-                  extend(out, sol, extended, t);
-                }
-              }
-              return out;
-            },
-            combine);
-      } else {
-        // Solutions extend independently; per-chunk outputs concatenate
-        // in chunk order, so `next` is ordered exactly as the serial loop
-        // would produce it.
-        next = exec::ParallelReduce<BindingTable>(
-            0, input->num_rows(), 8,
-            [&](size_t cb, size_t ce) {
-              BindingTable out(width_);
-              if (timed && TimeExpired()) return out;
-              std::vector<rdf::Triple> matches;
-              std::vector<TermId> extended(width_);
-              for (size_t si = cb; si < ce; ++si) {
-                nlj_row(out, input->row(si), matches, extended);
-              }
-              return out;
-            },
-            combine);
-      }
-    }
-    intermediate_rows_ += next.num_rows();
-    SparqlMetrics::Get().op_join_rows.Increment(next.num_rows());
-    timer.Finish(next.num_rows());
-    current = std::move(next);
-    input = &current;
-    if (current.num_rows() == 0) break;
-    // Budget check per step (driving thread): a tripped budget truncates
-    // the result; the engine discards it and reports kResourceExhausted.
-    if (CheckBudget()) return BindingTable(width_);
-  }
-  return current;
-}
-
-BindingTable Executor::EvalGroup(const GroupPlan& plan,
-                                 const BindingTable& seeds,
-                                 obs::OperatorProfile* prof) {
-  BindingTable solutions = EvalBgp(plan.steps, seeds, prof);
-
-  // Child-node layout mirrors BuildProfileSkeleton:
-  // [steps...][unions...][optionals...][filter?].
-  size_t child_index = plan.steps.size();
-
-  if (!plan.union_branches.empty()) {
-    BindingTable unioned(width_);
-    for (const GroupPlan& branch : plan.union_branches) {
-      if (CheckBudget()) return BindingTable(width_);
-      obs::OperatorProfile* branch_prof =
-          prof == nullptr ? nullptr : &prof->children[child_index];
-      ++child_index;
-      obs::OperatorTimer timer(branch_prof);
-      BindingTable rows = EvalGroup(branch, solutions, branch_prof);
-      timer.Finish(rows.num_rows());
-      unioned.Append(std::move(rows));
-    }
-    solutions = std::move(unioned);
-    SparqlMetrics::Get().op_union_rows.Increment(solutions.num_rows());
-  }
-
-  if (!plan.optionals.empty()) {
-    // One reusable seed table for the whole loop; each iteration clears
-    // it and appends the current row instead of allocating a fresh table.
-    BindingTable seed(width_);
-    for (const GroupPlan& opt : plan.optionals) {
-      obs::OperatorProfile* opt_prof =
-          prof == nullptr ? nullptr : &prof->children[child_index];
-      ++child_index;
-      obs::OperatorTimer timer(opt_prof, solutions.num_rows());
-      BindingTable next(width_);
-      next.Reserve(solutions.num_rows());
-      for (size_t i = 0; i < solutions.num_rows(); ++i) {
-        if (CheckBudget()) return BindingTable(width_);
-        seed.Clear();
-        seed.AppendRow(solutions.row(i));
-        // Inner operators of the optional accumulate across the per-row
-        // re-evaluations (their `invocations` counts the re-runs); the
-        // optional node itself carries the whole loop's wall time.
-        BindingTable extended = EvalGroup(opt, seed, opt_prof);
-        if (extended.num_rows() == 0) {
-          next.AppendRow(solutions.row(i));
-        } else {
-          next.Append(std::move(extended));
-        }
-      }
-      timer.Finish(next.num_rows());
-      solutions = std::move(next);
-      SparqlMetrics::Get().op_optional_rows.Increment(solutions.num_rows());
-    }
-  }
-
-  if (!plan.filters.empty() && solutions.num_rows() > 0) {
-    obs::OperatorProfile* filter_prof =
-        prof == nullptr ? nullptr : &prof->children.back();
-    obs::OperatorTimer timer(filter_prof, solutions.num_rows());
-    const size_t before = solutions.num_rows();
-    const rdf::Dictionary& dict = source_->dict();
-    // Filters are pure per solution (dictionary reads are const), so
-    // chunks evaluate independently and keep order on concatenation.
-    const bool timed = budget_.time_budget_us >= 0;
-    BindingTable kept = exec::ParallelReduce<BindingTable>(
-        0, before, 64,
-        [&](size_t cb, size_t ce) {
-          BindingTable out(width_);
-          if (timed && TimeExpired()) return out;
-          for (size_t si = cb; si < ce; ++si) {
-            const TermId* row = solutions.row(si);
-            bool pass = true;
-            for (const CompiledExpr& f : plan.filters) {
-              if (!PassesFilter(f, dict, row)) {
-                pass = false;
-                break;
-              }
-            }
-            if (pass) out.AppendRow(row);
-          }
-          return out;
-        },
-        [](BindingTable& acc, BindingTable&& rhs) {
-          acc.Append(std::move(rhs));
-        });
-    solutions = std::move(kept);
-    SparqlMetrics::Get().op_filter_dropped.Increment(before -
-                                                     solutions.num_rows());
-    timer.Finish(solutions.num_rows());
-  }
-  return solutions;
-}
-
 // ---------------------------------------------------------------------------
-// Vectorized (batch) execution. The contract with the row engine above is
-// bit-identical output: same logical rows in the same order, same plans,
-// same metric deltas. Every structural choice below — chunk grains, chunk
+// Vectorized execution. Output is bit-identical across join strategies and
+// thread counts: same logical rows in the same order, same plans, same
+// metric deltas. Every structural choice below — chunk grains, chunk
 // concatenation order, per-bucket sorting, filter error accounting — exists
-// to preserve that contract; see DESIGN.md §4.9 before changing any of it.
+// to preserve that; see DESIGN.md §4.9 before changing any of it.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -803,8 +575,8 @@ namespace {
 /// Applies a normalized BatchFilterSpec comparison the way SlimCompare
 /// would: three-way result first, then the operator on it. The detour
 /// through `c` is deliberate — SlimCompare maps NaN operands to c == 0, so
-/// kLe/kGe/kEq hold for NaN exactly as in the row engine, where a direct
-/// `x <= rhs` would not.
+/// kLe/kGe/kEq hold for NaN exactly as in the generic evaluator, where a
+/// direct `x <= rhs` would not.
 bool NumPasses(double x, BinOp op, double rhs) {
   const int c = x < rhs ? -1 : (x > rhs ? 1 : 0);
   switch (op) {
@@ -825,7 +597,7 @@ bool NumPasses(double x, BinOp op, double rhs) {
 
 /// Packs output rows into ColumnBatches of at most kBatchRows, appended to
 /// a caller-owned list. One sink per ParallelReduce chunk, so chunk
-/// outputs concatenate in chunk order just like row-mode BindingTables.
+/// outputs concatenate in chunk order.
 class BatchSink {
  public:
   BatchSink(size_t width, std::vector<ColumnBatch>* out)
@@ -879,12 +651,13 @@ class BatchSink {
   std::vector<TermId> row_;  // AppendActiveRows gather buffer
 };
 
-/// Batch counterpart of the row engine's `extend` lambda: conflict-checks
-/// one solution's match list and appends the survivors column-wise in one
-/// run. The accept condition is computed per position up front (the
-/// solution fixes what each pattern position must do), so the per-match
-/// loop is a handful of integer compares; carried-over columns then append
-/// as a run — O(1) while constant — instead of a per-row width_-wide copy.
+/// Extends one solution by its match list: binds the pattern variables,
+/// rejects matches that conflict with an existing binding, and appends the
+/// survivors column-wise in one run. The accept condition is computed per
+/// position up front (the solution fixes what each pattern position must
+/// do), so the per-match loop is a handful of integer compares;
+/// carried-over columns then append as a run — O(1) while constant —
+/// instead of a per-row width_-wide copy.
 class RunExtender {
  public:
   explicit RunExtender(const PatternStep& st) : st_(st) {}
@@ -896,9 +669,8 @@ class RunExtender {
     // Per-position action for this solution: kSkip (constant position),
     // kCheckSol (slot already bound — match value must agree), kBind
     // (first unbound occurrence — emits a column), kCheckPrev (repeated
-    // unbound slot — must agree with the earlier position's value). This
-    // reproduces the row engine's bind() semantics including the
-    // duplicate-slot case (?x ?p ?x).
+    // unbound slot — must agree with the earlier position's value), which
+    // covers the duplicate-slot case (?x ?p ?x).
     enum : uint8_t { kSkip, kCheckSol, kBind, kCheckPrev };
     uint8_t act[3];
     uint8_t prev_pos[3] = {0, 0, 0};
@@ -986,11 +758,10 @@ std::vector<ColumnBatch> Executor::EvalBgpBatches(
       const JoinTable table =
           hash ? BuildJoinTable(*source_, st) : JoinTable();
 
-      // Chunking mirrors the row engine exactly (logical rows, grain 8,
-      // chunk-order concatenation), so the logical row order of `next` is
-      // the row engine's row order by construction. Batch boundaries may
-      // differ between the two modes and across thread counts; row order
-      // never does.
+      // Solutions extend independently over logical rows (grain 8) and
+      // per-chunk outputs concatenate in chunk order, so the logical row
+      // order of `next` is the serial loop's order by construction. Batch
+      // boundaries may differ across thread counts; row order never does.
       next = exec::ParallelReduce<std::vector<ColumnBatch>>(
           0, view.total(), 8,
           [&](size_t cb, size_t ce) {
@@ -1024,8 +795,7 @@ std::vector<ColumnBatch> Executor::EvalBgpBatches(
               // The planner's "certainly bound" is static: a key slot can
               // still be unbound at runtime (seeds from an outer group),
               // where NLJ semantics treat it as a wildcard. Fall back to
-              // the index probe for such rows — same rule as the row
-              // engine.
+              // the index probe for such rows.
               if ((st.s_bound && sol[st.s_slot] == kInvalidTermId) ||
                   (st.p_bound && sol[st.p_slot] == kInvalidTermId) ||
                   (st.o_bound && sol[st.o_slot] == kInvalidTermId)) {
@@ -1081,7 +851,7 @@ std::vector<ColumnBatch> Executor::EvalGroupBatches(
       timer.Finish(TotalActiveRows(rows));
       // Branch outputs concatenate at batch granularity (batches may carry
       // selections from branch filters); logical row order is branch order
-      // then row order within the branch, as in the row engine.
+      // then row order within the branch.
       for (ColumnBatch& b : rows) {
         if (b.active() > 0) unioned.push_back(std::move(b));
       }
@@ -1147,8 +917,8 @@ void Executor::FilterBatches(const GroupPlan& plan,
     // Per-batch pre-pass: a specialized filter over a constant segment has
     // one outcome for the whole batch. A batch-wide fail still cannot
     // short-circuit earlier generic filters — their per-row error counting
-    // must accrue exactly as in the row engine — so outcomes stay
-    // per-filter and the row loop walks them in order.
+    // must accrue for every row they see — so outcomes stay per-filter and
+    // the row loop walks them in order.
     enum : uint8_t { kPerRowSpec, kPerRowGeneric, kBatchPass, kBatchFail };
     std::vector<uint8_t> state(nf);
     for (size_t fi = 0; fi < nf; ++fi) {
@@ -1165,7 +935,7 @@ void Executor::FilterBatches(const GroupPlan& plan,
       const TermId id = col.constant_value();
       if (id == kInvalidTermId) {
         // Unbound for the whole batch: the generic evaluator errors (and
-        // counts) per row, exactly like the row engine.
+        // counts) per row.
         state[fi] = kPerRowGeneric;
         continue;
       }
@@ -1178,10 +948,10 @@ void Executor::FilterBatches(const GroupPlan& plan,
                                                        : kBatchFail;
     }
 
-    // Selection build: chunks of active rows evaluate independently and
-    // concatenate ascending (same grain-64 chunking as the row engine), so
-    // the resulting selection is ascending physical indices — a subset of
-    // any selection already installed.
+    // Selection build: chunks of active rows (grain 64) evaluate
+    // independently and concatenate ascending, so the resulting selection
+    // is ascending physical indices — a subset of any selection already
+    // installed.
     std::vector<uint32_t> sel = exec::ParallelReduce<std::vector<uint32_t>>(
         0, b.active(), 64,
         [&](size_t cb, size_t ce) {
@@ -1210,8 +980,7 @@ void Executor::FilterBatches(const GroupPlan& plan,
                     }
                   }
                   // Unbound or non-numeric at runtime: the generic
-                  // evaluator reproduces exact row-engine semantics,
-                  // including the error counters.
+                  // evaluator decides, including the error counters.
                   if (!gathered) {
                     b.GatherRow(phys, row.data());
                     gathered = true;

@@ -13,7 +13,6 @@
 #include "rdf/triple_source.h"
 #include "sparql/column_batch.h"
 #include "sparql/planner.h"
-#include "sparql/row_append.h"
 
 namespace lodviz::sparql {
 
@@ -34,47 +33,6 @@ struct SparqlMetrics {
   obs::Histogram& execute_us;
 
   static SparqlMetrics& Get();
-};
-
-/// A dense solution multiset: every row is `width` TermId slots, one per
-/// query variable (see planner.h), stored contiguously. kInvalidTermId
-/// marks an unbound slot. This replaces the original engine's per-row
-/// `unordered_map<string, TermId>` bindings: extension, conflict checks
-/// and filters index slots directly instead of hashing names.
-class BindingTable {
- public:
-  BindingTable() = default;
-  explicit BindingTable(size_t width) : rows_(width) {}
-
-  [[nodiscard]] size_t width() const { return rows_.width(); }
-  [[nodiscard]] size_t num_rows() const { return rows_.num_rows(); }
-
-  [[nodiscard]] const rdf::TermId* row(size_t i) const {
-    return rows_.row(i);
-  }
-
-  /// Appends a copy of `src` (width TermIds).
-  void AppendRow(const rdf::TermId* src) { rows_.AppendRow(src); }
-
-  /// Appends one all-unbound row.
-  void AppendEmptyRow() { rows_.AppendFillRow(rdf::kInvalidTermId); }
-
-  /// Concatenates `other` (same width; an empty table of any width is ok).
-  void Append(BindingTable&& other) { rows_.Append(std::move(other.rows_)); }
-
-  void Reserve(size_t rows) { rows_.Reserve(rows); }
-
-  /// Drops all rows, keeping capacity (for seed-table reuse in loops).
-  void Clear() { rows_.Clear(); }
-
-  /// Splits the table into column batches of at most kBatchRows — the
-  /// bridge from row-engine output to the batch-consuming engine tail.
-  [[nodiscard]] std::vector<ColumnBatch> ToBatches() const {
-    return RowsToBatches(rows_.data().data(), num_rows(), width());
-  }
-
- private:
-  FlatRows<rdf::TermId> rows_;
 };
 
 /// Per-query resource budget, threaded from the serving layer's admission
@@ -130,11 +88,18 @@ bool PassesFilter(const CompiledExpr& e, const rdf::Dictionary& dict,
 /// children are [steps...][unions...][optionals...][filter?].
 [[nodiscard]] obs::OperatorProfile BuildProfileSkeleton(const GroupPlan& plan);
 
-/// Executes a compiled GroupPlan against a TripleSource: per-step index
-/// nested-loop or build-once hash joins over slot rows (the planner picks
-/// per PatternStep), then unions, optionals and filters. One Executor per
-/// query execution (it accumulates the intermediate-row statistic); the
-/// underlying source is only read.
+/// Executes a compiled GroupPlan against a TripleSource, vectorized:
+/// scan/extend, per-step index nested-loop or build-once hash joins (the
+/// planner picks per PatternStep), unions, optionals and filters all
+/// process ColumnBatch chunks over slot-addressed columns; filters
+/// restrict batches via selection vectors without materializing rows. One
+/// Executor per query execution (it accumulates the intermediate-row
+/// statistic); the underlying source is only read.
+///
+/// Output order is part of the contract (DESIGN.md §4.9): the logical row
+/// order (batches in order, active rows in order) is the nested-loop
+/// delivery order whatever the join strategy or thread count, and the
+/// checked-in golden answers under tests/golden/ pin it.
 ///
 /// Profiling: pass a skeleton built by BuildProfileSkeleton(plan) to
 /// record per-operator actual rows, invocations, and wall time into it.
@@ -142,7 +107,7 @@ bool PassesFilter(const CompiledExpr& e, const rdf::Dictionary& dict,
 /// profile each operator pays exactly one pointer test — execution
 /// (plans, row order, results) is bit-identical either way, which the
 /// parity suite pins under LODVIZ_PROFILE=1 (see scripts/check.sh). The
-/// profile tree is written only from the thread driving EvalGroup.
+/// profile tree is written only from the thread driving EvalGroupBatches.
 class Executor {
  public:
   Executor(const rdf::TripleSource* source, size_t width,
@@ -153,16 +118,6 @@ class Executor {
   /// Evaluates `plan` with `seeds` as the initial solutions (pass a single
   /// all-unbound row for a top-level group). `seeds` is only read; the
   /// caller keeps ownership.
-  BindingTable EvalGroup(const GroupPlan& plan, const BindingTable& seeds) {
-    return EvalGroup(plan, seeds, profile_);
-  }
-
-  /// Vectorized evaluation of `plan`: scan/extend, joins and filters
-  /// process ColumnBatch chunks instead of per-row lambdas; filters
-  /// restrict batches via selection vectors without materializing rows.
-  /// Logical row order (batches in order, active rows in order) is
-  /// bit-identical to EvalGroup's row order — the ExecMode contract the
-  /// parity suite pins (DESIGN.md §4.9).
   std::vector<ColumnBatch> EvalGroupBatches(const GroupPlan& plan,
                                             const std::vector<ColumnBatch>& seeds) {
     return EvalGroupBatches(plan, seeds, profile_);
@@ -175,17 +130,14 @@ class Executor {
   }
 
   /// True once the execution crossed its ExecBudget. The caller (the
-  /// engine) must discard the — deliberately truncated — tables EvalGroup
-  /// returned and surface StatusCode::kResourceExhausted instead.
+  /// engine) must discard the — deliberately truncated — batches
+  /// EvalGroupBatches returned and surface StatusCode::kResourceExhausted
+  /// instead.
   [[nodiscard]] bool budget_exhausted() const {
     return exhausted_.load(std::memory_order_relaxed);
   }
 
  private:
-  BindingTable EvalGroup(const GroupPlan& plan, const BindingTable& seeds,
-                         obs::OperatorProfile* prof);
-  BindingTable EvalBgp(const std::vector<PatternStep>& steps,
-                       const BindingTable& seeds, obs::OperatorProfile* prof);
   std::vector<ColumnBatch> EvalGroupBatches(const GroupPlan& plan,
                                             const std::vector<ColumnBatch>& seeds,
                                             obs::OperatorProfile* prof);
@@ -194,8 +146,8 @@ class Executor {
                                           obs::OperatorProfile* prof);
   /// Segment-at-a-time FILTER: installs a selection vector on every batch
   /// (specialized numeric comparisons where the plan allows, the generic
-  /// per-row evaluator elsewhere — same row-by-row semantics and error
-  /// accounting as the row engine).
+  /// per-row evaluator elsewhere — the specialized paths keep PassesFilter's
+  /// per-row semantics and error accounting).
   void FilterBatches(const GroupPlan& plan, std::vector<ColumnBatch>* batches,
                      obs::OperatorProfile* prof);
 

@@ -351,8 +351,8 @@ BatchFilterSpec SpecializeFilterForBatch(const CompiledExpr& e) {
   }
   if (var->slot == kNoSlot) return spec;
   // Only a plan-time-decoded numeric constant qualifies: this restricts
-  // the fast path to exactly the shape where the row engine takes the
-  // both-sides-numeric SlimCompare branch, which is what lets the segment
+  // the fast path to exactly the shape where the generic evaluator takes
+  // the both-sides-numeric SlimCompare branch, which is what lets the segment
   // evaluator skip per-row error handling without changing semantics.
   if (lit->lit_decoded.kind != rdf::DecodedValue::Kind::kNum) return spec;
   spec.specialized = true;

@@ -98,12 +98,12 @@ struct PatternStep {
 /// batch executor: `?var <cmp> numeric-constant` (either operand order,
 /// normalized so the spec always reads `slot <op> rhs`). At runtime a row
 /// whose slot value decodes as numeric compares directly against `rhs` —
-/// the same double comparison the row engine's SlimVal fast path performs,
-/// so results and error accounting stay bit-identical; rows that do not
-/// decode fall back to the generic per-row evaluator. Computed once at
-/// plan time; `specialized == false` means the whole expression always
+/// the same double comparison the generic evaluator's SlimVal fast path
+/// performs, so results and error accounting stay bit-identical; rows that
+/// do not decode fall back to the generic per-row evaluator. Computed once
+/// at plan time; `specialized == false` means the whole expression always
 /// takes the generic path. Never affects planning decisions or the plan
-/// rendering, so row- and batch-mode plans are identical.
+/// rendering.
 struct BatchFilterSpec {
   bool specialized = false;
   SlotId slot = kNoSlot;
@@ -184,7 +184,7 @@ struct PlannerOptions {
 /// constants to dictionary ids, and fixes the join order with the greedy
 /// selectivity heuristic. The plan depends only on the query and the
 /// source's data statistics (PredicateCount/size via the shared
-/// EstimateSelectivity), so two sources holding the same data — e.g. the
+/// EstimateCardinality), so two sources holding the same data — e.g. the
 /// in-memory store and its disk mirror — produce identical plans, which is
 /// what makes execution bit-identical across backends.
 QueryPlan PlanQuery(const Query& query, const rdf::TripleSource& source,

@@ -1,13 +1,21 @@
 #ifndef LODVIZ_SPARQL_RESULT_TABLE_H_
 #define LODVIZ_SPARQL_RESULT_TABLE_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "rdf/term.h"
-#include "sparql/row_append.h"
 
 namespace lodviz::sparql {
+
+/// Width contract of a row-appending table: a row must match the table's
+/// column count exactly.
+inline void CheckRowWidth(size_t row_width, size_t table_width) {
+  LODVIZ_CHECK(row_width == table_width)
+      << "row width " << row_width << " != table width " << table_width;
+}
 
 /// A materialized query result: column names + rows of terms. Unbound
 /// cells (OPTIONAL misses) hold an empty-IRI sentinel with `bound = false`.
@@ -26,8 +34,7 @@ class ResultTable {
   const std::vector<std::vector<ResultCell>>& rows() const { return rows_; }
   size_t num_rows() const { return rows_.size(); }
 
-  /// Appends one row; its width must match the column count (same
-  /// width-check helper the executor's binding tables use).
+  /// Appends one row; its width must match the column count.
   void AddRow(std::vector<ResultCell> row) {
     CheckRowWidth(row.size(), columns_.size());
     rows_.push_back(std::move(row));

@@ -9,8 +9,8 @@ namespace lodviz::storage {
 
 namespace {
 
-// On-page layouts. Pages begin with a shared 16-byte header. `is_leaf`
-// holds the LeafFormat value for leaves (1 = fixed, 2 = compressed) and
+// On-page layouts. Pages begin with a shared 16-byte header. `is_leaf` is
+// non-zero for leaves, whose body is a compressed leaf (leaf_codec.h), and
 // 0 for internal nodes.
 struct PageHeader {
   uint8_t is_leaf;
@@ -20,15 +20,6 @@ struct PageHeader {
   uint64_t pad1;
 };
 static_assert(sizeof(PageHeader) == 16);
-
-struct LeafEntry {
-  Key128 key;
-  uint64_t value;
-};
-static_assert(sizeof(LeafEntry) == sizeof(BTree::Item),
-              "fixed leaf entries and Items share one layout");
-
-constexpr size_t kLeafCapacity = (kPageSize - sizeof(PageHeader)) / sizeof(LeafEntry);
 
 // Internal layout: header, keys[kInternalCapacity], children[kInternalCapacity+1].
 constexpr size_t kInternalCapacity =
@@ -41,14 +32,6 @@ const PageHeader* Header(const uint8_t* page) {
   return reinterpret_cast<const PageHeader*>(page);
 }
 
-bool IsCompressedLeaf(const PageHeader* h) {
-  return h->is_leaf == static_cast<uint8_t>(LeafFormat::kCompressed);
-}
-
-LeafEntry* LeafEntries(uint8_t* page) {
-  return reinterpret_cast<LeafEntry*>(page + sizeof(PageHeader));
-}
-
 Key128* InternalKeys(uint8_t* page) {
   return reinterpret_cast<Key128*>(page + sizeof(PageHeader));
 }
@@ -58,9 +41,9 @@ PageId* InternalChildren(uint8_t* page) {
                                    kInternalCapacity * sizeof(Key128));
 }
 
-void InitLeaf(uint8_t* page, LeafFormat format = LeafFormat::kFixed) {
+void InitLeaf(uint8_t* page) {
   PageHeader* h = Header(page);
-  h->is_leaf = static_cast<uint8_t>(format);
+  h->is_leaf = 1;
   h->count = 0;
   h->next_leaf = kInvalidPageId;
 }
@@ -82,7 +65,7 @@ CompressedLeafReader ReaderFor(const uint8_t* page) {
 void ReencodeCompressedLeaf(uint8_t* page, const std::vector<BTree::Item>& items,
                             size_t begin, size_t end) {
   const PageId next = Header(page)->next_leaf;
-  InitLeaf(page, LeafFormat::kCompressed);
+  InitLeaf(page);
   CompressedLeafBuilder builder(page, sizeof(PageHeader));
   for (size_t i = begin; i < end; ++i) {
     LODVIZ_CHECK(builder.Append(items[i].key, items[i].value))
@@ -96,9 +79,9 @@ void ReencodeCompressedLeaf(uint8_t* page, const std::vector<BTree::Item>& items
 
 }  // namespace
 
-Result<BTree> BTree::Create(BufferPool* pool, LeafFormat format) {
+Result<BTree> BTree::Create(BufferPool* pool) {
   LODVIZ_ASSIGN_OR_RETURN(PageRef root, pool->NewPage());
-  InitLeaf(root.data(), format);
+  InitLeaf(root.data());
   root.MarkDirty();
   return BTree(pool, root.page_id(), 0, 1);
 }
@@ -113,17 +96,8 @@ Result<uint64_t> BTree::Lookup(const Key128& key) const {
     LODVIZ_ASSIGN_OR_RETURN(PageRef page, pool_->Fetch(page_id));
     const PageHeader* h = Header(page.data());
     if (h->is_leaf) {
-      if (IsCompressedLeaf(h)) {
-        uint64_t value = 0;
-        if (ReaderFor(page.data()).Find(key, &value)) return value;
-        return Status::NotFound("key not in btree");
-      }
-      const LeafEntry* entries = LeafEntries(page.data());
-      const LeafEntry* end = entries + h->count;
-      const LeafEntry* it = std::lower_bound(
-          entries, end, key,
-          [](const LeafEntry& e, const Key128& k) { return e.key < k; });
-      if (it != end && it->key == key) return it->value;
+      uint64_t value = 0;
+      if (ReaderFor(page.data()).Find(key, &value)) return value;
       return Status::NotFound("key not in btree");
     }
     const Key128* keys = InternalKeys(page.data());
@@ -134,13 +108,11 @@ Result<uint64_t> BTree::Lookup(const Key128& key) const {
   }
 }
 
-Result<BTree::SplitResult> BTree::InsertCompressedLeaf(PageRef& page,
-                                                       const Key128& key,
-                                                       uint64_t value) {
+Result<BTree::SplitResult> BTree::InsertLeaf(PageRef& page, const Key128& key,
+                                             uint64_t value) {
   // Decode, upsert in the sorted item vector, re-encode. One page decode
   // per insert keeps the code one straight path; point inserts after a
-  // bulk load are the rare case (the store bulk-loads), and the fixed
-  // format remains available where insert-heavy use matters.
+  // bulk load are the rare case (the store bulk-loads).
   std::vector<Item> items;
   ReaderFor(page.data()).DecodeFrom(Key128::Min(), &items);
   auto it = std::lower_bound(
@@ -167,7 +139,7 @@ Result<BTree::SplitResult> BTree::InsertCompressedLeaf(PageRef& page,
     }
     if (fits) {
       const PageId next = Header(page.data())->next_leaf;
-      InitLeaf(page.data(), LeafFormat::kCompressed);
+      InitLeaf(page.data());
       PageHeader* h = Header(page.data());
       h->count = builder.Finish();
       h->next_leaf = next;
@@ -181,7 +153,7 @@ Result<BTree::SplitResult> BTree::InsertCompressedLeaf(PageRef& page,
   // contents, so both re-encodes fit (checked in ReencodeCompressedLeaf).
   const size_t keep = items.size() / 2;
   LODVIZ_ASSIGN_OR_RETURN(PageRef right, pool_->NewPage());
-  InitLeaf(right.data(), LeafFormat::kCompressed);
+  InitLeaf(right.data());
   Header(right.data())->next_leaf = Header(page.data())->next_leaf;
   ReencodeCompressedLeaf(right.data(), items, keep, items.size());
   ReencodeCompressedLeaf(page.data(), items, 0, keep);
@@ -199,50 +171,7 @@ Result<BTree::SplitResult> BTree::InsertRec(PageId page_id, const Key128& key,
   LODVIZ_ASSIGN_OR_RETURN(PageRef page, pool_->Fetch(page_id));
   PageHeader* h = Header(page.data());
 
-  if (h->is_leaf) {
-    if (IsCompressedLeaf(h)) return InsertCompressedLeaf(page, key, value);
-    LeafEntry* entries = LeafEntries(page.data());
-    LeafEntry* end = entries + h->count;
-    LeafEntry* it = std::lower_bound(
-        entries, end, key,
-        [](const LeafEntry& e, const Key128& k) { return e.key < k; });
-    if (it != end && it->key == key) {
-      it->value = value;
-      page.MarkDirty();
-      SplitResult r;
-      r.inserted = false;
-      return r;
-    }
-    // Shift right and insert.
-    std::memmove(it + 1, it, static_cast<size_t>(end - it) * sizeof(LeafEntry));
-    it->key = key;
-    it->value = value;
-    ++h->count;
-    page.MarkDirty();
-
-    SplitResult r;
-    r.inserted = true;
-    if (h->count < kLeafCapacity) return r;
-
-    // Split leaf: move upper half to a new right sibling.
-    LODVIZ_ASSIGN_OR_RETURN(PageRef right, pool_->NewPage());
-    InitLeaf(right.data());
-    PageHeader* rh = Header(right.data());
-    LeafEntry* rentries = LeafEntries(right.data());
-    uint16_t keep = h->count / 2;
-    uint16_t moved = h->count - keep;
-    std::memcpy(rentries, entries + keep, moved * sizeof(LeafEntry));
-    rh->count = moved;
-    rh->next_leaf = h->next_leaf;
-    h->count = keep;
-    h->next_leaf = right.page_id();
-    right.MarkDirty();
-    page.MarkDirty();
-    r.split = true;
-    r.separator = rentries[0].key;
-    r.right = right.page_id();
-    return r;
-  }
+  if (h->is_leaf) return InsertLeaf(page, key, value);
 
   // Internal node: descend.
   Key128* keys = InternalKeys(page.data());
@@ -352,25 +281,10 @@ Status BTree::RangeScanRuns(
   Key128 seek = lo;
   while (page_id != kInvalidPageId) {
     LODVIZ_ASSIGN_OR_RETURN(PageRef page, pool_->Fetch(page_id));
-    const PageHeader* h = Header(page.data());
-    const Item* run = nullptr;
-    size_t n = 0;
-    if (IsCompressedLeaf(h)) {
-      scratch.clear();
-      ReaderFor(page.data()).DecodeFrom(seek, &scratch);
-      run = scratch.data();
-      n = scratch.size();
-    } else {
-      const LeafEntry* entries = LeafEntries(page.data());
-      const LeafEntry* end = entries + h->count;
-      const LeafEntry* it = std::lower_bound(
-          entries, end, seek,
-          [](const LeafEntry& e, const Key128& k) { return e.key < k; });
-      // LeafEntry and Item are layout-identical (static_assert above), so
-      // fixed leaves deliver their page bytes as the run without a copy.
-      run = reinterpret_cast<const Item*>(it);
-      n = static_cast<size_t>(end - it);
-    }
+    scratch.clear();
+    ReaderFor(page.data()).DecodeFrom(seek, &scratch);
+    const Item* run = scratch.data();
+    const size_t n = scratch.size();
     // Trim the run at `hi`; anything past it ends the scan.
     const Item* cut = std::upper_bound(
         run, run + n, hi,
@@ -379,14 +293,13 @@ Status BTree::RangeScanRuns(
     if (m > 0 && !fn(run, m)) return Status::OK();
     if (m < n) return Status::OK();
     seek = Key128::Min();
-    page_id = h->next_leaf;
+    page_id = Header(page.data())->next_leaf;
   }
   return Status::OK();
 }
 
 Result<BTree> BTree::BulkLoad(BufferPool* pool,
-                              const std::vector<Item>& sorted_items,
-                              LeafFormat format) {
+                              const std::vector<Item>& sorted_items) {
   for (size_t i = 1; i < sorted_items.size(); ++i) {
     if (!(sorted_items[i - 1].key < sorted_items[i].key)) {
       return Status::InvalidArgument(
@@ -394,7 +307,7 @@ Result<BTree> BTree::BulkLoad(BufferPool* pool,
           "out-of-order item at index " + std::to_string(i) + ")");
     }
   }
-  if (sorted_items.empty()) return Create(pool, format);
+  if (sorted_items.empty()) return Create(pool);
 
   // Build leaves left to right.
   struct LevelEntry {
@@ -402,31 +315,18 @@ Result<BTree> BTree::BulkLoad(BufferPool* pool,
     PageId page;
   };
   std::vector<LevelEntry> level;
-  const size_t per_leaf = kLeafCapacity - 1;  // leave room for one insert
   size_t i = 0;
   PageId prev_leaf = kInvalidPageId;
   while (i < sorted_items.size()) {
     LODVIZ_ASSIGN_OR_RETURN(PageRef leaf, pool->NewPage());
-    InitLeaf(leaf.data(), format);
-    PageHeader* h = Header(leaf.data());
+    InitLeaf(leaf.data());
+    CompressedLeafBuilder builder(leaf.data(), sizeof(PageHeader));
     size_t n = 0;
-    if (format == LeafFormat::kCompressed) {
-      CompressedLeafBuilder builder(leaf.data(), sizeof(PageHeader));
-      while (i + n < sorted_items.size() &&
-             builder.Append(sorted_items[i + n].key,
-                            sorted_items[i + n].value)) {
-        ++n;
-      }
-      h->count = builder.Finish();
-    } else {
-      LeafEntry* entries = LeafEntries(leaf.data());
-      n = std::min(per_leaf, sorted_items.size() - i);
-      for (size_t k = 0; k < n; ++k) {
-        entries[k].key = sorted_items[i + k].key;
-        entries[k].value = sorted_items[i + k].value;
-      }
-      h->count = static_cast<uint16_t>(n);
+    while (i + n < sorted_items.size() &&
+           builder.Append(sorted_items[i + n].key, sorted_items[i + n].value)) {
+      ++n;
     }
+    Header(leaf.data())->count = builder.Finish();
     leaf.MarkDirty();
     level.push_back({sorted_items[i].key, leaf.page_id()});
     if (prev_leaf != kInvalidPageId) {

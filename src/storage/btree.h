@@ -16,12 +16,9 @@ namespace lodviz::storage {
 /// ordered range scans, and sorted bulk load. Set semantics: inserting an
 /// existing key overwrites its value.
 ///
-/// Leaves come in two formats (leaf_codec.h): fixed 24-byte entries, or
-/// delta-compressed varint-gap runs with an in-page restart directory.
-/// The format is chosen per BulkLoad/Create; both support all operations
-/// (inserting into a full compressed leaf decodes, re-encodes, and splits
-/// it), and iteration order is identical, so callers other than the
-/// bulk-loader never see the difference.
+/// Leaves hold delta-compressed varint-gap runs with an in-page restart
+/// directory (leaf_codec.h); inserting into a full leaf decodes,
+/// re-encodes, and splits it.
 class BTree {
  public:
   struct Item {
@@ -30,17 +27,16 @@ class BTree {
   };
 
   /// Creates an empty tree, allocating its root in `pool`.
-  static Result<BTree> Create(BufferPool* pool,
-                              LeafFormat format = LeafFormat::kFixed);
+  static Result<BTree> Create(BufferPool* pool);
 
   /// Reattaches to an existing tree rooted at `root`.
   static BTree Attach(BufferPool* pool, PageId root, uint64_t size);
 
-  /// Builds a packed tree from strictly-ascending items (leaves ~100%
-  /// full). Non-strictly-ascending input is InvalidArgument.
+  /// Builds a packed tree from strictly-ascending items (each leaf holds
+  /// as many items as encode into its page). Non-strictly-ascending input
+  /// is InvalidArgument.
   static Result<BTree> BulkLoad(BufferPool* pool,
-                                const std::vector<Item>& sorted_items,
-                                LeafFormat format = LeafFormat::kFixed);
+                                const std::vector<Item>& sorted_items);
 
   /// Upserts. When `inserted` is non-null it reports whether the key was
   /// new (false: an existing key's value was overwritten) — what lets the
@@ -56,9 +52,9 @@ class BTree {
                    const std::function<bool(const Item&)>& fn) const;
 
   /// Run-granular variant of RangeScan: delivers each leaf's in-range
-  /// items as one decoded run (fixed leaves: the page's entry range;
-  /// compressed leaves: one decode of the page). The concatenation of the
-  /// runs is exactly the RangeScan item sequence; return false to stop.
+  /// items as one decoded run (one decode of the page). The concatenation
+  /// of the runs is exactly the RangeScan item sequence; return false to
+  /// stop.
   /// Run pointers are only valid during the callback.
   Status RangeScanRuns(
       const Key128& lo, const Key128& hi,
@@ -81,8 +77,8 @@ class BTree {
 
   Result<SplitResult> InsertRec(PageId page, const Key128& key,
                                 uint64_t value);
-  Result<SplitResult> InsertCompressedLeaf(PageRef& page, const Key128& key,
-                                           uint64_t value);
+  Result<SplitResult> InsertLeaf(PageRef& page, const Key128& key,
+                                 uint64_t value);
 
   BufferPool* pool_;
   PageId root_;

@@ -1,8 +1,6 @@
 #include "storage/disk_triple_store.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -62,32 +60,16 @@ std::vector<BTree::Item> GroupCounts(const std::vector<BTree::Item>& sorted,
 
 }  // namespace
 
-LeafFormat DiskTripleStore::DefaultLeafFormat() {
-  const char* env = std::getenv("LODVIZ_DISK_LEAF");
-  if (env != nullptr && std::strcmp(env, "fixed") == 0) {
-    return LeafFormat::kFixed;
-  }
-  return LeafFormat::kCompressed;
-}
-
 Result<std::unique_ptr<DiskTripleStore>> DiskTripleStore::Create(
     const std::string& path, size_t pool_pages) {
-  return Create(path, pool_pages, DefaultLeafFormat());
-}
-
-Result<std::unique_ptr<DiskTripleStore>> DiskTripleStore::Create(
-    const std::string& path, size_t pool_pages, LeafFormat format) {
   auto store = std::make_unique<DiskTripleStore>(Private{});
-  store->format_ = format;
   store->file_ = std::make_unique<PageFile>();
   LODVIZ_RETURN_NOT_OK(store->file_->Open(path, /*truncate=*/true));
   store->pool_ = std::make_unique<BufferPool>(store->file_.get(), pool_pages);
-  LODVIZ_ASSIGN_OR_RETURN(BTree spo, BTree::Create(store->pool_.get(), format));
-  LODVIZ_ASSIGN_OR_RETURN(BTree pos, BTree::Create(store->pool_.get(), format));
-  LODVIZ_ASSIGN_OR_RETURN(BTree sp_agg,
-                          BTree::Create(store->pool_.get(), format));
-  LODVIZ_ASSIGN_OR_RETURN(BTree p_agg,
-                          BTree::Create(store->pool_.get(), format));
+  LODVIZ_ASSIGN_OR_RETURN(BTree spo, BTree::Create(store->pool_.get()));
+  LODVIZ_ASSIGN_OR_RETURN(BTree pos, BTree::Create(store->pool_.get()));
+  LODVIZ_ASSIGN_OR_RETURN(BTree sp_agg, BTree::Create(store->pool_.get()));
+  LODVIZ_ASSIGN_OR_RETURN(BTree p_agg, BTree::Create(store->pool_.get()));
   store->spo_ = std::make_unique<BTree>(std::move(spo));
   store->pos_ = std::make_unique<BTree>(std::move(pos));
   store->sp_agg_ = std::make_unique<BTree>(std::move(sp_agg));
@@ -128,11 +110,10 @@ Status DiskTripleStore::BulkLoad(std::vector<rdf::Triple> triples) {
     // SPO keys group by hi = (s<<32)|p — exactly the sp_agg rows.
     std::vector<BTree::Item> sp_rows =
         GroupCounts(items, [](const Key128& k) { return k.hi; });
-    LODVIZ_ASSIGN_OR_RETURN(BTree spo,
-                            BTree::BulkLoad(pool_.get(), items, format_));
+    LODVIZ_ASSIGN_OR_RETURN(BTree spo, BTree::BulkLoad(pool_.get(), items));
     *spo_ = std::move(spo);
     LODVIZ_ASSIGN_OR_RETURN(BTree sp_agg,
-                            BTree::BulkLoad(pool_.get(), sp_rows, format_));
+                            BTree::BulkLoad(pool_.get(), sp_rows));
     *sp_agg_ = std::move(sp_agg);
   }
   {
@@ -140,11 +121,9 @@ Status DiskTripleStore::BulkLoad(std::vector<rdf::Triple> triples) {
     // POS keys group by p = hi>>32 — the p_agg rows.
     std::vector<BTree::Item> p_rows =
         GroupCounts(items, [](const Key128& k) { return k.hi >> 32; });
-    LODVIZ_ASSIGN_OR_RETURN(BTree pos,
-                            BTree::BulkLoad(pool_.get(), items, format_));
+    LODVIZ_ASSIGN_OR_RETURN(BTree pos, BTree::BulkLoad(pool_.get(), items));
     *pos_ = std::move(pos);
-    LODVIZ_ASSIGN_OR_RETURN(BTree p_agg,
-                            BTree::BulkLoad(pool_.get(), p_rows, format_));
+    LODVIZ_ASSIGN_OR_RETURN(BTree p_agg, BTree::BulkLoad(pool_.get(), p_rows));
     *p_agg_ = std::move(p_agg);
   }
   return Status::OK();

@@ -18,10 +18,9 @@ namespace lodviz::storage {
 /// retrieving data dynamically during runtime"). The dictionary stays in
 /// memory (it is orders of magnitude smaller than the triples).
 ///
-/// Leaves use the delta-compressed format by default (leaf_codec.h);
-/// LODVIZ_DISK_LEAF=fixed|compressed or the Create overload overrides it.
-/// The same page file also carries two aggregated indexes maintained
-/// exactly under both BulkLoad and Insert:
+/// Leaves use the delta-compressed format (leaf_codec.h). The same page
+/// file also carries two aggregated indexes maintained exactly under both
+/// BulkLoad and Insert:
 ///   sp_agg: (s,p) -> number of distinct objects   (key {(s<<32)|p, 0})
 ///   p_agg:  p     -> number of triples             (key {p, 0})
 /// They make PairCount/PredicateCount exact O(log n) lookups, which is
@@ -30,18 +29,9 @@ namespace lodviz::storage {
 /// Memory use is capped at `pool_pages` * 8 KiB regardless of dataset size.
 class DiskTripleStore {
  public:
-  /// Leaf format for a fresh store: LODVIZ_DISK_LEAF=fixed|compressed,
-  /// defaulting to compressed.
-  static LeafFormat DefaultLeafFormat();
-
-  /// Creates a fresh store at `path` with a `pool_pages`-page buffer pool
-  /// and DefaultLeafFormat() leaves.
+  /// Creates a fresh store at `path` with a `pool_pages`-page buffer pool.
   static Result<std::unique_ptr<DiskTripleStore>> Create(
       const std::string& path, size_t pool_pages);
-
-  /// Creates a fresh store with an explicit leaf format.
-  static Result<std::unique_ptr<DiskTripleStore>> Create(
-      const std::string& path, size_t pool_pages, LeafFormat format);
 
   /// Inserts one (already dictionary-encoded) triple.
   Status Insert(const rdf::Triple& t);
@@ -73,7 +63,6 @@ class DiskTripleStore {
   uint64_t PredicateCount(rdf::TermId p) const;
 
   uint64_t size() const { return spo_->size(); }
-  LeafFormat leaf_format() const { return format_; }
 
   BufferPool& pool() { return *pool_; }
   const BufferPool& pool() const { return *pool_; }
@@ -122,7 +111,6 @@ class DiskTripleStore {
   std::unique_ptr<BTree> pos_;
   std::unique_ptr<BTree> sp_agg_;
   std::unique_ptr<BTree> p_agg_;
-  LeafFormat format_ = LeafFormat::kCompressed;
 };
 
 }  // namespace lodviz::storage

@@ -29,17 +29,6 @@ struct Key128 {
   static Key128 Max() { return {~0ULL, ~0ULL}; }
 };
 
-/// On-page layout of a B+-tree leaf. Fixed leaves store 24-byte
-/// Key128+value entries; compressed leaves delta-encode sorted runs
-/// (RDF-3X/trident-style varint gap coding) so a page holds 4-10x more
-/// triples — fewer pages per scan and an effectively larger buffer pool.
-/// The numeric values double as the PageHeader::is_leaf discriminator
-/// (0 = internal node).
-enum class LeafFormat : uint8_t {
-  kFixed = 1,
-  kCompressed = 2,
-};
-
 /// Restart interval of the compressed leaf format: every 16th entry's full
 /// key lands in the page's restart directory, so in-page search is a
 /// binary search over restarts plus a bounded decode of one block.
@@ -83,10 +72,15 @@ inline const uint8_t* GetVarint64(const uint8_t* p, const uint8_t* limit,
   return nullptr;
 }
 
+/// B+-tree leaves delta-encode sorted runs (RDF-3X/trident-style varint
+/// gap coding), so a page holds several times the triples that 24-byte
+/// Key128+value entries would: fewer pages per scan and an effectively
+/// larger buffer pool.
+///
 /// Compressed-leaf byte layout (offsets page-relative; `header_bytes` is
 /// the B+-tree's own PageHeader, which the codec never touches):
 ///
-///   [0, header_bytes)              PageHeader (is_leaf = kCompressed)
+///   [0, header_bytes)              PageHeader (is_leaf != 0)
 ///   [header_bytes, +2)             uint16 n_restarts
 ///   [header_bytes+2, +2)           uint16 reserved
 ///   [dir, dir + 20*n_restarts)     restart directory, 20-byte entries:

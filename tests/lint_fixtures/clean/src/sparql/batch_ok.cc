@@ -1,8 +1,8 @@
 // Fixture: batch-operator code that is allowed to touch Scan. A
 // once-per-step Scan outside any loop is the batch scan primitive itself;
 // a per-row probe inside a loop is sanctioned only with a LINT-ALLOW
-// rationale (the runtime-unbound NLJ fallback); and row-engine functions
-// (no "Batch" in the name) are out of the rule's scope entirely.
+// rationale (the runtime-unbound NLJ fallback); and functions without
+// "Batch" in the name are out of the rule's scope entirely.
 
 namespace lodviz::sparql {
 
@@ -21,8 +21,8 @@ void Executor::EvalBgpBatches(const GroupPlan& plan) {
   }
 }
 
-void Executor::EvalBgp(const GroupPlan& plan) {
-  // Row engine: per-row Scan is its contract, the rule does not apply.
+void Executor::ProbeEachRow(const GroupPlan& plan) {
+  // Not a batch operator: the rule does not apply.
   for (size_t row = 0; row < plan.rows; ++row) {
     source_->Scan(plan.pattern, [&](const Triple& t) { Emit(row, t); });
   }

@@ -1,6 +1,6 @@
 // Vectorized-execution tests: ColumnBatch representation invariants
 // (constant/dense segment encoding, selection vectors, batch-list
-// addressing), engine-level row-vs-batch agreement at the kBatchRows chunk
+// addressing), closed-form engine answers at the kBatchRows chunk
 // boundaries (0/1/1023/1024/1025 rows), and the GROUP BY determinism pin —
 // group output order is ascending TermId-vector order, a contract the
 // FNV-hashed grouping map must reproduce by sorting its keys (the former
@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -114,36 +116,6 @@ TEST(ColumnBatchTest, SelectionRoundTrip) {
   EXPECT_FALSE(batch.has_selection());
 }
 
-TEST(ColumnBatchTest, RowsToBatchesChunksAtBoundary) {
-  const size_t width = 2;
-  for (size_t n : {size_t{0}, size_t{1}, kBatchRows - 1, kBatchRows,
-                   kBatchRows + 1}) {
-    std::vector<TermId> data(n * width);
-    for (size_t r = 0; r < n; ++r) {
-      data[r * width] = static_cast<TermId>(r);
-      data[r * width + 1] = static_cast<TermId>(r * 2);
-    }
-    std::vector<ColumnBatch> batches = RowsToBatches(data.data(), n, width);
-    const size_t want_batches = (n + kBatchRows - 1) / kBatchRows;
-    ASSERT_EQ(batches.size(), want_batches) << n;
-    EXPECT_EQ(TotalActiveRows(batches), n) << n;
-    if (n > kBatchRows) {
-      EXPECT_EQ(batches[0].rows(), kBatchRows);
-      EXPECT_EQ(batches[1].rows(), n - kBatchRows);
-    }
-    // Logical order is row order.
-    const BatchListView view(batches);
-    ASSERT_EQ(view.total(), n);
-    size_t li = 0;
-    view.ForEachRow(0, view.total(),
-                    [&](const ColumnBatch& b, uint32_t phys) {
-                      EXPECT_EQ(b.at(phys, 0), static_cast<TermId>(li));
-                      ++li;
-                    });
-    EXPECT_EQ(li, n);
-  }
-}
-
 TEST(ColumnBatchTest, BatchListViewSkipsEmptyAndHonorsSelections) {
   std::vector<ColumnBatch> batches;
   // Batch 0: 3 rows, selection keeps {1}. Batch 1: empty. Batch 2: 2 rows.
@@ -180,8 +152,11 @@ TEST(ColumnBatchTest, BatchListViewSkipsEmptyAndHonorsSelections) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level chunk-boundary agreement: build stores whose solution counts
-// land exactly around kBatchRows and compare the two executors wholesale.
+// Engine-level chunk boundaries: stores whose solution counts land exactly
+// around kBatchRows, checked against answers derived in closed form from
+// the data, so every operator that crosses a batch boundary (scan/extend,
+// specialized filter, DISTINCT, LIMIT/OFFSET, ORDER BY, aggregates, ASK)
+// is held to the right answer, not merely to a second implementation.
 // ---------------------------------------------------------------------------
 
 std::string Key(const ResultTable& t) {
@@ -189,57 +164,100 @@ std::string Key(const ResultTable& t) {
          t.ToString(t.num_rows());
 }
 
+// Subject i is <http://z/s%06d> with integer value i. Subjects and values
+// are interned in document order, so index order is ascending i.
+std::string SubjectIri(size_t i) {
+  char iri[32];
+  std::snprintf(iri, sizeof(iri), "http://z/s%06zu", i);
+  return iri;
+}
+
 void FillStore(size_t n, rdf::TripleStore* store) {
   std::string doc;
   for (size_t i = 0; i < n; ++i) {
-    const std::string num = std::to_string(i);
-    std::string padded = num;
-    padded.insert(0, 6 - padded.size(), '0');  // fixed-width subject names
-    doc += "<http://z/s" + padded + "> <http://z/v> \"" + num +
+    doc += '<';
+    doc += SubjectIri(i);
+    doc += "> <http://z/v> \"" + std::to_string(i) +
            "\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n";
   }
   ASSERT_TRUE(rdf::LoadNTriplesString(doc, store).ok());
 }
 
-TEST(BatchBoundaryTest, RowAndBatchAgreeAroundChunkBoundaries) {
+// Checks that the first column of `t` holds consecutive subjects from
+// `first` on, one per row, counting down when `descending`.
+void ExpectSubjects(const ResultTable& t, size_t first, bool descending,
+                    const std::string& what) {
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    const size_t i = descending ? first - r : first + r;
+    ASSERT_EQ(t.rows()[r][0].term.lexical, SubjectIri(i))
+        << what << " row " << r;
+  }
+}
+
+TEST(BatchBoundaryTest, ClosedFormAnswersAroundChunkBoundaries) {
   static_assert(kBatchRows == 1024, "boundary sizes assume 1K chunks");
-  const char* queries[] = {
-      "SELECT ?s ?v WHERE { ?s <http://z/v> ?v . }",
-      "SELECT ?s WHERE { ?s <http://z/v> ?v . FILTER(?v >= 512) }",
-      "SELECT DISTINCT ?v WHERE { ?s <http://z/v> ?v . }",
-      "SELECT ?s WHERE { ?s <http://z/v> ?v . } LIMIT 10 OFFSET 1020",
-      "SELECT ?s ?v WHERE { ?s <http://z/v> ?v . } ORDER BY DESC(?v)",
-      "SELECT (COUNT(*) AS ?n) (SUM(?v) AS ?sum) WHERE "
-      "{ ?s <http://z/v> ?v . }",
-      "ASK { ?s <http://z/v> ?v . FILTER(?v > 1023) }",
-  };
   for (size_t n : {size_t{0}, size_t{1}, kBatchRows - 1, kBatchRows,
                    kBatchRows + 1}) {
     rdf::TripleStore store;
     FillStore(n, &store);
-    QueryEngine::Options row_opts;
-    row_opts.exec_mode = ExecMode::kRow;
-    QueryEngine::Options batch_opts;
-    batch_opts.exec_mode = ExecMode::kBatch;
-    QueryEngine row_engine(&store, row_opts);
-    QueryEngine batch_engine(&store, batch_opts);
-    for (const char* q : queries) {
-      auto row = row_engine.ExecuteString(q);
-      auto batch = batch_engine.ExecuteString(q);
-      ASSERT_TRUE(row.ok()) << n << " " << q << "\n"
-                            << row.status().ToString();
-      ASSERT_TRUE(batch.ok()) << n << " " << q << "\n"
-                              << batch.status().ToString();
-      EXPECT_EQ(Key(row.ValueOrDie()), Key(batch.ValueOrDie()))
-          << "n=" << n << " " << q;
+    QueryEngine engine(&store);
+    auto run = [&](const char* q) {
+      auto got = engine.ExecuteString(q);
+      EXPECT_TRUE(got.ok()) << "n=" << n << " " << q << "\n"
+                            << got.status().ToString();
+      return got.ok() ? std::move(got).ValueOrDie() : ResultTable();
+    };
+    const std::string at = "n=" + std::to_string(n);
+
+    // Scan: every subject once, in subject order, with its own value.
+    ResultTable all = run("SELECT ?s ?v WHERE { ?s <http://z/v> ?v . }");
+    ASSERT_EQ(all.num_rows(), n) << at;
+    ExpectSubjects(all, 0, false, at + " scan");
+    for (size_t r = 0; r < n; ++r) {
+      ASSERT_EQ(all.rows()[r][1].term.lexical, std::to_string(r)) << at;
     }
-    // Spot-check the specialized filter count so both modes being equal
-    // cannot hide both being wrong.
-    auto filtered = batch_engine.ExecuteString(
+
+    // Specialized numeric filter: subjects 512..n-1.
+    ResultTable filtered = run(
         "SELECT ?s WHERE { ?s <http://z/v> ?v . FILTER(?v >= 512) }");
-    ASSERT_TRUE(filtered.ok());
-    EXPECT_EQ(filtered.ValueOrDie().num_rows(), n > 512 ? n - 512 : 0u)
-        << n;
+    ASSERT_EQ(filtered.num_rows(), n > 512 ? n - 512 : 0u) << at;
+    ExpectSubjects(filtered, 512, false, at + " filter");
+
+    // DISTINCT over n distinct values keeps all of them.
+    EXPECT_EQ(run("SELECT DISTINCT ?v WHERE { ?s <http://z/v> ?v . }")
+                  .num_rows(),
+              n)
+        << at;
+
+    // LIMIT/OFFSET window [1020, min(n, 1030)).
+    ResultTable window = run(
+        "SELECT ?s WHERE { ?s <http://z/v> ?v . } LIMIT 10 OFFSET 1020");
+    const size_t window_end = std::min<size_t>(n, 1030);
+    ASSERT_EQ(window.num_rows(), window_end > 1020 ? window_end - 1020 : 0u)
+        << at;
+    ExpectSubjects(window, 1020, false, at + " window");
+
+    // DESC order: subjects n-1 down to 0.
+    ResultTable desc = run(
+        "SELECT ?s ?v WHERE { ?s <http://z/v> ?v . } ORDER BY DESC(?v)");
+    ASSERT_EQ(desc.num_rows(), n) << at;
+    if (n > 0) ExpectSubjects(desc, n - 1, true, at + " desc");
+
+    // Aggregates: COUNT = n, SUM = n(n-1)/2 (one row even when n = 0).
+    ResultTable agg = run(
+        "SELECT (COUNT(*) AS ?n) (SUM(?v) AS ?sum) WHERE "
+        "{ ?s <http://z/v> ?v . }");
+    ASSERT_EQ(agg.num_rows(), 1u) << at;
+    EXPECT_EQ(agg.rows()[0][0].term.lexical, std::to_string(n)) << at;
+    auto sum = agg.rows()[0][1].term.AsDouble();
+    ASSERT_TRUE(sum.ok()) << at;
+    const double dn = static_cast<double>(n);
+    EXPECT_EQ(sum.ValueOrDie(), dn * (dn - 1) / 2) << at;
+
+    // ASK: a value above 1023 exists iff n > 1024.
+    EXPECT_EQ(run("ASK { ?s <http://z/v> ?v . FILTER(?v > 1023) }").ask_result,
+              n > kBatchRows)
+        << at;
   }
 }
 
@@ -267,27 +285,23 @@ TEST(GroupByDeterminismTest, OutputOrderIsAscendingGroupKeyIds) {
       "SELECT ?t (COUNT(*) AS ?n) WHERE { ?s <http://g/type> ?t . } "
       "GROUP BY ?t";
 
-  for (ExecMode mode : {ExecMode::kRow, ExecMode::kBatch}) {
-    QueryEngine::Options opts;
-    opts.exec_mode = mode;
-    QueryEngine engine(&store, opts);
-    std::string first;
-    for (int repeat = 0; repeat < 5; ++repeat) {
-      auto got = engine.ExecuteString(q);
-      ASSERT_TRUE(got.ok());
-      const ResultTable& t = got.ValueOrDie();
-      ASSERT_EQ(t.num_rows(), 2u);
-      EXPECT_EQ(t.rows()[0][0].term.lexical, "http://g/B");
-      EXPECT_EQ(t.rows()[0][1].term.lexical, "1");
-      EXPECT_EQ(t.rows()[1][0].term.lexical, "http://g/A");
-      EXPECT_EQ(t.rows()[1][1].term.lexical, "3");
-      // And the whole rendering is identical run to run (hash-map
-      // iteration order must never leak into the output).
-      if (repeat == 0) {
-        first = Key(t);
-      } else {
-        EXPECT_EQ(first, Key(t)) << "mode " << static_cast<int>(mode);
-      }
+  QueryEngine engine(&store);
+  std::string first;
+  for (int repeat = 0; repeat < 5; ++repeat) {
+    auto got = engine.ExecuteString(q);
+    ASSERT_TRUE(got.ok());
+    const ResultTable& t = got.ValueOrDie();
+    ASSERT_EQ(t.num_rows(), 2u);
+    EXPECT_EQ(t.rows()[0][0].term.lexical, "http://g/B");
+    EXPECT_EQ(t.rows()[0][1].term.lexical, "1");
+    EXPECT_EQ(t.rows()[1][0].term.lexical, "http://g/A");
+    EXPECT_EQ(t.rows()[1][1].term.lexical, "3");
+    // And the whole rendering is identical run to run (hash-map
+    // iteration order must never leak into the output).
+    if (repeat == 0) {
+      first = Key(t);
+    } else {
+      EXPECT_EQ(first, Key(t)) << "repeat " << repeat;
     }
   }
 }

@@ -445,7 +445,9 @@ TEST(ShortIoTest, PageSurvivesShortTransfersAndEintr) {
 TEST(ShortIoTest, BTreeRoundTripsOverFlakyIo) {
   ShortIoPageFile file(/*max_chunk=*/4096, /*eintr_every=*/5);
   ASSERT_TRUE(file.Open(TempPath("shortio2"), true).ok());
-  BufferPool pool(&file, 16);
+  // 5000 of these keys fill about a dozen compressed pages, so a 4-page
+  // pool keeps evicting and re-reading through the flaky file.
+  BufferPool pool(&file, 4);
   auto tree = BTree::Create(&pool);
   ASSERT_TRUE(tree.ok());
   for (uint64_t i = 0; i < 5000; ++i) {
@@ -456,6 +458,10 @@ TEST(ShortIoTest, BTreeRoundTripsOverFlakyIo) {
     auto r = tree->Lookup({i * 2654435761u, 0});
     ASSERT_TRUE(r.ok());
   }
+  // The round trip really went through the flaky reads: the tree outgrew
+  // the pool, so lookups re-read evicted pages.
+  EXPECT_GT(file.num_pages(), 4u);
+  EXPECT_GT(file.reads(), 0u);
 }
 
 TEST(PageFileTest, SyncFlushesOpenFile) {
@@ -506,6 +512,8 @@ TEST(FailureInjectionTest, ReadErrorsPropagateThroughBTree) {
   }
   ASSERT_FALSE(failure.ok()) << "injected failure never surfaced";
   EXPECT_EQ(failure.code(), StatusCode::kIoError);
+  // Reads only happen once the tree outgrows the 8-page pool.
+  EXPECT_GT(file.num_pages(), 8u);
 }
 
 TEST(FailureInjectionTest, LookupReportsIoError) {
@@ -613,56 +621,55 @@ TEST(LeafCodecTest, CompressedPageHoldsManyMoreClusteredEntries) {
       << "compressed leaf should pack >=2x the fixed-format entries";
 }
 
-// ---- BulkLoad edge cases (both leaf formats) ----
+// ---- BulkLoad edge cases ----
 
-class BTreeFormatTest : public ::testing::TestWithParam<LeafFormat> {
- protected:
-  static std::string Name() {
-    return GetParam() == LeafFormat::kFixed ? "fixed" : "compressed";
-  }
-};
-
-TEST_P(BTreeFormatTest, BulkLoadEmpty) {
+TEST(BTreeBulkLoadTest, BulkLoadEmpty) {
   PageFile file;
-  ASSERT_TRUE(file.Open(TempPath("bl0" + Name()), true).ok());
+  ASSERT_TRUE(file.Open(TempPath("bl0"), true).ok());
   BufferPool pool(&file, 16);
-  auto tree = BTree::BulkLoad(&pool, {}, GetParam());
+  auto tree = BTree::BulkLoad(&pool, {});
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(tree->size(), 0u);
   EXPECT_FALSE(tree->Lookup(K(1)).ok());
-  // An empty-loaded tree accepts inserts in its declared format.
+  // An empty-loaded tree accepts inserts.
   bool inserted = false;
   ASSERT_TRUE(tree->Insert(K(5, 5), 1, &inserted).ok());
   EXPECT_TRUE(inserted);
   EXPECT_EQ(test::Unwrap(tree->Lookup(K(5, 5))), 1u);
 }
 
-TEST_P(BTreeFormatTest, BulkLoadSingleItem) {
+TEST(BTreeBulkLoadTest, BulkLoadSingleItem) {
   PageFile file;
-  ASSERT_TRUE(file.Open(TempPath("bl1" + Name()), true).ok());
+  ASSERT_TRUE(file.Open(TempPath("bl1"), true).ok());
   BufferPool pool(&file, 16);
-  auto tree = BTree::BulkLoad(&pool, {{K(42, 7), 99}}, GetParam());
+  auto tree = BTree::BulkLoad(&pool, {{K(42, 7), 99}});
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(tree->size(), 1u);
   EXPECT_EQ(test::Unwrap(tree->Lookup(K(42, 7))), 99u);
   EXPECT_FALSE(tree->Lookup(K(42, 8)).ok());
 }
 
-TEST_P(BTreeFormatTest, BulkLoadExactlyOneFullLeaf) {
+TEST(BTreeBulkLoadTest, BulkLoadExactlyOneFullLeaf) {
   PageFile file;
-  ASSERT_TRUE(file.Open(TempPath("bl2" + Name()), true).ok());
+  ASSERT_TRUE(file.Open(TempPath("bl2"), true).ok());
   BufferPool pool(&file, 16);
-  // The fixed bulk loader packs (capacity - 1) entries per leaf; fill
-  // exactly that so the tree is a single full leaf with no internal level.
-  const size_t per_leaf = (kPageSize - 16) / 24 - 1;
+  // The bulk loader packs each leaf until the next item no longer encodes
+  // into the page. Count how many items of this key shape one page holds
+  // (same 16-byte page header as the tree's), and load exactly that many:
+  // the tree is a single full leaf with no internal level.
+  size_t per_leaf = 0;
+  {
+    alignas(8) uint8_t page[kPageSize] = {};
+    CompressedLeafBuilder builder(page, 16);
+    while (builder.Append(K(per_leaf), per_leaf)) ++per_leaf;
+  }
+  ASSERT_GT(per_leaf, 1u);
   std::vector<BTree::Item> items;
   for (uint64_t i = 0; i < per_leaf; ++i) items.push_back({K(i), i});
-  auto tree = BTree::BulkLoad(&pool, items, GetParam());
+  auto tree = BTree::BulkLoad(&pool, items);
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(tree->size(), per_leaf);
-  if (GetParam() == LeafFormat::kFixed) {
-    EXPECT_EQ(tree->height(), 1);
-  }
+  EXPECT_EQ(tree->height(), 1);
   uint64_t n = 0;
   ASSERT_TRUE(tree->RangeScan(Key128::Min(), Key128::Max(),
                               [&](const BTree::Item& item) {
@@ -672,32 +679,38 @@ TEST_P(BTreeFormatTest, BulkLoadExactlyOneFullLeaf) {
                               })
                   .ok());
   EXPECT_EQ(n, per_leaf);
-  // The next insert still works (splits if the leaf is full).
+  // The next insert still works, and it must split: the leaf was full.
   ASSERT_TRUE(tree->Insert(K(per_leaf), per_leaf).ok());
   EXPECT_EQ(tree->size(), per_leaf + 1);
+  EXPECT_EQ(tree->height(), 2);
+  // One item more than a leaf holds bulk-loads into two leaves, too.
+  items.push_back({K(per_leaf), per_leaf});
+  auto two = BTree::BulkLoad(&pool, items);
+  ASSERT_TRUE(two.ok());
+  EXPECT_EQ(two->height(), 2);
 }
 
-TEST_P(BTreeFormatTest, BulkLoadRejectsNonAscendingInput) {
+TEST(BTreeBulkLoadTest, BulkLoadRejectsNonAscendingInput) {
   PageFile file;
-  ASSERT_TRUE(file.Open(TempPath("bl3" + Name()), true).ok());
+  ASSERT_TRUE(file.Open(TempPath("bl3"), true).ok());
   BufferPool pool(&file, 16);
   // Duplicate key.
-  auto dup = BTree::BulkLoad(&pool, {{K(1), 1}, {K(1), 2}}, GetParam());
+  auto dup = BTree::BulkLoad(&pool, {{K(1), 1}, {K(1), 2}});
   ASSERT_FALSE(dup.ok());
   EXPECT_EQ(dup.status().code(), StatusCode::kInvalidArgument);
   // Out of order.
-  auto desc = BTree::BulkLoad(&pool, {{K(2), 1}, {K(1), 2}}, GetParam());
+  auto desc = BTree::BulkLoad(&pool, {{K(2), 1}, {K(1), 2}});
   ASSERT_FALSE(desc.ok());
   EXPECT_EQ(desc.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST_P(BTreeFormatTest, RangeScanRunsConcatenationEqualsRangeScan) {
+TEST(BTreeBulkLoadTest, RangeScanRunsConcatenationEqualsRangeScan) {
   PageFile file;
-  ASSERT_TRUE(file.Open(TempPath("bl4" + Name()), true).ok());
+  ASSERT_TRUE(file.Open(TempPath("bl4"), true).ok());
   BufferPool pool(&file, 32);
   std::vector<BTree::Item> items;
   for (uint64_t i = 0; i < 8000; ++i) items.push_back({K(i / 5, i % 5), i});
-  auto tree = BTree::BulkLoad(&pool, items, GetParam());
+  auto tree = BTree::BulkLoad(&pool, items);
   ASSERT_TRUE(tree.ok());
 
   const Key128 lo = K(37, 1), hi = K(1200, 2);
@@ -735,18 +748,15 @@ TEST_P(BTreeFormatTest, RangeScanRunsConcatenationEqualsRangeScan) {
   EXPECT_EQ(calls, 1u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Formats, BTreeFormatTest,
-                         ::testing::Values(LeafFormat::kFixed,
-                                           LeafFormat::kCompressed));
-
-/// Model check of the compressed leaf format under random point inserts:
-/// exercises decode/re-encode in place and compressed-leaf splits against
-/// std::map, with evictions (16-page pool).
+/// Model check of compressed leaves under random point inserts into a
+/// narrower key space than BTreeModelCheck (more overwrites per leaf):
+/// exercises decode/re-encode in place and leaf splits against std::map,
+/// with evictions (16-page pool), and ends with a full ordered scan.
 TEST(BTreeCompressedTest, RandomInsertsAgreeWithStdMap) {
   PageFile file;
   ASSERT_TRUE(file.Open(TempPath("btc1"), true).ok());
   BufferPool pool(&file, 16);
-  auto tree_r = BTree::Create(&pool, LeafFormat::kCompressed);
+  auto tree_r = BTree::Create(&pool);
   ASSERT_TRUE(tree_r.ok());
   BTree& tree = tree_r.ValueOrDie();
 
@@ -784,44 +794,49 @@ TEST(BTreeCompressedTest, RandomInsertsAgreeWithStdMap) {
   EXPECT_EQ(got, want);
 }
 
-/// Same data under both leaf formats: identical query results, far fewer
-/// pages for the compressed layout.
+/// Compressed leaves return exactly the loaded items, in at most half the
+/// pages a layout of 24-byte Key128+value entries would need for the same
+/// items ((8192 - 16) / 24 - 1 = 339 entries per leaf, the packing a
+/// fixed-entry bulk loader that leaves room for one insert would use).
 TEST(BTreeCompressedTest, FormatsAgreeAndCompressedUsesFewerPages) {
   std::vector<BTree::Item> items;
   for (uint64_t i = 0; i < 60000; ++i) items.push_back({K(i / 8, i % 8), 0});
 
-  PageFile fixed_file, comp_file;
-  ASSERT_TRUE(fixed_file.Open(TempPath("fmt_f"), true).ok());
-  ASSERT_TRUE(comp_file.Open(TempPath("fmt_c"), true).ok());
-  BufferPool fixed_pool(&fixed_file, 64), comp_pool(&comp_file, 64);
-  auto fixed = BTree::BulkLoad(&fixed_pool, items, LeafFormat::kFixed);
-  auto comp = BTree::BulkLoad(&comp_pool, items, LeafFormat::kCompressed);
-  ASSERT_TRUE(fixed.ok() && comp.ok());
+  PageFile file;
+  ASSERT_TRUE(file.Open(TempPath("fmt_c"), true).ok());
+  BufferPool pool(&file, 64);
+  auto comp = BTree::BulkLoad(&pool, items);
+  ASSERT_TRUE(comp.ok());
 
   const Key128 lo = K(100, 0), hi = K(5000, ~0ULL);
-  std::vector<Key128> from_fixed, from_comp;
-  ASSERT_TRUE(fixed->RangeScan(lo, hi, [&](const BTree::Item& item) {
-                     from_fixed.push_back(item.key);
-                     return true;
-                   }).ok());
+  std::vector<Key128> want;
+  for (const BTree::Item& item : items) {
+    if (lo <= item.key && item.key <= hi) want.push_back(item.key);
+  }
+  std::vector<Key128> got;
   ASSERT_TRUE(comp->RangeScan(lo, hi, [&](const BTree::Item& item) {
-                    from_comp.push_back(item.key);
+                    got.push_back(item.key);
                     return true;
                   }).ok());
-  ASSERT_EQ(from_fixed.size(), from_comp.size());
-  for (size_t i = 0; i < from_fixed.size(); ++i) {
-    EXPECT_TRUE(from_fixed[i] == from_comp[i]) << i;
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(got[i] == want[i]) << i;
   }
 
-  EXPECT_LE(comp_file.num_pages() * 2, fixed_file.num_pages())
+  // Leaf pages alone of the 24-byte layout; its internal nodes would only
+  // add to this.
+  const size_t fixed_per_leaf = (kPageSize - 16) / 24 - 1;
+  ASSERT_EQ(fixed_per_leaf, 339u);
+  const size_t fixed_leaf_pages =
+      (items.size() + fixed_per_leaf - 1) / fixed_per_leaf;
+  EXPECT_LE(file.num_pages() * 2, fixed_leaf_pages)
       << "compressed layout should use <= half the pages";
 }
 
 // ---- aggregated indexes ----
 
 TEST(DiskTripleStoreTest, AggregatesExactAfterBulkLoadAndInsert) {
-  auto disk_r =
-      DiskTripleStore::Create(TempPath("agg1"), 64, LeafFormat::kCompressed);
+  auto disk_r = DiskTripleStore::Create(TempPath("agg1"), 64);
   ASSERT_TRUE(disk_r.ok());
   DiskTripleStore& disk = **disk_r;
 
@@ -876,33 +891,29 @@ TEST(DiskTripleStoreTest, ScanRunsMatchesScanAcrossFormats) {
                          static_cast<rdf::TermId>(1 + rng.Uniform(5)),
                          static_cast<rdf::TermId>(1 + rng.Uniform(300)));
   }
-  for (LeafFormat format : {LeafFormat::kFixed, LeafFormat::kCompressed}) {
-    auto disk_r = DiskTripleStore::Create(
-        TempPath(format == LeafFormat::kFixed ? "sr_f" : "sr_c"), 32, format);
-    ASSERT_TRUE(disk_r.ok());
-    DiskTripleStore& disk = **disk_r;
-    ASSERT_TRUE(disk.BulkLoad(triples).ok());
-    for (int mask = 0; mask < 8; ++mask) {
-      rdf::TriplePattern pat;
-      if (mask & 1) pat.s = 17;
-      if (mask & 2) pat.p = 3;
-      if (mask & 4) pat.o = 150;
-      std::vector<rdf::Triple> via_scan, via_runs;
-      ASSERT_TRUE(disk.Scan(pat, [&](const rdf::Triple& t) {
-                        via_scan.push_back(t);
-                        return true;
-                      }).ok());
-      ASSERT_TRUE(disk.ScanRuns(pat,
-                                [&](const rdf::Triple* run, size_t n) {
-                                  via_runs.insert(via_runs.end(), run,
-                                                  run + n);
-                                  return true;
-                                })
-                      .ok());
-      ASSERT_EQ(via_runs.size(), via_scan.size()) << "mask=" << mask;
-      for (size_t i = 0; i < via_scan.size(); ++i) {
-        EXPECT_EQ(via_runs[i], via_scan[i]) << "mask=" << mask << " i=" << i;
-      }
+  auto disk_r = DiskTripleStore::Create(TempPath("sr_c"), 32);
+  ASSERT_TRUE(disk_r.ok());
+  DiskTripleStore& disk = **disk_r;
+  ASSERT_TRUE(disk.BulkLoad(triples).ok());
+  for (int mask = 0; mask < 8; ++mask) {
+    rdf::TriplePattern pat;
+    if (mask & 1) pat.s = 17;
+    if (mask & 2) pat.p = 3;
+    if (mask & 4) pat.o = 150;
+    std::vector<rdf::Triple> via_scan, via_runs;
+    ASSERT_TRUE(disk.Scan(pat, [&](const rdf::Triple& t) {
+                      via_scan.push_back(t);
+                      return true;
+                    }).ok());
+    ASSERT_TRUE(disk.ScanRuns(pat,
+                              [&](const rdf::Triple* run, size_t n) {
+                                via_runs.insert(via_runs.end(), run, run + n);
+                                return true;
+                              })
+                    .ok());
+    ASSERT_EQ(via_runs.size(), via_scan.size()) << "mask=" << mask;
+    for (size_t i = 0; i < via_scan.size(); ++i) {
+      EXPECT_EQ(via_runs[i], via_scan[i]) << "mask=" << mask << " i=" << i;
     }
   }
 }

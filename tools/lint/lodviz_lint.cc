@@ -911,7 +911,8 @@ void CheckNoConcreteStore(const FileModel& m, std::vector<Violation>* out) {
 /// sparql.no_row_loop_in_batch_ops: the whole point of the vectorized
 /// executor is that per-row virtual dispatch into the TripleSource
 /// disappears from inner loops — a batch operator that calls `Scan` once
-/// per row has silently regressed to the row engine with extra copies.
+/// per row has silently regressed to row-at-a-time execution with extra
+/// copies.
 /// Inside any function whose name contains "Batch" (the batch-operator
 /// naming convention: EvalBgpBatches, FilterBatches, ...), a `.Scan(` /
 /// `->Scan(` call lexically inside a loop body — `for`, `while`, `do`, or
@@ -1765,15 +1766,16 @@ int RunSelfTest() {
            "Scan inside a per-row lambda in a Batch function fires");
   }
   {
-    // Batch-level (not per-row) Scan and row-engine loops stay allowed.
+    // Batch-level (not per-row) Scan and loops in functions without
+    // "Batch" in the name stay allowed.
     FileModel m = ModelOf(
         "namespace lodviz::sparql {\n"
         "void Executor::EvalBgpBatches(const Plan& p) {\n"
         "  source_->Scan(pat, cb);\n"  // once per step, no loop: fine
         "}\n"
-        "void Executor::EvalBgp(const Plan& p) {\n"
+        "void Executor::ProbeEachRow(const Plan& p) {\n"
         "  for (size_t i = 0; i < p.n; ++i) {\n"
-        "    source_->Scan(pat, cb);\n"  // row engine: out of scope
+        "    source_->Scan(pat, cb);\n"  // not a Batch function: out of scope
         "  }\n"
         "}\n"
         "}\n",
