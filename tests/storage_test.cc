@@ -621,12 +621,27 @@ TEST(LeafCodecTest, CompressedPageHoldsManyMoreClusteredEntries) {
       << "compressed leaf should pack >=2x the fixed-format entries";
 }
 
-// ---- BulkLoad edge cases ----
+// ---- BulkLoad edge cases (roomy and tight buffer pools) ----
 
-TEST(BTreeBulkLoadTest, BulkLoadEmpty) {
+/// Pool the bulk-load cases run against: kRoomy holds every page of the
+/// trees they build; kTight is 4 frames, so the larger trees are evicted
+/// and re-read while being loaded, scanned and split.
+enum class PoolSize : uint8_t {
+  kRoomy = 1,
+  kTight = 2,
+};
+
+class BTreeFormatTest : public ::testing::TestWithParam<PoolSize> {
+ protected:
+  static size_t Frames(size_t roomy) {
+    return GetParam() == PoolSize::kTight ? 4 : roomy;
+  }
+};
+
+TEST_P(BTreeFormatTest, BulkLoadEmpty) {
   PageFile file;
   ASSERT_TRUE(file.Open(TempPath("bl0"), true).ok());
-  BufferPool pool(&file, 16);
+  BufferPool pool(&file, Frames(16));
   auto tree = BTree::BulkLoad(&pool, {});
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(tree->size(), 0u);
@@ -638,10 +653,10 @@ TEST(BTreeBulkLoadTest, BulkLoadEmpty) {
   EXPECT_EQ(test::Unwrap(tree->Lookup(K(5, 5))), 1u);
 }
 
-TEST(BTreeBulkLoadTest, BulkLoadSingleItem) {
+TEST_P(BTreeFormatTest, BulkLoadSingleItem) {
   PageFile file;
   ASSERT_TRUE(file.Open(TempPath("bl1"), true).ok());
-  BufferPool pool(&file, 16);
+  BufferPool pool(&file, Frames(16));
   auto tree = BTree::BulkLoad(&pool, {{K(42, 7), 99}});
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(tree->size(), 1u);
@@ -649,10 +664,10 @@ TEST(BTreeBulkLoadTest, BulkLoadSingleItem) {
   EXPECT_FALSE(tree->Lookup(K(42, 8)).ok());
 }
 
-TEST(BTreeBulkLoadTest, BulkLoadExactlyOneFullLeaf) {
+TEST_P(BTreeFormatTest, BulkLoadExactlyOneFullLeaf) {
   PageFile file;
   ASSERT_TRUE(file.Open(TempPath("bl2"), true).ok());
-  BufferPool pool(&file, 16);
+  BufferPool pool(&file, Frames(16));
   // The bulk loader packs each leaf until the next item no longer encodes
   // into the page. Count how many items of this key shape one page holds
   // (same 16-byte page header as the tree's), and load exactly that many:
@@ -690,10 +705,10 @@ TEST(BTreeBulkLoadTest, BulkLoadExactlyOneFullLeaf) {
   EXPECT_EQ(two->height(), 2);
 }
 
-TEST(BTreeBulkLoadTest, BulkLoadRejectsNonAscendingInput) {
+TEST_P(BTreeFormatTest, BulkLoadRejectsNonAscendingInput) {
   PageFile file;
   ASSERT_TRUE(file.Open(TempPath("bl3"), true).ok());
-  BufferPool pool(&file, 16);
+  BufferPool pool(&file, Frames(16));
   // Duplicate key.
   auto dup = BTree::BulkLoad(&pool, {{K(1), 1}, {K(1), 2}});
   ASSERT_FALSE(dup.ok());
@@ -704,10 +719,10 @@ TEST(BTreeBulkLoadTest, BulkLoadRejectsNonAscendingInput) {
   EXPECT_EQ(desc.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(BTreeBulkLoadTest, RangeScanRunsConcatenationEqualsRangeScan) {
+TEST_P(BTreeFormatTest, RangeScanRunsConcatenationEqualsRangeScan) {
   PageFile file;
   ASSERT_TRUE(file.Open(TempPath("bl4"), true).ok());
-  BufferPool pool(&file, 32);
+  BufferPool pool(&file, Frames(32));
   std::vector<BTree::Item> items;
   for (uint64_t i = 0; i < 8000; ++i) items.push_back({K(i / 5, i % 5), i});
   auto tree = BTree::BulkLoad(&pool, items);
@@ -746,7 +761,15 @@ TEST(BTreeBulkLoadTest, RangeScanRunsConcatenationEqualsRangeScan) {
                                   })
                   .ok());
   EXPECT_EQ(calls, 1u);
+  // The tree outgrew the tight pool, so its scans re-read evicted pages.
+  if (GetParam() == PoolSize::kTight) {
+    EXPECT_GT(file.num_pages(), 4u);
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(Formats, BTreeFormatTest,
+                         ::testing::Values(PoolSize::kRoomy,
+                                           PoolSize::kTight));
 
 /// Model check of compressed leaves under random point inserts into a
 /// narrower key space than BTreeModelCheck (more overwrites per leaf):
