@@ -26,8 +26,9 @@ struct OperatorProfile {
   double est_rows = -1.0;
   /// Rows actually emitted across all invocations.
   uint64_t actual_rows = 0;
-  /// Times the operator ran (for joins: input solutions probed; for
-  /// re-evaluated subtrees such as OPTIONAL groups: evaluation count).
+  /// Times the operator ran (for joins: input solutions probed; for group
+  /// operators such as UNION branches and OPTIONAL joins: evaluation
+  /// count).
   uint64_t invocations = 0;
   /// Wall time attributed to this operator (Stopwatch clock), summed over
   /// invocations. Parent times include child times.

@@ -152,6 +152,17 @@ int CompareCellsForOrder(const Term& a, const Term& b) {
   }
 }
 
+/// [begin, end) of the OFFSET/LIMIT window over `n` ordered rows.
+std::pair<size_t, size_t> SliceWindow(const Query& query, size_t n) {
+  const size_t begin =
+      std::min(n, static_cast<size_t>(std::max<int64_t>(0, query.offset)));
+  size_t end = n;
+  if (query.limit >= 0) {
+    end = std::min(end, begin + static_cast<size_t>(query.limit));
+  }
+  return {begin, end};
+}
+
 PlannerOptions ToPlannerOptions(const QueryEngine::Options& o) {
   PlannerOptions p;
   p.optimize_join_order = o.optimize_join_order;
@@ -538,7 +549,6 @@ Result<ResultTable> QueryEngine::ExecutePlannedImpl(
   if (!query.aggregates.empty()) {
     std::vector<std::string> out_columns = query.group_by;
     for (const Aggregate& a : query.aggregates) out_columns.push_back(a.alias);
-    ResultTable table(out_columns);
 
     std::vector<SlotId> group_slots;
     group_slots.reserve(query.group_by.size());
@@ -577,7 +587,8 @@ Result<ResultTable> QueryEngine::ExecutePlannedImpl(
                 return *a < *b;
               });
 
-    table.Reserve(groups.size());
+    std::vector<std::vector<ResultCell>> rows;
+    rows.reserve(groups.size());
     for (const std::vector<TermId>* group_key : group_keys) {
       const std::vector<RowRef>& members = groups.find(*group_key)->second;
       std::vector<ResultCell> row;
@@ -650,8 +661,41 @@ Result<ResultTable> QueryEngine::ExecutePlannedImpl(
           }
         }
       }
-      table.AddRow(std::move(row));
+      rows.push_back(std::move(row));
     }
+
+    // ORDER BY over the output columns — group keys and aggregate aliases
+    // — with the plain path's comparator; a key naming no output column is
+    // ignored there too. Then OFFSET/LIMIT.
+    if (!query.order_by.empty()) {
+      std::vector<std::pair<size_t, bool>> keys;  // (column, ascending)
+      for (const OrderKey& k : query.order_by) {
+        for (size_t c = 0; c < out_columns.size(); ++c) {
+          if (out_columns[c] == k.var) {
+            keys.emplace_back(c, k.ascending);
+            break;
+          }
+        }
+      }
+      std::stable_sort(rows.begin(), rows.end(),
+                       [&](const std::vector<ResultCell>& a,
+                           const std::vector<ResultCell>& b) {
+                         for (const auto& [c, ascending] : keys) {
+                           if (!a[c].bound || !b[c].bound) {
+                             if (a[c].bound == b[c].bound) continue;
+                             return a[c].bound ? !ascending : ascending;
+                           }
+                           const int cv =
+                               CompareCellsForOrder(a[c].term, b[c].term);
+                           if (cv != 0) return ascending ? cv < 0 : cv > 0;
+                         }
+                         return false;
+                       });
+    }
+    const auto [begin, end] = SliceWindow(query, rows.size());
+    ResultTable table(out_columns);
+    table.Reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) table.AddRow(std::move(rows[i]));
     rows_out = table.num_rows();
     return table;
   }
@@ -716,13 +760,7 @@ Result<ResultTable> QueryEngine::ExecutePlannedImpl(
 
   // OFFSET / LIMIT: slice the reference list before materializing.
   if (query.offset > 0 || query.limit >= 0) {
-    const size_t begin =
-        std::min(refs.size(), static_cast<size_t>(std::max<int64_t>(
-                                  0, query.offset)));
-    size_t end = refs.size();
-    if (query.limit >= 0) {
-      end = std::min(end, begin + static_cast<size_t>(query.limit));
-    }
+    const auto [begin, end] = SliceWindow(query, refs.size());
     refs.assign(refs.begin() + static_cast<ptrdiff_t>(begin),
                 refs.begin() + static_cast<ptrdiff_t>(end));
   }

@@ -515,8 +515,15 @@ obs::OperatorProfile BuildProfileSkeleton(const GroupPlan& plan) {
   obs::OperatorProfile node;
   node.op = "group";
   node.children.reserve(plan.steps.size() + plan.union_branches.size() +
+                        (plan.pre_filters.empty() ? 0 : 1) +
                         plan.optionals.size() +
                         (plan.filters.empty() ? 0 : 1));
+  auto add_filter = [&](const FilterList& filters) {
+    if (filters.empty()) return;
+    obs::OperatorProfile& filter = node.children.emplace_back();
+    filter.op = "filter";
+    filter.label = "x" + std::to_string(filters.size());
+  };
   for (const PatternStep& st : plan.steps) {
     obs::OperatorProfile& step = node.children.emplace_back();
     step.op = st.strategy == JoinStrategy::kHash ? "hash-join" : "scan";
@@ -528,16 +535,13 @@ obs::OperatorProfile BuildProfileSkeleton(const GroupPlan& plan) {
         node.children.emplace_back(BuildProfileSkeleton(u));
     branch.op = "union";
   }
+  add_filter(plan.pre_filters);
   for (const GroupPlan& o : plan.optionals) {
     obs::OperatorProfile& opt =
         node.children.emplace_back(BuildProfileSkeleton(o));
     opt.op = "optional";
   }
-  if (!plan.filters.empty()) {
-    obs::OperatorProfile& filter = node.children.emplace_back();
-    filter.op = "filter";
-    filter.label = "x" + std::to_string(plan.filters.size());
-  }
+  add_filter(plan.filters);
   return node;
 }
 
@@ -623,19 +627,6 @@ class BatchSink {
     }
   }
 
-  /// Gathers the active rows of `list` (an OPTIONAL subtree's output for
-  /// one parent row) into the open batch, in order, so the per-row
-  /// results pack into full batches instead of one small batch each.
-  void AppendActiveRows(const std::vector<ColumnBatch>& list) {
-    row_.resize(width_);
-    for (const ColumnBatch& b : list) {
-      for (size_t i = 0; i < b.active(); ++i) {
-        b.GatherRow(b.ActiveRow(i), row_.data());
-        AppendRow(row_.data());
-      }
-    }
-  }
-
  private:
   ColumnBatch* Open() {
     if (!open_ || out_->back().rows() >= kBatchRows) {
@@ -648,7 +639,6 @@ class BatchSink {
   size_t width_;
   std::vector<ColumnBatch>* out_;
   bool open_ = false;
-  std::vector<TermId> row_;  // AppendActiveRows gather buffer
 };
 
 /// Extends one solution by its match list: binds the pattern variables,
@@ -835,16 +825,17 @@ std::vector<ColumnBatch> Executor::EvalGroupBatches(
   std::vector<ColumnBatch> solutions = EvalBgpBatches(plan.steps, seeds, prof);
 
   // Child-node layout mirrors BuildProfileSkeleton:
-  // [steps...][unions...][optionals...][filter?].
+  // [steps...][unions...][pre-filter?][optionals...][filter?].
   size_t child_index = plan.steps.size();
+  auto next_prof = [&]() -> obs::OperatorProfile* {
+    return prof == nullptr ? nullptr : &prof->children[child_index++];
+  };
 
   if (!plan.union_branches.empty()) {
     std::vector<ColumnBatch> unioned;
     for (const GroupPlan& branch : plan.union_branches) {
       if (CheckBudget()) return {};
-      obs::OperatorProfile* branch_prof =
-          prof == nullptr ? nullptr : &prof->children[child_index];
-      ++child_index;
+      obs::OperatorProfile* branch_prof = next_prof();
       obs::OperatorTimer timer(branch_prof);
       std::vector<ColumnBatch> rows = EvalGroupBatches(branch, solutions,
                                                        branch_prof);
@@ -860,57 +851,106 @@ std::vector<ColumnBatch> Executor::EvalGroupBatches(
     SparqlMetrics::Get().op_union_rows.Increment(TotalActiveRows(solutions));
   }
 
-  if (!plan.optionals.empty()) {
-    // One reusable single-row seed batch per parent row: every column of a
-    // one-row batch is constant-encoded, so re-seeding allocates nothing
-    // after the first iteration.
-    std::vector<ColumnBatch> seed(1, ColumnBatch(width_));
-    std::vector<TermId> sol(width_);
-    for (const GroupPlan& opt : plan.optionals) {
-      obs::OperatorProfile* opt_prof =
-          prof == nullptr ? nullptr : &prof->children[child_index];
-      ++child_index;
-      obs::OperatorTimer timer(opt_prof, TotalActiveRows(solutions));
-      std::vector<ColumnBatch> next;
-      BatchSink sink(width_, &next);
-      for (const ColumnBatch& b : solutions) {
-        for (size_t i = 0; i < b.active(); ++i) {
-          if (CheckBudget()) return {};
-          b.GatherRow(b.ActiveRow(i), sol.data());
-          seed[0].Clear();
-          seed[0].AppendRow(sol.data());
-          std::vector<ColumnBatch> extended =
-              EvalGroupBatches(opt, seed, opt_prof);
-          if (TotalActiveRows(extended) == 0) {
-            sink.AppendRow(sol.data());
-          } else {
-            sink.AppendActiveRows(extended);
-          }
-        }
-      }
-      timer.Finish(TotalActiveRows(next));
-      solutions = std::move(next);
-      SparqlMetrics::Get().op_optional_rows.Increment(
-          TotalActiveRows(solutions));
+  if (!plan.pre_filters.empty()) {
+    obs::OperatorProfile* filter_prof = next_prof();
+    if (TotalActiveRows(solutions) > 0) {
+      FilterBatches(plan.pre_filters, &solutions, filter_prof);
     }
   }
 
+  for (const GroupPlan& opt : plan.optionals) {
+    obs::OperatorProfile* opt_prof = next_prof();
+    if (TotalActiveRows(solutions) == 0) continue;
+    obs::OperatorTimer timer(opt_prof);
+    solutions = LeftOuterJoinBatches(opt, solutions, opt_prof);
+    if (CheckBudget()) return {};
+    const size_t rows = TotalActiveRows(solutions);
+    timer.Finish(rows);
+    SparqlMetrics::Get().op_optional_rows.Increment(rows);
+  }
+
   if (!plan.filters.empty() && TotalActiveRows(solutions) > 0) {
-    FilterBatches(plan, &solutions, prof);
+    FilterBatches(plan.filters, &solutions, next_prof());
   }
   return solutions;
 }
 
-void Executor::FilterBatches(const GroupPlan& plan,
+std::vector<ColumnBatch> Executor::LeftOuterJoinBatches(
+    const GroupPlan& opt, const std::vector<ColumnBatch>& parents,
+    obs::OperatorProfile* prof) {
+  const SlotId ord = opt.ordinal_slot;
+  const BatchListView parent_view(parents);
+  const size_t n = parent_view.total();
+  // Ordinals are 1-based: 0 is kInvalidTermId, "unbound".
+  LODVIZ_CHECK(n < UINT32_MAX);
+  LODVIZ_DCHECK(ord < width_);
+
+  // Stamp every parent with its ordinal in the hidden slot and evaluate the
+  // optional group once over all of them.
+  std::vector<ColumnBatch> seeds;
+  {
+    BatchSink sink(width_, &seeds);
+    std::vector<TermId> row(width_);
+    TermId ordinal = 0;
+    parent_view.ForEachRow(0, n, [&](const ColumnBatch& b, uint32_t phys) {
+      b.GatherRow(phys, row.data());
+      row[ord] = ++ordinal;
+      sink.AppendRow(row.data());
+    });
+  }
+  const std::vector<ColumnBatch> matches = EvalGroupBatches(opt, seeds, prof);
+  if (budget_exhausted()) return {};
+
+  // Stable counting sort of the matches by ordinal. Every operator keeps a
+  // parent's rows in order, but a UNION in the group emits all parents'
+  // first-branch rows before any second-branch row; sorting restores
+  // exactly the parent-at-a-time order. first[i]..first[i + 1] then indexes
+  // the matches of ordinal i in `sorted`.
+  const BatchListView match_view(matches);
+  std::vector<size_t> first(n + 2, 0);
+  match_view.ForEachRow(0, match_view.total(),
+                        [&](const ColumnBatch& b, uint32_t phys) {
+                          ++first[b.at(phys, ord) + 1];
+                        });
+  for (size_t i = 1; i < first.size(); ++i) first[i] += first[i - 1];
+  std::vector<std::pair<const ColumnBatch*, uint32_t>> sorted(
+      match_view.total());
+  std::vector<size_t> fill(first.begin(), first.end() - 1);
+  match_view.ForEachRow(0, match_view.total(),
+                        [&](const ColumnBatch& b, uint32_t phys) {
+                          sorted[fill[b.at(phys, ord)]++] = {&b, phys};
+                        });
+
+  // Merge: each parent emits its matches (hidden slot cleared), or itself
+  // unextended when it has none.
+  std::vector<ColumnBatch> out;
+  BatchSink sink(width_, &out);
+  std::vector<TermId> row(width_);
+  size_t ordinal = 0;
+  parent_view.ForEachRow(0, n, [&](const ColumnBatch& b, uint32_t phys) {
+    ++ordinal;
+    if (first[ordinal] == first[ordinal + 1]) {
+      b.GatherRow(phys, row.data());
+      sink.AppendRow(row.data());
+      return;
+    }
+    for (size_t k = first[ordinal]; k < first[ordinal + 1]; ++k) {
+      sorted[k].first->GatherRow(sorted[k].second, row.data());
+      row[ord] = kInvalidTermId;
+      sink.AppendRow(row.data());
+    }
+  });
+  return out;
+}
+
+void Executor::FilterBatches(const FilterList& filters,
                              std::vector<ColumnBatch>* batches,
-                             obs::OperatorProfile* prof) {
-  obs::OperatorProfile* filter_prof =
-      prof == nullptr ? nullptr : &prof->children.back();
+                             obs::OperatorProfile* filter_prof) {
   const size_t before = TotalActiveRows(*batches);
   obs::OperatorTimer timer(filter_prof, before);
   const rdf::Dictionary& dict = source_->dict();
   const bool timed = budget_.time_budget_us >= 0;
-  const size_t nf = plan.filters.size();
+  const size_t nf = filters.size();
 
   for (ColumnBatch& b : *batches) {
     if (b.active() == 0) continue;
@@ -922,7 +962,7 @@ void Executor::FilterBatches(const GroupPlan& plan,
     enum : uint8_t { kPerRowSpec, kPerRowGeneric, kBatchPass, kBatchFail };
     std::vector<uint8_t> state(nf);
     for (size_t fi = 0; fi < nf; ++fi) {
-      const BatchFilterSpec& spec = plan.batch_filters[fi];
+      const BatchFilterSpec& spec = filters.specs[fi];
       if (!spec.specialized) {
         state[fi] = kPerRowGeneric;
         continue;
@@ -970,7 +1010,7 @@ void Executor::FilterBatches(const GroupPlan& plan,
                   pass = false;
                   break;
                 case kPerRowSpec: {
-                  const BatchFilterSpec& spec = plan.batch_filters[fi];
+                  const BatchFilterSpec& spec = filters.specs[fi];
                   const TermId id = b.at(phys, spec.slot);
                   if (id != kInvalidTermId) {
                     const rdf::DecodedValue& dv = dict.decoded(id);
@@ -985,7 +1025,7 @@ void Executor::FilterBatches(const GroupPlan& plan,
                     b.GatherRow(phys, row.data());
                     gathered = true;
                   }
-                  pass = PassesFilter(plan.filters[fi], dict, row.data());
+                  pass = PassesFilter(filters.exprs[fi], dict, row.data());
                   break;
                 }
                 default: {  // kPerRowGeneric
@@ -993,7 +1033,7 @@ void Executor::FilterBatches(const GroupPlan& plan,
                     b.GatherRow(phys, row.data());
                     gathered = true;
                   }
-                  pass = PassesFilter(plan.filters[fi], dict, row.data());
+                  pass = PassesFilter(filters.exprs[fi], dict, row.data());
                   break;
                 }
               }

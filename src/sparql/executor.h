@@ -42,10 +42,10 @@ struct SparqlMetrics {
 /// pre-existing caller is unaffected.
 ///
 /// Enforcement is best-effort at operator granularity: the executor checks
-/// between BGP steps, union branches, optional iterations and filter
-/// passes, and pool workers re-check the wall clock every few hundred rows
-/// inside join chunks — a query can therefore overshoot by roughly one
-/// operator's worth of work, never by an unbounded amount.
+/// between BGP steps, union branches and optionals, and pool workers
+/// re-check the wall clock every few hundred rows inside join chunks — a
+/// query can therefore overshoot by roughly one operator's worth of work,
+/// never by an unbounded amount.
 struct ExecBudget {
   /// Wall-time budget for execution (planning excluded), microseconds.
   /// Negative = unlimited.
@@ -83,16 +83,18 @@ bool PassesFilter(const CompiledExpr& e, const rdf::Dictionary& dict,
 /// Builds the obs::OperatorProfile tree mirroring `plan`: one node per
 /// pattern step (op "scan"/"hash-join", the planner's label and estimate),
 /// one "union"/"optional" group node per branch (recursively mirrored),
-/// and one trailing "filter" node when the group has filters. The executor
-/// walks plan and skeleton in lockstep, so the layout here is load-bearing:
-/// children are [steps...][unions...][optionals...][filter?].
+/// and one "filter" node per non-empty filter list: the filters pushed
+/// below the optionals, then the rest. The executor walks plan and
+/// skeleton in lockstep, so the layout here is load-bearing: children are
+/// [steps...][unions...][pre-filter?][optionals...][filter?].
 [[nodiscard]] obs::OperatorProfile BuildProfileSkeleton(const GroupPlan& plan);
 
 /// Executes a compiled GroupPlan against a TripleSource, vectorized:
 /// scan/extend, per-step index nested-loop or build-once hash joins (the
 /// planner picks per PatternStep), unions, optionals and filters all
 /// process ColumnBatch chunks over slot-addressed columns; filters
-/// restrict batches via selection vectors without materializing rows. One
+/// restrict batches via selection vectors without materializing rows, and
+/// each OPTIONAL is one left-outer join over all of its parent rows. One
 /// Executor per query execution (it accumulates the intermediate-row
 /// statistic); the underlying source is only read.
 ///
@@ -144,12 +146,22 @@ class Executor {
   std::vector<ColumnBatch> EvalBgpBatches(const std::vector<PatternStep>& steps,
                                           const std::vector<ColumnBatch>& seeds,
                                           obs::OperatorProfile* prof);
+  /// OPTIONAL as an order-preserving left-outer join: evaluates `opt` once
+  /// over all `parents` (each stamped with its ordinal in
+  /// opt.ordinal_slot), then emits, parent by parent, its matches in
+  /// evaluation order or the parent itself when it has none — exactly the
+  /// rows and order of evaluating the group on each parent alone.
+  std::vector<ColumnBatch> LeftOuterJoinBatches(
+      const GroupPlan& opt, const std::vector<ColumnBatch>& parents,
+      obs::OperatorProfile* prof);
   /// Segment-at-a-time FILTER: installs a selection vector on every batch
   /// (specialized numeric comparisons where the plan allows, the generic
   /// per-row evaluator elsewhere — the specialized paths keep PassesFilter's
-  /// per-row semantics and error accounting).
-  void FilterBatches(const GroupPlan& plan, std::vector<ColumnBatch>* batches,
-                     obs::OperatorProfile* prof);
+  /// per-row semantics and error accounting). `filter_prof` is the
+  /// filter list's own profile node.
+  void FilterBatches(const FilterList& filters,
+                     std::vector<ColumnBatch>* batches,
+                     obs::OperatorProfile* filter_prof);
 
   /// Driving-thread budget check between operators: tests both the wall
   /// clock and the intermediate-row cap, latches `exhausted_`, and returns

@@ -34,6 +34,16 @@ bool IsConstExpr(const CompiledExpr& e) {
   return true;
 }
 
+/// True when every variable `e` reads is in `bound` (vacuously for a
+/// var-free expression).
+bool ReadsOnly(const Expr& e, const std::set<std::string>& bound) {
+  if (e.kind == Expr::Kind::kVar && bound.count(e.var) == 0) return false;
+  for (const ExprPtr& a : e.args) {
+    if (!ReadsOnly(*a, bound)) return false;
+  }
+  return true;
+}
+
 class PlannerImpl {
  public:
   PlannerImpl(const rdf::TripleSource& source, const PlannerOptions& options,
@@ -64,6 +74,10 @@ class PlannerImpl {
     // Pass 3: compile the operator tree (filters may intern more slots).
     PlanGroup(query.where, {}, 1.0, &plan_->root);
     plan_->num_slots = plan_->slot_names.size();
+
+    // Pass 4: one hidden ordinal slot per optional group, after every
+    // variable slot.
+    AssignOrdinalSlots(&plan_->root);
   }
 
  private:
@@ -78,6 +92,14 @@ class PlannerImpl {
     if (IsVar(t.s)) InternVar(AsVar(t.s).name);
     if (IsVar(t.p)) InternVar(AsVar(t.p).name);
     if (IsVar(t.o)) InternVar(AsVar(t.o).name);
+  }
+
+  void AssignOrdinalSlots(GroupPlan* g) {
+    for (GroupPlan& u : g->union_branches) AssignOrdinalSlots(&u);
+    for (GroupPlan& o : g->optionals) {
+      o.ordinal_slot = static_cast<SlotId>(plan_->num_slots++);
+      AssignOrdinalSlots(&o);
+    }
   }
 
   void CollectPatternVars(const GraphPattern& group) {
@@ -234,10 +256,14 @@ class PlannerImpl {
         const double hash_cost =
             kHashBuildCost * st.est_build_rows + kHashProbeCost * in_est;
         bool pick_hash = hash_cost < nlj_cost;
-        // Optional groups are re-evaluated once per parent solution, so a
-        // hash step here would rebuild its table per row — quadratic, never
-        // a win. Under kAuto they always use NLJ; a forced kHash still
-        // applies (the parity tests rely on forcing both strategies).
+        // Optional steps stay NLJ under kAuto. Their parents arrive after
+        // filters the estimate cannot see (`in_est` ignores FILTER
+        // selectivity), so the model overrates the probe side and picks a
+        // hash build over every match for a few surviving parents. At
+        // 4,000 entities, single-threaded, the filtered label OPTIONAL
+        // runs ~0.2 ms NLJ vs ~0.7 ms hash; unfiltered, the two are
+        // within run-to-run noise of each other (bench/e10_sparql Part
+        // F). A forced kHash still applies.
         if (in_optional) pick_hash = false;
         if (options_.force_join == JoinForce::kNestedLoop) pick_hash = false;
         if (options_.force_join == JoinForce::kHash) pick_hash = true;
@@ -280,11 +306,15 @@ class PlannerImpl {
                 /*in_optional=*/true);
     }
 
-    out->filters.reserve(group.filters.size());
-    out->batch_filters.reserve(group.filters.size());
+    // A filter reading only certainly-bound variables goes below the
+    // optionals; one reading an optional (or otherwise maybe-unbound)
+    // variable stays after them.
     for (const ExprPtr& f : group.filters) {
-      out->filters.push_back(CompileExpr(*f));
-      out->batch_filters.push_back(SpecializeFilterForBatch(out->filters.back()));
+      FilterList& list = !group.optionals.empty() && ReadsOnly(*f, bound)
+                             ? out->pre_filters
+                             : out->filters;
+      list.exprs.push_back(CompileExpr(*f));
+      list.specs.push_back(SpecializeFilterForBatch(list.exprs.back()));
     }
     return bound;
   }
@@ -296,6 +326,10 @@ class PlannerImpl {
 
 void AppendGroup(const GroupPlan& g, int depth, std::string* out) {
   std::string indent(static_cast<size_t>(depth) * 2, ' ');
+  auto append_filters = [&](const FilterList& f) {
+    if (f.empty()) return;
+    *out += indent + "filter x" + std::to_string(f.size()) + "\n";
+  };
   for (const PatternStep& st : g.steps) {
     const bool hash = st.strategy == JoinStrategy::kHash;
     *out += indent + (hash ? "hash-join " : "scan ") + st.label +
@@ -309,13 +343,12 @@ void AppendGroup(const GroupPlan& g, int depth, std::string* out) {
     *out += indent + "union branch:\n";
     AppendGroup(u, depth + 1, out);
   }
+  append_filters(g.pre_filters);
   for (const GroupPlan& o : g.optionals) {
     *out += indent + "optional:\n";
     AppendGroup(o, depth + 1, out);
   }
-  if (!g.filters.empty()) {
-    *out += indent + "filter x" + std::to_string(g.filters.size()) + "\n";
-  }
+  append_filters(g.filters);
 }
 
 }  // namespace
@@ -389,7 +422,12 @@ std::string QueryPlan::ToString() const {
     if (i) out += " ";
     out += "?" + slot_names[i];
   }
-  out += "]\n";
+  out += "]";
+  if (num_slots > slot_names.size()) {
+    out += " +" + std::to_string(num_slots - slot_names.size()) +
+           " optional ordinal";
+  }
+  out += "\n";
   AppendGroup(root, 1, &out);
   return out;
 }

@@ -116,27 +116,47 @@ struct BatchFilterSpec {
 /// on the right so the spec is always `slot <op> rhs`.
 [[nodiscard]] BatchFilterSpec SpecializeFilterForBatch(const CompiledExpr& e);
 
-/// A group graph pattern compiled against one TripleSource: triple steps
-/// in execution order, then union branches, optionals, and filters —
-/// mirroring the evaluation order of GraphPattern.
+/// A list of compiled FILTER expressions, applied as one conjunction.
+struct FilterList {
+  std::vector<CompiledExpr> exprs;
+  /// Parallel to `exprs`: the batch executor's plan-time specialization
+  /// of each expression.
+  std::vector<BatchFilterSpec> specs;
+
+  [[nodiscard]] bool empty() const { return exprs.empty(); }
+  [[nodiscard]] size_t size() const { return exprs.size(); }
+};
+
+/// A group graph pattern compiled against one TripleSource, in execution
+/// order: triple steps, union branches, the filters pushed below the
+/// optionals, the optionals, then the remaining filters.
 struct GroupPlan {
   std::vector<PatternStep> steps;
-  std::vector<CompiledExpr> filters;
-  /// Parallel to `filters`: the batch executor's plan-time specialization
-  /// of each expression (batch-aware operator wiring; ignored by the row
-  /// engine).
-  std::vector<BatchFilterSpec> batch_filters;
   std::vector<GroupPlan> union_branches;
+  /// FILTERs of a group with optionals whose every variable is certainly
+  /// bound by `steps` and `union_branches` (var-free filters included).
+  /// An OPTIONAL never rebinds such a variable and filtering keeps row
+  /// order, so running them before the optionals is exact — and the
+  /// optionals then extend only the surviving rows.
+  FilterList pre_filters;
   std::vector<GroupPlan> optionals;
+  FilterList filters;
+  /// Set on an optional group: the hidden slot the left-outer join writes
+  /// each parent row's ordinal into (see QueryPlan::num_slots). kNoSlot
+  /// elsewhere.
+  SlotId ordinal_slot = kNoSlot;
 };
 
 /// A compiled query: slot table + operator tree. Produced by PlanQuery;
 /// consumed by the Executor and (rendered) by explore/explain.
 struct QueryPlan {
-  /// Width of every binding row.
+  /// Width of every binding row: the variable slots, then one hidden
+  /// ordinal slot per optional group (GroupPlan::ordinal_slot). Hidden
+  /// slots have no name, so no projection, template or GROUP BY can reach
+  /// them.
   size_t num_slots = 0;
 
-  /// SlotId -> variable name.
+  /// SlotId -> variable name, for the variable slots [0, slot_names.size()).
   std::vector<std::string> slot_names;
 
   /// Variables appearing in triple-pattern positions of the WHERE clause,

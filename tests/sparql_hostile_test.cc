@@ -229,6 +229,59 @@ TEST(SparqlBudgetTest, RowBudgetMapsToResourceExhausted) {
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
 }
 
+// An OPTIONAL is one left-outer join over all of its parents, not a loop
+// that re-checks the budget per parent row; both budgets must still stop
+// it from inside the optional group.
+std::string OptionalBudgetDoc(int n) {
+  std::string doc;
+  for (int i = 0; i < n; ++i) {
+    const std::string s = "<http://x/s" + std::to_string(i) + ">";
+    doc += s + " <http://x/p> <http://x/o" + std::to_string(i) + "> .\n";
+    doc += s + " <http://x/label> \"s" + std::to_string(i) + "\" .\n";
+  }
+  return doc;
+}
+
+TEST(SparqlBudgetTest, OptionalOverManyParentsHonorsRowBudget) {
+  rdf::TripleStore store;
+  LODVIZ_CHECK_OK(rdf::LoadNTriplesString(OptionalBudgetDoc(200), &store)
+                      .status());
+  const char* q =
+      "SELECT ?s ?l WHERE { ?s <http://x/p> ?o . "
+      "OPTIONAL { ?s <http://x/label> ?l . } }";
+  // The required step makes 200 rows and the optional's label step 200
+  // more: a cap of 300 passes the first and trips inside the optional.
+  QueryEngine::Options options;
+  options.budget.max_intermediate_rows = 300;
+  QueryEngine engine(&store, options);
+  QueryStats stats;
+  auto result = engine.ExecuteString(q, &stats);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_GT(stats.intermediate_rows, 300u);
+
+  QueryEngine unlimited(&store);
+  auto full = unlimited.ExecuteString(q);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_EQ(full->num_rows(), 200u);
+}
+
+TEST(SparqlBudgetTest, OptionalOverManyParentsHonorsTimeBudget) {
+  rdf::TripleStore store;
+  LODVIZ_CHECK_OK(rdf::LoadNTriplesString(OptionalBudgetDoc(1000), &store)
+                      .status());
+  // The optional group shares no variable with its 1,000 parents, so each
+  // one extends by all 1,000 labels: a million rows, far past 2 ms.
+  QueryEngine::Options options;
+  options.budget.time_budget_us = 2000;
+  QueryEngine engine(&store, options);
+  auto result = engine.ExecuteString(
+      "SELECT ?s ?l WHERE { ?s <http://x/p> ?o . "
+      "OPTIONAL { ?x <http://x/label> ?l . } }");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+}
+
 TEST(SparqlBudgetTest, UnlimitedBudgetChangesNothing) {
   rdf::TripleStore store;
   LODVIZ_CHECK_OK(

@@ -97,6 +97,31 @@ const char* kSelectQueries[] = {
     "SELECT ?s ?n WHERE { ?s ?p ?o . ?s <http://x/name> ?n . }",
     "SELECT ?s WHERE { ?s a <http://x/Person> . ?s <http://x/age> ?a . "
     "FILTER(?a < 36) }",
+    // OPTIONAL shapes. The left-outer join evaluates each optional group
+    // once over all parent rows and must still emit exactly the
+    // parent-at-a-time order; a FILTER over certainly-bound variables runs
+    // before the optionals.
+    "SELECT ?s ?w WHERE { ?s <http://x/age> ?a . "
+    "OPTIONAL { ?s <http://x/worksAt> ?w . } FILTER(?a < 36) }",
+    "SELECT ?o ?s WHERE { <http://x/alice> ?p ?o . OPTIONAL { ?s a ?o . } }",
+    "SELECT ?s ?f ?fa WHERE { ?s a <http://x/Person> . "
+    "OPTIONAL { ?s <http://x/knows> ?f . ?f <http://x/age> ?fa . "
+    "FILTER(?fa > 36) } }",
+    "SELECT ?s ?v WHERE { ?s a <http://x/Person> . "
+    "OPTIONAL { { ?s <http://x/city> ?v . } UNION "
+    "{ ?s <http://x/worksAt> ?v . } } }",
+    "SELECT ?s ?f ?c WHERE { ?s a <http://x/Person> . "
+    "OPTIONAL { ?s <http://x/knows> ?f . "
+    "OPTIONAL { ?f <http://x/city> ?c . } } }",
+    "SELECT ?s ?w WHERE { ?s <http://x/age> ?a . "
+    "OPTIONAL { ?s <http://x/worksAt> ?w . } "
+    "FILTER(?a > 32) FILTER(!BOUND(?w)) }",
+    "SELECT ?s ?c ?w WHERE { { ?s <http://x/city> ?c . } UNION "
+    "{ ?s <http://x/worksAt> ?w . } OPTIONAL { ?s <http://x/name> ?c . } "
+    "FILTER(?c != \"Athens\") }",
+    // Solution modifiers apply after GROUP BY, over the aggregate aliases.
+    "SELECT ?t (COUNT(*) AS ?n) WHERE { ?s a ?t . } GROUP BY ?t "
+    "ORDER BY DESC(?n) ?t LIMIT 1",
 };
 
 const char* kGraphQueries[] = {

@@ -516,17 +516,93 @@ TEST_F(EngineFixture, ProfileCoversUnionOptionalAndFilter) {
       &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   const obs::OperatorProfile& root = stats.profile.root;
-  // Layout: [step][union][union][optional][filter].
+  // Layout: [step][union][union][pre-filter][optional]. FILTER(?a > 20)
+  // reads only ?a, which the required step binds, so it runs below the
+  // OPTIONAL.
   ASSERT_EQ(root.children.size(), 5u);
   EXPECT_EQ(root.children[1].op, "union");
   EXPECT_EQ(root.children[2].op, "union");
-  EXPECT_EQ(root.children[3].op, "optional");
-  EXPECT_EQ(root.children[4].op, "filter");
+  EXPECT_EQ(root.children[3].op, "filter");
+  EXPECT_EQ(root.children[4].op, "optional");
   // Union branches and the optional mirror their sub-plans.
   EXPECT_EQ(root.children[1].children.size(), 1u);
-  EXPECT_EQ(root.children[3].children.size(), 1u);
+  EXPECT_EQ(root.children[4].children.size(), 1u);
   // The filter saw the post-union solutions and kept all adults.
-  EXPECT_GT(root.children[4].invocations, 0u);
+  EXPECT_GT(root.children[3].invocations, 0u);
+  EXPECT_EQ(root.children[3].actual_rows, 3u);
+  // The optional ran once, as one left-outer join over those 3 rows.
+  EXPECT_EQ(root.children[4].invocations, 1u);
+}
+
+TEST_F(EngineFixture, ExplainPlacesPushedFilterBelowOptional) {
+  // ?a is certainly bound: its filter prints before the optional. !BOUND(?w)
+  // reads the optional's variable: it stays after it.
+  auto plan = engine_->ExplainString(
+      "SELECT ?s WHERE { ?s <http://x/age> ?a . "
+      "OPTIONAL { ?s <http://x/worksAt> ?w . } "
+      "FILTER(?a > 32) FILTER(!BOUND(?w)) }");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const std::string& text = plan.ValueOrDie();
+  const size_t first_filter = text.find("filter x1");
+  const size_t optional = text.find("optional:");
+  ASSERT_NE(first_filter, std::string::npos) << text;
+  ASSERT_NE(optional, std::string::npos) << text;
+  EXPECT_LT(first_filter, optional) << text;
+  EXPECT_NE(text.find("filter x1", optional), std::string::npos) << text;
+  EXPECT_NE(text.find("+1 optional ordinal"), std::string::npos) << text;
+
+  // A var-free filter is pushed; one on a variable bound in only one union
+  // branch is not.
+  auto filter_before_optional = [&](const std::string& q) {
+    auto p = engine_->ExplainString(q);
+    EXPECT_TRUE(p.ok()) << p.status().ToString();
+    const std::string& t = p.ValueOrDie();
+    return t.find("filter x1") < t.find("optional:");
+  };
+  EXPECT_TRUE(filter_before_optional(
+      "SELECT ?s WHERE { ?s <http://x/age> ?a . "
+      "OPTIONAL { ?s <http://x/worksAt> ?w . } FILTER(1 < 2) }"));
+  EXPECT_FALSE(filter_before_optional(
+      "SELECT ?s WHERE { { ?s <http://x/city> ?c . } UNION "
+      "{ ?s <http://x/worksAt> ?w . } "
+      "OPTIONAL { ?s <http://x/name> ?c . } FILTER(?c != \"Athens\") }"));
+}
+
+TEST_F(EngineFixture, ExplainAnalyzeCountsOptionalPerOperatorNotPerRow) {
+  // The OPTIONAL is one left-outer join over all its parents, so its node
+  // and the label scan inside it each run once, whatever the parent count;
+  // the pushed filter in front of it reports the rows it kept.
+  auto line_of = [](const std::string& report, const std::string& prefix) {
+    const size_t at = report.find("\n" + prefix);
+    if (at == std::string::npos) return std::string();
+    return report.substr(at + 1, report.find('\n', at + 1) - at - 1);
+  };
+  auto r = engine_->ExplainAnalyzeString(
+      "SELECT ?s ?n WHERE { ?s <http://x/age> ?a . "
+      "OPTIONAL { ?s <http://x/name> ?n . } FILTER(?a < 32) }");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const std::string& report = r.ValueOrDie();
+  const std::string filter = line_of(report, "  filter x1");
+  const std::string optional = line_of(report, "  optional");
+  const std::string label_scan = line_of(report, "    scan ?s <http://x/name>");
+  EXPECT_NE(filter.find("act=1 "), std::string::npos) << report;
+  EXPECT_NE(optional.find("act=1 "), std::string::npos) << report;
+  EXPECT_NE(optional.find("inv=1 "), std::string::npos) << report;
+  EXPECT_NE(label_scan.find("inv=1 "), std::string::npos) << report;
+
+  // Without a filter, all three adults reach the OPTIONAL: still one
+  // invocation of the operator, which probes the label once per parent.
+  r = engine_->ExplainAnalyzeString(
+      "SELECT ?s ?n WHERE { ?s <http://x/age> ?a . "
+      "OPTIONAL { ?s <http://x/name> ?n . } }");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const std::string& all = r.ValueOrDie();
+  EXPECT_NE(line_of(all, "  optional").find("act=3  inv=1 "),
+            std::string::npos)
+      << all;
+  EXPECT_NE(line_of(all, "    scan ?s <http://x/name>").find("inv=3 "),
+            std::string::npos)
+      << all;
 }
 
 TEST_F(EngineFixture, ProfileWorksForGraphForms) {

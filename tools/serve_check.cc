@@ -103,7 +103,8 @@ int main() {
   engine.LoadSynthetic(synth);
 
   // A mix covering the planner paths the cache must not perturb: BGP
-  // joins, FILTER, OPTIONAL, ORDER BY + LIMIT, aggregation, ASK.
+  // joins, FILTER, OPTIONAL (with a FILTER pushed below it), ORDER BY +
+  // LIMIT, aggregation, ASK.
   const std::vector<std::string> queries = {
       "SELECT ?s ?p ?o WHERE { ?s ?p ?o } LIMIT 25",
       "PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>\n"
@@ -116,6 +117,11 @@ int main() {
       "PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>\n"
       "SELECT ?s ?label WHERE { ?s lod:age ?a . "
       "OPTIONAL { ?s rdfs:label ?label } } ORDER BY ?s LIMIT 15",
+      "PREFIX lod: <http://lod.example/ontology/>\n"
+      "PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>\n"
+      "SELECT ?s ?label WHERE { ?s lod:age ?a . "
+      "OPTIONAL { ?s rdfs:label ?label } FILTER(?a < 20) } "
+      "ORDER BY ?s LIMIT 15",
       "PREFIX lod: <http://lod.example/ontology/>\n"
       "SELECT ?cat (COUNT(?s) AS ?n) WHERE { ?s lod:category ?cat } "
       "GROUP BY ?cat ORDER BY DESC(?n) ?cat",
