@@ -43,17 +43,17 @@ const char* kQueries[] = {
 };
 
 // Bench-local reconstruction of the pre-striping storage behavior: one
-// mutex around every Scan/Count, exactly how DiskSourceAdapter used to
+// mutex around every scan and Count, exactly how DiskSourceAdapter used to
 // serialize concurrent BGP probes before the buffer pool was striped.
 // Part D measures what removing it bought.
 class SerializedSource : public rdf::TripleSource {
  public:
   explicit SerializedSource(const rdf::TripleSource* inner) : inner_(inner) {}
 
-  void Scan(const rdf::TriplePattern& pattern,
-            const ScanFn& fn) const override {
+  void ScanRuns(const rdf::TriplePattern& pattern,
+                const ScanRunFn& fn) const override {
     std::lock_guard<std::mutex> lock(mu_);
-    inner_->Scan(pattern, fn);
+    inner_->ScanRuns(pattern, fn);
   }
 
   [[nodiscard]] uint64_t Count(const rdf::TriplePattern& pattern)

@@ -78,11 +78,12 @@ int Run() {
     uint64_t touched = 0;
     for (int q = 0; q < 100; ++q) {
       rdf::TermId s = static_cast<rdf::TermId>(1 + rng.Uniform(entities));
-      LODVIZ_CHECK_OK(disk.Scan({s, rdf::kInvalidTermId, rdf::kInvalidTermId},
-                                [&](const rdf::Triple&) {
-                                  ++touched;
-                                  return true;
-                                }));
+      LODVIZ_CHECK_OK(
+          disk.ScanRuns({s, rdf::kInvalidTermId, rdf::kInvalidTermId},
+                        [&](const rdf::Triple*, size_t n) {
+                          touched += n;
+                          return true;
+                        }));
     }
     double lookup_ms = sw.ElapsedMillis();
     (void)touched;
@@ -125,18 +126,20 @@ int Run() {
     Stopwatch sw;
     for (int q = 0; q < 100; ++q) {
       rdf::TermId s = static_cast<rdf::TermId>(1 + rng.Uniform(100000));
-      disk.Count({s, rdf::kInvalidTermId, rdf::kInvalidTermId});
+      LODVIZ_CHECK_OK(
+          disk.Count({s, rdf::kInvalidTermId, rdf::kInvalidTermId}));
     }
     const auto preds = mem.predicate_counts();
     int scans = 0;
     for (const auto& [pred, count] : preds) {
       if (scans++ >= 20) break;
       uint64_t n = 0;
-      LODVIZ_CHECK_OK(disk.Scan({rdf::kInvalidTermId, pred, rdf::kInvalidTermId},
-                                [&](const rdf::Triple&) {
-                                  ++n;
-                                  return n < 5000;
-                                }));
+      LODVIZ_CHECK_OK(
+          disk.ScanRuns({rdf::kInvalidTermId, pred, rdf::kInvalidTermId},
+                        [&](const rdf::Triple*, size_t run) {
+                          n += run;
+                          return n < 5000;
+                        }));
     }
     double workload_ms = sw.ElapsedMillis();
     pools.AddRow({FormatCount(pages),

@@ -1,33 +1,17 @@
 #include "rdf/triple_source.h"
 
 #include <algorithm>
-#include <vector>
 
 namespace lodviz::rdf {
 
-namespace {
-/// Default ScanRuns chunk size: matches the executor's column-batch
-/// granularity so a buffered source still feeds whole batches.
-constexpr size_t kRunChunk = 1024;
-}  // namespace
-
-void TripleSource::ScanRuns(const TriplePattern& pattern,
-                            const ScanRunFn& fn) const {
-  std::vector<Triple> buf;
-  buf.reserve(kRunChunk);
-  bool stopped = false;
-  Scan(pattern, [&](const Triple& t) {
-    buf.push_back(t);
-    if (buf.size() == kRunChunk) {
-      if (!fn(buf.data(), buf.size())) {
-        stopped = true;
-        return false;
-      }
-      buf.clear();
+void TripleSource::Scan(const TriplePattern& pattern,
+                        const ScanFn& fn) const {
+  ScanRuns(pattern, [&](const Triple* run, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      if (!fn(run[i])) return false;
     }
     return true;
   });
-  if (!stopped && !buf.empty()) fn(buf.data(), buf.size());
 }
 
 uint64_t TripleSource::PairCount(TermId s, TermId p) const {

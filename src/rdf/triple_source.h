@@ -17,26 +17,33 @@ namespace lodviz::rdf {
 /// that engines "retrieve data dynamically during runtime" from disk
 /// structures instead of being welded to one resident representation.
 ///
-/// ## The Scan contract (canonical; implementations reference this)
+/// ## The scan contract (canonical; implementations reference this)
 ///
-/// `Scan(pattern, fn)` streams every triple matching `pattern`
-/// (kInvalidTermId fields are wildcards) to `fn`:
+/// `ScanRuns(pattern, fn)` is the one scan primitive a backend
+/// implements. It streams every triple matching `pattern`
+/// (kInvalidTermId fields are wildcards) to `fn` in contiguous runs:
 ///
 ///  - **Early exit:** `fn` returns `true` to continue and `false` to stop
-///    the scan immediately; no further triples are delivered after a
-///    `false` return.
+///    the scan immediately; no further run is delivered after a `false`
+///    return.
 ///  - **Order:** matches arrive in the order of the best index for the
 ///    pattern's bound positions. All lodviz sources index (s,p,o) and
-///    (p,o,s) prefixes identically, so for any pattern the delivery order
-///    is a pure function of the data — never of the backend. This is what
-///    makes query execution bit-identical across memory and disk.
+///    (p,o,s) prefixes identically, so for any pattern the concatenation
+///    of the runs is a pure function of the data — never of the backend
+///    or of where one run ends. This is what makes query execution
+///    bit-identical across memory and disk.
+///  - **Lifetime:** run pointers are only valid during the callback.
 ///  - **Reentrancy:** `fn` may call back into the same source (for
-///    example `Count` or a nested `Scan`); no implementation holds a lock
+///    example `Count` or a nested scan); no implementation holds a lock
 ///    while `fn` runs.
-///  - **Thread-safety:** concurrent `Scan` calls on one source must be
-///    safe and must not wait on each other's callbacks. The memory store
-///    scans immutable snapshots; the disk adapter scans B-trees over the
+///  - **Thread-safety:** concurrent scans on one source must be safe and
+///    must not wait on each other's callbacks. The memory store scans
+///    immutable snapshots; the disk adapter scans B-trees over the
 ///    lock-striped buffer pool, so disjoint scans run in parallel.
+///
+/// `Scan(pattern, fn)` is the per-triple form, defined once here as the
+/// loop over ScanRuns: the same triples in the same order, and nothing
+/// delivered after `fn` returns false, even in the middle of a run.
 class TripleSource {
  public:
   using ScanFn = std::function<bool(const Triple&)>;
@@ -44,17 +51,15 @@ class TripleSource {
 
   virtual ~TripleSource() = default;
 
-  /// Streams matches of `pattern` to `fn` under the contract above.
-  virtual void Scan(const TriplePattern& pattern, const ScanFn& fn) const = 0;
+  /// Streams matches of `pattern` to `fn` one triple at a time (see the
+  /// contract above). Backends do not override it; it is virtual only so
+  /// that a timing decorator can wrap it.
+  virtual void Scan(const TriplePattern& pattern, const ScanFn& fn) const;
 
-  /// Run-granular Scan: delivers matches in contiguous runs whose
-  /// concatenation is exactly the Scan sequence (early exit: return false
-  /// to stop after the current run). Run pointers are only valid during
-  /// the callback. Backends override this to hand out index-resident or
-  /// leaf-decoded runs without per-triple callback overhead; the default
-  /// buffers Scan output into ~1k-triple chunks.
+  /// Streams matches of `pattern` to `fn` in runs under the contract
+  /// above: the scan primitive every backend implements.
   virtual void ScanRuns(const TriplePattern& pattern,
-                        const ScanRunFn& fn) const;
+                        const ScanRunFn& fn) const = 0;
 
   /// Number of triples matching `pattern`.
   [[nodiscard]] virtual uint64_t Count(const TriplePattern& pattern) const = 0;

@@ -210,17 +210,6 @@ void TripleStore::ScanRuns(const TriplePattern& pattern,
   }
 }
 
-void TripleStore::Scan(const TriplePattern& pattern, const ScanFn& fn) const {
-  // Per-triple delivery is the run delivery unrolled, so both entry points
-  // share one index-selection path (and provably one order).
-  ScanRuns(pattern, [&](const Triple* run, size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      if (!fn(run[i])) return false;
-    }
-    return true;
-  });
-}
-
 std::vector<Triple> TripleStore::Match(const TriplePattern& pattern) const {
   std::vector<Triple> out;
   ScanRuns(pattern, [&](const Triple* run, size_t n) {

@@ -18,7 +18,7 @@ namespace lodviz::rdf {
 /// In-memory triple store that answers every read from an immutable,
 /// sorted snapshot: three permutation indexes (SPO, POS, OSP) plus exact
 /// statistics, all deduplicated. Implements the TripleSource query
-/// contract (see triple_source.h for the canonical Scan early-exit and
+/// contract (see triple_source.h for the canonical scan early-exit and
 /// ordering semantics).
 ///
 /// The survey's "dynamic setting" precludes heavyweight preprocessing:
@@ -65,16 +65,10 @@ class TripleStore : public TripleSource {
   /// Distinct triples.
   [[nodiscard]] uint64_t size() const override LODVIZ_EXCLUDES(mu_);
 
-  /// Streams matches of `pattern` to `fn` under the TripleSource Scan
-  /// contract (triple_source.h): `fn` returns false to stop early. Uses
-  /// the best permutation index of the current snapshot.
-  void Scan(const TriplePattern& pattern, const ScanFn& fn) const override
-      LODVIZ_EXCLUDES(mu_);
-
-  /// Run-granular Scan (TripleSource contract): delivers maximal
-  /// contiguous matching spans of the chosen sorted index — zero-copy
-  /// pointers into the snapshot, which stays alive for the whole scan.
-  /// The run concatenation is exactly the Scan sequence.
+  /// TripleSource scan primitive (triple_source.h): delivers maximal
+  /// contiguous matching spans of the best permutation index of the
+  /// current snapshot — zero-copy pointers into the snapshot, which stays
+  /// alive for the whole scan.
   void ScanRuns(const TriplePattern& pattern, const ScanRunFn& fn) const
       override LODVIZ_EXCLUDES(mu_);
 

@@ -64,8 +64,8 @@ struct FrontendOptions {
   /// budget surfaces as kBudgetExceeded. Unlimited by default.
   sparql::ExecBudget budget;
 
-  /// Engine knobs for the serving engine (join ordering etc.); `profile`
-  /// and `budget` inside it are overridden by this struct's fields.
+  /// Engine knobs for the serving engine (join ordering, profiling);
+  /// its `budget` is overridden by this struct's `budget`.
   sparql::QueryEngine::Options engine;
 };
 

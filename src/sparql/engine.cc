@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -152,6 +151,42 @@ int CompareCellsForOrder(const Term& a, const Term& b) {
   }
 }
 
+/// An ORDER BY key resolved to an output column.
+struct OrderColumn {
+  size_t column;
+  bool ascending;
+};
+
+/// Resolves the ORDER BY keys to output columns, first match wins. A key
+/// naming no output column is dropped: it would compare every pair as
+/// equal.
+std::vector<OrderColumn> OrderColumns(const Query& query,
+                                      const std::vector<std::string>& columns) {
+  std::vector<OrderColumn> keys;
+  for (const OrderKey& k : query.order_by) {
+    for (size_t c = 0; c < columns.size(); ++c) {
+      if (columns[c] == k.var) {
+        keys.push_back({c, k.ascending});
+        break;
+      }
+    }
+  }
+  return keys;
+}
+
+/// One ORDER BY key over two cells, null meaning unbound: negative when
+/// `a` sorts first, positive when `b` does. Unbound sorts before every
+/// bound term ascending and after them descending.
+int CompareOrderKey(const Term* a, const Term* b, bool ascending) {
+  int c;
+  if (a == nullptr || b == nullptr) {
+    c = (a == nullptr ? 0 : 1) - (b == nullptr ? 0 : 1);
+  } else {
+    c = CompareCellsForOrder(*a, *b);
+  }
+  return ascending ? c : -c;
+}
+
 /// [begin, end) of the OFFSET/LIMIT window over `n` ordered rows.
 std::pair<size_t, size_t> SliceWindow(const Query& query, size_t n) {
   const size_t begin =
@@ -170,68 +205,91 @@ PlannerOptions ToPlannerOptions(const QueryEngine::Options& o) {
   return p;
 }
 
-/// LODVIZ_PROFILE (non-empty, not "0") force-enables profiling for every
-/// engine in the process regardless of Options::profile — the parity gate
-/// in scripts/check.sh runs the suite under it to pin that profiling never
-/// perturbs results. Read once; afterwards the check is one static load.
-bool ProfilingForced() {
-  static const bool forced = [] {
-    const char* v = std::getenv("LODVIZ_PROFILE");
-    return v != nullptr && *v != '\0' && std::string_view(v) != "0";
-  }();
-  return forced;
-}
-
-/// Evaluates the plan's root group from a single all-unbound seed row.
-std::vector<ColumnBatch> RunRootGroup(Executor& executor,
-                                      const QueryPlan& plan) {
-  const size_t width = RowWidth(plan);
-  std::vector<ColumnBatch> seeds(1, ColumnBatch(width));
-  const std::vector<TermId> empty_row(width, kInvalidTermId);
-  seeds[0].AppendRow(empty_row.data());
-  return executor.EvalGroupBatches(plan.root, seeds);
-}
-
-/// Shared tail of both execution paths, run from the ExecFold destructor
-/// on every exit: publishes the profile into `stats` and journals the
+/// Everything one execution records, whatever its form. Constructing it
+/// counts the query, starts the clock and (with profiling on) builds the
+/// plan's profile skeleton; destroying it, on every exit path — answer,
+/// blown budget or error — records latency, output and intermediate rows,
+/// publishes the profile into the caller's QueryStats and journals the
 /// query when it crosses the slow-query threshold. With profiling off and
-/// the journal disabled (or the query fast) this returns after two cheap
-/// tests — in particular the fingerprint's AST walk is never paid.
-void FinalizeObservability(const Query& query, std::string_view text,
-                           double latency_us, uint64_t rows_out,
-                           uint64_t intermediate_rows,
-                           obs::OperatorProfile* skeleton,
-                           QueryStats* stats) {
-  obs::QueryLog& journal = obs::QueryLog::Global();
-  const bool journaled = journal.ShouldRecord(latency_us);
-  if (skeleton == nullptr && !journaled) return;
+/// the journal disabled (or the query fast) the destructor returns after
+/// two cheap tests; in particular the fingerprint's AST walk is never paid.
+class ExecFold {
+ public:
+  ExecFold(const Query& query, const QueryPlan& plan, bool profiling,
+           std::string_view text, QueryStats* stats)
+      : metrics_(SparqlMetrics::Get()),
+        query_(query),
+        text_(text),
+        stats_(stats),
+        profiling_(profiling) {
+    metrics_.queries.Increment();
+    if (profiling_) skeleton_ = BuildProfileSkeleton(plan.root);
+  }
 
-  obs::QueryProfile profile;
-  profile.fingerprint = QueryFingerprint(query);
-  profile.total_ns = static_cast<int64_t>(latency_us * 1e3);
-  profile.rows_out = rows_out;
-  profile.intermediate_rows = intermediate_rows;
-  profile.profiled = skeleton != nullptr;
-  if (skeleton != nullptr) profile.root = std::move(*skeleton);
-  if (stats != nullptr) {
-    stats->fingerprint = profile.fingerprint;
+  ExecFold(const ExecFold&) = delete;
+  ExecFold& operator=(const ExecFold&) = delete;
+
+  ~ExecFold() {
+    const double us = sw_.ElapsedMicros();
+    metrics_.intermediate_rows.Increment(intermediate_rows);
+    metrics_.rows_out.Increment(rows_out);
+    metrics_.execute_us.RecordDouble(us);
+    if (stats_ != nullptr) {
+      stats_->intermediate_rows = intermediate_rows;
+      stats_->rows_out = rows_out;
+      stats_->latency_us = us;
+    }
+    obs::QueryLog& journal = obs::QueryLog::Global();
+    const bool journaled = journal.ShouldRecord(us);
+    if (!profiling_ && !journaled) return;
+
+    obs::QueryProfile profile;
+    profile.fingerprint = QueryFingerprint(query_);
+    profile.total_ns = static_cast<int64_t>(us * 1e3);
+    profile.rows_out = rows_out;
+    profile.intermediate_rows = intermediate_rows;
+    profile.profiled = profiling_;
+    if (profiling_) profile.root = std::move(skeleton_);
+    if (stats_ != nullptr) {
+      stats_->fingerprint = profile.fingerprint;
+      if (journaled) {
+        stats_->profile = profile;
+      } else {
+        stats_->profile = std::move(profile);
+      }
+    }
     if (journaled) {
-      stats->profile = profile;
-    } else {
-      stats->profile = std::move(profile);
+      obs::QueryLogEntry entry;
+      entry.fingerprint = profile.fingerprint;
+      entry.query = std::string(text_);
+      entry.latency_us = us;
+      entry.rows_out = rows_out;
+      entry.intermediate_rows = intermediate_rows;
+      entry.profile = std::move(profile);
+      journal.Record(std::move(entry));
     }
   }
-  if (journaled) {
-    obs::QueryLogEntry entry;
-    entry.fingerprint = profile.fingerprint;
-    entry.query = std::string(text);
-    entry.latency_us = latency_us;
-    entry.rows_out = rows_out;
-    entry.intermediate_rows = intermediate_rows;
-    entry.profile = std::move(profile);
-    journal.Record(std::move(entry));
+
+  /// The profile tree to record into; null when profiling is off.
+  obs::OperatorProfile* profile() {
+    return profiling_ ? &skeleton_ : nullptr;
   }
-}
+
+  /// Set by the execution before it returns; the answer itself may
+  /// already have been moved into the returned Result when the destructor
+  /// runs.
+  uint64_t rows_out = 0;
+  uint64_t intermediate_rows = 0;
+
+ private:
+  SparqlMetrics& metrics_;
+  const Query& query_;
+  std::string_view text_;
+  QueryStats* stats_;
+  bool profiling_;
+  obs::OperatorProfile skeleton_;
+  Stopwatch sw_;
+};
 
 }  // namespace
 
@@ -285,78 +343,53 @@ Result<std::string> QueryEngine::ExplainString(std::string_view text) const {
   return Explain(q);
 }
 
+Result<std::vector<ColumnBatch>> QueryEngine::Evaluate(
+    const QueryPlan& plan, obs::OperatorProfile* prof,
+    uint64_t* intermediate_rows) const {
+  const size_t width = RowWidth(plan);
+  Executor executor(source_, width, prof, options_.budget);
+  obs::OperatorTimer timer(prof);
+  std::vector<ColumnBatch> seeds(1, ColumnBatch(width));
+  const std::vector<TermId> empty_row(width, kInvalidTermId);
+  seeds[0].AppendRow(empty_row.data());
+  std::vector<ColumnBatch> solutions =
+      executor.EvalGroupBatches(plan.root, seeds);
+  timer.Finish(TotalActiveRows(solutions));
+  *intermediate_rows = executor.intermediate_rows();
+  // A blown budget leaves a deliberately truncated solution table; discard
+  // it (the caller's ExecFold still records latency and journals the
+  // query).
+  if (executor.budget_exhausted()) {
+    return Status::ResourceExhausted("query exceeded its execution budget");
+  }
+  return solutions;
+}
+
 Result<std::vector<rdf::ParsedTriple>> QueryEngine::ExecuteGraphImpl(
     const Query& query, QueryStats* stats, std::string_view text) const {
+  if (query.form != QueryForm::kConstruct &&
+      query.form != QueryForm::kDescribe) {
+    return Status::InvalidArgument(
+        "ExecuteGraph expects a CONSTRUCT or DESCRIBE query");
+  }
+  const QueryPlan plan = Plan(query);
   LODVIZ_TRACE_SPAN("sparql.execute");
-  SparqlMetrics& metrics = SparqlMetrics::Get();
-  metrics.queries.Increment();
-  Stopwatch sw;
+  ExecFold fold(query, plan, options_.profile, text, stats);
   const rdf::Dictionary& dict = source_->dict();
   std::vector<rdf::ParsedTriple> out;
-
-  const bool profiling = options_.profile || ProfilingForced();
-  QueryPlan plan = PlanQuery(query, *source_, ToPlannerOptions(options_));
-  obs::OperatorProfile skeleton;
-  if (profiling) skeleton = BuildProfileSkeleton(plan.root);
-  obs::OperatorProfile* prof = profiling ? &skeleton : nullptr;
-  uint64_t intermediate = 0;
-  // Counted separately from `out`: `return out;` moves the vector into the
-  // Result before the fold below destructs, so out.size() would read the
-  // moved-from (empty) vector there.
-  uint64_t emitted = 0;
-
-  // Record latency, output rows, profile and journal on every exit path.
-  struct ExecFold {
-    SparqlMetrics& metrics;
-    const Stopwatch& sw;
-    const uint64_t& emitted;
-    QueryStats* stats;
-    const Query& query;
-    std::string_view text;
-    const uint64_t& intermediate;
-    obs::OperatorProfile* prof;
-    ~ExecFold() {
-      const double us = sw.ElapsedMicros();
-      metrics.rows_out.Increment(emitted);
-      metrics.execute_us.RecordDouble(us);
-      if (stats != nullptr) {
-        stats->rows_out = emitted;
-        stats->latency_us = us;
-      }
-      FinalizeObservability(query, text, us, emitted, intermediate, prof,
-                            stats);
-    }
-  } fold{metrics, sw, emitted, stats, query, text, intermediate, prof};
   std::set<std::string> seen;
   auto emit = [&](Term s, Term p, Term o) {
     std::string key =
         s.ToNTriples() + "\x01" + p.ToNTriples() + "\x01" + o.ToNTriples();
     if (seen.insert(std::move(key)).second) {
       out.push_back({std::move(s), std::move(p), std::move(o)});
-      ++emitted;
     }
-  };
-
-  bool budget_blown = false;
-  auto eval_where = [&]() {
-    Executor executor(source_, RowWidth(plan), prof, options_.budget);
-    obs::OperatorTimer timer(prof);
-    std::vector<ColumnBatch> solutions = RunRootGroup(executor, plan);
-    timer.Finish(TotalActiveRows(solutions));
-    metrics.intermediate_rows.Increment(executor.intermediate_rows());
-    intermediate = executor.intermediate_rows();
-    if (stats != nullptr) {
-      stats->intermediate_rows = executor.intermediate_rows();
-    }
-    budget_blown = executor.budget_exhausted();
-    return solutions;
   };
 
   if (query.form == QueryForm::kConstruct) {
-    std::vector<ColumnBatch> solutions = eval_where();
-    if (budget_blown) {
-      return Status::ResourceExhausted("query exceeded its execution budget");
-    }
+    LODVIZ_ASSIGN_OR_RETURN(
+        std::vector<ColumnBatch> solutions,
+        Evaluate(plan, fold.profile(), &fold.intermediate_rows));
     // Resolve template positions to slots once, not per solution.
     struct TemplateStep {
       SlotId s_slot, p_slot, o_slot;
@@ -404,63 +437,59 @@ Result<std::vector<rdf::ParsedTriple>> QueryEngine::ExecuteGraphImpl(
         emit(std::move(s), std::move(p), std::move(o));
       }
     });
+    fold.rows_out = out.size();
     return out;
   }
 
-  if (query.form == QueryForm::kDescribe) {
-    // Collect the resources to describe.
-    std::vector<TermId> resources;
-    std::vector<SlotId> target_slots;
-    bool has_var_target = false;
-    for (const NodeOrVar& target : query.describe_targets) {
-      if (IsVar(target)) {
-        has_var_target = true;
-        target_slots.push_back(plan.SlotOf(AsVar(target).name));
-      } else {
-        TermId id = dict.Lookup(AsTerm(target));
+  // DESCRIBE: collect the resources to describe.
+  std::vector<TermId> resources;
+  std::vector<SlotId> target_slots;
+  bool has_var_target = false;
+  for (const NodeOrVar& target : query.describe_targets) {
+    if (IsVar(target)) {
+      has_var_target = true;
+      target_slots.push_back(plan.SlotOf(AsVar(target).name));
+    } else {
+      TermId id = dict.Lookup(AsTerm(target));
+      if (id != kInvalidTermId) resources.push_back(id);
+    }
+  }
+  // DESCRIBE of constants alone evaluates no WHERE.
+  if (has_var_target) {
+    LODVIZ_ASSIGN_OR_RETURN(
+        std::vector<ColumnBatch> solutions,
+        Evaluate(plan, fold.profile(), &fold.intermediate_rows));
+    const BatchListView view(solutions);
+    resources.reserve(resources.size() +
+                      view.total() * target_slots.size());
+    view.ForEachRow(0, view.total(), [&](const ColumnBatch& b,
+                                         uint32_t phys) {
+      for (SlotId slot : target_slots) {
+        if (slot == kNoSlot) continue;
+        const TermId id = b.at(phys, slot);
         if (id != kInvalidTermId) resources.push_back(id);
       }
-    }
-    if (has_var_target) {
-      std::vector<ColumnBatch> solutions = eval_where();
-      if (budget_blown) {
-        return Status::ResourceExhausted(
-            "query exceeded its execution budget");
-      }
-      const BatchListView view(solutions);
-      resources.reserve(resources.size() +
-                        view.total() * target_slots.size());
-      view.ForEachRow(0, view.total(), [&](const ColumnBatch& b,
-                                           uint32_t phys) {
-        for (SlotId slot : target_slots) {
-          if (slot == kNoSlot) continue;
-          const TermId id = b.at(phys, slot);
-          if (id != kInvalidTermId) resources.push_back(id);
-        }
-      });
-    }
-    std::sort(resources.begin(), resources.end());
-    resources.erase(std::unique(resources.begin(), resources.end()),
-                    resources.end());
-
-    // Emit every triple where the resource is subject or object.
-    for (TermId r : resources) {
-      source_->Scan({r, kInvalidTermId, kInvalidTermId},
-                    [&](const rdf::Triple& t) {
-                      emit(dict.term(t.s), dict.term(t.p), dict.term(t.o));
-                      return true;
-                    });
-      source_->Scan({kInvalidTermId, kInvalidTermId, r},
-                    [&](const rdf::Triple& t) {
-                      emit(dict.term(t.s), dict.term(t.p), dict.term(t.o));
-                      return true;
-                    });
-    }
-    return out;
+    });
   }
+  std::sort(resources.begin(), resources.end());
+  resources.erase(std::unique(resources.begin(), resources.end()),
+                  resources.end());
 
-  return Status::InvalidArgument(
-      "ExecuteGraph expects a CONSTRUCT or DESCRIBE query");
+  // Emit every triple where the resource is subject or object.
+  for (TermId r : resources) {
+    source_->Scan({r, kInvalidTermId, kInvalidTermId},
+                  [&](const rdf::Triple& t) {
+                    emit(dict.term(t.s), dict.term(t.p), dict.term(t.o));
+                    return true;
+                  });
+    source_->Scan({kInvalidTermId, kInvalidTermId, r},
+                  [&](const rdf::Triple& t) {
+                    emit(dict.term(t.s), dict.term(t.p), dict.term(t.o));
+                    return true;
+                  });
+  }
+  fold.rows_out = out.size();
+  return out;
 }
 
 Result<ResultTable> QueryEngine::ExecuteImpl(const Query& query,
@@ -478,61 +507,15 @@ Result<ResultTable> QueryEngine::ExecutePlannedImpl(
     const Query& query, const QueryPlan& plan, QueryStats* stats,
     std::string_view text) const {
   LODVIZ_TRACE_SPAN("sparql.execute");
-  SparqlMetrics& metrics = SparqlMetrics::Get();
-  metrics.queries.Increment();
-  Stopwatch sw;
-
-  const bool profiling = options_.profile || ProfilingForced();
-  obs::OperatorProfile skeleton;
-  if (profiling) skeleton = BuildProfileSkeleton(plan.root);
-  obs::OperatorProfile* prof = profiling ? &skeleton : nullptr;
-
-  Executor executor(source_, RowWidth(plan), prof, options_.budget);
-  obs::OperatorTimer root_timer(prof);
-  std::vector<ColumnBatch> solutions = RunRootGroup(executor, plan);
-  const size_t total_rows = TotalActiveRows(solutions);
-  root_timer.Finish(total_rows);
-  metrics.intermediate_rows.Increment(executor.intermediate_rows());
-  const uint64_t intermediate = executor.intermediate_rows();
-  if (stats != nullptr) {
-    stats->intermediate_rows = intermediate;
-  }
-
-  // Record latency, output rows, profile and journal on every exit path.
-  uint64_t rows_out = 0;
-  struct ExecFold {
-    SparqlMetrics& metrics;
-    const Stopwatch& sw;
-    const uint64_t& rows_out;
-    QueryStats* stats;
-    const Query& query;
-    std::string_view text;
-    uint64_t intermediate;
-    obs::OperatorProfile* prof;
-    ~ExecFold() {
-      const double us = sw.ElapsedMicros();
-      metrics.rows_out.Increment(rows_out);
-      metrics.execute_us.RecordDouble(us);
-      if (stats != nullptr) {
-        stats->rows_out = rows_out;
-        stats->latency_us = us;
-      }
-      FinalizeObservability(query, text, us, rows_out, intermediate, prof,
-                            stats);
-    }
-  } fold{metrics, sw, rows_out, stats, query, text, intermediate, prof};
-
-  // A blown budget leaves a deliberately truncated solution table; discard
-  // it (the fold above still records latency and journals the query).
-  if (executor.budget_exhausted()) {
-    return Status::ResourceExhausted("query exceeded its execution budget");
-  }
-
+  ExecFold fold(query, plan, options_.profile, text, stats);
+  LODVIZ_ASSIGN_OR_RETURN(
+      std::vector<ColumnBatch> solutions,
+      Evaluate(plan, fold.profile(), &fold.intermediate_rows));
   const rdf::Dictionary& dict = source_->dict();
 
   if (query.form == QueryForm::kAsk) {
     ResultTable table;
-    table.ask_result = total_rows > 0;
+    table.ask_result = TotalActiveRows(solutions) > 0;
     return table;
   }
 
@@ -607,17 +590,17 @@ Result<ResultTable> QueryEngine::ExecutePlannedImpl(
               Term::IntLiteral(static_cast<int64_t>(members.size()))});
           continue;
         }
-        // Collect the argument terms (bound only). DISTINCT dedups on the
-        // dictionary id: interning is injective, so id equality is term
+        // Collect the argument's dictionary ids (bound only). DISTINCT
+        // dedups on the id: interning is injective, so id equality is term
         // equality.
         SlotId arg_slot = plan.SlotOf(agg.var);
-        std::vector<Term> values;
+        std::vector<TermId> values;
         std::set<TermId> distinct_seen;
         for (const RowRef member : members) {
           const TermId id = SlotAt(solutions, member, arg_slot);
           if (id == kInvalidTermId) continue;
           if (agg.distinct && !distinct_seen.insert(id).second) continue;
-          values.push_back(dict.term(id));
+          values.push_back(id);
         }
         switch (agg.fn) {
           case Aggregate::Fn::kCount:
@@ -628,8 +611,8 @@ Result<ResultTable> QueryEngine::ExecutePlannedImpl(
           case Aggregate::Fn::kAvg: {
             double sum = 0;
             uint64_t n = 0;
-            for (const Term& t : values) {
-              Result<double> v = t.AsDouble();
+            for (const TermId id : values) {
+              Result<double> v = TermNumber(dict, id);
               if (v.ok()) {
                 sum += v.ValueOrDie();
                 ++n;
@@ -647,16 +630,16 @@ Result<ResultTable> QueryEngine::ExecutePlannedImpl(
               row.push_back(ResultCell{{}, false});
               break;
             }
-            const Term* best = &values.front();
-            for (const Term& t : values) {
-              Result<int> c = CompareTerms(t, *best);
+            TermId best = values.front();
+            for (const TermId id : values) {
+              Result<int> c = CompareTermIds(dict, id, best);
               if (c.ok() &&
                   ((agg.fn == Aggregate::Fn::kMin && c.ValueOrDie() < 0) ||
                    (agg.fn == Aggregate::Fn::kMax && c.ValueOrDie() > 0))) {
-                best = &t;
+                best = id;
               }
             }
-            row.push_back(ResultCell{*best});
+            row.push_back(ResultCell{dict.term(best)});
             break;
           }
         }
@@ -665,29 +648,20 @@ Result<ResultTable> QueryEngine::ExecutePlannedImpl(
     }
 
     // ORDER BY over the output columns — group keys and aggregate aliases
-    // — with the plain path's comparator; a key naming no output column is
-    // ignored there too. Then OFFSET/LIMIT.
-    if (!query.order_by.empty()) {
-      std::vector<std::pair<size_t, bool>> keys;  // (column, ascending)
-      for (const OrderKey& k : query.order_by) {
-        for (size_t c = 0; c < out_columns.size(); ++c) {
-          if (out_columns[c] == k.var) {
-            keys.emplace_back(c, k.ascending);
-            break;
-          }
-        }
-      }
+    // — with the plain path's key comparison. Then OFFSET/LIMIT.
+    const std::vector<OrderColumn> order = OrderColumns(query, out_columns);
+    if (!order.empty()) {
       std::stable_sort(rows.begin(), rows.end(),
                        [&](const std::vector<ResultCell>& a,
                            const std::vector<ResultCell>& b) {
-                         for (const auto& [c, ascending] : keys) {
-                           if (!a[c].bound || !b[c].bound) {
-                             if (a[c].bound == b[c].bound) continue;
-                             return a[c].bound ? !ascending : ascending;
-                           }
-                           const int cv =
-                               CompareCellsForOrder(a[c].term, b[c].term);
-                           if (cv != 0) return ascending ? cv < 0 : cv > 0;
+                         for (const OrderColumn& k : order) {
+                           const ResultCell& x = a[k.column];
+                           const ResultCell& y = b[k.column];
+                           const int c =
+                               CompareOrderKey(x.bound ? &x.term : nullptr,
+                                               y.bound ? &y.term : nullptr,
+                                               k.ascending);
+                           if (c != 0) return c < 0;
                          }
                          return false;
                        });
@@ -696,7 +670,7 @@ Result<ResultTable> QueryEngine::ExecutePlannedImpl(
     ResultTable table(out_columns);
     table.Reserve(end - begin);
     for (size_t i = begin; i < end; ++i) table.AddRow(std::move(rows[i]));
-    rows_out = table.num_rows();
+    fold.rows_out = table.num_rows();
     return table;
   }
 
@@ -706,37 +680,19 @@ Result<ResultTable> QueryEngine::ExecutePlannedImpl(
   // Terms.
   std::vector<RowRef> refs = CollectRefs(solutions);
 
-  // ORDER BY. Sort keys resolve through the projected columns, as before:
-  // an ORDER BY variable that is not projected is silently ignored
-  // (longstanding behavior, preserved).
-  if (!query.order_by.empty()) {
-    std::vector<SlotId> key_slots;
-    key_slots.reserve(query.order_by.size());
-    for (const OrderKey& k : query.order_by) {
-      SlotId slot = kNoSlot;
-      for (size_t c = 0; c < columns.size(); ++c) {
-        if (columns[c] == k.var) {
-          slot = column_slots[c];
-          break;
-        }
-      }
-      key_slots.push_back(slot);
-    }
+  // ORDER BY over the projected columns.
+  const std::vector<OrderColumn> order = OrderColumns(query, columns);
+  if (!order.empty()) {
     std::stable_sort(
         refs.begin(), refs.end(), [&](const RowRef a, const RowRef b) {
-          for (size_t i = 0; i < key_slots.size(); ++i) {
-            // A key over an unprojected variable resolved to kNoSlot above;
-            // SlotAt then yields "unbound" on both sides and the key is
-            // skipped via the both-unbound case.
-            const TermId ia = SlotAt(solutions, a, key_slots[i]);
-            const TermId ib = SlotAt(solutions, b, key_slots[i]);
+          for (const OrderColumn& k : order) {
+            const TermId ia = SlotAt(solutions, a, column_slots[k.column]);
+            const TermId ib = SlotAt(solutions, b, column_slots[k.column]);
             if (ia == ib) continue;  // same id: identical term
-            if (ia == kInvalidTermId) return query.order_by[i].ascending;
-            if (ib == kInvalidTermId) return !query.order_by[i].ascending;
-            int cv = CompareCellsForOrder(dict.term(ia), dict.term(ib));
-            if (cv != 0) {
-              return query.order_by[i].ascending ? cv < 0 : cv > 0;
-            }
+            const int c = CompareOrderKey(
+                ia == kInvalidTermId ? nullptr : &dict.term(ia),
+                ib == kInvalidTermId ? nullptr : &dict.term(ib), k.ascending);
+            if (c != 0) return c < 0;
           }
           return false;
         });
@@ -776,7 +732,7 @@ Result<ResultTable> QueryEngine::ExecutePlannedImpl(
     table.AddRow(std::move(row));
   }
 
-  rows_out = table.num_rows();
+  fold.rows_out = table.num_rows();
   return table;
 }
 

@@ -24,7 +24,8 @@ struct QueryStats {
   uint64_t intermediate_rows = 0;
   /// Rows (SELECT/ASK) or triples (CONSTRUCT/DESCRIBE) in the result.
   uint64_t rows_out = 0;
-  /// Wall time of planning + execution (parsing excluded), microseconds.
+  /// Wall time of execution (parsing and planning excluded),
+  /// microseconds.
   double latency_us = 0.0;
   /// Normalized-query fingerprint (sparql/fingerprint.h), the plan-cache
   /// key. Computed — along with `profile` — only when profiling is active
@@ -33,7 +34,7 @@ struct QueryStats {
   uint64_t fingerprint = 0;
   /// Per-operator actuals mirroring the plan; `profile.profiled` is true
   /// only when profiling was active for this execution (Options::profile,
-  /// the LODVIZ_PROFILE environment override, or ExplainAnalyze).
+  /// or ExplainAnalyze).
   obs::QueryProfile profile;
 };
 
@@ -68,12 +69,9 @@ class QueryEngine {
     /// Record a per-operator obs::QueryProfile into QueryStats::profile on
     /// every execution (what ExplainAnalyze uses internally). Off by
     /// default: the disabled path costs one pointer test per operator.
-    /// Setting the LODVIZ_PROFILE environment variable (non-empty, not
-    /// "0") force-enables profiling process-wide regardless of this flag —
-    /// the parity gate in scripts/check.sh uses it to pin that profiling
-    /// never perturbs results.
+    /// Results are identical either way; the parity suite's golden legs
+    /// run profiled and unprofiled.
     bool profile = false;
-
   };
 
   explicit QueryEngine(const rdf::TripleSource* source)
@@ -141,6 +139,13 @@ class QueryEngine {
                                          std::string_view text) const;
   Result<std::vector<rdf::ParsedTriple>> ExecuteGraphImpl(
       const Query& query, QueryStats* stats, std::string_view text) const;
+  /// Evaluates `plan`'s WHERE from one all-unbound seed row: the step
+  /// every query form shares. `*intermediate_rows` receives the rows the
+  /// BGP steps produced; a blown budget discards the truncated solutions
+  /// and returns kResourceExhausted.
+  Result<std::vector<ColumnBatch>> Evaluate(const QueryPlan& plan,
+                                            obs::OperatorProfile* prof,
+                                            uint64_t* intermediate_rows) const;
 
   const rdf::TripleSource* source_;
   Options options_;

@@ -57,6 +57,10 @@ struct SlimVal {
     v.id = i;
     return v;
   }
+  /// A bound dictionary term.
+  static SlimVal Of(const rdf::Dictionary& dict, TermId id) {
+    return Ref(&dict.term(id), &dict.decoded(id), id);
+  }
   static SlimVal Num(double x) {
     SlimVal v;
     v.kind = Kind::kNum;
@@ -176,7 +180,7 @@ Result<bool> SlimBool(const SlimVal& v) {
   return Status::Internal("unhandled slim kind");
 }
 
-/// Three-way comparison with the semantics of CompareTerms, taking the
+/// Three-way relational comparison (see CompareTermIds), taking the
 /// decoded fast path wherever the cache has a value.
 Result<int> SlimCompare(const SlimVal& a, const SlimVal& b) {
   if (SlimIsNumeric(a) && SlimIsNumeric(b)) {
@@ -359,8 +363,7 @@ Result<SlimVal> EvalSlim(const CompiledExpr& e, const rdf::Dictionary& dict,
       if (e.slot == kNoSlot || row[e.slot] == kInvalidTermId) {
         return Status::NotFound("unbound variable");
       }
-      const TermId id = row[e.slot];
-      return SlimVal::Ref(&dict.term(id), &dict.decoded(id), id);
+      return SlimVal::Of(dict, row[e.slot]);
     }
     case Expr::Kind::kBinary:
       return EvalSlimBinary(e, dict, row);
@@ -393,23 +396,13 @@ Result<bool> EffectiveBool(const Term& t) {
   return !t.lexical.empty();
 }
 
-Result<int> CompareTerms(const Term& a, const Term& b) {
-  if (a.IsNumericLiteral() && b.IsNumericLiteral()) {
-    LODVIZ_ASSIGN_OR_RETURN(double x, a.AsDouble());
-    LODVIZ_ASSIGN_OR_RETURN(double y, b.AsDouble());
-    if (x < y) return -1;
-    if (x > y) return 1;
-    return 0;
-  }
-  if (a.IsTemporalLiteral() && b.IsTemporalLiteral()) {
-    LODVIZ_ASSIGN_OR_RETURN(int64_t x, a.AsEpochSeconds());
-    LODVIZ_ASSIGN_OR_RETURN(int64_t y, b.AsEpochSeconds());
-    if (x < y) return -1;
-    if (x > y) return 1;
-    return 0;
-  }
-  int c = a.lexical.compare(b.lexical);
-  return c < 0 ? -1 : (c > 0 ? 1 : 0);
+Result<int> CompareTermIds(const rdf::Dictionary& dict, TermId a,
+                           TermId b) {
+  return SlimCompare(SlimVal::Of(dict, a), SlimVal::Of(dict, b));
+}
+
+Result<double> TermNumber(const rdf::Dictionary& dict, TermId id) {
+  return SlimNum(SlimVal::Of(dict, id));
 }
 
 Result<Term> EvalExpr(const CompiledExpr& e, const rdf::Dictionary& dict,

@@ -60,10 +60,18 @@ struct ExecBudget {
   }
 };
 
-/// Three-way comparison following lodviz's pragmatic SPARQL ordering:
-/// numeric if both numeric, temporal if both temporal, else lexical form.
-/// Used by FILTER relations, ORDER BY and MIN/MAX aggregates.
-Result<int> CompareTerms(const rdf::Term& a, const rdf::Term& b);
+/// Three-way comparison of two dictionary terms with FILTER's relational
+/// semantics: numeric if both are numeric, temporal if both are temporal,
+/// else by lexical form; an error when a numeric or temporal value does
+/// not parse. Reads the dictionary's decoded values (the same path FILTER
+/// takes). MIN and MAX use it.
+Result<int> CompareTermIds(const rdf::Dictionary& dict, rdf::TermId a,
+                           rdf::TermId b);
+
+/// Numeric value of a dictionary term: its decoded number when it has one,
+/// Term::AsDouble otherwise — FILTER arithmetic's conversion. SUM and AVG
+/// use it.
+Result<double> TermNumber(const rdf::Dictionary& dict, rdf::TermId id);
 
 /// SPARQL effective boolean value; errors on non-literals.
 Result<bool> EffectiveBool(const rdf::Term& t);
@@ -108,8 +116,8 @@ bool PassesFilter(const CompiledExpr& e, const rdf::Dictionary& dict,
 /// Instrumentation is per operator, never per row, and with a null
 /// profile each operator pays exactly one pointer test — execution
 /// (plans, row order, results) is bit-identical either way, which the
-/// parity suite pins under LODVIZ_PROFILE=1 (see scripts/check.sh). The
-/// profile tree is written only from the thread driving EvalGroupBatches.
+/// parity suite's profiled golden legs pin. The profile tree is written
+/// only from the thread driving EvalGroupBatches.
 class Executor {
  public:
   Executor(const rdf::TripleSource* source, size_t width,

@@ -248,16 +248,6 @@ Status BTree::Insert(const Key128& key, uint64_t value, bool* inserted) {
   return Status::OK();
 }
 
-Status BTree::RangeScan(const Key128& lo, const Key128& hi,
-                        const std::function<bool(const Item&)>& fn) const {
-  return RangeScanRuns(lo, hi, [&](const Item* run, size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      if (!fn(run[i])) return false;
-    }
-    return true;
-  });
-}
-
 Status BTree::RangeScanRuns(
     const Key128& lo, const Key128& hi,
     const std::function<bool(const Item* run, size_t n)>& fn) const {

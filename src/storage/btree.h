@@ -46,16 +46,9 @@ class BTree {
   /// Value for `key`; NotFound if absent.
   [[nodiscard]] Result<uint64_t> Lookup(const Key128& key) const;
 
-  /// Streams items with lo <= key <= hi in key order; return false from
-  /// `fn` to stop early.
-  Status RangeScan(const Key128& lo, const Key128& hi,
-                   const std::function<bool(const Item&)>& fn) const;
-
-  /// Run-granular variant of RangeScan: delivers each leaf's in-range
-  /// items as one decoded run (one decode of the page). The concatenation
-  /// of the runs is exactly the RangeScan item sequence; return false to
-  /// stop.
-  /// Run pointers are only valid during the callback.
+  /// Streams items with lo <= key <= hi in key order, each leaf's
+  /// in-range items as one decoded run (one decode of the page); return
+  /// false to stop. Run pointers are only valid during the callback.
   Status RangeScanRuns(
       const Key128& lo, const Key128& hi,
       const std::function<bool(const Item* run, size_t n)>& fn) const;

@@ -7,10 +7,13 @@ namespace lodviz::storage {
 
 namespace {
 
-obs::Counter& ScanErrors() {
-  static obs::Counter& c =
+/// Logs a storage error the void TripleSource interface cannot return
+/// and counts it on `storage.adapter.scan_errors`.
+void ReportScanError(const Status& s) {
+  static obs::Counter& errors =
       obs::MetricRegistry::Global().GetCounter("storage.adapter.scan_errors");
-  return c;
+  errors.Increment();
+  LODVIZ_LOG_WARN() << "DiskSourceAdapter scan failed: " << s.ToString();
 }
 
 }  // namespace
@@ -19,26 +22,17 @@ DiskSourceAdapter::DiskSourceAdapter(const DiskTripleStore* store,
                                      const rdf::Dictionary* dict)
     : store_(store), dict_(dict) {}
 
-void DiskSourceAdapter::Scan(const rdf::TriplePattern& pattern,
-                             const ScanFn& fn) const {
-  Status s = store_->Scan(pattern, fn);
-  if (!s.ok()) {
-    ScanErrors().Increment();
-    LODVIZ_LOG_WARN() << "DiskSourceAdapter scan failed: " << s.ToString();
-  }
-}
-
 void DiskSourceAdapter::ScanRuns(const rdf::TriplePattern& pattern,
                                  const ScanRunFn& fn) const {
   Status s = store_->ScanRuns(pattern, fn);
-  if (!s.ok()) {
-    ScanErrors().Increment();
-    LODVIZ_LOG_WARN() << "DiskSourceAdapter scan failed: " << s.ToString();
-  }
+  if (!s.ok()) ReportScanError(s);
 }
 
 uint64_t DiskSourceAdapter::Count(const rdf::TriplePattern& pattern) const {
-  return store_->Count(pattern);
+  Result<uint64_t> n = store_->Count(pattern);
+  if (n.ok()) return *n;
+  ReportScanError(n.status());
+  return 0;
 }
 
 uint64_t DiskSourceAdapter::CachedStat(

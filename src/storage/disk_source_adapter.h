@@ -21,7 +21,8 @@ namespace lodviz::storage {
 ///
 /// Thread-safety: DiskTripleStore reads go through the lock-striped
 /// BufferPool, which supports fully concurrent Fetches, so the adapter
-/// forwards Scan/Count calls directly with no serialization of its own.
+/// forwards ScanRuns/Count calls directly with no serialization of its
+/// own.
 /// Parallel BGP execution over this source runs genuinely in parallel at
 /// the storage layer (scans touching different pool shards do not
 /// contend).
@@ -36,18 +37,16 @@ class DiskSourceAdapter : public rdf::TripleSource {
  public:
   DiskSourceAdapter(const DiskTripleStore* store, const rdf::Dictionary* dict);
 
-  /// TripleSource Scan contract (see triple_source.h). Storage-layer errors
-  /// cannot surface through the void interface: they are logged, counted on
-  /// `storage.adapter.scan_errors`, and the scan ends early (matches seen
-  /// before the error were already delivered).
-  void Scan(const rdf::TriplePattern& pattern,
-            const ScanFn& fn) const override;
-
-  /// Run-granular Scan (TripleSource contract): forwards leaf-decoded runs
-  /// from the store's B-trees.
+  /// TripleSource scan primitive (see triple_source.h): forwards
+  /// leaf-decoded runs from the store's B-trees. Storage-layer errors
+  /// cannot surface through the void interface: they are logged, counted
+  /// on `storage.adapter.scan_errors`, and the scan ends early (runs
+  /// delivered before the error stay delivered).
   void ScanRuns(const rdf::TriplePattern& pattern,
                 const ScanRunFn& fn) const override;
 
+  /// The store's exact count. A storage error is logged and counted the
+  /// same way, and the count is then 0.
   [[nodiscard]] uint64_t Count(const rdf::TriplePattern& pattern) const
       override;
 

@@ -129,17 +129,6 @@ Status DiskTripleStore::BulkLoad(std::vector<rdf::Triple> triples) {
   return Status::OK();
 }
 
-Status DiskTripleStore::Scan(
-    const rdf::TriplePattern& pattern,
-    const std::function<bool(const rdf::Triple&)>& fn) const {
-  return ScanRuns(pattern, [&](const rdf::Triple* run, size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      if (!fn(run[i])) return false;
-    }
-    return true;
-  });
-}
-
 Status DiskTripleStore::ScanRuns(
     const rdf::TriplePattern& pattern,
     const std::function<bool(const rdf::Triple* run, size_t n)>& fn) const {
@@ -198,7 +187,8 @@ Status DiskTripleStore::ScanRuns(
                              });
 }
 
-uint64_t DiskTripleStore::Count(const rdf::TriplePattern& pattern) const {
+Result<uint64_t> DiskTripleStore::Count(
+    const rdf::TriplePattern& pattern) const {
   using rdf::kInvalidTermId;
   // Aggregate fast paths: these shapes answer from sp_agg / p_agg without
   // touching the triple trees.
@@ -214,11 +204,11 @@ uint64_t DiskTripleStore::Count(const rdf::TriplePattern& pattern) const {
     }
   }
   uint64_t n = 0;
-  Status s = Scan(pattern, [&](const rdf::Triple&) {
-    ++n;
-    return true;
-  });
-  (void)s;
+  LODVIZ_RETURN_NOT_OK(
+      ScanRuns(pattern, [&](const rdf::Triple*, size_t run) {
+        n += run;
+        return true;
+      }));
   return n;
 }
 

@@ -41,19 +41,19 @@ class DiskTripleStore {
   Status BulkLoad(std::vector<rdf::Triple> triples);
 
   /// Streams triples matching `pattern` (same wildcard semantics as the
-  /// in-memory TripleStore). Uses the SPO tree when the subject is bound,
-  /// the POS tree when only the predicate/object are, else a full scan.
-  Status Scan(const rdf::TriplePattern& pattern,
-              const std::function<bool(const rdf::Triple&)>& fn) const;
-
-  /// Run-granular Scan: each callback delivers one decoded leaf's worth of
-  /// matching triples; the concatenation equals the Scan sequence. Run
-  /// pointers are only valid during the callback.
+  /// in-memory TripleStore) in runs, one decoded leaf's worth of matching
+  /// triples per callback; return false to stop. Uses the SPO tree when
+  /// the subject is bound, the POS tree when only the predicate/object
+  /// are, else a full scan. Run pointers are only valid during the
+  /// callback.
   Status ScanRuns(
       const rdf::TriplePattern& pattern,
       const std::function<bool(const rdf::Triple* run, size_t n)>& fn) const;
 
-  uint64_t Count(const rdf::TriplePattern& pattern) const;
+  /// Number of triples matching `pattern`: an aggregated-index lookup for
+  /// the shapes sp_agg/p_agg cover, else the sum of the scan's run
+  /// lengths. A storage error is returned, never a partial count.
+  Result<uint64_t> Count(const rdf::TriplePattern& pattern) const;
 
   /// Exact number of triples with subject `s` and predicate `p`, from the
   /// sp_agg aggregated index (O(log n), no scan).

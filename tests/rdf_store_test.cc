@@ -355,6 +355,50 @@ TEST(RdfStoreConcurrency, ReadersScanWhileWriterPublishes) {
   EXPECT_EQ(store.size(), static_cast<uint64_t>(kPhases * kPerPhase));
 }
 
+/// A source that implements only the scan primitive: it hands out fixed
+/// runs (one of them empty), so the inherited per-triple Scan is what is
+/// under test.
+class FixedRunsSource : public TripleSource {
+ public:
+  explicit FixedRunsSource(std::vector<std::vector<Triple>> runs)
+      : runs_(std::move(runs)) {}
+
+  void ScanRuns(const TriplePattern&, const ScanRunFn& fn) const override {
+    for (const std::vector<Triple>& run : runs_) {
+      if (!fn(run.data(), run.size())) return;
+    }
+  }
+  [[nodiscard]] uint64_t Count(const TriplePattern&) const override {
+    return 0;
+  }
+  const Dictionary& dict() const override { return dict_; }
+  [[nodiscard]] uint64_t size() const override { return 0; }
+  [[nodiscard]] uint64_t PredicateCount(TermId) const override { return 0; }
+
+ private:
+  std::vector<std::vector<Triple>> runs_;
+  Dictionary dict_;
+};
+
+TEST(TripleSourceScanTest, ScanConcatenatesRunsAndStopsOnFalse) {
+  const FixedRunsSource source(
+      {{{1, 1, 1}, {1, 1, 2}}, {}, {{2, 1, 1}}, {{3, 1, 1}, {3, 1, 2}}});
+  const std::vector<Triple> all = {
+      {1, 1, 1}, {1, 1, 2}, {2, 1, 1}, {3, 1, 1}, {3, 1, 2}};
+  // Stopping after the n-th triple delivers exactly the first n: n = 1 and
+  // n = 4 stop inside a run, n = 2 and n = 3 at a run boundary.
+  for (size_t stop_after = 1; stop_after <= all.size() + 1; ++stop_after) {
+    std::vector<Triple> got;
+    source.Scan(TriplePattern(), [&](const Triple& t) {
+      got.push_back(t);
+      return got.size() < stop_after;
+    });
+    const size_t want = std::min(stop_after, all.size());
+    EXPECT_EQ(got, std::vector<Triple>(all.begin(), all.begin() + want))
+        << "stop_after=" << stop_after;
+  }
+}
+
 TEST(NTriplesTest, ParsesBasicLine) {
   auto r = ParseNTriplesLine("<http://x/s> <http://x/p> <http://x/o> .");
   ASSERT_TRUE(r.ok());

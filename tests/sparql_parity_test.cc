@@ -122,6 +122,19 @@ const char* kSelectQueries[] = {
     // Solution modifiers apply after GROUP BY, over the aggregate aliases.
     "SELECT ?t (COUNT(*) AS ?n) WHERE { ?s a ?t . } GROUP BY ?t "
     "ORDER BY DESC(?n) ?t LIMIT 1",
+    // MIN/MAX/SUM/AVG over mixed value classes (IRIs, plain strings,
+    // integers): numeric pairs compare as numbers, every other pair by
+    // lexical form, and SUM/AVG skip what has no numeric value.
+    "SELECT (MIN(?o) AS ?lo) (MAX(?o) AS ?hi) (SUM(?o) AS ?sum) "
+    "(AVG(?o) AS ?avg) WHERE { <http://x/alice> ?p ?o . }",
+    "SELECT (MIN(?o) AS ?lo) (MAX(?o) AS ?hi) (SUM(DISTINCT ?o) AS ?sum) "
+    "(AVG(?o) AS ?avg) WHERE { ?s ?p ?o . }",
+    "SELECT ?p (MIN(?o) AS ?lo) (MAX(?o) AS ?hi) (SUM(?o) AS ?sum) "
+    "(AVG(?o) AS ?avg) WHERE { ?s ?p ?o . } GROUP BY ?p ORDER BY ?p",
+    "SELECT ?p (MIN(?v) AS ?lo) (MAX(?v) AS ?hi) (SUM(?v) AS ?sum) "
+    "(AVG(?v) AS ?avg) WHERE { ?s ?p ?o . "
+    "{ ?s <http://x/name> ?v . } UNION { ?s <http://x/age> ?v . } UNION "
+    "{ ?s <http://x/knows> ?v . } } GROUP BY ?p ORDER BY ?p",
 };
 
 const char* kGraphQueries[] = {
@@ -339,8 +352,7 @@ TEST_F(SparqlParityFixture, ProfilingDoesNotPerturbResults) {
   // EXPLAIN ANALYZE's contract: per-operator instrumentation observes the
   // execution, it never participates in it. For every parity query, a
   // profiling engine must return bit-identical rows/triples on both
-  // backends. (scripts/check.sh additionally re-runs this whole suite with
-  // LODVIZ_PROFILE=1 so the force-enable path is pinned too.)
+  // backends. (EveryLegMatchesGoldenAnswers also runs every leg profiled.)
   QueryEngine::Options prof_opts;
   prof_opts.profile = true;
   QueryEngine mem_prof(&store_, prof_opts);
@@ -459,9 +471,11 @@ TEST_F(SparqlParityFixture, ThreadCountDoesNotChangeResults) {
 
 TEST_F(SparqlParityFixture, EveryLegMatchesGoldenAnswers) {
   // The order contract (DESIGN.md §4.9): for every query, every backend,
-  // every join strategy and every thread count, the executor returns the
-  // checked-in golden answer byte for byte — including row order, since
-  // ORDER BY-free queries expose delivery order directly.
+  // every join strategy, every thread count, with profiling off and on,
+  // the executor returns the checked-in golden answer byte for byte —
+  // including row order, since ORDER BY-free queries expose delivery
+  // order directly. The profiled legs pin EXPLAIN ANALYZE's contract:
+  // the profiler observes, it never adds, drops or reorders a row.
   struct Leg {
     std::string label;
     std::unique_ptr<QueryEngine> engine;
@@ -474,10 +488,14 @@ TEST_F(SparqlParityFixture, EveryLegMatchesGoldenAnswers) {
   const char* force_names[] = {"auto", "nlj", "hash"};
   for (int s = 0; s < 2; ++s) {
     for (int f = 0; f < 3; ++f) {
-      QueryEngine::Options opts;
-      opts.force_join = forces[f];
-      legs.push_back(Leg{std::string(source_names[s]) + "/" + force_names[f],
-                         std::make_unique<QueryEngine>(sources[s], opts)});
+      for (bool profile : {false, true}) {
+        QueryEngine::Options opts;
+        opts.force_join = forces[f];
+        opts.profile = profile;
+        legs.push_back(Leg{std::string(source_names[s]) + "/" +
+                               force_names[f] + (profile ? "/profiled" : ""),
+                           std::make_unique<QueryEngine>(sources[s], opts)});
+      }
     }
   }
 
@@ -518,11 +536,16 @@ TEST_F(SparqlParityFixture, EveryLegMatchesGoldenAnswers) {
 // Regression for the `mutable uint64_t intermediate_rows_` race: a single
 // QueryEngine must be shareable across threads. Per-query row counts now
 // come back through QueryStats, so concurrent queries cannot trample each
-// other's statistics. Run under TSan via scripts/check.sh.
+// other's statistics. Run under TSan via scripts/check.sh. Every thread
+// alternates between a plain and a profiled engine, so profiling races
+// are covered too.
 TEST(SparqlParitySharedEngine, ConcurrentQueriesOnOneEngine) {
   rdf::TripleStore store;
   ASSERT_TRUE(rdf::LoadNTriplesString(kDoc, &store).ok());
   QueryEngine engine(&store);
+  QueryEngine::Options prof_opts;
+  prof_opts.profile = true;
+  QueryEngine profiled(&store, prof_opts);
 
   const char* q =
       "SELECT ?a ?c WHERE { ?a <http://x/knows> ?b . "
@@ -539,14 +562,16 @@ TEST(SparqlParitySharedEngine, ConcurrentQueriesOnOneEngine) {
   for (int i = 0; i < kThreads; ++i) {
     workers.emplace_back([&, i] {
       for (int j = 0; j < kQueriesPerThread; ++j) {
+        const bool profile = j % 2 == 1;
         QueryStats stats;
-        auto got = engine.ExecuteString(q, &stats);
+        auto got = (profile ? profiled : engine).ExecuteString(q, &stats);
         if (!got.ok() || TableKey(got.ValueOrDie()) != want_key) {
           ++mismatches[i];
         }
         // Each query joins 2 `knows` scans: rows must be per-query, not
         // an accumulating shared total.
-        if (stats.intermediate_rows == 0 || stats.intermediate_rows > 8) {
+        if (stats.intermediate_rows == 0 || stats.intermediate_rows > 8 ||
+            stats.profile.profiled != profile) {
           ++stat_errors[i];
         }
       }
@@ -579,6 +604,9 @@ TEST(SparqlParitySharedEngine, ConcurrentQueriesOnDiskBackend) {
   ASSERT_TRUE(disk.ValueOrDie()->BulkLoad(triples).ok());
   storage::DiskSourceAdapter adapter(disk.ValueOrDie().get(), &store.dict());
   QueryEngine engine(&adapter);
+  QueryEngine::Options prof_opts;
+  prof_opts.profile = true;
+  QueryEngine profiled(&adapter, prof_opts);
 
   const char* q = "SELECT ?s ?a WHERE { ?s <http://x/age> ?a . } ORDER BY ?s";
   auto want = engine.ExecuteString(q);
@@ -591,7 +619,7 @@ TEST(SparqlParitySharedEngine, ConcurrentQueriesOnDiskBackend) {
   for (int i = 0; i < kThreads; ++i) {
     workers.emplace_back([&, i] {
       for (int j = 0; j < 8; ++j) {
-        auto got = engine.ExecuteString(q);
+        auto got = (j % 2 == 1 ? profiled : engine).ExecuteString(q);
         if (!got.ok() || TableKey(got.ValueOrDie()) != want_key) {
           ++mismatches[i];
         }

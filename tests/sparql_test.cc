@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "rdf/ntriples.h"
 #include "rdf/triple_store.h"
@@ -427,11 +428,16 @@ TEST_F(EngineFixture, DescribeVariableWithWhere) {
 }
 
 TEST_F(EngineFixture, GraphFormsRejectedByTabularApi) {
+  // A call with the wrong form is rejected before it runs or counts.
+  obs::Counter& queries =
+      obs::MetricRegistry::Global().GetCounter("sparql.queries");
+  const uint64_t before = queries.value();
   EXPECT_FALSE(engine_->ExecuteString("DESCRIBE <http://x/bob>").ok());
   EXPECT_FALSE(
       engine_
           ->ExecuteGraphString("SELECT ?s WHERE { ?s ?p ?o . }")
           .ok());
+  EXPECT_EQ(queries.value(), before);
 }
 
 TEST(ParserGraphForms, ConstructTemplateRestrictions) {
@@ -665,6 +671,98 @@ TEST_F(EngineFixture, SlowQueryJournalCapturesInjectedSlowQuery) {
   std::string json = journal.ToJson();
   EXPECT_NE(json.find("\"admitted\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("FILTER(?a > 32)"), std::string::npos) << json;
+  journal.Clear();
+}
+
+TEST_F(EngineFixture, GraphFormsFillQueryStats) {
+  QueryStats construct_stats;
+  auto construct = engine_->ExecuteGraphString(
+      "CONSTRUCT { ?b <http://x/knownBy> ?a . } WHERE "
+      "{ ?a <http://x/knows> ?b . }",
+      &construct_stats);
+  ASSERT_TRUE(construct.ok()) << construct.status().ToString();
+  EXPECT_EQ(construct_stats.rows_out, 2u);
+  EXPECT_EQ(construct_stats.intermediate_rows, 2u);
+  EXPECT_GT(construct_stats.latency_us, 0.0);
+
+  QueryStats describe_stats;
+  auto describe = engine_->ExecuteGraphString(
+      "DESCRIBE ?s WHERE { ?s <http://x/age> ?a . FILTER(?a > 38) }",
+      &describe_stats);
+  ASSERT_TRUE(describe.ok()) << describe.status().ToString();
+  EXPECT_EQ(describe_stats.rows_out, 6u);
+  EXPECT_EQ(describe_stats.intermediate_rows, 3u);
+  EXPECT_GT(describe_stats.latency_us, 0.0);
+
+  // A DESCRIBE of constants alone evaluates no WHERE.
+  QueryStats constant_stats;
+  auto constant =
+      engine_->ExecuteGraphString("DESCRIBE <http://x/bob>", &constant_stats);
+  ASSERT_TRUE(constant.ok()) << constant.status().ToString();
+  EXPECT_EQ(constant_stats.rows_out, 6u);
+  EXPECT_EQ(constant_stats.intermediate_rows, 0u);
+}
+
+TEST_F(EngineFixture, GraphFormsHonorRowBudget) {
+  QueryEngine::Options opts;
+  opts.budget.max_intermediate_rows = 4;
+  QueryEngine capped(&store_, opts);
+  QueryStats stats;
+  auto construct = capped.ExecuteGraphString(
+      "CONSTRUCT { ?s a <http://x/Thing> . } WHERE { ?s ?p ?o . }", &stats);
+  ASSERT_FALSE(construct.ok());
+  EXPECT_EQ(construct.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(stats.rows_out, 0u);
+
+  auto describe = capped.ExecuteGraphString(
+      "DESCRIBE ?s WHERE { ?s ?p ?o . }", &stats);
+  ASSERT_FALSE(describe.ok());
+  EXPECT_EQ(describe.status().code(), StatusCode::kResourceExhausted);
+
+  // Describing a constant runs no WHERE, so the row cap never trips.
+  auto constant = capped.ExecuteGraphString("DESCRIBE <http://x/bob>");
+  ASSERT_TRUE(constant.ok()) << constant.status().ToString();
+  EXPECT_EQ(constant->size(), 6u);
+}
+
+TEST_F(EngineFixture, GraphFormsAreJournaledWithText) {
+  obs::QueryLog& journal = obs::QueryLog::Global();
+  journal.Clear();
+  journal.SetThresholdMicros(0);
+  const std::string construct_text =
+      "CONSTRUCT { ?b <http://x/knownBy> ?a . } WHERE "
+      "{ ?a <http://x/knows> ?b . }";
+  const std::string describe_text =
+      "DESCRIBE ?s WHERE { ?s <http://x/age> ?a . FILTER(?a > 38) }";
+  QueryStats construct_stats;
+  QueryStats describe_stats;
+  auto construct =
+      engine_->ExecuteGraphString(construct_text, &construct_stats);
+  auto describe = engine_->ExecuteGraphString(describe_text, &describe_stats);
+  journal.SetThresholdMicros(-1);
+  ASSERT_TRUE(construct.ok()) << construct.status().ToString();
+  ASSERT_TRUE(describe.ok()) << describe.status().ToString();
+
+  std::vector<obs::QueryLogEntry> entries = journal.Entries();
+  ASSERT_EQ(entries.size(), 2u);
+  const obs::QueryLogEntry* by_text[2] = {nullptr, nullptr};
+  for (const obs::QueryLogEntry& e : entries) {
+    if (e.query == construct_text) by_text[0] = &e;
+    if (e.query == describe_text) by_text[1] = &e;
+  }
+  ASSERT_NE(by_text[0], nullptr);
+  ASSERT_NE(by_text[1], nullptr);
+  const QueryStats* stats[2] = {&construct_stats, &describe_stats};
+  const uint64_t rows[2] = {2, 6};
+  for (int i = 0; i < 2; ++i) {
+    const obs::QueryLogEntry& e = *by_text[i];
+    EXPECT_EQ(e.rows_out, rows[i]) << e.query;
+    EXPECT_EQ(e.intermediate_rows, stats[i]->intermediate_rows) << e.query;
+    EXPECT_NE(e.fingerprint, 0u) << e.query;
+    EXPECT_EQ(e.fingerprint, stats[i]->fingerprint) << e.query;
+    EXPECT_GT(e.latency_us, 0.0) << e.query;
+    EXPECT_FALSE(e.profile.profiled) << e.query;
+  }
   journal.Clear();
 }
 

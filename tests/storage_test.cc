@@ -9,6 +9,7 @@
 #include <string>
 
 #include "common/random.h"
+#include "obs/metrics.h"
 #include "rdf/triple_store.h"
 #include "storage/btree.h"
 #include "storage/buffer_pool.h"
@@ -24,6 +25,33 @@ namespace {
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/lodviz_" + name + "_" +
          std::to_string(::getpid());
+}
+
+/// The items of [lo, hi] in key order: the tree's runs, flattened.
+std::vector<BTree::Item> RangeItems(const BTree& tree, const Key128& lo,
+                                    const Key128& hi) {
+  std::vector<BTree::Item> items;
+  const Status st =
+      tree.RangeScanRuns(lo, hi, [&](const BTree::Item* run, size_t n) {
+        items.insert(items.end(), run, run + n);
+        return true;
+      });
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return items;
+}
+
+/// The triples matching `pattern` in delivery order: the store's runs,
+/// flattened.
+std::vector<rdf::Triple> ScanAll(const DiskTripleStore& disk,
+                                 const rdf::TriplePattern& pattern) {
+  std::vector<rdf::Triple> triples;
+  const Status st =
+      disk.ScanRuns(pattern, [&](const rdf::Triple* run, size_t n) {
+        triples.insert(triples.end(), run, run + n);
+        return true;
+      });
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return triples;
 }
 
 TEST(PageFileTest, AllocateWriteRead) {
@@ -203,10 +231,9 @@ TEST_P(BTreeModelCheck, AgreesWithStdMap) {
     if (a > b) std::swap(a, b);
     Key128 lo = K(a, 0), hi = K(b, ~0ULL);
     std::vector<std::pair<uint64_t, uint64_t>> got;
-    ASSERT_TRUE(tree.RangeScan(lo, hi, [&](const BTree::Item& item) {
-                      got.emplace_back(item.key.hi, item.key.lo);
-                      return true;
-                    }).ok());
+    for (const BTree::Item& item : RangeItems(tree, lo, hi)) {
+      got.emplace_back(item.key.hi, item.key.lo);
+    }
     std::vector<std::pair<uint64_t, uint64_t>> want;
     for (auto it = model.lower_bound({a, 0});
          it != model.end() && it->first.first <= b; ++it) {
@@ -236,14 +263,12 @@ TEST(BTreeTest, BulkLoadEqualsInserts) {
   // Full scan yields everything in order.
   uint64_t n = 0;
   Key128 prev = Key128::Min();
-  ASSERT_TRUE(tree->RangeScan(Key128::Min(), Key128::Max(),
-                              [&](const BTree::Item& item) {
-                                EXPECT_TRUE(prev <= item.key);
-                                prev = item.key;
-                                ++n;
-                                return true;
-                              })
-                  .ok());
+  for (const BTree::Item& item :
+       RangeItems(*tree, Key128::Min(), Key128::Max())) {
+    EXPECT_TRUE(prev <= item.key);
+    prev = item.key;
+    ++n;
+  }
   EXPECT_EQ(n, 5000u);
 
   // Inserts still work after bulk load.
@@ -285,7 +310,8 @@ TEST(DiskTripleStoreTest, ScanAgreesWithMemoryStore) {
     if (mask & 1) pat.s = static_cast<rdf::TermId>(1 + rng.Uniform(100));
     if (mask & 2) pat.p = static_cast<rdf::TermId>(1 + rng.Uniform(8));
     if (mask & 4) pat.o = static_cast<rdf::TermId>(1 + rng.Uniform(200));
-    EXPECT_EQ(disk.Count(pat), mem.Count(pat)) << "mask=" << mask;
+    EXPECT_EQ(test::Unwrap(disk.Count(pat)), mem.Count(pat))
+        << "mask=" << mask;
   }
 }
 
@@ -318,9 +344,11 @@ TEST(DiskTripleStoreTest, InsertAfterBulkLoad) {
   DiskTripleStore& disk = **disk_r;
   ASSERT_TRUE(disk.BulkLoad({{1, 2, 3}, {4, 5, 6}}).ok());
   ASSERT_TRUE(disk.Insert({7, 8, 9}).ok());
-  EXPECT_EQ(disk.Count(rdf::TriplePattern()), 3u);
-  EXPECT_EQ(disk.Count({7, 8, 9}), 1u);
-  EXPECT_EQ(disk.Count({rdf::kInvalidTermId, 8, rdf::kInvalidTermId}), 1u);
+  EXPECT_EQ(test::Unwrap(disk.Count(rdf::TriplePattern())), 3u);
+  EXPECT_EQ(test::Unwrap(disk.Count({7, 8, 9})), 1u);
+  EXPECT_EQ(
+      test::Unwrap(disk.Count({rdf::kInvalidTermId, 8, rdf::kInvalidTermId})),
+      1u);
 }
 
 TEST(DiskTripleStoreTest, BoundedMemory) {
@@ -339,7 +367,9 @@ TEST(DiskTripleStoreTest, BoundedMemory) {
   EXPECT_LE(disk.MemoryUsage(), 64u * kPageSize);
   EXPECT_GT(disk.pool().evictions(), 0u);
   // Queries still work with the tiny pool.
-  EXPECT_GT(disk.Count({rdf::kInvalidTermId, 1, rdf::kInvalidTermId}), 0u);
+  EXPECT_GT(
+      test::Unwrap(disk.Count({rdf::kInvalidTermId, 1, rdf::kInvalidTermId})),
+      0u);
 }
 
 TEST(CrackingTest, ResultsMatchSortedBaseline) {
@@ -686,13 +716,11 @@ TEST_P(BTreeFormatTest, BulkLoadExactlyOneFullLeaf) {
   EXPECT_EQ(tree->size(), per_leaf);
   EXPECT_EQ(tree->height(), 1);
   uint64_t n = 0;
-  ASSERT_TRUE(tree->RangeScan(Key128::Min(), Key128::Max(),
-                              [&](const BTree::Item& item) {
-                                EXPECT_EQ(item.key.hi, n);
-                                ++n;
-                                return true;
-                              })
-                  .ok());
+  for (const BTree::Item& item :
+       RangeItems(*tree, Key128::Min(), Key128::Max())) {
+    EXPECT_EQ(item.key.hi, n);
+    ++n;
+  }
   EXPECT_EQ(n, per_leaf);
   // The next insert still works, and it must split: the leaf was full.
   ASSERT_TRUE(tree->Insert(K(per_leaf), per_leaf).ok());
@@ -728,12 +756,12 @@ TEST_P(BTreeFormatTest, RangeScanRunsConcatenationEqualsRangeScan) {
   auto tree = BTree::BulkLoad(&pool, items);
   ASSERT_TRUE(tree.ok());
 
+  // The range scan's item sequence: the loaded items inside [lo, hi].
   const Key128 lo = K(37, 1), hi = K(1200, 2);
   std::vector<BTree::Item> via_scan;
-  ASSERT_TRUE(tree->RangeScan(lo, hi, [&](const BTree::Item& item) {
-                    via_scan.push_back(item);
-                    return true;
-                  }).ok());
+  for (const BTree::Item& item : items) {
+    if (lo <= item.key && item.key <= hi) via_scan.push_back(item);
+  }
   std::vector<BTree::Item> via_runs;
   size_t num_runs = 0;
   ASSERT_TRUE(tree->RangeScanRuns(lo, hi,
@@ -806,12 +834,10 @@ TEST(BTreeCompressedTest, RandomInsertsAgreeWithStdMap) {
   }
 
   std::vector<std::pair<uint64_t, uint64_t>> got;
-  ASSERT_TRUE(tree.RangeScan(Key128::Min(), Key128::Max(),
-                             [&](const BTree::Item& item) {
-                               got.emplace_back(item.key.hi, item.key.lo);
-                               return true;
-                             })
-                  .ok());
+  for (const BTree::Item& item :
+       RangeItems(tree, Key128::Min(), Key128::Max())) {
+    got.emplace_back(item.key.hi, item.key.lo);
+  }
   std::vector<std::pair<uint64_t, uint64_t>> want;
   for (const auto& [k, v] : model) want.push_back(k);
   EXPECT_EQ(got, want);
@@ -837,10 +863,9 @@ TEST(BTreeCompressedTest, FormatsAgreeAndCompressedUsesFewerPages) {
     if (lo <= item.key && item.key <= hi) want.push_back(item.key);
   }
   std::vector<Key128> got;
-  ASSERT_TRUE(comp->RangeScan(lo, hi, [&](const BTree::Item& item) {
-                    got.push_back(item.key);
-                    return true;
-                  }).ok());
+  for (const BTree::Item& item : RangeItems(*comp, lo, hi)) {
+    got.push_back(item.key);
+  }
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < want.size(); ++i) {
     EXPECT_TRUE(got[i] == want[i]) << i;
@@ -873,14 +898,8 @@ TEST(DiskTripleStoreTest, AggregatesExactAfterBulkLoadAndInsert) {
   ASSERT_TRUE(disk.BulkLoad(triples).ok());
 
   auto brute_pair = [&](rdf::TermId s, rdf::TermId p) {
-    uint64_t n = 0;
-    Status st = disk.Scan(rdf::TriplePattern(s, p, rdf::kInvalidTermId),
-                          [&](const rdf::Triple&) {
-                            ++n;
-                            return true;
-                          });
-    EXPECT_TRUE(st.ok());
-    return n;
+    return static_cast<uint64_t>(
+        ScanAll(disk, rdf::TriplePattern(s, p, rdf::kInvalidTermId)).size());
   };
   for (rdf::TermId s = 1; s <= 50; ++s) {
     for (rdf::TermId p = 1; p <= 6; ++p) {
@@ -918,16 +937,20 @@ TEST(DiskTripleStoreTest, ScanRunsMatchesScanAcrossFormats) {
   ASSERT_TRUE(disk_r.ok());
   DiskTripleStore& disk = **disk_r;
   ASSERT_TRUE(disk.BulkLoad(triples).ok());
+  const rdf::Dictionary dict;
+  const DiskSourceAdapter adapter(&disk, &dict);
   for (int mask = 0; mask < 8; ++mask) {
     rdf::TriplePattern pat;
     if (mask & 1) pat.s = 17;
     if (mask & 2) pat.p = 3;
     if (mask & 4) pat.o = 150;
+    // The per-triple sequence, through the one Scan there is: the
+    // TripleSource wrapper over the adapter's ScanRuns.
     std::vector<rdf::Triple> via_scan, via_runs;
-    ASSERT_TRUE(disk.Scan(pat, [&](const rdf::Triple& t) {
-                      via_scan.push_back(t);
-                      return true;
-                    }).ok());
+    adapter.Scan(pat, [&](const rdf::Triple& t) {
+      via_scan.push_back(t);
+      return true;
+    });
     ASSERT_TRUE(disk.ScanRuns(pat,
                               [&](const rdf::Triple* run, size_t n) {
                                 via_runs.insert(via_runs.end(), run, run + n);
@@ -939,6 +962,44 @@ TEST(DiskTripleStoreTest, ScanRunsMatchesScanAcrossFormats) {
       EXPECT_EQ(via_runs[i], via_scan[i]) << "mask=" << mask << " i=" << i;
     }
   }
+}
+
+TEST(DiskTripleStoreTest, StorageErrorsSurfaceThroughCountAndAdapter) {
+  // Load through a small evicting pool, flush, then cut the page file
+  // short: every page the pool no longer holds now fails to read.
+  Rng rng(31);
+  std::vector<rdf::Triple> triples;
+  for (int i = 0; i < 20000; ++i) {
+    triples.emplace_back(static_cast<rdf::TermId>(1 + rng.Uniform(2000)),
+                         static_cast<rdf::TermId>(1 + rng.Uniform(8)),
+                         static_cast<rdf::TermId>(1 + rng.Uniform(5000)));
+  }
+  const std::string path = TempPath("trunc");
+  auto disk_r = DiskTripleStore::Create(path, 8);
+  ASSERT_TRUE(disk_r.ok());
+  DiskTripleStore& disk = **disk_r;
+  ASSERT_TRUE(disk.BulkLoad(triples).ok());
+  ASSERT_TRUE(disk.pool().FlushAll().ok());
+  ASSERT_GT(disk.file().num_pages(), 8u);
+  ASSERT_EQ(::truncate(path.c_str(), 0), 0) << std::strerror(errno);
+
+  // An object-only pattern has no aggregate: Count must scan.
+  const rdf::TriplePattern pat(rdf::kInvalidTermId, rdf::kInvalidTermId, 42);
+  const Result<uint64_t> direct = disk.Count(pat);
+  ASSERT_FALSE(direct.ok());
+  EXPECT_EQ(direct.status().code(), StatusCode::kIoError);
+
+  const rdf::Dictionary dict;
+  const DiskSourceAdapter adapter(&disk, &dict);
+  obs::Counter& errors =
+      obs::MetricRegistry::Global().GetCounter("storage.adapter.scan_errors");
+  uint64_t before = errors.value();
+  EXPECT_EQ(adapter.Count(pat), 0u);
+  EXPECT_EQ(errors.value(), before + 1);
+
+  before = errors.value();
+  adapter.ScanRuns(pat, [](const rdf::Triple*, size_t) { return true; });
+  EXPECT_EQ(errors.value(), before + 1);
 }
 
 }  // namespace
