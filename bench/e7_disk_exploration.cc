@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <sstream>
 
 #include "bench_util.h"
 #include "common/check.h"
@@ -15,6 +16,8 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
+#include "explore/facets.h"
+#include "hier/hetree.h"
 #include "rdf/triple_store.h"
 #include "sparql/engine.h"
 #include "storage/disk_source_adapter.h"
@@ -27,6 +30,35 @@ namespace {
 
 std::string TempPath(const std::string& tag) {
   return "/tmp/lodviz_e7_" + tag + "_" + std::to_string(::getpid()) + ".db";
+}
+
+/// Every facet, value and count, in the browser's order.
+std::string FacetDigest(const std::vector<explore::Facet>& facets) {
+  std::string out;
+  for (const explore::Facet& f : facets) {
+    out += f.label + "{";
+    for (const explore::FacetValue& v : f.values) {
+      out += v.label + "=" + std::to_string(v.count) + ",";
+    }
+    out += "}";
+  }
+  return out;
+}
+
+/// Every node's range and statistics, and every leaf's items.
+std::string HETreeDigest(const hier::HETree& tree) {
+  std::ostringstream out;
+  out.precision(17);
+  for (hier::HETree::NodeId id = 0; id < tree.materialized_nodes(); ++id) {
+    const hier::HETree::Node& n = tree.node(id);
+    out << n.lo << ":" << n.hi << ":" << n.first << ":" << n.last << ":"
+        << n.stats.sum << ":" << n.stats.variance << ";";
+    if (!n.is_leaf) continue;
+    for (const hier::Item& item : tree.LeafItems(id)) {
+      out << item.value << "@" << item.object << ",";
+    }
+  }
+  return out.str();
 }
 
 int Run() {
@@ -129,7 +161,7 @@ int Run() {
       LODVIZ_CHECK_OK(
           disk.Count({s, rdf::kInvalidTermId, rdf::kInvalidTermId}));
     }
-    const auto preds = mem.predicate_counts();
+    const auto preds = mem.PredicateCounts();
     int scans = 0;
     for (const auto& [pred, count] : preds) {
       if (scans++ >= 20) break;
@@ -239,12 +271,62 @@ int Run() {
     }
   }
   sparql_table.Print(std::cout);
+
+  // The exploration modules read the same TripleSource contract: facets
+  // before and after a refinement, and the HETree over age, each on the
+  // memory store and on the 64-page disk adapter.
+  std::cout << "\nExploration modules, memory vs disk backend (100k "
+               "entities, 64-page pool):\n";
+  const rdf::Dictionary& dict = mem.dict();
+  const rdf::TermId category =
+      dict.Lookup(rdf::Term::Iri(workload::lod::kCategory));
+  const rdf::TermId category_value = dict.Lookup(rdf::Term::Iri(
+      std::string(workload::lod::kCategoryPrefix) + "3"));
+  const rdf::TermId age = dict.Lookup(rdf::Term::Iri(workload::lod::kAge));
+  auto facets_of = [&](const rdf::TripleSource& source) {
+    explore::FacetedBrowser browser(&source);
+    std::string out = FacetDigest(browser.Facets());
+    LODVIZ_CHECK_OK(browser.Select(category, category_value));
+    return out + "|" + FacetDigest(browser.Facets());
+  };
+  auto hetree_of = [&](const rdf::TripleSource& source) {
+    auto tree = hier::HETree::BuildFromProperty(source, age,
+                                                hier::HETree::Options());
+    LODVIZ_CHECK_OK(tree.status());
+    return HETreeDigest(*tree);
+  };
+  TablePrinter explore_table({"operation", "mem ms", "disk ms", "identical"});
+  bool explore_identical = true;
+  auto compare = [&](const char* label, const auto& run) {
+    Stopwatch mem_sw;
+    const std::string mem_out = run(mem);
+    const double mem_ms = mem_sw.ElapsedMillis();
+    sparql_disk.pool().ResetCounters();
+    Stopwatch disk_sw;
+    const std::string disk_out = run(adapter);
+    const double disk_ms = disk_sw.ElapsedMillis();
+    const bool identical = mem_out == disk_out;
+    explore_identical = explore_identical && identical;
+    explore_table.AddRow({label, bench::Ms(mem_ms), bench::Ms(disk_ms),
+                          identical ? "yes" : "NO"});
+    telemetry.RecordPhase(std::string("mem_") + label + "_ms", mem_ms);
+    telemetry.RecordPhase(std::string("disk_") + label + "_ms", disk_ms);
+    telemetry.RecordPhase(std::string("disk_") + label + "_pool_hit_rate",
+                          sparql_disk.pool().HitRate());
+  };
+  compare("facets_refine", facets_of);
+  compare("hetree_age", hetree_of);
+  explore_table.Print(std::cout);
   std::remove(sparql_path.c_str());
+  if (!explore_identical) {
+    std::cerr << "backend divergence in the exploration modules\n";
+    return 1;
+  }
 
   std::cout << "\nShape check: memory stays capped at the pool size across "
                "dataset scales; larger pools trade memory for hit rate, the "
-               "classic buffer-pool curve; SPARQL answers are bit-identical "
-               "across backends.\n";
+               "classic buffer-pool curve; SPARQL answers, facets and the "
+               "HETree are bit-identical across backends.\n";
   return 0;
 }
 

@@ -111,7 +111,7 @@ Result<uint64_t> ArchetypeAdapter::RunAggregation() {
 Result<uint64_t> ArchetypeAdapter::RunIncremental() {
   std::vector<double> values;
   engine_->store().Scan(rdf::TriplePattern(), [&](const rdf::Triple& t) {
-    Result<double> v = engine_->store().dict().term(t.o).AsDouble();
+    Result<double> v = engine_->store().dict().NumberValue(t.o);
     if (v.ok()) values.push_back(v.ValueOrDie());
     return true;
   });

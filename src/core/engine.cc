@@ -220,7 +220,7 @@ Result<hier::HETree> Engine::BuildHierarchy(
 
 graph::Graph Engine::BuildGraph() const {
   CountCapability("build_graph");
-  return graph::Graph::FromTripleStore(store_);
+  return graph::Graph::FromSource(store_);
 }
 
 graph::GraphHierarchy Engine::BuildGraphHierarchy(
@@ -260,7 +260,7 @@ std::vector<geo::Point> Engine::CollectPairs(const std::string& x_iri,
   std::unordered_map<rdf::TermId, double> x_values;
   store_.Scan({rdf::kInvalidTermId, xp, rdf::kInvalidTermId},
               [&](const rdf::Triple& t) {
-                Result<double> v = dict.term(t.o).AsDouble();
+                Result<double> v = dict.NumberValue(t.o);
                 if (v.ok()) x_values[t.s] = v.ValueOrDie();
                 return true;
               });
@@ -269,7 +269,7 @@ std::vector<geo::Point> Engine::CollectPairs(const std::string& x_iri,
               [&](const rdf::Triple& t) {
                 auto it = x_values.find(t.s);
                 if (it == x_values.end()) return true;
-                Result<double> v = dict.term(t.o).AsDouble();
+                Result<double> v = dict.NumberValue(t.o);
                 if (v.ok()) pairs.push_back({it->second, v.ValueOrDie()});
                 return true;
               });
@@ -283,14 +283,8 @@ std::vector<double> Engine::CollectValues(const std::string& iri) const {
   if (pred == rdf::kInvalidTermId) return values;
   store_.Scan({rdf::kInvalidTermId, pred, rdf::kInvalidTermId},
               [&](const rdf::Triple& t) {
-                const rdf::Term& obj = dict.term(t.o);
-                if (obj.IsTemporalLiteral()) {
-                  Result<int64_t> v = obj.AsEpochSeconds();
-                  if (v.ok()) values.push_back(static_cast<double>(*v));
-                } else {
-                  Result<double> v = obj.AsDouble();
-                  if (v.ok()) values.push_back(*v);
-                }
+                Result<double> v = dict.ScalarValue(t.o);
+                if (v.ok()) values.push_back(*v);
                 return true;
               });
   return values;

@@ -32,7 +32,7 @@ double ApplyAgg(Agg agg, const std::vector<double>& values) {
 }  // namespace
 
 Result<DataCube> DataCube::FromStore(
-    const rdf::TripleStore& store,
+    const rdf::TripleSource& source,
     const std::vector<std::string>& dimension_predicates,
     const std::vector<std::string>& measure_predicates) {
   if (dimension_predicates.empty()) {
@@ -42,20 +42,20 @@ Result<DataCube> DataCube::FromStore(
     return Status::InvalidArgument("cube needs at least one measure");
   }
   DataCube cube;
-  cube.dict_ = &store.dict();
+  cube.dict_ = &source.dict();
   cube.dimension_names_ = dimension_predicates;
   cube.measure_names_ = measure_predicates;
 
   std::vector<rdf::TermId> dim_ids, measure_ids;
   for (const std::string& p : dimension_predicates) {
-    rdf::TermId id = store.dict().Lookup(rdf::Term::Iri(p));
+    rdf::TermId id = source.dict().Lookup(rdf::Term::Iri(p));
     if (id == rdf::kInvalidTermId) {
       return Status::NotFound("dimension predicate absent: " + p);
     }
     dim_ids.push_back(id);
   }
   for (const std::string& p : measure_predicates) {
-    rdf::TermId id = store.dict().Lookup(rdf::Term::Iri(p));
+    rdf::TermId id = source.dict().Lookup(rdf::Term::Iri(p));
     if (id == rdf::kInvalidTermId) {
       return Status::NotFound("measure predicate absent: " + p);
     }
@@ -64,11 +64,11 @@ Result<DataCube> DataCube::FromStore(
 
   // Candidate observations: subjects of the first dimension predicate.
   std::vector<rdf::TermId> subjects;
-  store.Scan({rdf::kInvalidTermId, dim_ids[0], rdf::kInvalidTermId},
-             [&](const rdf::Triple& t) {
-               subjects.push_back(t.s);
-               return true;
-             });
+  source.Scan({rdf::kInvalidTermId, dim_ids[0], rdf::kInvalidTermId},
+              [&](const rdf::Triple& t) {
+                subjects.push_back(t.s);
+                return true;
+              });
   std::sort(subjects.begin(), subjects.end());
   subjects.erase(std::unique(subjects.begin(), subjects.end()),
                  subjects.end());
@@ -77,7 +77,7 @@ Result<DataCube> DataCube::FromStore(
     Observation obs;
     bool complete = true;
     for (rdf::TermId d : dim_ids) {
-      auto matches = store.Match({s, d, rdf::kInvalidTermId});
+      auto matches = source.Match({s, d, rdf::kInvalidTermId});
       if (matches.empty()) {
         complete = false;
         break;
@@ -86,12 +86,12 @@ Result<DataCube> DataCube::FromStore(
     }
     if (!complete) continue;
     for (rdf::TermId m : measure_ids) {
-      auto matches = store.Match({s, m, rdf::kInvalidTermId});
+      auto matches = source.Match({s, m, rdf::kInvalidTermId});
       if (matches.empty()) {
         complete = false;
         break;
       }
-      Result<double> v = store.dict().term(matches.front().o).AsDouble();
+      Result<double> v = source.dict().NumberValue(matches.front().o);
       if (!v.ok()) {
         complete = false;
         break;

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "rdf/triple_store.h"
+#include "rdf/triple_source.h"
 
 namespace lodviz::cube {
 
@@ -34,7 +34,7 @@ class DataCube {
   /// objects of `measure_predicates`. Observations missing any component
   /// are skipped.
   static Result<DataCube> FromStore(
-      const rdf::TripleStore& store,
+      const rdf::TripleSource& source,
       const std::vector<std::string>& dimension_predicates,
       const std::vector<std::string>& measure_predicates);
 

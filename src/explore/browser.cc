@@ -8,7 +8,7 @@
 namespace lodviz::explore {
 
 Result<ResourceView> ResourceBrowser::Describe(rdf::TermId resource) const {
-  const rdf::Dictionary& dict = store_->dict();
+  const rdf::Dictionary& dict = source_->dict();
   if (!dict.Contains(resource)) {
     return Status::NotFound("unknown resource id " + std::to_string(resource));
   }
@@ -18,24 +18,24 @@ Result<ResourceView> ResourceBrowser::Describe(rdf::TermId resource) const {
   view.label = view.iri;
 
   rdf::TermId label_pred = dict.Lookup(rdf::Term::Iri(rdf::vocab::kRdfsLabel));
-  store_->Scan({resource, rdf::kInvalidTermId, rdf::kInvalidTermId},
-               [&](const rdf::Triple& t) {
-                 PropertyRow row;
-                 row.predicate = t.p;
-                 row.predicate_label = dict.term(t.p).lexical;
-                 row.value = dict.term(t.o);
-                 if (row.value.is_iri() || row.value.is_blank()) {
-                   row.link = t.o;
-                 }
-                 if (t.p == label_pred) view.label = row.value.lexical;
-                 view.outgoing.push_back(std::move(row));
-                 return true;
-               });
-  store_->Scan({rdf::kInvalidTermId, rdf::kInvalidTermId, resource},
-               [&](const rdf::Triple& t) {
-                 view.incoming.emplace_back(t.s, t.p);
-                 return true;
-               });
+  source_->Scan({resource, rdf::kInvalidTermId, rdf::kInvalidTermId},
+                [&](const rdf::Triple& t) {
+                  PropertyRow row;
+                  row.predicate = t.p;
+                  row.predicate_label = dict.term(t.p).lexical;
+                  row.value = dict.term(t.o);
+                  if (row.value.is_iri() || row.value.is_blank()) {
+                    row.link = t.o;
+                  }
+                  if (t.p == label_pred) view.label = row.value.lexical;
+                  view.outgoing.push_back(std::move(row));
+                  return true;
+                });
+  source_->Scan({rdf::kInvalidTermId, rdf::kInvalidTermId, resource},
+                [&](const rdf::Triple& t) {
+                  view.incoming.emplace_back(t.s, t.p);
+                  return true;
+                });
   std::sort(view.outgoing.begin(), view.outgoing.end(),
             [](const PropertyRow& a, const PropertyRow& b) {
               return a.predicate_label < b.predicate_label;
@@ -44,7 +44,7 @@ Result<ResourceView> ResourceBrowser::Describe(rdf::TermId resource) const {
 }
 
 Result<ResourceView> ResourceBrowser::DescribeIri(const std::string& iri) const {
-  rdf::TermId id = store_->dict().Lookup(rdf::Term::Iri(iri));
+  rdf::TermId id = source_->dict().Lookup(rdf::Term::Iri(iri));
   if (id == rdf::kInvalidTermId) {
     return Status::NotFound("no such resource: " + iri);
   }

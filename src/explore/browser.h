@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "rdf/triple_store.h"
+#include "rdf/triple_source.h"
 
 namespace lodviz::explore {
 
@@ -31,10 +31,10 @@ struct ResourceView {
 
 /// Link-navigation resource browser (Haystack, Disco, Tabulator,
 /// LodLive): describe a resource, follow links, go back — the most basic
-/// WoD exploration workflow, here over the shared triple store.
+/// WoD exploration workflow, here over the shared triple source.
 class ResourceBrowser {
  public:
-  explicit ResourceBrowser(const rdf::TripleStore* store) : store_(store) {}
+  explicit ResourceBrowser(const rdf::TripleSource* source) : source_(source) {}
 
   /// Describes a resource without touching navigation history.
   Result<ResourceView> Describe(rdf::TermId resource) const;
@@ -56,7 +56,7 @@ class ResourceBrowser {
   std::string Render(const ResourceView& view, size_t max_rows = 25) const;
 
  private:
-  const rdf::TripleStore* store_;
+  const rdf::TripleSource* source_;
   std::vector<rdf::TermId> history_;
   size_t position_ = 0;  // number of valid entries
 };

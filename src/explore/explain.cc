@@ -20,17 +20,17 @@ struct PredValueHash {
 
 }  // namespace
 
-std::vector<rdf::TermId> TopValueSubjects(const rdf::TripleStore& store,
+std::vector<rdf::TermId> TopValueSubjects(const rdf::TripleSource& source,
                                           rdf::TermId target_property,
                                           size_t k) {
   std::vector<std::pair<double, rdf::TermId>> scored;
-  const rdf::Dictionary& dict = store.dict();
-  store.Scan({rdf::kInvalidTermId, target_property, rdf::kInvalidTermId},
-             [&](const rdf::Triple& t) {
-               Result<double> v = dict.term(t.o).AsDouble();
-               if (v.ok()) scored.emplace_back(v.ValueOrDie(), t.s);
-               return true;
-             });
+  const rdf::Dictionary& dict = source.dict();
+  source.Scan({rdf::kInvalidTermId, target_property, rdf::kInvalidTermId},
+              [&](const rdf::Triple& t) {
+                Result<double> v = dict.NumberValue(t.o);
+                if (v.ok()) scored.emplace_back(v.ValueOrDie(), t.s);
+                return true;
+              });
   std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
     if (a.first != b.first) return a.first > b.first;
     return a.second < b.second;
@@ -43,24 +43,24 @@ std::vector<rdf::TermId> TopValueSubjects(const rdf::TripleStore& store,
 }
 
 Result<std::vector<Explanation>> ExplainDeviation(
-    const rdf::TripleStore& store, rdf::TermId target_property,
+    const rdf::TripleSource& source, rdf::TermId target_property,
     const std::vector<rdf::TermId>& outliers, size_t top_k) {
   if (outliers.empty()) {
     return Status::InvalidArgument("need at least one outlier entity");
   }
-  const rdf::Dictionary& dict = store.dict();
+  const rdf::Dictionary& dict = source.dict();
   std::unordered_set<rdf::TermId> outlier_set(outliers.begin(),
                                               outliers.end());
 
   // Target value per outlier.
   std::unordered_map<rdf::TermId, double> target;
-  store.Scan({rdf::kInvalidTermId, target_property, rdf::kInvalidTermId},
-             [&](const rdf::Triple& t) {
-               if (!outlier_set.count(t.s)) return true;
-               Result<double> v = dict.term(t.o).AsDouble();
-               if (v.ok()) target[t.s] = v.ValueOrDie();
-               return true;
-             });
+  source.Scan({rdf::kInvalidTermId, target_property, rdf::kInvalidTermId},
+              [&](const rdf::Triple& t) {
+                if (!outlier_set.count(t.s)) return true;
+                Result<double> v = dict.NumberValue(t.o);
+                if (v.ok()) target[t.s] = v.ValueOrDie();
+                return true;
+              });
   if (target.empty()) {
     return Status::NotFound("no outlier has a numeric target value");
   }
@@ -72,7 +72,7 @@ Result<std::vector<Explanation>> ExplainDeviation(
   // Facet membership over the outlier group (target property excluded).
   std::unordered_map<PredValue, std::vector<rdf::TermId>, PredValueHash>
       facets;
-  store.Scan(rdf::TriplePattern(), [&](const rdf::Triple& t) {
+  source.Scan(rdf::TriplePattern(), [&](const rdf::Triple& t) {
     if (t.p == target_property) return true;
     if (!outlier_set.count(t.s) || !target.count(t.s)) return true;
     facets[{t.p, t.o}].push_back(t.s);

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "rdf/triple_store.h"
+#include "rdf/triple_source.h"
 
 namespace lodviz::explore {
 
@@ -35,12 +35,12 @@ struct Explanation {
 /// `outliers` are subject term ids; `target_property` must have numeric
 /// objects. Facets with support < 2 are ignored as noise.
 Result<std::vector<Explanation>> ExplainDeviation(
-    const rdf::TripleStore& store, rdf::TermId target_property,
+    const rdf::TripleSource& source, rdf::TermId target_property,
     const std::vector<rdf::TermId>& outliers, size_t top_k = 5);
 
 /// Convenience: the `k` subjects with the highest values of
 /// `target_property` (a simple way to pick an outlier group).
-std::vector<rdf::TermId> TopValueSubjects(const rdf::TripleStore& store,
+std::vector<rdf::TermId> TopValueSubjects(const rdf::TripleSource& source,
                                           rdf::TermId target_property,
                                           size_t k);
 

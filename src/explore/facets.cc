@@ -6,24 +6,25 @@
 
 namespace lodviz::explore {
 
-FacetedBrowser::FacetedBrowser(const rdf::TripleStore* store, Options options)
-    : store_(store), options_(options) {
+FacetedBrowser::FacetedBrowser(const rdf::TripleSource* source, Options options)
+    : source_(source), options_(options) {
   Recompute();
 }
 
 void FacetedBrowser::Recompute() {
   if (selection_.empty()) {
-    matching_ = store_->DistinctSubjects();
+    matching_ = source_->DistinctSubjects();
     return;
   }
   // Intersect subjects per constraint, starting from the most selective.
   std::vector<std::vector<rdf::TermId>> subject_sets;
   for (const auto& [pred, value] : selection_) {
     std::vector<rdf::TermId> subjects;
-    store_->Scan({rdf::kInvalidTermId, pred, value}, [&](const rdf::Triple& t) {
-      subjects.push_back(t.s);
-      return true;
-    });
+    source_->Scan({rdf::kInvalidTermId, pred, value},
+                  [&](const rdf::Triple& t) {
+                    subjects.push_back(t.s);
+                    return true;
+                  });
     std::sort(subjects.begin(), subjects.end());
     subjects.erase(std::unique(subjects.begin(), subjects.end()),
                    subjects.end());
@@ -42,26 +43,26 @@ void FacetedBrowser::Recompute() {
 }
 
 std::vector<Facet> FacetedBrowser::Facets() const {
-  const rdf::Dictionary& dict = store_->dict();
+  const rdf::Dictionary& dict = source_->dict();
   std::unordered_set<rdf::TermId> match_set(matching_.begin(),
                                             matching_.end());
 
   std::vector<Facet> facets;
-  for (const auto& [pred, total] : store_->predicate_counts()) {
+  for (const auto& [pred, total] : source_->PredicateCounts()) {
     if (selection_.count(pred)) continue;  // already constrained
     // Count values over the matching set only.
     std::unordered_map<rdf::TermId, uint64_t> counts;
     bool facetable = true;
-    store_->Scan({rdf::kInvalidTermId, pred, rdf::kInvalidTermId},
-                 [&](const rdf::Triple& t) {
-                   if (!match_set.count(t.s)) return true;
-                   ++counts[t.o];
-                   if (counts.size() > options_.max_values) {
-                     facetable = false;
-                     return false;
-                   }
-                   return true;
-                 });
+    source_->Scan({rdf::kInvalidTermId, pred, rdf::kInvalidTermId},
+                  [&](const rdf::Triple& t) {
+                    if (!match_set.count(t.s)) return true;
+                    ++counts[t.o];
+                    if (counts.size() > options_.max_values) {
+                      facetable = false;
+                      return false;
+                    }
+                    return true;
+                  });
     if (!facetable || counts.empty()) continue;
 
     Facet facet;
@@ -90,7 +91,8 @@ std::vector<Facet> FacetedBrowser::Facets() const {
 }
 
 Status FacetedBrowser::Select(rdf::TermId predicate, rdf::TermId value) {
-  if (!store_->dict().Contains(predicate) || !store_->dict().Contains(value)) {
+  const rdf::Dictionary& dict = source_->dict();
+  if (!dict.Contains(predicate) || !dict.Contains(value)) {
     return Status::NotFound("unknown predicate or value term");
   }
   selection_[predicate] = value;

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "rdf/triple_store.h"
+#include "rdf/triple_source.h"
 
 namespace lodviz::explore {
 
@@ -23,7 +23,7 @@ struct Facet {
   std::vector<FacetValue> values;  // sorted by count desc
 };
 
-/// Faceted browsing over a triple store (/facet, gFacet, Rhizomer
+/// Faceted browsing over a triple source (/facet, gFacet, Rhizomer
 /// [62, 57, 30]): conjunctive refinement over predicate-value selections,
 /// with counts recomputed against the current result set.
 class FacetedBrowser {
@@ -35,9 +35,9 @@ class FacetedBrowser {
     size_t top_values = 20;
   };
 
-  FacetedBrowser(const rdf::TripleStore* store, Options options);
-  explicit FacetedBrowser(const rdf::TripleStore* store)
-      : FacetedBrowser(store, Options()) {}
+  FacetedBrowser(const rdf::TripleSource* source, Options options);
+  explicit FacetedBrowser(const rdf::TripleSource* source)
+      : FacetedBrowser(source, Options()) {}
 
   /// Entities matching the current selection (all subjects when empty).
   const std::vector<rdf::TermId>& Matching() const { return matching_; }
@@ -63,7 +63,7 @@ class FacetedBrowser {
  private:
   void Recompute();
 
-  const rdf::TripleStore* store_;
+  const rdf::TripleSource* source_;
   Options options_;
   std::map<rdf::TermId, rdf::TermId> selection_;
   std::vector<rdf::TermId> matching_;  // sorted

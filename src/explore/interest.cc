@@ -27,14 +27,14 @@ void InterestModel::ClearMarks() { marked_.clear(); }
 
 std::vector<InterestSignal> InterestModel::TopSignals(size_t k) const {
   if (marked_.empty()) return {};
-  const rdf::Dictionary& dict = store_->dict();
+  const rdf::Dictionary& dict = source_->dict();
 
   // Count (predicate, value) occurrences among marked subjects and among
   // distinct subjects overall. Only IRI/literal object values qualify.
   std::unordered_map<PredValue, uint64_t, PredValueHash> marked_counts;
   std::unordered_map<PredValue, uint64_t, PredValueHash> all_counts;
   std::unordered_set<rdf::TermId> all_subjects;
-  store_->Scan(rdf::TriplePattern(), [&](const rdf::Triple& t) {
+  source_->Scan(rdf::TriplePattern(), [&](const rdf::Triple& t) {
     all_subjects.insert(t.s);
     PredValue pv{t.p, t.o};
     ++all_counts[pv];
@@ -81,11 +81,11 @@ std::vector<std::pair<rdf::TermId, double>> InterestModel::SuggestEntities(
 
   std::unordered_map<rdf::TermId, double> scores;
   for (const InterestSignal& signal : signals) {
-    store_->Scan({rdf::kInvalidTermId, signal.predicate, signal.value},
-                 [&](const rdf::Triple& t) {
-                   if (!marked_.count(t.s)) scores[t.s] += signal.lift;
-                   return true;
-                 });
+    source_->Scan({rdf::kInvalidTermId, signal.predicate, signal.value},
+                  [&](const rdf::Triple& t) {
+                    if (!marked_.count(t.s)) scores[t.s] += signal.lift;
+                    return true;
+                  });
   }
   std::vector<std::pair<rdf::TermId, double>> ranked(scores.begin(),
                                                      scores.end());

@@ -5,7 +5,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "rdf/triple_store.h"
+#include "rdf/triple_source.h"
 
 namespace lodviz::explore {
 
@@ -30,7 +30,7 @@ struct InterestSignal {
 /// her to interesting data parts".
 class InterestModel {
  public:
-  explicit InterestModel(const rdf::TripleStore* store) : store_(store) {}
+  explicit InterestModel(const rdf::TripleSource* source) : source_(source) {}
 
   /// Marks an entity as interesting (idempotent).
   void MarkInteresting(rdf::TermId subject);
@@ -46,7 +46,7 @@ class InterestModel {
       size_t k = 10) const;
 
  private:
-  const rdf::TripleStore* store_;
+  const rdf::TripleSource* source_;
   std::unordered_set<rdf::TermId> marked_;
 };
 

@@ -8,17 +8,17 @@
 
 namespace lodviz::explore {
 
-KeywordIndex KeywordIndex::Build(const rdf::TripleStore& store,
+KeywordIndex KeywordIndex::Build(const rdf::TripleSource& source,
                                  double label_boost) {
   KeywordIndex index;
-  const rdf::Dictionary& dict = store.dict();
+  const rdf::Dictionary& dict = source.dict();
   rdf::TermId label_pred = dict.Lookup(rdf::Term::Iri(rdf::vocab::kRdfsLabel));
 
   std::unordered_map<rdf::TermId, uint32_t> doc_of;
   // term -> (doc -> weighted term frequency)
   std::unordered_map<std::string, std::unordered_map<uint32_t, double>> tf;
 
-  store.Scan(rdf::TriplePattern(), [&](const rdf::Triple& t) {
+  source.Scan(rdf::TriplePattern(), [&](const rdf::Triple& t) {
     const rdf::Term& obj = dict.term(t.o);
     if (!obj.is_literal()) return true;
     std::vector<std::string> tokens = TokenizeWords(obj.lexical);

@@ -5,7 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "rdf/triple_store.h"
+#include "rdf/triple_source.h"
 
 namespace lodviz::explore {
 
@@ -16,15 +16,15 @@ struct SearchHit {
   std::string label;
 };
 
-/// Tf-idf inverted index over the literal objects of a triple store
+/// Tf-idf inverted index over the literal objects of a triple source
 /// (labels, comments, any text). This is the "Keyword" capability of the
 /// survey's Table 2 (VisiNav, LodLive, graphVizdb...): find start nodes by
 /// text, then explore structurally from there.
 class KeywordIndex {
  public:
-  /// Indexes every (subject, literal-object) pair in `store`.
+  /// Indexes every (subject, literal-object) pair in `source`.
   /// rdfs:label tokens get `label_boost` times the weight.
-  static KeywordIndex Build(const rdf::TripleStore& store,
+  static KeywordIndex Build(const rdf::TripleSource& source,
                             double label_boost = 2.0);
 
   /// Top-k subjects matching the query (AND semantics across terms; falls

@@ -9,21 +9,21 @@
 
 namespace lodviz::explore {
 
-SchemaSummary BuildSchemaSummary(const rdf::TripleStore& store) {
-  const rdf::Dictionary& dict = store.dict();
+SchemaSummary BuildSchemaSummary(const rdf::TripleSource& source) {
+  const rdf::Dictionary& dict = source.dict();
   SchemaSummary summary;
-  summary.total_triples = store.size();
+  summary.total_triples = source.size();
 
   rdf::TermId type_pred = dict.Lookup(rdf::Term::Iri(rdf::vocab::kRdfType));
 
   // Subject -> class (first type wins; kInvalid = untyped).
   std::unordered_map<rdf::TermId, rdf::TermId> subject_class;
   if (type_pred != rdf::kInvalidTermId) {
-    store.Scan({rdf::kInvalidTermId, type_pred, rdf::kInvalidTermId},
-               [&](const rdf::Triple& t) {
-                 subject_class.emplace(t.s, t.o);
-                 return true;
-               });
+    source.Scan({rdf::kInvalidTermId, type_pred, rdf::kInvalidTermId},
+                [&](const rdf::Triple& t) {
+                  subject_class.emplace(t.s, t.o);
+                  return true;
+                });
   }
 
   // Class index (created on demand; index 0+ in insertion order).
@@ -44,7 +44,7 @@ SchemaSummary BuildSchemaSummary(const rdf::TripleStore& store) {
   };
 
   // Count instances per class.
-  for (rdf::TermId subject : store.DistinctSubjects()) {
+  for (rdf::TermId subject : source.DistinctSubjects()) {
     ++summary.classes[class_of(subject)].instances;
     ++summary.total_entities;
   }
@@ -52,7 +52,7 @@ SchemaSummary BuildSchemaSummary(const rdf::TripleStore& store) {
   // Aggregate edges and datatype properties.
   std::map<std::tuple<size_t, size_t, rdf::TermId>, uint64_t> edge_counts;
   std::map<std::pair<size_t, rdf::TermId>, uint64_t> prop_counts;
-  store.Scan(rdf::TriplePattern(), [&](const rdf::Triple& t) {
+  source.Scan(rdf::TriplePattern(), [&](const rdf::Triple& t) {
     if (t.p == type_pred) return true;
     size_t from = class_of(t.s);
     const rdf::Term& obj = dict.term(t.o);

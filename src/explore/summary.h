@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "rdf/triple_store.h"
+#include "rdf/triple_source.h"
 
 namespace lodviz::explore {
 
@@ -43,9 +43,9 @@ struct SchemaSummary {
   std::string ToString(size_t max_rows = 15) const;
 };
 
-/// One pass over the store: assigns each subject its first rdf:type (or
+/// One pass over the source: assigns each subject its first rdf:type (or
 /// the untyped bucket) and aggregates class/edge/property counts.
-SchemaSummary BuildSchemaSummary(const rdf::TripleStore& store);
+SchemaSummary BuildSchemaSummary(const rdf::TripleSource& source);
 
 }  // namespace lodviz::explore
 

@@ -44,7 +44,7 @@ Graph Graph::FromEdges(NodeId num_nodes,
   return g;
 }
 
-Graph Graph::FromTripleStore(const rdf::TripleStore& store) {
+Graph Graph::FromSource(const rdf::TripleSource& source) {
   Graph g;
   std::vector<std::pair<NodeId, NodeId>> edges;
   auto node_of = [&](rdf::TermId term) {
@@ -55,8 +55,8 @@ Graph Graph::FromTripleStore(const rdf::TripleStore& store) {
     g.term_to_node_.emplace(term, id);
     return id;
   };
-  const rdf::Dictionary& dict = store.dict();
-  store.Scan(rdf::TriplePattern(), [&](const rdf::Triple& t) {
+  const rdf::Dictionary& dict = source.dict();
+  source.Scan(rdf::TriplePattern(), [&](const rdf::Triple& t) {
     const rdf::Term& obj = dict.term(t.o);
     if (!obj.is_iri() && !obj.is_blank()) return true;
     if (t.s == t.o) return true;

@@ -6,7 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "rdf/triple_store.h"
+#include "rdf/triple_source.h"
 
 namespace lodviz::graph {
 
@@ -20,9 +20,9 @@ class Graph {
   /// An empty graph (0 nodes).
   Graph() = default;
 
-  /// Builds from the entity-link triples of `store` (object is an IRI or
+  /// Builds from the entity-link triples of `source` (object is an IRI or
   /// blank node, subject != object). Parallel edges are deduplicated.
-  static Graph FromTripleStore(const rdf::TripleStore& store);
+  static Graph FromSource(const rdf::TripleSource& source);
 
   /// Builds from an explicit edge list over nodes [0, num_nodes).
   /// Self-loops are dropped and parallel edges deduplicated.

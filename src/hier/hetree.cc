@@ -68,26 +68,16 @@ Result<HETree> HETree::Build(std::vector<Item> items, const Options& options) {
   return tree;
 }
 
-Result<HETree> HETree::BuildFromProperty(const rdf::TripleStore& store,
+Result<HETree> HETree::BuildFromProperty(const rdf::TripleSource& source,
                                          rdf::TermId predicate,
                                          const Options& options) {
   LODVIZ_TRACE_SPAN("hier.hetree.build_from_property");
   std::vector<Item> items;
-  const rdf::Dictionary& dict = store.dict();
+  const rdf::Dictionary& dict = source.dict();
   rdf::TriplePattern pat(rdf::kInvalidTermId, predicate, rdf::kInvalidTermId);
-  store.Scan(pat, [&](const rdf::Triple& t) {
-    const rdf::Term& obj = dict.term(t.o);
-    double value = 0.0;
-    if (obj.IsTemporalLiteral()) {
-      Result<int64_t> v = obj.AsEpochSeconds();
-      if (!v.ok()) return true;
-      value = static_cast<double>(v.ValueOrDie());
-    } else {
-      Result<double> v = obj.AsDouble();
-      if (!v.ok()) return true;
-      value = v.ValueOrDie();
-    }
-    items.push_back({value, t.s});
+  source.Scan(pat, [&](const rdf::Triple& t) {
+    Result<double> v = dict.ScalarValue(t.o);
+    if (v.ok()) items.push_back({*v, t.s});
     return true;
   });
   if (items.empty()) {

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "rdf/triple_store.h"
+#include "rdf/triple_source.h"
 
 namespace lodviz::hier {
 
@@ -79,7 +79,7 @@ class HETree {
 
   /// Builds over the numeric (or temporal, as epoch seconds) objects of
   /// `predicate`, with subjects as item objects.
-  static Result<HETree> BuildFromProperty(const rdf::TripleStore& store,
+  static Result<HETree> BuildFromProperty(const rdf::TripleSource& source,
                                           rdf::TermId predicate,
                                           const Options& options);
 

@@ -9,9 +9,9 @@
 
 namespace lodviz::onto {
 
-ClassHierarchy ClassHierarchy::Extract(const rdf::TripleStore& store) {
+ClassHierarchy ClassHierarchy::Extract(const rdf::TripleSource& source) {
   ClassHierarchy h;
-  const rdf::Dictionary& dict = store.dict();
+  const rdf::Dictionary& dict = source.dict();
   rdf::TermId type_pred = dict.Lookup(rdf::Term::Iri(rdf::vocab::kRdfType));
   rdf::TermId sub_pred =
       dict.Lookup(rdf::Term::Iri(rdf::vocab::kRdfsSubClassOf));
@@ -33,24 +33,24 @@ ClassHierarchy ClassHierarchy::Extract(const rdf::TripleStore& store) {
 
   // Classes from rdf:type objects, with direct instance counts.
   if (type_pred != rdf::kInvalidTermId) {
-    store.Scan({rdf::kInvalidTermId, type_pred, rdf::kInvalidTermId},
-               [&](const rdf::Triple& t) {
-                 ++h.classes_[class_of(t.o)].direct_instances;
-                 return true;
-               });
+    source.Scan({rdf::kInvalidTermId, type_pred, rdf::kInvalidTermId},
+                [&](const rdf::Triple& t) {
+                  ++h.classes_[class_of(t.o)].direct_instances;
+                  return true;
+                });
   }
   // Hierarchy edges from rdfs:subClassOf (child keeps its first parent).
   if (sub_pred != rdf::kInvalidTermId) {
-    store.Scan({rdf::kInvalidTermId, sub_pred, rdf::kInvalidTermId},
-               [&](const rdf::Triple& t) {
-                 if (t.s == t.o) return true;
-                 int32_t child = class_of(t.s);
-                 int32_t parent = class_of(t.o);
-                 if (h.classes_[child].parent == -1) {
-                   h.classes_[child].parent = parent;
-                 }
-                 return true;
-               });
+    source.Scan({rdf::kInvalidTermId, sub_pred, rdf::kInvalidTermId},
+                [&](const rdf::Triple& t) {
+                  if (t.s == t.o) return true;
+                  int32_t child = class_of(t.s);
+                  int32_t parent = class_of(t.o);
+                  if (h.classes_[child].parent == -1) {
+                    h.classes_[child].parent = parent;
+                  }
+                  return true;
+                });
   }
 
   // Break cycles: walk up from each node; any node that reaches itself
@@ -101,7 +101,7 @@ ClassHierarchy ClassHierarchy::Extract(const rdf::TripleStore& store) {
   // Human labels where available.
   if (label_pred != rdf::kInvalidTermId) {
     for (ClassInfo& info : h.classes_) {
-      auto labels = store.Match({info.cls, label_pred, rdf::kInvalidTermId});
+      auto labels = source.Match({info.cls, label_pred, rdf::kInvalidTermId});
       if (!labels.empty()) info.label = dict.term(labels.front().o).lexical;
     }
   }

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "rdf/triple_store.h"
+#include "rdf/triple_source.h"
 
 namespace lodviz::onto {
 
@@ -26,9 +26,9 @@ struct ClassInfo {
 /// This is the structure every ontology visualizer in Table 2 draws.
 class ClassHierarchy {
  public:
-  /// Extracts the hierarchy from `store`. Classes are anything appearing
+  /// Extracts the hierarchy from `source`. Classes are anything appearing
   /// as an rdf:type object or on either side of rdfs:subClassOf.
-  static ClassHierarchy Extract(const rdf::TripleStore& store);
+  static ClassHierarchy Extract(const rdf::TripleSource& source);
 
   const std::vector<ClassInfo>& classes() const { return classes_; }
   const std::vector<int32_t>& roots() const { return roots_; }

@@ -75,6 +75,15 @@ TermId Dictionary::Lookup(const Term& term) const {
   return it->second;
 }
 
+Result<double> Dictionary::ScalarValue(TermId id) const {
+  const DecodedValue& d = decoded(id);
+  if (d.kind == DecodedValue::Kind::kTime) return static_cast<double>(d.epoch);
+  if (d.kind == DecodedValue::Kind::kNone && term(id).IsTemporalLiteral()) {
+    return term(id).AsEpochSeconds().status();
+  }
+  return NumberValue(id);
+}
+
 Result<Term> Dictionary::GetTerm(TermId id) const {
   if (!Contains(id)) {
     return Status::NotFound("term id " + std::to_string(id) + " not in dictionary");

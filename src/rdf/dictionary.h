@@ -85,6 +85,21 @@ class Dictionary {
     return decoded_[id];
   }
 
+  /// Numeric value of `id` from the decoded table: the cached number of a
+  /// numeric literal, else Term::AsDouble() — the same value and the same
+  /// errors as re-parsing the term, without the parse for numbers.
+  Result<double> NumberValue(TermId id) const {
+    const DecodedValue& d = decoded(id);
+    if (d.kind == DecodedValue::Kind::kNum) return d.num;
+    return term(id).AsDouble();
+  }
+
+  /// Plottable scalar of `id`: epoch seconds for a temporal literal (its
+  /// AsEpochSeconds() error when it does not parse), else NumberValue().
+  /// What the axes, histograms and HETree of a numeric or time property
+  /// read.
+  Result<double> ScalarValue(TermId id) const;
+
   [[nodiscard]] bool Contains(TermId id) const {
     return id >= 1 && id < terms_.size();
   }

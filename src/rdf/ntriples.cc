@@ -166,15 +166,15 @@ Result<size_t> LoadNTriplesString(std::string_view document,
   return added;
 }
 
-std::string TripleToNTriples(const TripleStore& store, const Triple& t) {
-  const Dictionary& dict = store.dict();
+std::string TripleToNTriples(const TripleSource& source, const Triple& t) {
+  const Dictionary& dict = source.dict();
   return dict.term(t.s).ToNTriples() + " " + dict.term(t.p).ToNTriples() +
          " " + dict.term(t.o).ToNTriples() + " .";
 }
 
-void WriteNTriples(const TripleStore& store, std::ostream& out) {
-  store.Scan(TriplePattern(), [&](const Triple& t) {
-    out << TripleToNTriples(store, t) << "\n";
+void WriteNTriples(const TripleSource& source, std::ostream& out) {
+  source.Scan(TriplePattern(), [&](const Triple& t) {
+    out << TripleToNTriples(source, t) << "\n";
     return true;
   });
 }

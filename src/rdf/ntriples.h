@@ -37,11 +37,11 @@ Result<size_t> LoadNTriples(std::istream& in, TripleStore* store,
 Result<size_t> LoadNTriplesString(std::string_view document,
                                   TripleStore* store, bool strict = true);
 
-/// Serializes the full store as N-Triples (sorted SPO order).
-void WriteNTriples(const TripleStore& store, std::ostream& out);
+/// Serializes the full source as N-Triples (sorted SPO order).
+void WriteNTriples(const TripleSource& source, std::ostream& out);
 
-/// Serializes one triple using the store's dictionary.
-std::string TripleToNTriples(const TripleStore& store, const Triple& t);
+/// Serializes one triple using the source's dictionary.
+std::string TripleToNTriples(const TripleSource& source, const Triple& t);
 
 }  // namespace lodviz::rdf
 

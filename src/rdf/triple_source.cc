@@ -1,6 +1,7 @@
 #include "rdf/triple_source.h"
 
 #include <algorithm>
+#include <map>
 
 namespace lodviz::rdf {
 
@@ -12,6 +13,36 @@ void TripleSource::Scan(const TriplePattern& pattern,
     }
     return true;
   });
+}
+
+std::vector<Triple> TripleSource::Match(const TriplePattern& pattern) const {
+  std::vector<Triple> out;
+  ScanRuns(pattern, [&](const Triple* run, size_t n) {
+    out.insert(out.end(), run, run + n);
+    return true;
+  });
+  return out;
+}
+
+std::vector<TermId> TripleSource::DistinctSubjects() const {
+  std::vector<TermId> out;
+  ScanRuns(TriplePattern(), [&](const Triple* run, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      if (out.empty() || out.back() != run[i].s) out.push_back(run[i].s);
+    }
+    return true;
+  });
+  return out;
+}
+
+std::vector<std::pair<TermId, uint64_t>> TripleSource::PredicateCounts()
+    const {
+  std::map<TermId, uint64_t> counts;
+  ScanRuns(TriplePattern(), [&](const Triple* run, size_t n) {
+    for (size_t i = 0; i < n; ++i) ++counts[run[i].p];
+    return true;
+  });
+  return {counts.begin(), counts.end()};
 }
 
 uint64_t TripleSource::PairCount(TermId s, TermId p) const {

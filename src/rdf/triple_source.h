@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "rdf/dictionary.h"
 #include "rdf/triple.h"
@@ -31,7 +33,9 @@ namespace lodviz::rdf {
 ///    (p,o,s) prefixes identically, so for any pattern the concatenation
 ///    of the runs is a pure function of the data — never of the backend
 ///    or of where one run ends. This is what makes query execution
-///    bit-identical across memory and disk.
+///    bit-identical across memory and disk. In particular the all-wildcard
+///    pattern `{}` delivers every triple in (s,p,o) order on every
+///    backend; DistinctSubjects relies on it.
 ///  - **Lifetime:** run pointers are only valid during the callback.
 ///  - **Reentrancy:** `fn` may call back into the same source (for
 ///    example `Count` or a nested scan); no implementation holds a lock
@@ -64,6 +68,13 @@ class TripleSource {
   /// Number of triples matching `pattern`.
   [[nodiscard]] virtual uint64_t Count(const TriplePattern& pattern) const = 0;
 
+  /// Materializes every match of `pattern`, in scan order.
+  [[nodiscard]] std::vector<Triple> Match(const TriplePattern& pattern) const;
+
+  /// Distinct subjects that have at least one triple, ascending: one `{}`
+  /// scan (SPO order on every backend) with adjacent duplicates dropped.
+  [[nodiscard]] std::vector<TermId> DistinctSubjects() const;
+
   /// The term dictionary the triple ids refer to.
   virtual const Dictionary& dict() const = 0;
 
@@ -72,6 +83,12 @@ class TripleSource {
 
   /// Occurrences of predicate `p` (planner statistics).
   [[nodiscard]] virtual uint64_t PredicateCount(TermId p) const = 0;
+
+  /// Every predicate with its number of triples, ascending by id. Backends
+  /// answer it from their statistics; this default is an exact full scan,
+  /// kept only for decorators that forward the other calls.
+  [[nodiscard]] virtual std::vector<std::pair<TermId, uint64_t>>
+  PredicateCounts() const;
 
   /// Exact number of triples with subject `s` and predicate `p` (planner
   /// statistics). The default delegates to Count(), which is exact on

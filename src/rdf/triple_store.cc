@@ -109,6 +109,29 @@ std::vector<Triple> MergeSorted(const std::vector<Triple>& a,
   return out;
 }
 
+/// Adds the per-predicate counts of `fresh` (sorted by POS, so grouped by
+/// predicate) to the ascending counts `old`.
+std::vector<std::pair<TermId, uint64_t>> MergePredicateCounts(
+    const std::vector<std::pair<TermId, uint64_t>>& old,
+    const std::vector<Triple>& fresh) {
+  std::vector<std::pair<TermId, uint64_t>> out;
+  out.reserve(old.size());
+  auto it = old.begin();
+  size_t i = 0;
+  while (i < fresh.size()) {
+    const TermId p = fresh[i].p;
+    size_t j = i;
+    while (j < fresh.size() && fresh[j].p == p) ++j;
+    while (it != old.end() && it->first < p) out.push_back(*it++);
+    uint64_t n = j - i;
+    if (it != old.end() && it->first == p) n += (it++)->second;
+    out.emplace_back(p, n);
+    i = j;
+  }
+  out.insert(out.end(), it, old.end());
+  return out;
+}
+
 }  // namespace
 
 void TripleStore::FoldLocked() const {
@@ -129,10 +152,9 @@ void TripleStore::FoldLocked() const {
   }
   if (!fresh.empty()) {
     auto next = std::make_unique<Indexes>();
-    next->pred_counts = old.pred_counts;
-    for (const Triple& t : fresh) ++next->pred_counts[t.p];
     next->spo = MergeSorted(old.spo, fresh, OrderSpo());
     std::sort(fresh.begin(), fresh.end(), OrderPos());
+    next->pred_counts = MergePredicateCounts(old.pred_counts, fresh);
     next->pos = MergeSorted(old.pos, fresh, OrderPos());
     std::sort(fresh.begin(), fresh.end(), OrderOsp());
     next->osp = MergeSorted(old.osp, fresh, OrderOsp());
@@ -210,15 +232,6 @@ void TripleStore::ScanRuns(const TriplePattern& pattern,
   }
 }
 
-std::vector<Triple> TripleStore::Match(const TriplePattern& pattern) const {
-  std::vector<Triple> out;
-  ScanRuns(pattern, [&](const Triple* run, size_t n) {
-    out.insert(out.end(), run, run + n);
-    return true;
-  });
-  return out;
-}
-
 uint64_t TripleStore::Count(const TriplePattern& pattern) const {
   uint64_t n = 0;
   ScanRuns(pattern, [&](const Triple*, size_t run) {
@@ -235,38 +248,18 @@ uint64_t TripleStore::size() const {
 
 uint64_t TripleStore::PredicateCount(TermId p) const {
   const SnapshotRef snap(this);
-  auto it = snap->pred_counts.find(p);
-  return it == snap->pred_counts.end() ? 0 : it->second;
+  auto it = std::lower_bound(
+      snap->pred_counts.begin(), snap->pred_counts.end(), p,
+      [](const std::pair<TermId, uint64_t>& e, TermId id) {
+        return e.first < id;
+      });
+  return it != snap->pred_counts.end() && it->first == p ? it->second : 0;
 }
 
-std::unordered_map<TermId, uint64_t> TripleStore::predicate_counts() const {
+std::vector<std::pair<TermId, uint64_t>> TripleStore::PredicateCounts()
+    const {
   const SnapshotRef snap(this);
   return snap->pred_counts;
-}
-
-std::vector<TermId> TripleStore::DistinctSubjects() const {
-  const SnapshotRef snap(this);
-  std::vector<TermId> out;
-  TermId last = kInvalidTermId;
-  for (const Triple& t : snap->spo) {
-    if (t.s != last) {
-      out.push_back(t.s);
-      last = t.s;
-    }
-  }
-  return out;
-}
-
-std::vector<TermId> TripleStore::DistinctObjects(TermId p) const {
-  std::vector<TermId> out;
-  ScanRuns({kInvalidTermId, p, kInvalidTermId},
-           [&](const Triple* run, size_t n) {
-             for (size_t i = 0; i < n; ++i) out.push_back(run[i].o);
-             return true;
-           });
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 size_t TripleStore::MemoryUsage() const {

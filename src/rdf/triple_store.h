@@ -4,7 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -72,30 +72,19 @@ class TripleStore : public TripleSource {
   void ScanRuns(const TriplePattern& pattern, const ScanRunFn& fn) const
       override LODVIZ_EXCLUDES(mu_);
 
-  /// Materializes all matches.
-  [[nodiscard]] std::vector<Triple> Match(const TriplePattern& pattern) const
-      LODVIZ_EXCLUDES(mu_);
-
   /// Number of matches.
   [[nodiscard]] uint64_t Count(const TriplePattern& pattern) const override
       LODVIZ_EXCLUDES(mu_);
 
-  /// Distinct triples with predicate `p` (0 if absent).
+  /// Distinct triples with predicate `p` (0 if absent): a binary search
+  /// of the snapshot's sorted predicate counts.
   [[nodiscard]] uint64_t PredicateCount(TermId p) const override
       LODVIZ_EXCLUDES(mu_);
 
-  /// Distinct predicates with their distinct-triple counts. Returned by
-  /// value: the map belongs to a snapshot that a later fold may release.
-  [[nodiscard]] std::unordered_map<TermId, uint64_t> predicate_counts() const
-      LODVIZ_EXCLUDES(mu_);
-
-  /// Distinct subjects that have at least one triple, ascending.
-  [[nodiscard]] std::vector<TermId> DistinctSubjects() const
-      LODVIZ_EXCLUDES(mu_);
-
-  /// Distinct objects of triples with predicate `p`, ascending.
-  [[nodiscard]] std::vector<TermId> DistinctObjects(TermId p) const
-      LODVIZ_EXCLUDES(mu_);
+  /// The snapshot's predicate counts, ascending by id. Returned by value:
+  /// the vector belongs to a snapshot that a later fold may release.
+  [[nodiscard]] std::vector<std::pair<TermId, uint64_t>> PredicateCounts()
+      const override LODVIZ_EXCLUDES(mu_);
 
   /// Publishes the pending triples now instead of on the next read; a
   /// no-op when nothing is pending.
@@ -110,7 +99,8 @@ class TripleStore : public TripleSource {
     std::vector<Triple> spo;
     std::vector<Triple> pos;
     std::vector<Triple> osp;
-    std::unordered_map<TermId, uint64_t> pred_counts;
+    /// Distinct-triple count per predicate, ascending by id.
+    std::vector<std::pair<TermId, uint64_t>> pred_counts;
   };
 
   /// Pins the current snapshot for one read, folding pending triples

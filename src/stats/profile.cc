@@ -33,10 +33,10 @@ const PropertyProfile* DatasetProfile::FindProperty(
   return nullptr;
 }
 
-Result<PropertyProfile> ProfileProperty(const rdf::TripleStore& store,
+Result<PropertyProfile> ProfileProperty(const rdf::TripleSource& source,
                                         rdf::TermId predicate,
                                         const ProfilerOptions& options) {
-  const rdf::Dictionary& dict = store.dict();
+  const rdf::Dictionary& dict = source.dict();
   if (!dict.Contains(predicate)) {
     return Status::NotFound("predicate id not in dictionary");
   }
@@ -48,7 +48,7 @@ Result<PropertyProfile> ProfileProperty(const rdf::TripleStore& store,
                                           options.seed);
   HyperLogLog distinct(12);
   rdf::TriplePattern pat(rdf::kInvalidTermId, predicate, rdf::kInvalidTermId);
-  store.Scan(pat, [&](const rdf::Triple& t) {
+  source.Scan(pat, [&](const rdf::Triple& t) {
     ++profile.count;
     reservoir.Add(t.o);
     distinct.Add(t.o);
@@ -95,14 +95,20 @@ Result<PropertyProfile> ProfileProperty(const rdf::TripleStore& store,
   if (profile.kind == ValueKind::kNumeric ||
       profile.kind == ValueKind::kTemporal) {
     for (rdf::TermId oid : reservoir.sample()) {
-      const rdf::Term& term = dict.term(oid);
       if (profile.kind == ValueKind::kNumeric) {
-        Result<double> v = term.AsDouble();
+        Result<double> v = dict.NumberValue(oid);
         if (v.ok()) profile.moments.Add(v.ValueOrDie());
-      } else {
-        Result<int64_t> v = term.AsEpochSeconds();
-        if (v.ok()) profile.moments.Add(static_cast<double>(v.ValueOrDie()));
+        continue;
       }
+      // A temporal profile reads every sampled value as a date, so only
+      // a decoded temporal literal skips the parse.
+      const rdf::DecodedValue& d = dict.decoded(oid);
+      if (d.kind == rdf::DecodedValue::Kind::kTime) {
+        profile.moments.Add(static_cast<double>(d.epoch));
+        continue;
+      }
+      Result<int64_t> v = dict.term(oid).AsEpochSeconds();
+      if (v.ok()) profile.moments.Add(static_cast<double>(v.ValueOrDie()));
     }
   }
 
@@ -125,16 +131,16 @@ Result<PropertyProfile> ProfileProperty(const rdf::TripleStore& store,
   return profile;
 }
 
-Result<DatasetProfile> ProfileDataset(const rdf::TripleStore& store,
+Result<DatasetProfile> ProfileDataset(const rdf::TripleSource& source,
                                       const ProfilerOptions& options) {
   DatasetProfile out;
-  out.subject_count = store.DistinctSubjects().size();
-  out.triple_count = store.size();
+  out.subject_count = source.DistinctSubjects().size();
+  out.triple_count = source.size();
 
   bool has_lat = false, has_long = false;
-  for (const auto& [pred, count] : store.predicate_counts()) {
+  for (const auto& [pred, count] : source.PredicateCounts()) {
     LODVIZ_ASSIGN_OR_RETURN(PropertyProfile profile,
-                            ProfileProperty(store, pred, options));
+                            ProfileProperty(source, pred, options));
     if (profile.predicate_iri == rdf::vocab::kGeoLat) has_lat = true;
     if (profile.predicate_iri == rdf::vocab::kGeoLong) has_long = true;
     if (profile.predicate_iri == rdf::vocab::kRdfsSubClassOf && count > 0) {

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "rdf/triple_store.h"
+#include "rdf/triple_source.h"
 #include "stats/histogram.h"
 #include "stats/moments.h"
 
@@ -66,13 +66,13 @@ struct ProfilerOptions {
   uint64_t seed = 42;
 };
 
-/// Scans `store` and produces a DatasetProfile. Cost is one pass per
+/// Scans `source` and produces a DatasetProfile. Cost is one pass per
 /// predicate over (up to) sample_per_predicate objects.
-Result<DatasetProfile> ProfileDataset(const rdf::TripleStore& store,
+Result<DatasetProfile> ProfileDataset(const rdf::TripleSource& source,
                                       const ProfilerOptions& options = {});
 
 /// Profiles a single predicate.
-Result<PropertyProfile> ProfileProperty(const rdf::TripleStore& store,
+Result<PropertyProfile> ProfileProperty(const rdf::TripleSource& source,
                                         rdf::TermId predicate,
                                         const ProfilerOptions& options = {});
 

@@ -36,7 +36,8 @@ uint64_t DiskSourceAdapter::Count(const rdf::TriplePattern& pattern) const {
 }
 
 uint64_t DiskSourceAdapter::CachedStat(
-    uint64_t key, uint64_t (*load)(const DiskTripleStore&, uint64_t)) const {
+    uint64_t key,
+    Result<uint64_t> (*load)(const DiskTripleStore&, uint64_t)) const {
   {
     MutexLock lock(&stats_mu_);
     auto it = stat_cache_.find(key);
@@ -44,11 +45,15 @@ uint64_t DiskSourceAdapter::CachedStat(
   }
   // The aggregate lookup runs outside the cache lock so concurrent misses
   // do not serialize on the buffer pool behind it.
-  const uint64_t value = load(*store_, key);
+  const Result<uint64_t> value = load(*store_, key);
+  if (!value.ok()) {
+    ReportScanError(value.status());
+    return 0;
+  }
   MutexLock lock(&stats_mu_);
   if (stat_cache_.size() >= kStatCacheCap) stat_cache_.clear();
-  stat_cache_.emplace(key, value);
-  return value;
+  stat_cache_.emplace(key, *value);
+  return *value;
 }
 
 uint64_t DiskSourceAdapter::PredicateCount(rdf::TermId p) const {
@@ -63,6 +68,15 @@ uint64_t DiskSourceAdapter::PairCount(rdf::TermId s, rdf::TermId p) const {
     return store.PairCount(static_cast<rdf::TermId>(k >> 32),
                            static_cast<rdf::TermId>(k & 0xFFFFFFFF));
   });
+}
+
+std::vector<std::pair<rdf::TermId, uint64_t>>
+DiskSourceAdapter::PredicateCounts() const {
+  Result<std::vector<std::pair<rdf::TermId, uint64_t>>> counts =
+      store_->PredicateCounts();
+  if (counts.ok()) return std::move(counts).ValueOrDie();
+  ReportScanError(counts.status());
+  return {};
 }
 
 }  // namespace lodviz::storage

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -32,7 +34,9 @@ namespace lodviz::storage {
 /// small memoization cache in front of the B-tree lookups keeps the
 /// planner's repeated probes of the same (s,p)/predicate rows off the
 /// buffer pool; it assumes the store is not mutated while the adapter is
-/// live (rebuild the adapter after loading more data, as before).
+/// live (rebuild the adapter after loading more data, as before). A
+/// lookup that fails is reported like a scan error and answers 0, but is
+/// never memoized: the next call asks the store again.
 class DiskSourceAdapter : public rdf::TripleSource {
  public:
   DiskSourceAdapter(const DiskTripleStore* store, const rdf::Dictionary* dict);
@@ -59,11 +63,18 @@ class DiskSourceAdapter : public rdf::TripleSource {
   [[nodiscard]] uint64_t PairCount(rdf::TermId s,
                                    rdf::TermId p) const override;
 
+  /// The store's p_agg rows (not memoized). A storage error is logged and
+  /// counted the same way, and the list is then empty.
+  [[nodiscard]] std::vector<std::pair<rdf::TermId, uint64_t>>
+  PredicateCounts() const override;
+
  private:
   /// Cached aggregate lookup keyed (s<<32)|p; predicate rows use s = 0
-  /// (0 is the invalid term id, so no (s,p) row collides with them).
-  uint64_t CachedStat(uint64_t key, uint64_t (*load)(const DiskTripleStore&,
-                                                     uint64_t key)) const;
+  /// (0 is the invalid term id, so no (s,p) row collides with them). Only
+  /// successful lookups enter the cache.
+  uint64_t CachedStat(uint64_t key,
+                      Result<uint64_t> (*load)(const DiskTripleStore&,
+                                               uint64_t key)) const;
 
   const DiskTripleStore* store_;
   const rdf::Dictionary* dict_;

@@ -212,15 +212,39 @@ Result<uint64_t> DiskTripleStore::Count(
   return n;
 }
 
-uint64_t DiskTripleStore::PairCount(rdf::TermId s, rdf::TermId p) const {
-  Result<uint64_t> r =
-      sp_agg_->Lookup(Key128{(static_cast<uint64_t>(s) << 32) | p, 0});
-  return r.ok() ? *r : 0;
+namespace {
+
+/// An aggregate row's value, with an absent row read as 0.
+Result<uint64_t> AggregateRow(const BTree& agg, const Key128& key) {
+  Result<uint64_t> r = agg.Lookup(key);
+  if (!r.ok() && r.status().code() == StatusCode::kNotFound) return 0;
+  return r;
 }
 
-uint64_t DiskTripleStore::PredicateCount(rdf::TermId p) const {
-  Result<uint64_t> r = p_agg_->Lookup(Key128{p, 0});
-  return r.ok() ? *r : 0;
+}  // namespace
+
+Result<uint64_t> DiskTripleStore::PairCount(rdf::TermId s,
+                                            rdf::TermId p) const {
+  return AggregateRow(*sp_agg_,
+                      Key128{(static_cast<uint64_t>(s) << 32) | p, 0});
+}
+
+Result<uint64_t> DiskTripleStore::PredicateCount(rdf::TermId p) const {
+  return AggregateRow(*p_agg_, Key128{p, 0});
+}
+
+Result<std::vector<std::pair<rdf::TermId, uint64_t>>>
+DiskTripleStore::PredicateCounts() const {
+  std::vector<std::pair<rdf::TermId, uint64_t>> out;
+  LODVIZ_RETURN_NOT_OK(p_agg_->RangeScanRuns(
+      Key128::Min(), Key128::Max(), [&](const BTree::Item* run, size_t n) {
+        for (size_t i = 0; i < n; ++i) {
+          out.emplace_back(static_cast<rdf::TermId>(run[i].key.hi),
+                           run[i].value);
+        }
+        return true;
+      }));
+  return out;
 }
 
 }  // namespace lodviz::storage

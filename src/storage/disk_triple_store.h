@@ -3,6 +3,8 @@
 
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/result.h"
 #include "rdf/triple.h"
@@ -56,11 +58,18 @@ class DiskTripleStore {
   Result<uint64_t> Count(const rdf::TriplePattern& pattern) const;
 
   /// Exact number of triples with subject `s` and predicate `p`, from the
-  /// sp_agg aggregated index (O(log n), no scan).
-  uint64_t PairCount(rdf::TermId s, rdf::TermId p) const;
+  /// sp_agg aggregated index (O(log n), no scan). An absent row is 0; a
+  /// storage error is returned, never turned into a count.
+  Result<uint64_t> PairCount(rdf::TermId s, rdf::TermId p) const;
 
-  /// Exact number of triples with predicate `p`, from p_agg.
-  uint64_t PredicateCount(rdf::TermId p) const;
+  /// Exact number of triples with predicate `p`, from p_agg (same error
+  /// contract as PairCount).
+  Result<uint64_t> PredicateCount(rdf::TermId p) const;
+
+  /// Every predicate with its number of triples, ascending by id: one
+  /// range scan of p_agg.
+  Result<std::vector<std::pair<rdf::TermId, uint64_t>>> PredicateCounts()
+      const;
 
   uint64_t size() const { return spo_->size(); }
 

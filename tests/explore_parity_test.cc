@@ -1,0 +1,403 @@
+// Memory/disk parity for the exploration modules: each one reads only the
+// rdf::TripleSource contract, so over the in-memory store and over a
+// disk store behind a tiny buffer pool it must produce identical output.
+
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <map>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "cube/data_cube.h"
+#include "explore/browser.h"
+#include "explore/explain.h"
+#include "explore/facets.h"
+#include "explore/interest.h"
+#include "explore/keyword.h"
+#include "explore/summary.h"
+#include "graph/graph.h"
+#include "hier/hetree.h"
+#include "onto/hierarchy.h"
+#include "rdf/ntriples.h"
+#include "rdf/triple_store.h"
+#include "rdf/vocab.h"
+#include "stats/profile.h"
+#include "storage/disk_source_adapter.h"
+#include "storage/disk_triple_store.h"
+#include "test_util.h"
+#include "workload/synthetic_lod.h"
+
+namespace lodviz {
+namespace {
+
+namespace lod = workload::lod;
+using rdf::TermId;
+
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "/lodviz_" + name + "_" +
+         std::to_string(::getpid());
+}
+
+/// Full-precision text of a double, so digests compare bit patterns.
+std::string Num(double v) {
+  std::ostringstream out;
+  out.precision(17);
+  out << v;
+  return out.str();
+}
+
+std::string Digest(const std::vector<explore::Facet>& facets) {
+  std::string out;
+  for (const explore::Facet& f : facets) {
+    out += std::to_string(f.predicate) + " " + f.label + " {";
+    for (const explore::FacetValue& v : f.values) {
+      out += std::to_string(v.value) + " " + v.label + "=" +
+             std::to_string(v.count) + ", ";
+    }
+    out += "}\n";
+  }
+  return out;
+}
+
+std::string Digest(const hier::HETree& tree) {
+  std::string out;
+  for (hier::HETree::NodeId id = 0; id < tree.materialized_nodes(); ++id) {
+    const hier::HETree::Node& n = tree.node(id);
+    out += Num(n.lo) + ":" + Num(n.hi) + " [" + std::to_string(n.first) +
+           "," + std::to_string(n.last) + ") sum=" + Num(n.stats.sum) +
+           " var=" + Num(n.stats.variance) + "\n";
+    if (!n.is_leaf) continue;
+    for (const hier::Item& item : tree.LeafItems(id)) {
+      out += Num(item.value) + "@" + std::to_string(item.object) + " ";
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+std::string Digest(const stats::DatasetProfile& p) {
+  std::string out = std::to_string(p.triple_count) + " " +
+                    std::to_string(p.subject_count) + " " +
+                    std::to_string(p.entity_link_count) + " " +
+                    std::to_string(p.has_spatial) +
+                    std::to_string(p.has_class_hierarchy) + "\n";
+  for (const stats::PropertyProfile& prop : p.properties) {
+    out += prop.predicate_iri + " " +
+           std::string(stats::ValueKindToString(prop.kind)) + " " +
+           std::to_string(prop.count) + " " + Num(prop.distinct_estimate) +
+           " n=" + std::to_string(prop.moments.count()) +
+           " mean=" + Num(prop.moments.mean()) +
+           " var=" + Num(prop.moments.variance()) +
+           " min=" + Num(prop.moments.min()) +
+           " max=" + Num(prop.moments.max()) + " top:";
+    for (const auto& [value, count] : prop.top_values) {
+      out += " " + value + "=" + std::to_string(count);
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+std::string Digest(const graph::Graph& g) {
+  std::ostringstream out;
+  out << g.num_nodes() << " nodes:";
+  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+    out << " " << g.node_term(u);
+  }
+  out << "\nedges:";
+  for (const auto& [u, v] : g.edges()) out << " " << u << "-" << v;
+  return out.str();
+}
+
+/// One synthetic dataset (plus a small class hierarchy), held in memory
+/// and mirrored into a disk store behind a 4-frame buffer pool.
+class ExploreParityTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    mem_ = std::make_unique<rdf::TripleStore>();
+    workload::SyntheticLodOptions options;
+    options.num_entities = 600;
+    options.seed = 7;
+    workload::GenerateSyntheticLod(options, mem_.get());
+    using rdf::Term;
+    const Term sub = Term::Iri(rdf::vocab::kRdfsSubClassOf);
+    const Term label = Term::Iri(rdf::vocab::kRdfsLabel);
+    const Term agent = Term::Iri("http://lod.example/ontology/Agent");
+    mem_->Add(Term::Iri(lod::kPerson), sub, agent);
+    mem_->Add(Term::Iri(lod::kOrganization), sub, agent);
+    mem_->Add(agent, label, Term::LangLiteral("Agent", "en"));
+    mem_->Add(Term::Iri(lod::kPlace), label, Term::LangLiteral("Place", "en"));
+    mem_->Compact();
+
+    path_ = TempPath("explore_parity");
+    disk_ = test::Unwrap(storage::DiskTripleStore::Create(path_, 4));
+    ASSERT_TRUE(disk_->BulkLoad(mem_->Match(rdf::TriplePattern())).ok());
+    adapter_ =
+        std::make_unique<storage::DiskSourceAdapter>(disk_.get(),
+                                                     &mem_->dict());
+  }
+
+  static void TearDownTestSuite() {
+    adapter_.reset();
+    disk_.reset();
+    mem_.reset();
+    std::remove(path_.c_str());
+  }
+
+  static TermId Iri(const std::string& iri) {
+    const TermId id = mem_->dict().Lookup(rdf::Term::Iri(iri));
+    EXPECT_NE(id, rdf::kInvalidTermId) << iri;
+    return id;
+  }
+
+  /// Runs `fn` over both backends and expects the same, non-empty text.
+  template <typename Fn>
+  static void ExpectParity(const Fn& fn) {
+    const std::string on_memory = fn(*mem_);
+    const std::string on_disk = fn(*adapter_);
+    EXPECT_FALSE(on_memory.empty());
+    EXPECT_EQ(on_memory, on_disk);
+  }
+
+  static std::unique_ptr<rdf::TripleStore> mem_;
+  static std::unique_ptr<storage::DiskTripleStore> disk_;
+  static std::unique_ptr<storage::DiskSourceAdapter> adapter_;
+  static std::string path_;
+};
+
+std::unique_ptr<rdf::TripleStore> ExploreParityTest::mem_;
+std::unique_ptr<storage::DiskTripleStore> ExploreParityTest::disk_;
+std::unique_ptr<storage::DiskSourceAdapter> ExploreParityTest::adapter_;
+std::string ExploreParityTest::path_;
+
+TEST_F(ExploreParityTest, FacetsBeforeAndAfterSelect) {
+  const TermId category = Iri(lod::kCategory);
+  const TermId value = Iri(std::string(lod::kCategoryPrefix) + "2");
+  const TermId person = Iri(lod::kPerson);
+  const TermId type = Iri(rdf::vocab::kRdfType);
+  ExpectParity([&](const rdf::TripleSource& source) {
+    explore::FacetedBrowser browser(&source);
+    std::string out = std::to_string(browser.num_matching()) + "\n" +
+                      Digest(browser.Facets());
+    EXPECT_TRUE(browser.Select(category, value).ok());
+    out += std::to_string(browser.num_matching()) + "\n" +
+           Digest(browser.Facets());
+    EXPECT_TRUE(browser.Select(type, person).ok());
+    out += std::to_string(browser.num_matching()) + "\n" +
+           Digest(browser.Facets());
+    for (TermId s : browser.Matching()) out += std::to_string(s) + " ";
+    return out;
+  });
+}
+
+TEST_F(ExploreParityTest, HETreeOverNumericAndTemporalProperties) {
+  for (const char* property : {lod::kAge, lod::kCreated}) {
+    const TermId predicate = Iri(property);
+    ExpectParity([&](const rdf::TripleSource& source) {
+      return Digest(test::Unwrap(hier::HETree::BuildFromProperty(
+          source, predicate, hier::HETree::Options())));
+    });
+  }
+}
+
+TEST_F(ExploreParityTest, SchemaSummary) {
+  ExpectParity([](const rdf::TripleSource& source) {
+    return explore::BuildSchemaSummary(source).ToString(1000);
+  });
+}
+
+TEST_F(ExploreParityTest, KeywordSearch) {
+  ExpectParity([](const rdf::TripleSource& source) {
+    const explore::KeywordIndex index = explore::KeywordIndex::Build(source);
+    std::string out = std::to_string(index.num_documents()) + " " +
+                      std::to_string(index.num_terms()) + "\n";
+    for (const char* query : {"ancient", "lunar harbor", "keep 12", "agent"}) {
+      for (const explore::SearchHit& hit : index.Search(query, 20)) {
+        out += std::to_string(hit.subject) + " " + Num(hit.score) + " " +
+               hit.label + "\n";
+      }
+    }
+    return out;
+  });
+}
+
+TEST_F(ExploreParityTest, DatasetProfile) {
+  ExpectParity([](const rdf::TripleSource& source) {
+    return Digest(test::Unwrap(stats::ProfileDataset(source)));
+  });
+}
+
+TEST_F(ExploreParityTest, ClassHierarchy) {
+  ExpectParity([](const rdf::TripleSource& source) {
+    const onto::ClassHierarchy h = onto::ClassHierarchy::Extract(source);
+    std::string out = h.ToString(1000);
+    for (int32_t i : h.KeyConcepts(3)) out += std::to_string(i) + " ";
+    return out;
+  });
+}
+
+TEST_F(ExploreParityTest, DataCube) {
+  ExpectParity([](const rdf::TripleSource& source) {
+    const cube::DataCube cube = test::Unwrap(cube::DataCube::FromStore(
+        source, {lod::kCategory, rdf::vocab::kRdfType},
+        {lod::kAge, rdf::vocab::kGeoLat}));
+    std::string out = std::to_string(cube.size()) + "\n";
+    for (const cube::DataCube::Observation& o : cube.observations()) {
+      for (TermId d : o.dims) out += std::to_string(d) + " ";
+      for (double m : o.measures) out += Num(m) + " ";
+      out += "\n";
+    }
+    return out + cube.PivotToString(cube.Pivot(0, 1, 0, cube::Agg::kAvg));
+  });
+}
+
+TEST_F(ExploreParityTest, Graph) {
+  ExpectParity([](const rdf::TripleSource& source) {
+    return Digest(graph::Graph::FromSource(source));
+  });
+}
+
+TEST_F(ExploreParityTest, ResourceBrowser) {
+  const TermId first = Iri(std::string(lod::kEntityPrefix) + "1");
+  ExpectParity([&](const rdf::TripleSource& source) {
+    explore::ResourceBrowser browser(&source);
+    explore::ResourceView view = test::Unwrap(browser.Navigate(first));
+    std::string out = browser.Render(view, 100);
+    // Follow every navigable link once, then come back.
+    for (const explore::PropertyRow& row : view.outgoing) {
+      if (row.link == rdf::kInvalidTermId) continue;
+      out += browser.Render(test::Unwrap(browser.Navigate(row.link)), 100);
+      out += browser.Render(test::Unwrap(browser.Back()), 100);
+    }
+    for (const auto& [s, p] : view.incoming) {
+      out += std::to_string(s) + ">" + std::to_string(p) + " ";
+    }
+    return out;
+  });
+}
+
+TEST_F(ExploreParityTest, InterestRanking) {
+  const TermId category = Iri(lod::kCategory);
+  const TermId value = Iri(std::string(lod::kCategoryPrefix) + "3");
+  ExpectParity([&](const rdf::TripleSource& source) {
+    explore::InterestModel model(&source);
+    int marked = 0;
+    for (const rdf::Triple& t :
+         source.Match({rdf::kInvalidTermId, category, value})) {
+      if (marked++ == 6) break;
+      model.MarkInteresting(t.s);
+    }
+    std::string out;
+    for (const explore::InterestSignal& s : model.TopSignals(10)) {
+      out += s.predicate_label + "=" + s.value_label + " " + Num(s.lift) +
+             " " + std::to_string(s.support) + "\n";
+    }
+    for (const auto& [subject, score] : model.SuggestEntities(15)) {
+      out += std::to_string(subject) + " " + Num(score) + "\n";
+    }
+    return out;
+  });
+}
+
+TEST_F(ExploreParityTest, ExplainDeviation) {
+  const TermId age = Iri(lod::kAge);
+  ExpectParity([&](const rdf::TripleSource& source) {
+    const std::vector<TermId> outliers =
+        explore::TopValueSubjects(source, age, 40);
+    std::string out;
+    for (TermId s : outliers) out += std::to_string(s) + " ";
+    out += "\n";
+    for (const explore::Explanation& e : test::Unwrap(
+             explore::ExplainDeviation(source, age, outliers, 10))) {
+      out += e.predicate_label + "=" + e.value_label + " " +
+             Num(e.influence) + " " + std::to_string(e.support) + " " +
+             Num(e.facet_mean) + "\n";
+    }
+    return out;
+  });
+}
+
+TEST_F(ExploreParityTest, NTriplesWriter) {
+  ExpectParity([](const rdf::TripleSource& source) {
+    std::ostringstream out;
+    rdf::WriteNTriples(source, out);
+    return out.str();
+  });
+}
+
+TEST_F(ExploreParityTest, DistinctSubjectsAndPredicateCounts) {
+  ExpectParity([](const rdf::TripleSource& source) {
+    std::string out;
+    for (TermId s : source.DistinctSubjects()) out += std::to_string(s) + " ";
+    out += "\n";
+    for (const auto& [p, n] : source.PredicateCounts()) {
+      out += std::to_string(p) + "=" + std::to_string(n) + " ";
+    }
+    return out;
+  });
+}
+
+/// Per-predicate triple counts by brute force over a full scan.
+std::vector<std::pair<TermId, uint64_t>> BruteCounts(
+    const rdf::TripleSource& source) {
+  std::map<TermId, uint64_t> counts;
+  source.Scan(rdf::TriplePattern(), [&](const rdf::Triple& t) {
+    ++counts[t.p];
+    return true;
+  });
+  return {counts.begin(), counts.end()};
+}
+
+TEST(PredicateCountsTest, MemoryDiskAndBruteForceAgree) {
+  rdf::TripleStore mem;
+  workload::SyntheticLodOptions options;
+  options.num_entities = 300;
+  options.seed = 11;
+  workload::GenerateSyntheticLod(options, &mem);
+  const std::string path = TempPath("predicate_counts");
+  std::unique_ptr<storage::DiskTripleStore> disk =
+      test::Unwrap(storage::DiskTripleStore::Create(path, 4));
+  ASSERT_TRUE(disk->BulkLoad(mem.Match(rdf::TriplePattern())).ok());
+  const storage::DiskSourceAdapter adapter(disk.get(), &mem.dict());
+
+  const std::vector<std::pair<TermId, uint64_t>> brute = BruteCounts(mem);
+  ASSERT_GT(brute.size(), 5u);
+  EXPECT_EQ(mem.PredicateCounts(), brute);
+  EXPECT_EQ(test::Unwrap(disk->PredicateCounts()), brute);
+  EXPECT_EQ(adapter.PredicateCounts(), brute);
+  for (size_t i = 1; i < brute.size(); ++i) {
+    EXPECT_LT(brute[i - 1].first, brute[i].first);
+  }
+  for (const auto& [p, n] : brute) {
+    EXPECT_EQ(mem.PredicateCount(p), n);
+    EXPECT_EQ(adapter.PredicateCount(p), n);
+  }
+
+  // Inserts keep the disk list exact: a new predicate is listed in order,
+  // an existing one is bumped, and a duplicate triple changes nothing.
+  const TermId fresh = mem.dict().InternIri("http://lod.example/ontology/z");
+  const TermId age = mem.dict().Lookup(rdf::Term::Iri(lod::kAge));
+  const TermId entity = mem.dict().Lookup(
+      rdf::Term::Iri(std::string(lod::kEntityPrefix) + "1"));
+  for (const rdf::Triple& t : {rdf::Triple(entity, fresh, entity),
+                               rdf::Triple(entity, age, fresh),
+                               rdf::Triple(entity, age, fresh)}) {
+    ASSERT_TRUE(disk->Insert(t).ok());
+    mem.AddEncoded(t);
+  }
+  const std::vector<std::pair<TermId, uint64_t>> after = BruteCounts(adapter);
+  EXPECT_EQ(after.size(), brute.size() + 1);
+  EXPECT_EQ(after, BruteCounts(mem));
+  EXPECT_EQ(test::Unwrap(disk->PredicateCounts()), after);
+  EXPECT_EQ(adapter.PredicateCounts(), after);
+  EXPECT_EQ(mem.PredicateCounts(), after);
+  disk.reset();
+  std::remove(path.c_str());
+}
+
+}  // namespace
+}  // namespace lodviz

@@ -46,7 +46,7 @@ TEST(GraphTest, FromTripleStoreDropsLiterals) {
             Term::Iri("http://x/c"));
   store.Add(Term::Iri("http://x/a"), Term::Iri("http://x/age"),
             Term::IntLiteral(5));  // literal: not an edge
-  Graph g = Graph::FromTripleStore(store);
+  Graph g = Graph::FromSource(store);
   EXPECT_EQ(g.num_nodes(), 3u);
   EXPECT_EQ(g.num_edges(), 2u);
 

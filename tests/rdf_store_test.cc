@@ -119,18 +119,20 @@ TEST_F(TripleStoreFixture, DuplicatesRemovedOnCompact) {
   EXPECT_EQ(store_.size(), 4u);
 }
 
-TEST_F(TripleStoreFixture, DistinctSubjectsAndObjects) {
-  auto subjects = store_.DistinctSubjects();
-  EXPECT_EQ(subjects.size(), 2u);  // alice, bob
-  auto ages = store_.DistinctObjects(age_);
-  EXPECT_EQ(ages.size(), 2u);
-  auto known = store_.DistinctObjects(knows_);
-  EXPECT_EQ(known.size(), 2u);  // bob, carol
+TEST_F(TripleStoreFixture, DistinctSubjects) {
+  // carol appears only as an object.
+  EXPECT_EQ(store_.DistinctSubjects(), (std::vector<TermId>{alice_, bob_}));
 }
 
 TEST_F(TripleStoreFixture, PredicateCounts) {
-  EXPECT_EQ(store_.predicate_counts().at(knows_), 2u);
-  EXPECT_EQ(store_.predicate_counts().at(age_), 2u);
+  using Counts = std::vector<std::pair<TermId, uint64_t>>;
+  EXPECT_EQ(store_.PredicateCounts(), (Counts{{knows_, 2}, {age_, 2}}));
+  // A fold merges new predicates into the ascending list.
+  const TermId name = store_.dict().InternIri("http://x/name");
+  store_.AddEncoded({carol_, name, v30_});
+  store_.AddEncoded({carol_, knows_, alice_});
+  EXPECT_EQ(store_.PredicateCounts(),
+            (Counts{{knows_, 3}, {age_, 2}, {name, 1}}));
 }
 
 TEST_F(TripleStoreFixture, StatisticsCountDistinctTriples) {
@@ -139,7 +141,7 @@ TEST_F(TripleStoreFixture, StatisticsCountDistinctTriples) {
   store_.AddEncoded({carol_, knows_, alice_});
   EXPECT_EQ(store_.size(), 5u);
   EXPECT_EQ(store_.PredicateCount(knows_), 3u);
-  EXPECT_EQ(store_.predicate_counts().at(knows_), 3u);
+  EXPECT_EQ(store_.PredicateCounts().front(), std::make_pair(knows_, 3ul));
   EXPECT_EQ(store_.PredicateCount(age_), 2u);
   EXPECT_EQ(store_.PredicateCount(v30_), 0u);
 }
@@ -396,6 +398,61 @@ TEST(TripleSourceScanTest, ScanConcatenatesRunsAndStopsOnFalse) {
     const size_t want = std::min(stop_after, all.size());
     EXPECT_EQ(got, std::vector<Triple>(all.begin(), all.begin() + want))
         << "stop_after=" << stop_after;
+  }
+}
+
+TEST(TripleSourceScanTest, DefaultReadsFollowTheScan) {
+  // The base-class DistinctSubjects and PredicateCounts read only
+  // ScanRuns({}): subjects deduplicated in scan order, predicates counted
+  // and listed ascending.
+  const FixedRunsSource source(
+      {{{1, 4, 1}, {1, 2, 2}}, {{1, 4, 3}}, {{2, 2, 1}}, {{5, 4, 9}}});
+  EXPECT_EQ(source.DistinctSubjects(), (std::vector<TermId>{1, 2, 5}));
+  using Counts = std::vector<std::pair<TermId, uint64_t>>;
+  EXPECT_EQ(source.PredicateCounts(), (Counts{{2, 2}, {4, 3}}));
+  EXPECT_EQ(source.Match(TriplePattern()).size(), 5u);
+}
+
+TEST(DictionaryTest, NumberAndScalarValuesMatchTheTerm) {
+  // Every kind of term the decoded table distinguishes: the helpers must
+  // give the Term's own answer, value and error alike.
+  Dictionary dict;
+  const std::vector<TermId> ids = {
+      dict.InternIri("http://x/a"),
+      dict.InternLiteral("42", vocab::kXsdInteger),
+      dict.InternLiteral("1e3"),
+      dict.InternLiteral("4x", vocab::kXsdDecimal),
+      dict.InternLiteral("2020", vocab::kXsdDate),
+      dict.InternLiteral("2020-01-02", vocab::kXsdDate),
+      dict.InternLiteral("2020-01-02T03:04:05", vocab::kXsdDateTime),
+      dict.InternLiteral("not a date", vocab::kXsdDateTime),
+      dict.InternLiteral("true", vocab::kXsdBoolean),
+      dict.InternLiteral("12"),
+      dict.Intern(Term::LangLiteral("7", "en")),
+  };
+  for (TermId id : ids) {
+    const Term& t = dict.term(id);
+    const Result<double> number = t.AsDouble();
+    const Result<double> got_number = dict.NumberValue(id);
+    ASSERT_EQ(got_number.ok(), number.ok()) << t.lexical;
+    if (number.ok()) {
+      EXPECT_EQ(*got_number, *number) << t.lexical;
+    }
+
+    Result<double> scalar = number;
+    if (t.IsTemporalLiteral()) {
+      Result<int64_t> epoch = t.AsEpochSeconds();
+      scalar = epoch.ok() ? Result<double>(static_cast<double>(*epoch))
+                          : Result<double>(epoch.status());
+    }
+    const Result<double> got_scalar = dict.ScalarValue(id);
+    ASSERT_EQ(got_scalar.ok(), scalar.ok()) << t.lexical;
+    if (scalar.ok()) {
+      EXPECT_EQ(*got_scalar, *scalar) << t.lexical;
+    } else {
+      EXPECT_EQ(got_scalar.status().code(), scalar.status().code())
+          << t.lexical;
+    }
   }
 }
 

@@ -78,7 +78,7 @@ TEST(SyntheticLodTest, LinkGraphIsHeavyTailed) {
   opts.num_entities = 2000;
   opts.links_per_entity = 3.0;
   GenerateSyntheticLod(opts, &store);
-  graph::Graph g = graph::Graph::FromTripleStore(store);
+  graph::Graph g = graph::Graph::FromSource(store);
   EXPECT_GT(static_cast<double>(g.MaxDegree()), 4.0 * g.AverageDegree());
 }
 

@@ -29,9 +29,11 @@
 //                            src/exec/ only; everything else parallelizes
 //                            through exec::ParallelFor / exec::ThreadPool
 //   sparql.no_concrete_store no rdf::TripleStore / storage::DiskTripleStore
-//                            in src/sparql/; the query layer sees only the
+//                            in src/ outside the modules that own or fill a
+//                            store (rdf, storage, core, workload); query,
+//                            exploration and analysis code sees only the
 //                            abstract rdf::TripleSource contract so every
-//                            backend runs the same plans and operators
+//                            backend runs the same code
 //   sparql.no_row_loop_in_batch_ops
 //                            inside src/sparql/ functions whose name
 //                            contains "Batch", a per-row virtual
@@ -890,10 +892,22 @@ void CheckRawThread(const FileModel& m, std::vector<Violation>* out) {
   }
 }
 
-/// sparql.no_concrete_store: src/sparql/ must depend only on the abstract
+/// The modules that may name a concrete store: the stores themselves
+/// (rdf, storage), the facade that picks a backend (core), and the
+/// generator that fills one (workload).
+bool ConcreteStoreSanctioned(const std::string& rel) {
+  for (const char* dir :
+       {"src/rdf/", "src/storage/", "src/core/", "src/workload/"}) {
+    if (rel.rfind(dir, 0) == 0) return true;
+  }
+  return false;
+}
+
+/// sparql.no_concrete_store: every src/ module other than the store owners
+/// (ConcreteStoreSanctioned) must depend only on the abstract
 /// rdf::TripleSource contract. Naming a concrete store (the in-memory
-/// TripleStore or the disk-resident DiskTripleStore) inside the query
-/// layer re-couples planning/execution to one backend and silently breaks
+/// TripleStore or the disk-resident DiskTripleStore) in the query layer or
+/// an exploration module re-couples it to one backend and silently breaks
 /// the memory/disk parity guarantee the core engine relies on.
 void CheckNoConcreteStore(const FileModel& m, std::vector<Violation>* out) {
   for (const Token& t : m.tokens) {
@@ -901,8 +915,9 @@ void CheckNoConcreteStore(const FileModel& m, std::vector<Violation>* out) {
     if (t.text == "TripleStore" || t.text == "DiskTripleStore") {
       out->push_back({m.rel, t.line, "sparql.no_concrete_store",
                       "`" + t.text +
-                          "` in src/sparql/; the query layer may only see "
-                          "the abstract rdf::TripleSource interface "
+                          "` outside src/{rdf,storage,core,workload}; "
+                          "query and exploration code may only see the "
+                          "abstract rdf::TripleSource interface "
                           "(rdf/triple_source.h)"});
     }
   }
@@ -1355,11 +1370,10 @@ void LintFile(const FileModel& m, bool all_rules, std::vector<Violation>* out) {
   if (!clock_sanctioned) CheckRawClock(m, out);
   const bool thread_sanctioned = !all_rules && rel.rfind("src/exec/", 0) == 0;
   if (in_src && !thread_sanctioned) CheckRawThread(m, out);
+  const bool store_sanctioned = !all_rules && ConcreteStoreSanctioned(rel);
+  if (in_src && !store_sanctioned) CheckNoConcreteStore(m, out);
   const bool in_sparql = all_rules || rel.rfind("src/sparql/", 0) == 0;
-  if (in_sparql) {
-    CheckNoConcreteStore(m, out);
-    CheckNoRowLoopInBatchOps(m, out);
-  }
+  if (in_sparql) CheckNoRowLoopInBatchOps(m, out);
   CheckUncheckedResult(m, out);
   if (in_src) CheckGuardedBy(m, out);
   CheckLayering(m, out);  // path-scoped by construction (src/<module>/)
@@ -1784,6 +1798,27 @@ int RunSelfTest() {
     CheckNoRowLoopInBatchOps(m, &v);
     Expect(v.empty(),
            "Scan outside loops / outside Batch functions does not fire");
+  }
+  // --- sparql.no_concrete_store scoping ---
+  {
+    // Fires in every src/ module but the store owners, and never outside
+    // src/ (benches and tests build stores to feed the modules).
+    const std::string text =
+        "namespace lodviz {\nvoid F(const rdf::TripleStore& s);\n}\n";
+    for (const char* rel : {"src/sparql/a.cc", "src/explore/a.cc",
+                            "src/hier/a.cc", "src/viz/a.cc"}) {
+      std::vector<Violation> v;
+      LintFile(ModelOf(text, rel), /*all_rules=*/false, &v);
+      Expect(v.size() == 1 && v[0].rule == "sparql.no_concrete_store",
+             std::string("concrete store fires in ") + rel);
+    }
+    for (const char* rel : {"src/rdf/a.cc", "src/storage/a.cc",
+                            "src/core/a.cc", "src/workload/a.cc",
+                            "bench/a.cc", "tests/a.cc"}) {
+      std::vector<Violation> v;
+      LintFile(ModelOf(text, rel), /*all_rules=*/false, &v);
+      Expect(v.empty(), std::string("concrete store allowed in ") + rel);
+    }
   }
   // --- Layering ---
   {
