@@ -164,7 +164,7 @@ void Run() {
 
   serve::FrontendOptions fopts;
   fopts.max_concurrent = 32;
-  auto frontend = bench::Unwrap(engine.MakeFrontend(fopts));
+  std::unique_ptr<serve::Frontend> frontend = engine.MakeFrontend(fopts);
 
   exec::ThreadPool pool(10);
   serve::Server::Options sopts;

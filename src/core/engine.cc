@@ -19,6 +19,10 @@ namespace lodviz::core {
 
 namespace {
 
+constexpr int kCanvasWidth = 800;
+constexpr int kCanvasHeight = 600;
+constexpr uint64_t kSeed = 42;
+
 /// Counts one invocation of a facade capability under
 /// `core.engine.<capability>`. Facade calls are coarse (a load, a query, a
 /// render), so the registry lookup per call is acceptable here.
@@ -45,38 +49,6 @@ void Engine::FinishLoad() {
   store_.Compact();
   profile_.reset();
   keyword_.reset();
-  disk_dirty_ = true;
-}
-
-Status Engine::RebuildDiskMirror() {
-  LODVIZ_TRACE_SPAN("core.engine.rebuild_disk_mirror");
-  const std::string path =
-      options_.disk_path.empty() ? "lodviz_engine_disk.db" : options_.disk_path;
-  LODVIZ_ASSIGN_OR_RETURN(
-      std::unique_ptr<storage::DiskTripleStore> disk,
-      storage::DiskTripleStore::Create(path, options_.pool_pages));
-  std::vector<rdf::Triple> triples;
-  triples.reserve(store_.size());
-  store_.Scan({}, [&](const rdf::Triple& t) {
-    triples.push_back(t);
-    return true;
-  });
-  LODVIZ_RETURN_NOT_OK(disk->BulkLoad(std::move(triples)));
-  disk_store_ = std::move(disk);
-  disk_source_ = std::make_unique<storage::DiskSourceAdapter>(
-      disk_store_.get(), &store_.dict());
-  disk_dirty_ = false;
-  return Status::OK();
-}
-
-Result<const rdf::TripleSource*> Engine::ActiveSource() {
-  if (options_.backend == Backend::kMemory) {
-    return static_cast<const rdf::TripleSource*>(&store_);
-  }
-  if (disk_dirty_ || disk_source_ == nullptr) {
-    LODVIZ_RETURN_NOT_OK(RebuildDiskMirror());
-  }
-  return static_cast<const rdf::TripleSource*>(disk_source_.get());
 }
 
 Status Engine::LoadNTriples(std::string_view document) {
@@ -116,8 +88,7 @@ Result<std::vector<rdf::ParsedTriple>> Engine::QueryGraph(
   LODVIZ_TRACE_SPAN("core.engine.query_graph");
   CountCapability("query_graph");
   Stopwatch sw;
-  LODVIZ_ASSIGN_OR_RETURN(const rdf::TripleSource* source, ActiveSource());
-  sparql::QueryEngine query_engine(source);
+  sparql::QueryEngine query_engine(&store_);
   Result<std::vector<rdf::ParsedTriple>> result =
       query_engine.ExecuteGraphString(sparql_text);
   session_.Record(explore::OpKind::kQuery,
@@ -142,8 +113,7 @@ Result<sparql::ResultTable> Engine::Query(std::string_view sparql_text) {
   LODVIZ_TRACE_SPAN("core.engine.query");
   CountCapability("query");
   Stopwatch sw;
-  LODVIZ_ASSIGN_OR_RETURN(const rdf::TripleSource* source, ActiveSource());
-  sparql::QueryEngine query_engine(source);
+  sparql::QueryEngine query_engine(&store_);
   Result<sparql::ResultTable> result = query_engine.ExecuteString(sparql_text);
   session_.Record(explore::OpKind::kQuery,
                   std::string(sparql_text.substr(0, 60)), sw.ElapsedMillis(),
@@ -151,20 +121,18 @@ Result<sparql::ResultTable> Engine::Query(std::string_view sparql_text) {
   return result;
 }
 
-Result<std::unique_ptr<serve::Frontend>> Engine::MakeFrontend(
+std::unique_ptr<serve::Frontend> Engine::MakeFrontend(
     const serve::FrontendOptions& frontend_options) {
   LODVIZ_TRACE_SPAN("core.engine.make_frontend");
   CountCapability("make_frontend");
-  LODVIZ_ASSIGN_OR_RETURN(const rdf::TripleSource* source, ActiveSource());
-  return std::make_unique<serve::Frontend>(source, frontend_options);
+  return std::make_unique<serve::Frontend>(&store_, frontend_options);
 }
 
 Result<std::string> Engine::ExplainQuery(std::string_view sparql_text) {
   LODVIZ_TRACE_SPAN("core.engine.explain_query");
   CountCapability("explain_query");
   Stopwatch sw;
-  LODVIZ_ASSIGN_OR_RETURN(const rdf::TripleSource* source, ActiveSource());
-  sparql::QueryEngine query_engine(source);
+  sparql::QueryEngine query_engine(&store_);
   Result<std::string> plan = query_engine.ExplainString(sparql_text);
   session_.Record(explore::OpKind::kQuery,
                   "explain: " + std::string(sparql_text.substr(0, 52)),
@@ -176,8 +144,7 @@ Result<std::string> Engine::ExplainAnalyzeQuery(std::string_view sparql_text) {
   LODVIZ_TRACE_SPAN("core.engine.explain_analyze_query");
   CountCapability("explain_analyze_query");
   Stopwatch sw;
-  LODVIZ_ASSIGN_OR_RETURN(const rdf::TripleSource* source, ActiveSource());
-  sparql::QueryEngine query_engine(source);
+  sparql::QueryEngine query_engine(&store_);
   Result<std::string> report = query_engine.ExplainAnalyzeString(sparql_text);
   session_.Record(explore::OpKind::kQuery,
                   "explain analyze: " + std::string(sparql_text.substr(0, 44)),
@@ -193,7 +160,7 @@ Result<stats::DatasetProfile> Engine::Profile() {
   CountCapability("profile");
   if (!profile_.has_value()) {
     stats::ProfilerOptions popts;
-    popts.seed = options_.seed;
+    popts.seed = kSeed;
     LODVIZ_ASSIGN_OR_RETURN(stats::DatasetProfile p,
                             stats::ProfileDataset(store_, popts));
     profile_ = std::move(p);
@@ -307,10 +274,10 @@ Result<ViewResult> Engine::Render(const viz::VisSpec& spec, bool with_svg) {
   LODVIZ_TRACE_SPAN("core.engine.render");
   CountCapability("render");
   Stopwatch sw;
-  viz::Canvas canvas(options_.canvas_width, options_.canvas_height);
+  viz::Canvas canvas(kCanvasWidth, kCanvasHeight);
   ViewResult view;
   view.spec = spec;
-  viz::SvgWriter svg(options_.canvas_width, options_.canvas_height);
+  viz::SvgWriter svg(kCanvasWidth, kCanvasHeight);
 
   switch (spec.kind) {
     case viz::VisKind::kScatter:
@@ -321,7 +288,7 @@ Result<ViewResult> Engine::Render(const viz::VisSpec& spec, bool with_svg) {
       if (pairs.empty()) {
         return Status::NotFound("no (x, y) numeric pairs for scatter spec");
       }
-      ApplyBudget(&pairs, options_.element_budget, options_.seed);
+      ApplyBudget(&pairs, options_.element_budget, kSeed);
       view.render = viz::RenderScatter(&canvas, pairs);
       if (with_svg) {
         geo::Rect b = geo::Rect::Empty();
@@ -360,7 +327,7 @@ Result<ViewResult> Engine::Render(const viz::VisSpec& spec, bool with_svg) {
     case viz::VisKind::kTimeline: {
       std::vector<double> times = CollectValues(spec.x_property);
       if (times.empty()) return Status::NotFound("no temporal values");
-      ApplyBudget(&times, options_.element_budget, options_.seed);
+      ApplyBudget(&times, options_.element_budget, kSeed);
       view.render = viz::RenderTimeline(&canvas, times);
       break;
     }
@@ -431,7 +398,7 @@ Result<ViewResult> Engine::Render(const viz::VisSpec& spec, bool with_svg) {
       graph::Graph g = BuildGraph();
       if (g.num_nodes() == 0) return Status::NotFound("no entity links");
       graph::ForceLayoutOptions lopts;
-      lopts.seed = options_.seed;
+      lopts.seed = kSeed;
       lopts.iterations = g.num_nodes() > 2000 ? 15 : 40;
       graph::Layout layout = graph::ForceDirectedLayout(g, lopts);
       view.render = viz::RenderGraph(&canvas, g, layout);

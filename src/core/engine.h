@@ -17,8 +17,6 @@
 #include "rdf/triple_store.h"
 #include "serve/frontend.h"
 #include "sparql/engine.h"
-#include "storage/disk_source_adapter.h"
-#include "storage/disk_triple_store.h"
 #include "stats/profile.h"
 #include "viz/canvas.h"
 #include "viz/renderers.h"
@@ -46,27 +44,12 @@ struct ViewResult {
 /// Tables 1 and 2 available behind one API.
 class Engine {
  public:
-  /// Which TripleSource queries execute against. Data always loads into
-  /// the in-memory store (it owns the dictionary and feeds the non-query
-  /// subsystems); with kDisk, queries run over a disk-resident mirror
-  /// behind a bounded buffer pool instead — same results, bounded memory.
-  enum class Backend { kMemory, kDisk };
-
+  /// Renders draw on a fixed 800 x 600 canvas, and sampling, profiling and
+  /// layout use one fixed seed, so a view is reproducible.
   struct Options {
-    int canvas_width = 800;
-    int canvas_height = 600;
     /// Data-reduction budget: specs rendering more objects than this get
     /// sampled/aggregated first (0 disables reduction).
     size_t element_budget = 50000;
-    uint64_t seed = 42;
-    /// Query backend; kDisk mirrors loaded triples into a DiskTripleStore
-    /// (rebuilt lazily after loads) and queries through it.
-    Backend backend = Backend::kMemory;
-    /// Page-file path for the disk backend (a default name in the working
-    /// directory when empty).
-    std::string disk_path;
-    /// Buffer-pool size (pages) for the disk backend.
-    size_t pool_pages = 256;
     /// Slow-query journal threshold: queries at least this slow are
     /// captured in the process-wide obs::QueryLog (fingerprint, latency,
     /// row counts, profile summary). Negative leaves the journal disabled.
@@ -92,20 +75,20 @@ class Engine {
   Result<std::vector<rdf::ParsedTriple>> QueryGraph(
       std::string_view sparql_text);
   /// Renders the planner's logical plan (join order, per-pattern
-  /// cardinality estimates) for the active backend without executing;
+  /// cardinality estimates) without executing;
   /// the explain entry point for explore sessions and the CLI.
   Result<std::string> ExplainQuery(std::string_view sparql_text);
   /// Executes with profiling on and renders per-operator estimated vs
   /// actual rows, invocations and wall time (EXPLAIN ANALYZE); works for
-  /// all query forms on either backend.
+  /// all query forms.
   Result<std::string> ExplainAnalyzeQuery(std::string_view sparql_text);
   /// Builds a serving Frontend (plan cache + admission control +
-  /// serialization) over the active backend — the object tools/ and
-  /// tests hand to serve::Server. The Frontend borrows the Engine's
-  /// TripleSource, so the Engine must outlive it, and loads performed
-  /// after construction are not visible through it (the serving layer
-  /// assumes an immutable snapshot, like sparql::QueryEngine itself).
-  Result<std::unique_ptr<serve::Frontend>> MakeFrontend(
+  /// serialization) over the store — the object tools/ and tests hand to
+  /// serve::Server. The Frontend borrows the Engine's store, so the Engine
+  /// must outlive it, and loads belong before serving starts: cached plans
+  /// assume the data they were planned on (the serving layer assumes an
+  /// immutable snapshot, like sparql::QueryEngine itself).
+  std::unique_ptr<serve::Frontend> MakeFrontend(
       const serve::FrontendOptions& frontend_options =
           serve::FrontendOptions());
   /// JSON dump of the process-wide slow-query journal (see
@@ -143,13 +126,6 @@ class Engine {
   /// Ends every load: publishes the store's snapshot and drops the state
   /// derived from the old data.
   void FinishLoad();
-  /// The TripleSource queries run against: the in-memory store, or the
-  /// (lazily rebuilt) disk mirror for Backend::kDisk.
-  Result<const rdf::TripleSource*> ActiveSource();
-  /// Rebuilds the disk mirror from the in-memory store. The store only
-  /// ever serves deduplicated snapshots, so both backends hold identical
-  /// data — the parity contract.
-  Status RebuildDiskMirror();
   /// (x, y) numeric pairs per subject for two properties.
   std::vector<geo::Point> CollectPairs(const std::string& x_iri,
                                        const std::string& y_iri) const;
@@ -161,11 +137,6 @@ class Engine {
   explore::SessionLog session_;
   std::optional<stats::DatasetProfile> profile_;
   std::optional<explore::KeywordIndex> keyword_;
-
-  /// Disk backend state (Backend::kDisk only).
-  std::unique_ptr<storage::DiskTripleStore> disk_store_;
-  std::unique_ptr<storage::DiskSourceAdapter> disk_source_;
-  bool disk_dirty_ = true;
 };
 
 }  // namespace lodviz::core

@@ -6,8 +6,18 @@
 
 namespace lodviz::explore {
 
-FacetedBrowser::FacetedBrowser(const rdf::TripleSource* source, Options options)
-    : source_(source), options_(options) {
+namespace {
+
+/// Max distinct values (over the matching set) for a predicate to qualify
+/// as a facet.
+constexpr uint64_t kMaxFacetValues = 64;
+/// Max values listed per facet (top by count).
+constexpr size_t kTopFacetValues = 20;
+
+}  // namespace
+
+FacetedBrowser::FacetedBrowser(const rdf::TripleSource* source)
+    : source_(source) {
   Recompute();
 }
 
@@ -57,7 +67,7 @@ std::vector<Facet> FacetedBrowser::Facets() const {
                   [&](const rdf::Triple& t) {
                     if (!match_set.count(t.s)) return true;
                     ++counts[t.o];
-                    if (counts.size() > options_.max_values) {
+                    if (counts.size() > kMaxFacetValues) {
                       facetable = false;
                       return false;
                     }
@@ -80,8 +90,8 @@ std::vector<Facet> FacetedBrowser::Facets() const {
                 if (a.count != b.count) return a.count > b.count;
                 return a.label < b.label;
               });
-    if (facet.values.size() > options_.top_values) {
-      facet.values.resize(options_.top_values);
+    if (facet.values.size() > kTopFacetValues) {
+      facet.values.resize(kTopFacetValues);
     }
     facets.push_back(std::move(facet));
   }

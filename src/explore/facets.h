@@ -28,22 +28,15 @@ struct Facet {
 /// with counts recomputed against the current result set.
 class FacetedBrowser {
  public:
-  struct Options {
-    /// Max distinct values for a predicate to qualify as a facet.
-    uint64_t max_values = 64;
-    /// Max facet values listed per facet (top by count).
-    size_t top_values = 20;
-  };
-
-  FacetedBrowser(const rdf::TripleSource* source, Options options);
-  explicit FacetedBrowser(const rdf::TripleSource* source)
-      : FacetedBrowser(source, Options()) {}
+  explicit FacetedBrowser(const rdf::TripleSource* source);
 
   /// Entities matching the current selection (all subjects when empty).
   const std::vector<rdf::TermId>& Matching() const { return matching_; }
   size_t num_matching() const { return matching_.size(); }
 
-  /// Available facets with counts under the current selection.
+  /// Available facets with counts under the current selection: the
+  /// predicates with at most 64 distinct values over the matching set,
+  /// each listing its 20 most frequent values.
   std::vector<Facet> Facets() const;
 
   /// Adds a conjunctive constraint (predicate = value) and refines.
@@ -64,7 +57,6 @@ class FacetedBrowser {
   void Recompute();
 
   const rdf::TripleSource* source_;
-  Options options_;
   std::map<rdf::TermId, rdf::TermId> selection_;
   std::vector<rdf::TermId> matching_;  // sorted
 };

@@ -1,6 +1,6 @@
 #include "rdf/ntriples.h"
 
-#include <istream>
+#include <cctype>
 #include <ostream>
 
 #include "common/string_util.h"
@@ -35,9 +35,12 @@ Result<Term> ParseTerm(std::string_view input, size_t* pos) {
     if (*pos + 1 >= input.size() || input[*pos + 1] != ':') {
       return Status::ParseError("malformed blank node");
     }
+    // A label runs to whitespace but never ends in '.', so "_:b1." is the
+    // label "b1" followed by the terminator, and "_:a.b" keeps its dot.
     size_t start = *pos + 2;
     size_t end = start;
     while (end < input.size() && input[end] != ' ' && input[end] != '\t') ++end;
+    while (end > start && input[end - 1] == '.') --end;
     if (end == start) return Status::ParseError("empty blank node label");
     Term t = Term::Blank(std::string(input.substr(start, end - start)));
     *pos = end;
@@ -64,7 +67,9 @@ Result<Term> ParseTerm(std::string_view input, size_t* pos) {
     if (*pos < input.size() && input[*pos] == '@') {
       size_t start = *pos + 1;
       size_t end = start;
-      while (end < input.size() && input[end] != ' ' && input[end] != '\t') {
+      while (end < input.size() &&
+             (std::isalnum(static_cast<unsigned char>(input[end])) ||
+              input[end] == '-')) {
         ++end;
       }
       if (end == start) return Status::ParseError("empty language tag");
@@ -110,30 +115,6 @@ Result<ParsedTriple> ParseNTriplesLine(std::string_view line) {
     return Status::ParseError("missing terminating '.'");
   }
   return pt;
-}
-
-Result<size_t> LoadNTriples(std::istream& in, TripleStore* store, bool strict,
-                            size_t* skipped) {
-  size_t added = 0;
-  size_t line_no = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    ++line_no;
-    Result<ParsedTriple> r = ParseNTriplesLine(line);
-    if (!r.ok()) {
-      if (r.status().code() == StatusCode::kNotFound) continue;  // comment
-      if (strict) {
-        return Status::ParseError("line " + std::to_string(line_no) + ": " +
-                                  r.status().message());
-      }
-      if (skipped != nullptr) ++(*skipped);
-      continue;
-    }
-    const ParsedTriple& pt = r.ValueOrDie();
-    store->Add(pt.subject, pt.predicate, pt.object);
-    ++added;
-  }
-  return added;
 }
 
 Result<size_t> LoadNTriplesString(std::string_view document,

@@ -28,12 +28,7 @@ Result<Term> ParseTerm(std::string_view input, size_t* pos);
 
 /// Parses a whole N-Triples document into `store`. Returns the number of
 /// triples added; stops at the first malformed line unless `strict` is
-/// false, in which case bad lines are skipped and counted in
-/// `*skipped` (if non-null).
-Result<size_t> LoadNTriples(std::istream& in, TripleStore* store,
-                            bool strict = true, size_t* skipped = nullptr);
-
-/// Convenience wrapper over a string document.
+/// false, in which case bad lines are skipped.
 Result<size_t> LoadNTriplesString(std::string_view document,
                                   TripleStore* store, bool strict = true);
 

@@ -15,7 +15,7 @@ namespace lodviz::serve {
 namespace {
 
 sparql::QueryEngine::Options EngineOptions(const FrontendOptions& o) {
-  sparql::QueryEngine::Options e = o.engine;
+  sparql::QueryEngine::Options e;
   e.budget = o.budget;
   return e;
 }
@@ -117,14 +117,13 @@ QueryResponse Frontend::Handle(const QueryRequest& request) {
     } else {
       // SELECT/ASK: fingerprint-keyed plan cache, canonical-bytes
       // verified so a 64-bit collision can only cost a re-plan.
-      const std::string key = sparql::CanonicalQueryKey(query);
+      std::string key = sparql::CanonicalQueryKey(query);
       const uint64_t fingerprint = sparql::Fnv1a64(key);
       std::shared_ptr<const sparql::QueryPlan> plan =
           cache_.Lookup(fingerprint, key);
       r.plan_cache_hit = plan != nullptr;
       if (plan == nullptr) {
-        plan = std::make_shared<const sparql::QueryPlan>(engine_.Plan(query));
-        cache_.Insert(fingerprint, key, *plan);
+        plan = cache_.Insert(fingerprint, std::move(key), engine_.Plan(query));
       }
       Result<sparql::ResultTable> table =
           engine_.ExecutePlanned(query, *plan, nullptr, request.query);

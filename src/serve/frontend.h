@@ -61,12 +61,9 @@ struct FrontendOptions {
   size_t plan_cache_capacity = 128;
 
   /// Per-query execution budget, threaded into the executor; a blown
-  /// budget surfaces as kBudgetExceeded. Unlimited by default.
+  /// budget surfaces as kBudgetExceeded. Unlimited by default. The serving
+  /// engine's other options keep their defaults.
   sparql::ExecBudget budget;
-
-  /// Engine knobs for the serving engine (join ordering, profiling);
-  /// its `budget` is overridden by this struct's `budget`.
-  sparql::QueryEngine::Options engine;
 };
 
 /// The serving layer's front door: parse → admission gate → plan-cache

@@ -40,10 +40,10 @@ std::shared_ptr<const sparql::QueryPlan> PlanCache::Lookup(
   return plan;
 }
 
-void PlanCache::Insert(uint64_t fingerprint, std::string canonical_key,
-                       sparql::QueryPlan plan) {
-  if (capacity_ == 0) return;
+std::shared_ptr<const sparql::QueryPlan> PlanCache::Insert(
+    uint64_t fingerprint, std::string canonical_key, sparql::QueryPlan plan) {
   auto shared = std::make_shared<const sparql::QueryPlan>(std::move(plan));
+  if (capacity_ == 0) return shared;
   uint64_t evicted = 0;
   size_t size_after = 0;
   {
@@ -53,7 +53,7 @@ void PlanCache::Insert(uint64_t fingerprint, std::string canonical_key,
       // Replace in place (re-plan of a cached query, or a fingerprint
       // collision where latest wins); LRU position refreshes.
       it->second.canonical_key = std::move(canonical_key);
-      it->second.plan = std::move(shared);
+      it->second.plan = shared;
       lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
       size_after = entries_.size();
     } else {
@@ -65,13 +65,13 @@ void PlanCache::Insert(uint64_t fingerprint, std::string canonical_key,
       }
       lru_.push_front(fingerprint);
       entries_.emplace(fingerprint,
-                       Entry{std::move(canonical_key), std::move(shared),
-                             lru_.begin()});
+                       Entry{std::move(canonical_key), shared, lru_.begin()});
       size_after = entries_.size();
     }
   }
   if (evicted != 0) evictions_.Increment(evicted);
   size_gauge_.Set(static_cast<int64_t>(size_after));
+  return shared;
 }
 
 size_t PlanCache::size() const {

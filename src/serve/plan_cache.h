@@ -40,7 +40,7 @@ namespace lodviz::serve {
 class PlanCache {
  public:
   /// `capacity` = max resident plans; 0 disables caching (every Lookup
-  /// misses, Insert drops).
+  /// misses, Insert stores nothing).
   explicit PlanCache(size_t capacity);
 
   PlanCache(const PlanCache&) = delete;
@@ -57,8 +57,12 @@ class PlanCache {
   /// Caches `plan` under `fingerprint`, evicting the least recently used
   /// entry when full. An existing entry for the fingerprint is replaced
   /// (latest wins — also the collision case, where the old key differs).
-  void Insert(uint64_t fingerprint, std::string canonical_key,
-              sparql::QueryPlan plan) LODVIZ_EXCLUDES(mu_);
+  /// Returns the stored plan, so a caller that planned on a miss executes
+  /// from it without a copy; with capacity 0 nothing is stored and the
+  /// plan is still returned.
+  std::shared_ptr<const sparql::QueryPlan> Insert(
+      uint64_t fingerprint, std::string canonical_key,
+      sparql::QueryPlan plan) LODVIZ_EXCLUDES(mu_);
 
   /// Resident entries (for tests; the same value is exported as the
   /// serve.plan_cache.size gauge).

@@ -198,13 +198,6 @@ std::pair<size_t, size_t> SliceWindow(const Query& query, size_t n) {
   return {begin, end};
 }
 
-PlannerOptions ToPlannerOptions(const QueryEngine::Options& o) {
-  PlannerOptions p;
-  p.optimize_join_order = o.optimize_join_order;
-  p.force_join = o.force_join;
-  return p;
-}
-
 /// Everything one execution records, whatever its form. Constructing it
 /// counts the query, starts the clock and (with profiling on) builds the
 /// plan's profile skeleton; destroying it, on every exit path — answer,
@@ -319,7 +312,7 @@ Result<std::vector<rdf::ParsedTriple>> QueryEngine::ExecuteGraph(
 }
 
 QueryPlan QueryEngine::Plan(const Query& query) const {
-  return PlanQuery(query, *source_, ToPlannerOptions(options_));
+  return PlanQuery(query, *source_, options_);
 }
 
 Result<ResultTable> QueryEngine::ExecutePlanned(const Query& query,

@@ -50,16 +50,10 @@ struct QueryStats {
 /// run concurrently per the TripleSource contract).
 class QueryEngine {
  public:
-  struct Options {
-    /// Greedy selectivity-based join ordering; disable to execute basic
-    /// graph patterns in textual order (used by the E10 bench and the
-    /// order-independence property test).
-    bool optimize_join_order = true;
-
-    /// Overrides the planner's adaptive hash-vs-NLJ join choice (parity
-    /// tests and join micro-benchmarks); production leaves it on kAuto.
-    JoinForce force_join = JoinForce::kAuto;
-
+  /// The planner's options (join ordering, forced join strategy) plus
+  /// the execution-side ones; Plan() hands the PlannerOptions part to
+  /// PlanQuery as is.
+  struct Options : PlannerOptions {
     /// Per-query resource budget (executor.h). Unlimited by default; the
     /// serving layer sets it so one hostile or runaway query cannot hold
     /// an engine thread indefinitely. A blown budget surfaces as

@@ -196,7 +196,8 @@ struct PlannerOptions {
   /// order-independence property test).
   bool optimize_join_order = true;
 
-  /// Test/bench knob forcing the per-step join strategy.
+  /// Overrides the planner's adaptive hash-vs-NLJ join choice (parity
+  /// tests and join micro-benchmarks); production leaves it on kAuto.
   JoinForce force_join = JoinForce::kAuto;
 };
 

@@ -110,6 +110,64 @@ TEST(FacetsTest, EmptyIntersection) {
   EXPECT_EQ(browser.num_matching(), 0u);  // the travel book is German
 }
 
+TEST(FacetsTest, DistinctValueAndListingBounds) {
+  // A predicate is a facet while it has at most 64 distinct values over
+  // the matching set, and a facet lists only its 20 most frequent values.
+  using rdf::Term;
+  rdf::TripleStore store;
+  const Term kind = Term::Iri("http://x/kind");
+  for (int i = 0; i < 65; ++i) {
+    const Term s = Term::Iri("http://x/w" + std::to_string(i));
+    const Term v = Term::Literal(std::to_string(i));
+    store.Add(s, Term::Iri("http://x/wide"), v);  // 65 distinct values
+    if (i < 64) store.Add(s, Term::Iri("http://x/narrow"), v);  // 64
+    store.Add(s, kind, Term::Literal(i < 64 ? "a" : "b"));
+  }
+  // Value "10k" of `ranked` sits on k + 1 subjects (k = 0..24): 25 values
+  // with distinct counts.
+  for (int k = 0; k < 25; ++k) {
+    const std::string label = std::to_string(100 + k);
+    for (int j = 0; j <= k; ++j) {
+      store.Add(Term::Iri("http://x/r" + std::to_string(k) + "_" +
+                          std::to_string(j)),
+                Term::Iri("http://x/ranked"), Term::Literal(label));
+    }
+  }
+  auto find = [](const std::vector<Facet>& facets, const std::string& iri) {
+    for (const Facet& f : facets) {
+      if (f.label == iri) return &f;
+    }
+    return static_cast<const Facet*>(nullptr);
+  };
+
+  FacetedBrowser browser(&store);
+  std::vector<Facet> facets = browser.Facets();
+  EXPECT_EQ(find(facets, "http://x/wide"), nullptr);
+  const Facet* narrow = find(facets, "http://x/narrow");
+  ASSERT_NE(narrow, nullptr);
+  EXPECT_EQ(narrow->values.size(), 20u);
+  const Facet* ranked = find(facets, "http://x/ranked");
+  ASSERT_NE(ranked, nullptr);
+  ASSERT_EQ(ranked->values.size(), 20u);
+  for (int i = 0; i < 20; ++i) {
+    const int k = 24 - i;  // most frequent first: 124 (25 subjects) .. 105
+    EXPECT_EQ(ranked->values[i].label, std::to_string(100 + k));
+    EXPECT_EQ(ranked->values[i].count, static_cast<uint64_t>(k + 1));
+  }
+
+  // The bound counts values over the matching set: selecting kind "a"
+  // leaves 64 subjects, and `wide` becomes a facet.
+  ASSERT_TRUE(browser
+                  .Select(store.dict().Lookup(kind),
+                          store.dict().Lookup(Term::Literal("a")))
+                  .ok());
+  facets = browser.Facets();
+  const Facet* wide = find(facets, "http://x/wide");
+  ASSERT_NE(wide, nullptr);
+  EXPECT_EQ(wide->values.size(), 20u);
+  EXPECT_EQ(find(facets, "http://x/ranked"), nullptr);
+}
+
 TEST(KeywordTest, FindsByLabelAndRanksLabelHigher) {
   rdf::TripleStore store = MakeBookStore();
   KeywordIndex index = KeywordIndex::Build(store);

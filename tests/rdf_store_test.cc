@@ -519,6 +519,54 @@ TEST(NTriplesTest, DocumentRoundTrip) {
   EXPECT_EQ(out.str(), out2.str());
 }
 
+TEST(NTriplesTest, LastTermMayTouchTheTerminator) {
+  auto lang = ParseNTriplesLine("<http://x/a> <http://x/p> \"chat\"@en.");
+  ASSERT_TRUE(lang.ok()) << lang.status().ToString();
+  EXPECT_EQ(lang->object.lexical, "chat");
+  EXPECT_EQ(lang->object.language, "en");
+
+  auto region = ParseNTriplesLine("<http://x/a> <http://x/p> \"x\"@en-US.");
+  ASSERT_TRUE(region.ok()) << region.status().ToString();
+  EXPECT_EQ(region->object.language, "en-US");
+
+  auto blank = ParseNTriplesLine("<http://x/a> <http://x/p> _:b1.");
+  ASSERT_TRUE(blank.ok()) << blank.status().ToString();
+  EXPECT_TRUE(blank->object.is_blank());
+  EXPECT_EQ(blank->object.lexical, "b1");
+
+  // A label keeps inner dots; only a trailing one is the terminator.
+  auto dotted = ParseNTriplesLine("_:a.b <http://x/p> _:c.d .");
+  ASSERT_TRUE(dotted.ok()) << dotted.status().ToString();
+  EXPECT_EQ(dotted->subject.lexical, "a.b");
+  EXPECT_EQ(dotted->object.lexical, "c.d");
+  auto dotted_last = ParseNTriplesLine("<http://x/a> <http://x/p> _:c.d.");
+  ASSERT_TRUE(dotted_last.ok()) << dotted_last.status().ToString();
+  EXPECT_EQ(dotted_last->object.lexical, "c.d");
+
+  // A language tag is letters, digits and '-' only.
+  EXPECT_FALSE(
+      ParseNTriplesLine("<http://x/a> <http://x/p> \"x\"@en\"junk .").ok());
+
+  const char* doc =
+      "<http://x/a> <http://x/p> \"chat\"@en.\n"
+      "<http://x/a> <http://x/q> \"x\"@en-US.\n"
+      "<http://x/a> <http://x/r> _:a.b.\n";
+  TripleStore store;
+  auto n = LoadNTriplesString(doc, &store);
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  EXPECT_EQ(n.ValueOrDie(), 3u);
+  std::ostringstream out;
+  WriteNTriples(store, out);
+  TripleStore store2;
+  auto n2 = LoadNTriplesString(out.str(), &store2);
+  ASSERT_TRUE(n2.ok()) << n2.status().ToString() << "\n" << out.str();
+  EXPECT_EQ(n2.ValueOrDie(), 3u);
+  std::ostringstream out2;
+  WriteNTriples(store2, out2);
+  EXPECT_EQ(out.str(), out2.str());
+  EXPECT_NE(out.str().find("_:a.b ."), std::string::npos) << out.str();
+}
+
 TEST(NTriplesTest, StrictModeStopsOnBadLine) {
   const char* doc = "<http://x/a> <http://x/p> <http://x/b> .\nbad line\n";
   TripleStore strict_store;

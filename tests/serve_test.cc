@@ -174,6 +174,31 @@ TEST_F(ServePlanCacheTest, ZeroCapacityNeverStores) {
   EXPECT_EQ(cache.Lookup(1, "k1"), nullptr);
 }
 
+TEST_F(ServePlanCacheTest, InsertReturnsTheStoredPlan) {
+  const std::string text = "SELECT ?s WHERE { ?s ?p ?o }";
+  PlanCache cache(4);
+  auto stored = cache.Insert(1, "k1", PlanFor(text));
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(cache.Lookup(1, "k1"), stored);  // the same object, not a copy
+  auto replaced = cache.Insert(1, "k1", PlanFor(text));
+  EXPECT_NE(replaced, stored);
+  EXPECT_EQ(cache.Lookup(1, "k1"), replaced);
+
+  // A disabled cache stores nothing but still hands the plan back, and
+  // it executes like a fresh one.
+  PlanCache disabled(0);
+  auto handed = disabled.Insert(1, "k1", PlanFor(text));
+  ASSERT_NE(handed, nullptr);
+  EXPECT_EQ(disabled.size(), 0u);
+  auto q = sparql::ParseQuery(text);
+  ASSERT_TRUE(q.ok());
+  auto planned = engine_.ExecutePlanned(q.ValueOrDie(), *handed);
+  auto direct = engine_.Execute(q.ValueOrDie());
+  ASSERT_TRUE(planned.ok() && direct.ok());
+  EXPECT_EQ(planned->ToString(planned->num_rows()),
+            direct->ToString(direct->num_rows()));
+}
+
 // ---------------------------------------------------------------------------
 // Frontend
 // ---------------------------------------------------------------------------

@@ -52,6 +52,11 @@
 //   concurrency.lock_order   the static lock-acquisition graph declared by
 //                            LODVIZ_ACQUIRED_BEFORE / LODVIZ_ACQUIRED_AFTER
 //                            annotations on mutex members must be acyclic
+//   config.no_env_knob       no getenv / secure_getenv outside
+//                            src/exec/parallel.cc (LODVIZ_THREADS) and
+//                            bench/bench_util.h (LODVIZ_BENCH_JSON); a
+//                            behaviour is chosen by code or by an argument
+//                            a caller passes, not by an environment switch
 //   arch.layering            src/ includes must follow the layering DAG
 //                            common -> obs -> exec -> rdf -> storage ->
 //                            sparql -> domain tiers (geo/stats/onto/cube/
@@ -893,8 +898,8 @@ void CheckRawThread(const FileModel& m, std::vector<Violation>* out) {
 }
 
 /// The modules that may name a concrete store: the stores themselves
-/// (rdf, storage), the facade that picks a backend (core), and the
-/// generator that fills one (workload).
+/// (rdf, storage), the facade that owns one and the archetype probe that
+/// copies it to disk (core), and the generator that fills one (workload).
 bool ConcreteStoreSanctioned(const std::string& rel) {
   for (const char* dir :
        {"src/rdf/", "src/storage/", "src/core/", "src/workload/"}) {
@@ -919,6 +924,31 @@ void CheckNoConcreteStore(const FileModel& m, std::vector<Violation>* out) {
                           "query and exploration code may only see the "
                           "abstract rdf::TripleSource interface "
                           "(rdf/triple_source.h)"});
+    }
+  }
+}
+
+/// The two sanctioned environment reads: the worker-thread count
+/// (LODVIZ_THREADS) and where bench programs write telemetry
+/// (LODVIZ_BENCH_JSON).
+bool EnvReadSanctioned(const std::string& rel) {
+  return rel == "src/exec/parallel.cc" || rel == "bench/bench_util.h";
+}
+
+/// config.no_env_knob: an environment variable read somewhere inside the
+/// program is an option no call site shows, and each one doubles the
+/// configurations the tests and gates must cover. Behaviour is chosen by
+/// code, or by an argument a caller passes; only the EnvReadSanctioned
+/// files may read the environment.
+void CheckNoEnvKnob(const FileModel& m, std::vector<Violation>* out) {
+  for (const Token& t : m.tokens) {
+    if (!t.ident) continue;
+    if (t.text == "getenv" || t.text == "secure_getenv") {
+      out->push_back({m.rel, t.line, "config.no_env_knob",
+                      "`" + t.text +
+                          "` outside src/exec/parallel.cc and "
+                          "bench/bench_util.h; pass the value as an "
+                          "argument instead of an environment switch"});
     }
   }
 }
@@ -1372,6 +1402,8 @@ void LintFile(const FileModel& m, bool all_rules, std::vector<Violation>* out) {
   if (in_src && !thread_sanctioned) CheckRawThread(m, out);
   const bool store_sanctioned = !all_rules && ConcreteStoreSanctioned(rel);
   if (in_src && !store_sanctioned) CheckNoConcreteStore(m, out);
+  const bool env_sanctioned = !all_rules && EnvReadSanctioned(rel);
+  if (!env_sanctioned) CheckNoEnvKnob(m, out);
   const bool in_sparql = all_rules || rel.rfind("src/sparql/", 0) == 0;
   if (in_sparql) CheckNoRowLoopInBatchOps(m, out);
   CheckUncheckedResult(m, out);
@@ -1819,6 +1851,38 @@ int RunSelfTest() {
       LintFile(ModelOf(text, rel), /*all_rules=*/false, &v);
       Expect(v.empty(), std::string("concrete store allowed in ") + rel);
     }
+  }
+  // --- config.no_env_knob scoping ---
+  {
+    // Fires wherever the lint runs (src, bench, tests, tools) except the
+    // two sanctioned readers; a name in a comment or string is no read.
+    const std::string text =
+        "#include <cstdlib>\nnamespace lodviz {\n"
+        "const char* A() { return std::getenv(\"X\"); }\n"
+        "const char* B() { return secure_getenv(\"Y\"); }\n}\n";
+    for (const char* rel : {"src/serve/a.cc", "src/exec/thread_pool.cc",
+                            "bench/e1.cc", "tests/a_test.cc", "tools/a.cc"}) {
+      std::vector<Violation> v;
+      LintFile(ModelOf(text, rel), /*all_rules=*/false, &v);
+      size_t fired = 0;
+      for (const Violation& x : v) fired += x.rule == "config.no_env_knob";
+      Expect(fired == 2, std::string("env read fires in ") + rel);
+    }
+    for (const char* rel : {"src/exec/parallel.cc", "bench/bench_util.h"}) {
+      std::vector<Violation> v;
+      CheckNoEnvKnob(ModelOf(text, rel), &v);
+      Expect(v.size() == 2, std::string("CheckNoEnvKnob sees ") + rel);
+      v.clear();
+      LintFile(ModelOf(text, rel), /*all_rules=*/false, &v);
+      bool fired = false;
+      for (const Violation& x : v) fired |= x.rule == "config.no_env_knob";
+      Expect(!fired, std::string("env read allowed in ") + rel);
+    }
+    std::vector<Violation> v;
+    CheckNoEnvKnob(ModelOf("// getenv(\"X\")\nconst char* s = \"getenv\";\n",
+                           "src/serve/a.cc"),
+                   &v);
+    Expect(v.empty(), "getenv in a comment or string does not fire");
   }
   // --- Layering ---
   {

@@ -144,14 +144,14 @@ int main() {
     expect_tsv.push_back(serve::ResultTableTsv(direct.ValueOrDie(), is_ask));
   }
 
-  auto frontend = engine.MakeFrontend(serve::FrontendOptions());
-  if (!frontend.ok()) return fail(frontend.status().ToString());
+  std::unique_ptr<serve::Frontend> frontend =
+      engine.MakeFrontend(serve::FrontendOptions());
 
   exec::ThreadPool pool(6);
   serve::Server::Options sopts;
   sopts.port = 0;  // ephemeral
   sopts.num_workers = 4;
-  serve::Server server(frontend.ValueOrDie().get(), &pool, sopts);
+  serve::Server server(frontend.get(), &pool, sopts);
   Status started = server.Start();
   if (!started.ok()) return fail(started.ToString());
   const int port = server.port();

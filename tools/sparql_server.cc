@@ -87,11 +87,7 @@ int main(int argc, char** argv) {
   fopts.budget.max_intermediate_rows =
       static_cast<uint64_t>(FlagValue(argc, argv, "--max-rows", 0));
 
-  auto frontend = engine.MakeFrontend(fopts);
-  if (!frontend.ok()) {
-    std::cerr << "frontend: " << frontend.status().ToString() << "\n";
-    return 1;
-  }
+  std::unique_ptr<serve::Frontend> frontend = engine.MakeFrontend(fopts);
 
   const size_t workers =
       static_cast<size_t>(FlagValue(argc, argv, "--workers", 4));
@@ -100,7 +96,7 @@ int main(int argc, char** argv) {
   serve::Server::Options sopts;
   sopts.port = static_cast<int>(FlagValue(argc, argv, "--port", 8080));
   sopts.num_workers = workers;
-  serve::Server server(frontend.ValueOrDie().get(), &pool, sopts);
+  serve::Server server(frontend.get(), &pool, sopts);
   Status started = server.Start();
   if (!started.ok()) {
     std::cerr << "start failed: " << started.ToString() << "\n";
