@@ -66,7 +66,7 @@ echo "== [4/5] TSan obs + exec + sparql + serve + rdf store concurrency tests ==
 # sparql); the SparqlParity suites add the shared-QueryEngine regression
 # (per-query stats instead of a mutable member), the memory/disk backend
 # parity checks, and the SparqlParityStripedPool suite — concurrent
-# Fetch/eviction and dirty write-back on the lock-striped BufferPool
+# Fetch/eviction on the lock-striped, read-only BufferPool
 # (which replaced the serialized disk adapter), so this is the race gate
 # for query execution and the storage layer under it.
 # The Serve suites run the full HTTP server (acceptor + worker tasks on

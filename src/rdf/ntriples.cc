@@ -114,6 +114,12 @@ Result<ParsedTriple> ParseNTriplesLine(std::string_view line) {
   if (pos >= trimmed.size() || trimmed[pos] != '.') {
     return Status::ParseError("missing terminating '.'");
   }
+  // Only whitespace or a comment may follow the terminator.
+  ++pos;
+  SkipSpace(trimmed, &pos);
+  if (pos < trimmed.size() && trimmed[pos] != '#') {
+    return Status::ParseError("unexpected text after terminating '.'");
+  }
   return pt;
 }
 

@@ -11,14 +11,16 @@
 
 namespace lodviz::storage {
 
-/// Disk-resident B+-tree with Key128 keys and uint64 values, living
-/// entirely in buffer-pool pages. Supports point insert, point lookup,
-/// ordered range scans, and sorted bulk load. Set semantics: inserting an
-/// existing key overwrites its value.
+/// Disk-resident B+-tree with Key128 keys and uint64 values. The tree is
+/// write-once: BulkLoad encodes it from sorted items and writes every page
+/// straight to the pool's PageFile, leaves first and then each internal
+/// level, each page once at the end of the file. After that it is only
+/// read, through the buffer pool: point lookups and ordered range scans.
+/// A changed dataset is a new tree built from a scan.
 ///
 /// Leaves hold delta-compressed varint-gap runs with an in-page restart
-/// directory (leaf_codec.h); inserting into a full leaf decodes,
-/// re-encodes, and splits it.
+/// directory (leaf_codec.h). An empty tree has no pages: its root() is
+/// kInvalidPageId.
 class BTree {
  public:
   struct Item {
@@ -26,22 +28,17 @@ class BTree {
     uint64_t value = 0;
   };
 
-  /// Creates an empty tree, allocating its root in `pool`.
-  static Result<BTree> Create(BufferPool* pool);
-
-  /// Reattaches to an existing tree rooted at `root`.
+  /// Reattaches to an existing tree rooted at `root` (kInvalidPageId: the
+  /// empty tree).
   static BTree Attach(BufferPool* pool, PageId root, uint64_t size);
 
-  /// Builds a packed tree from strictly-ascending items (each leaf holds
-  /// as many items as encode into its page). Non-strictly-ascending input
-  /// is InvalidArgument.
+  /// Writes a packed tree of strictly-ascending items (each leaf holds as
+  /// many items as encode into its page) to `pool`'s file, starting at its
+  /// current end. Non-strictly-ascending input is InvalidArgument; a failed
+  /// page write is returned as is. Single-threaded: nothing else may write
+  /// the file meanwhile.
   static Result<BTree> BulkLoad(BufferPool* pool,
                                 const std::vector<Item>& sorted_items);
-
-  /// Upserts. When `inserted` is non-null it reports whether the key was
-  /// new (false: an existing key's value was overwritten) — what lets the
-  /// triple store maintain its aggregated counts exactly under mutation.
-  Status Insert(const Key128& key, uint64_t value, bool* inserted = nullptr);
 
   /// Value for `key`; NotFound if absent.
   [[nodiscard]] Result<uint64_t> Lookup(const Key128& key) const;
@@ -55,23 +52,12 @@ class BTree {
 
   PageId root() const { return root_; }
   uint64_t size() const { return size_; }
+  /// Levels from root to leaf: 0 for the empty tree, -1 when attached.
   int height() const { return height_; }
 
  private:
   BTree(BufferPool* pool, PageId root, uint64_t size, int height)
       : pool_(pool), root_(root), size_(size), height_(height) {}
-
-  struct SplitResult {
-    bool split = false;
-    Key128 separator;   // first key of the new right sibling's subtree
-    PageId right = kInvalidPageId;
-    bool inserted = false;  // false when an existing key was overwritten
-  };
-
-  Result<SplitResult> InsertRec(PageId page, const Key128& key,
-                                uint64_t value);
-  Result<SplitResult> InsertLeaf(PageRef& page, const Key128& key,
-                                 uint64_t value);
 
   BufferPool* pool_;
   PageId root_;

@@ -1,7 +1,5 @@
 #include "storage/buffer_pool.h"
 
-#include <cstring>
-
 #include "common/logging.h"
 
 namespace lodviz::storage {
@@ -27,15 +25,10 @@ PageRef& PageRef::operator=(PageRef&& other) noexcept {
   return *this;
 }
 
-// While a PageRef is alive the frame is pinned, so page_id and data are
-// stable and safe to read without the shard mutex.
-uint8_t* PageRef::data() { return pool_->frames_[frame_].data.get(); }
+// While a PageRef is alive the frame is pinned, so its data is stable and
+// safe to read without the shard mutex.
 const uint8_t* PageRef::data() const {
   return pool_->frames_[frame_].data.get();
-}
-PageId PageRef::page_id() const { return pool_->frames_[frame_].page_id; }
-void PageRef::MarkDirty() {
-  pool_->frames_[frame_].dirty.store(true, std::memory_order_release);
 }
 
 void PageRef::Release() {
@@ -99,7 +92,7 @@ Result<int32_t> BufferPool::GetVictimFrame(Shard& shard) {
     const Frame& f = frames_[i];
     if (f.page_id == kInvalidPageId) return i;
     // Acquire pairs with the release decrement in Unpin: observing zero
-    // means the last pinner's writes (page bytes, dirty flag) are visible.
+    // means the last pinner is done with the frame.
     if (f.pin_count.load(std::memory_order_acquire) == 0 &&
         f.lru_tick < best_tick) {
       best_tick = f.lru_tick;
@@ -110,25 +103,11 @@ Result<int32_t> BufferPool::GetVictimFrame(Shard& shard) {
     return Status::ResourceExhausted("all frames of the page's shard are pinned");
   }
   Frame& f = frames_[victim];
-  if (f.dirty.load(std::memory_order_acquire)) {
-    LODVIZ_RETURN_NOT_OK(file_->WritePage(f.page_id, f.data.get()));
-    f.dirty.store(false, std::memory_order_relaxed);
-  }
   shard.page_table.erase(f.page_id);
   f.page_id = kInvalidPageId;
   evictions_.Increment();
   agg_evictions_->Increment();
   return victim;
-}
-
-void BufferPool::InstallFrame(Shard& shard, int32_t frame, PageId id,
-                              bool dirty) {
-  Frame& f = frames_[frame];
-  f.page_id = id;
-  f.pin_count.store(1, std::memory_order_relaxed);
-  f.dirty.store(dirty, std::memory_order_relaxed);
-  f.lru_tick = ++shard.tick;
-  shard.page_table[id] = frame;
 }
 
 Result<PageRef> BufferPool::Fetch(PageId id) {
@@ -147,39 +126,13 @@ Result<PageRef> BufferPool::Fetch(PageId id) {
   misses_.Increment();
   agg_misses_->Increment();
   LODVIZ_ASSIGN_OR_RETURN(int32_t frame, GetVictimFrame(shard));
-  LODVIZ_RETURN_NOT_OK(file_->ReadPage(id, frames_[frame].data.get()));
-  InstallFrame(shard, frame, id, /*dirty=*/false);
+  Frame& f = frames_[frame];
+  LODVIZ_RETURN_NOT_OK(file_->ReadPage(id, f.data.get()));
+  f.page_id = id;
+  f.pin_count.store(1, std::memory_order_relaxed);
+  f.lru_tick = ++shard.tick;
+  shard.page_table[id] = frame;
   return PageRef(this, frame);
-}
-
-Result<PageRef> BufferPool::NewPage() {
-  // File growth is serialized inside PageFile::AllocatePage (its grow
-  // mutex); everything else stays shard-local.
-  LODVIZ_ASSIGN_OR_RETURN(PageId id, file_->AllocatePage());
-  Shard& shard = ShardOf(id);
-  MutexLock lock(&shard.mu);
-  LODVIZ_ASSIGN_OR_RETURN(int32_t frame, GetVictimFrame(shard));
-  std::memset(frames_[frame].data.get(), 0, kPageSize);
-  InstallFrame(shard, frame, id, /*dirty=*/true);
-  return PageRef(this, frame);
-}
-
-Status BufferPool::FlushAll() {
-  for (size_t s = 0; s < num_shards_; ++s) {
-    Shard& shard = shards_[s];
-    MutexLock lock(&shard.mu);
-    for (int32_t i = shard.begin; i < shard.end; ++i) {
-      Frame& f = frames_[i];
-      if (f.page_id != kInvalidPageId &&
-          f.dirty.load(std::memory_order_acquire)) {
-        LODVIZ_RETURN_NOT_OK(file_->WritePage(f.page_id, f.data.get()));
-        f.dirty.store(false, std::memory_order_relaxed);
-      }
-    }
-  }
-  // Flushed pages are only in the kernel page cache until synced; a crash
-  // after FlushAll must not lose them.
-  return file_->Sync();
 }
 
 void BufferPool::Unpin(int32_t frame) {

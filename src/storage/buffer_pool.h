@@ -30,12 +30,7 @@ class PageRef {
   PageRef& operator=(PageRef&& other) noexcept;
 
   bool valid() const { return pool_ != nullptr; }
-  uint8_t* data();
   const uint8_t* data() const;
-  PageId page_id() const;
-
-  /// Marks the page dirty so it is written back before eviction.
-  void MarkDirty();
 
   /// Releases the pin early.
   void Release();
@@ -45,10 +40,12 @@ class PageRef {
   int32_t frame_ = -1;
 };
 
-/// Fixed-capacity page cache over a PageFile with LRU eviction of unpinned
+/// Fixed-capacity read cache over a PageFile with LRU eviction of unpinned
 /// frames. This is what lets lodviz explore datasets larger than memory —
 /// the survey's "systems should be integrated with disk structures,
-/// retrieving data dynamically during runtime" (Section 4).
+/// retrieving data dynamically during runtime" (Section 4). The pool never
+/// writes: a frame is only ever filled by reading its page, and pages are
+/// written once, by BTree::BulkLoad, before anything fetches them.
 ///
 /// The frame table is split into lock-striped shards (a power of two,
 /// sized so every shard keeps at least 8 frames): each page hashes to a
@@ -70,11 +67,8 @@ class BufferPool {
   /// concurrently; fetches that land in different shards do not contend.
   Result<PageRef> Fetch(PageId id);
 
-  /// Allocates a new page on disk and pins it (already zeroed).
-  Result<PageRef> NewPage();
-
-  /// Writes back all dirty frames.
-  Status FlushAll();
+  /// The file this pool reads; BTree::BulkLoad writes its pages there.
+  PageFile* file() const { return file_; }
 
   size_t capacity() const { return capacity_; }
   size_t num_shards() const { return num_shards_; }
@@ -108,9 +102,8 @@ class BufferPool {
     uint64_t lru_tick = 0;
     /// Pins drop without a lock (PageRef destruction, release order); the
     /// evictor reads with acquire under the shard mutex, so a zero implies
-    /// it observes everything the last pinner wrote.
+    /// the last pinner's reads of the frame finished before it is refilled.
     std::atomic<uint32_t> pin_count{0};
-    std::atomic<bool> dirty{false};
     std::unique_ptr<uint8_t[]> data;
   };
 
@@ -137,13 +130,9 @@ class BufferPool {
                    (num_shards_ - 1)];
   }
 
-  /// Finds a free or evictable frame in `shard` (writing back a dirty
-  /// victim); error if all of the shard's frames are pinned.
+  /// Finds a free or evictable frame in `shard`; error if all of the
+  /// shard's frames are pinned.
   Result<int32_t> GetVictimFrame(Shard& shard) LODVIZ_REQUIRES(shard.mu);
-
-  /// Installs page `id` into `frame` after a miss/alloc, pinned once.
-  void InstallFrame(Shard& shard, int32_t frame, PageId id, bool dirty)
-      LODVIZ_REQUIRES(shard.mu);
 
   void Unpin(int32_t frame);
 

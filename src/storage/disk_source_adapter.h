@@ -33,10 +33,10 @@ namespace lodviz::storage {
 /// store's aggregated indexes — exact, and no construction-time scan. A
 /// small memoization cache in front of the B-tree lookups keeps the
 /// planner's repeated probes of the same (s,p)/predicate rows off the
-/// buffer pool; it assumes the store is not mutated while the adapter is
-/// live (rebuild the adapter after loading more data, as before). A
-/// lookup that fails is reported like a scan error and answers 0, but is
-/// never memoized: the next call asks the store again.
+/// buffer pool; the store is write-once, so build the adapter after its
+/// BulkLoad and no memoized row goes stale. A lookup that fails is
+/// reported like a scan error and answers 0, but is never memoized: the
+/// next call asks the store again.
 class DiskSourceAdapter : public rdf::TripleSource {
  public:
   DiskSourceAdapter(const DiskTripleStore* store, const rdf::Dictionary* dict);

@@ -10,13 +10,11 @@ namespace lodviz::storage {
 namespace {
 
 struct DiskStoreMetrics {
-  obs::Counter& inserts;
   obs::Counter& scans;
   obs::Counter& rows_scanned;
 
   static const DiskStoreMetrics& Get() {
     static DiskStoreMetrics m{
-        obs::MetricRegistry::Global().GetCounter("storage.disk_store.inserts"),
         obs::MetricRegistry::Global().GetCounter("storage.disk_store.scans"),
         obs::MetricRegistry::Global().GetCounter(
             "storage.disk_store.rows_scanned")};
@@ -24,21 +22,24 @@ struct DiskStoreMetrics {
   }
 };
 
-/// Sorts, dedups, and returns the BTree items for one triple permutation.
-std::vector<BTree::Item> SortedKeys(const std::vector<rdf::Triple>& triples,
-                                    Key128 (*key_fn)(const rdf::Triple&)) {
-  std::vector<BTree::Item> items(triples.size());
-  for (size_t i = 0; i < triples.size(); ++i) items[i].key = key_fn(triples[i]);
-  std::sort(items.begin(), items.end(),
+/// Fills `items` with the sorted, deduplicated BTree items of one triple
+/// permutation (reusing its capacity across permutations).
+void SortedKeys(const std::vector<rdf::Triple>& triples,
+                Key128 (*key_fn)(const rdf::Triple&),
+                std::vector<BTree::Item>* items) {
+  items->resize(triples.size());
+  for (size_t i = 0; i < triples.size(); ++i) {
+    (*items)[i] = {key_fn(triples[i]), 0};
+  }
+  std::sort(items->begin(), items->end(),
             [](const BTree::Item& a, const BTree::Item& b) {
               return a.key < b.key;
             });
-  items.erase(std::unique(items.begin(), items.end(),
-                          [](const BTree::Item& a, const BTree::Item& b) {
-                            return a.key == b.key;
-                          }),
-              items.end());
-  return items;
+  items->erase(std::unique(items->begin(), items->end(),
+                           [](const BTree::Item& a, const BTree::Item& b) {
+                             return a.key == b.key;
+                           }),
+               items->end());
 }
 
 /// Counts runs of equal `group(key)` over sorted items — the aggregated
@@ -58,74 +59,53 @@ std::vector<BTree::Item> GroupCounts(const std::vector<BTree::Item>& sorted,
   return out;
 }
 
+/// SPO keys group by hi = (s<<32)|p — exactly the sp_agg rows.
+uint64_t SpRow(const Key128& k) { return k.hi; }
+
+/// POS keys group by p = hi>>32 — the p_agg rows.
+uint64_t PRow(const Key128& k) { return k.hi >> 32; }
+
 }  // namespace
 
 Result<std::unique_ptr<DiskTripleStore>> DiskTripleStore::Create(
     const std::string& path, size_t pool_pages) {
+  auto file = std::make_unique<PageFile>();
+  LODVIZ_RETURN_NOT_OK(file->Open(path, /*truncate=*/true));
+  return Create(std::move(file), pool_pages);
+}
+
+std::unique_ptr<DiskTripleStore> DiskTripleStore::Create(
+    std::unique_ptr<PageFile> file, size_t pool_pages) {
   auto store = std::make_unique<DiskTripleStore>(Private{});
-  store->file_ = std::make_unique<PageFile>();
-  LODVIZ_RETURN_NOT_OK(store->file_->Open(path, /*truncate=*/true));
+  store->file_ = std::move(file);
   store->pool_ = std::make_unique<BufferPool>(store->file_.get(), pool_pages);
-  LODVIZ_ASSIGN_OR_RETURN(BTree spo, BTree::Create(store->pool_.get()));
-  LODVIZ_ASSIGN_OR_RETURN(BTree pos, BTree::Create(store->pool_.get()));
-  LODVIZ_ASSIGN_OR_RETURN(BTree sp_agg, BTree::Create(store->pool_.get()));
-  LODVIZ_ASSIGN_OR_RETURN(BTree p_agg, BTree::Create(store->pool_.get()));
-  store->spo_ = std::make_unique<BTree>(std::move(spo));
-  store->pos_ = std::make_unique<BTree>(std::move(pos));
-  store->sp_agg_ = std::make_unique<BTree>(std::move(sp_agg));
-  store->p_agg_ = std::make_unique<BTree>(std::move(p_agg));
+  // Four empty trees: no pages until BulkLoad writes them.
+  const BTree empty =
+      BTree::Attach(store->pool_.get(), kInvalidPageId, /*size=*/0);
+  store->spo_ = std::make_unique<BTree>(empty);
+  store->pos_ = std::make_unique<BTree>(empty);
+  store->sp_agg_ = std::make_unique<BTree>(empty);
+  store->p_agg_ = std::make_unique<BTree>(empty);
   return store;
-}
-
-Status DiskTripleStore::BumpAggregate(BTree* agg, const Key128& key,
-                                      uint64_t delta) {
-  uint64_t current = 0;
-  Result<uint64_t> r = agg->Lookup(key);
-  if (r.ok()) {
-    current = *r;
-  } else if (r.status().code() != StatusCode::kNotFound) {
-    return r.status();
-  }
-  return agg->Insert(key, current + delta);
-}
-
-Status DiskTripleStore::Insert(const rdf::Triple& t) {
-  DiskStoreMetrics::Get().inserts.Increment();
-  bool inserted = false;
-  LODVIZ_RETURN_NOT_OK(spo_->Insert(SpoKey(t), 0, &inserted));
-  LODVIZ_RETURN_NOT_OK(pos_->Insert(PosKey(t), 0));
-  if (inserted) {
-    // New triple: the aggregated counts move with it.
-    LODVIZ_RETURN_NOT_OK(BumpAggregate(
-        sp_agg_.get(), Key128{(static_cast<uint64_t>(t.s) << 32) | t.p, 0}, 1));
-    LODVIZ_RETURN_NOT_OK(BumpAggregate(p_agg_.get(), Key128{t.p, 0}, 1));
-  }
-  return Status::OK();
 }
 
 Status DiskTripleStore::BulkLoad(std::vector<rdf::Triple> triples) {
   LODVIZ_TRACE_SPAN("storage.disk_store.bulk_load");
-  {
-    std::vector<BTree::Item> items = SortedKeys(triples, &SpoKey);
-    // SPO keys group by hi = (s<<32)|p — exactly the sp_agg rows.
-    std::vector<BTree::Item> sp_rows =
-        GroupCounts(items, [](const Key128& k) { return k.hi; });
-    LODVIZ_ASSIGN_OR_RETURN(BTree spo, BTree::BulkLoad(pool_.get(), items));
-    *spo_ = std::move(spo);
-    LODVIZ_ASSIGN_OR_RETURN(BTree sp_agg,
-                            BTree::BulkLoad(pool_.get(), sp_rows));
-    *sp_agg_ = std::move(sp_agg);
-  }
-  {
-    std::vector<BTree::Item> items = SortedKeys(triples, &PosKey);
-    // POS keys group by p = hi>>32 — the p_agg rows.
-    std::vector<BTree::Item> p_rows =
-        GroupCounts(items, [](const Key128& k) { return k.hi >> 32; });
-    LODVIZ_ASSIGN_OR_RETURN(BTree pos, BTree::BulkLoad(pool_.get(), items));
-    *pos_ = std::move(pos);
-    LODVIZ_ASSIGN_OR_RETURN(BTree p_agg, BTree::BulkLoad(pool_.get(), p_rows));
-    *p_agg_ = std::move(p_agg);
-  }
+  std::vector<BTree::Item> items;
+  SortedKeys(triples, &SpoKey, &items);
+  LODVIZ_ASSIGN_OR_RETURN(BTree spo, BTree::BulkLoad(pool_.get(), items));
+  LODVIZ_ASSIGN_OR_RETURN(
+      BTree sp_agg, BTree::BulkLoad(pool_.get(), GroupCounts(items, &SpRow)));
+  SortedKeys(triples, &PosKey, &items);
+  LODVIZ_ASSIGN_OR_RETURN(BTree pos, BTree::BulkLoad(pool_.get(), items));
+  LODVIZ_ASSIGN_OR_RETURN(
+      BTree p_agg, BTree::BulkLoad(pool_.get(), GroupCounts(items, &PRow)));
+  // The trees are swapped in only once all four are on disk, so a failed
+  // load leaves the store answering as before.
+  *spo_ = spo;
+  *sp_agg_ = sp_agg;
+  *pos_ = pos;
+  *p_agg_ = p_agg;
   return Status::OK();
 }
 

@@ -20,9 +20,14 @@ namespace lodviz::storage {
 /// retrieving data dynamically during runtime"). The dictionary stays in
 /// memory (it is orders of magnitude smaller than the triples).
 ///
-/// Leaves use the delta-compressed format (leaf_codec.h). The same page
-/// file also carries two aggregated indexes maintained exactly under both
-/// BulkLoad and Insert:
+/// The store is write-once, like the offline-built indexes of the survey's
+/// disk-based systems: BulkLoad writes every page of the file, and from
+/// then on the store is only read. A changed dataset is a new store built
+/// from a scan. Durability (a Sync and a superblock that lets the file be
+/// reopened) is not provided: every user builds a fresh file.
+///
+/// Leaves use the delta-compressed format (leaf_codec.h). BulkLoad also
+/// writes two aggregated indexes, exact by construction:
 ///   sp_agg: (s,p) -> number of distinct objects   (key {(s<<32)|p, 0})
 ///   p_agg:  p     -> number of triples             (key {p, 0})
 /// They make PairCount/PredicateCount exact O(log n) lookups, which is
@@ -31,15 +36,20 @@ namespace lodviz::storage {
 /// Memory use is capped at `pool_pages` * 8 KiB regardless of dataset size.
 class DiskTripleStore {
  public:
-  /// Creates a fresh store at `path` with a `pool_pages`-page buffer pool.
+  /// Creates an empty store at `path` (truncating the file) with a
+  /// `pool_pages`-page buffer pool. It answers as empty until BulkLoad.
   static Result<std::unique_ptr<DiskTripleStore>> Create(
       const std::string& path, size_t pool_pages);
 
-  /// Inserts one (already dictionary-encoded) triple.
-  Status Insert(const rdf::Triple& t);
+  /// Creates an empty store over `file`, already open and empty (tests
+  /// pass a PageFile that injects I/O faults).
+  static std::unique_ptr<DiskTripleStore> Create(
+      std::unique_ptr<PageFile> file, size_t pool_pages);
 
-  /// Bulk-loads sorted-agnostic triples (sorts internally, packs leaves,
-  /// builds the aggregated indexes). Call on an empty store.
+  /// Bulk-loads sorted-agnostic, already dictionary-encoded triples (sorts
+  /// and dedups internally, packs leaves, builds the aggregated indexes)
+  /// by writing the page file. Call once, on a store fresh from Create,
+  /// before any reader. A failed page write is returned (kIoError).
   Status BulkLoad(std::vector<rdf::Triple> triples);
 
   /// Streams triples matching `pattern` (same wildcard semantics as the
@@ -110,9 +120,6 @@ class DiskTripleStore {
                        static_cast<rdf::TermId>(k.hi >> 32),
                        static_cast<rdf::TermId>(k.hi & 0xFFFFFFFF));
   }
-
-  /// Adds `delta` to the aggregate row `key` in `agg` (missing row = 0).
-  static Status BumpAggregate(BTree* agg, const Key128& key, uint64_t delta);
 
   std::unique_ptr<PageFile> file_;
   std::unique_ptr<BufferPool> pool_;

@@ -19,7 +19,6 @@ Status PageFile::Open(const std::string& path, bool truncate) {
   if (fd_ < 0) {
     return Status::IoError("open '" + path + "': " + std::strerror(errno));
   }
-  path_ = path;
   off_t size = ::lseek(fd_, 0, SEEK_END);
   if (size < 0) return Status::IoError("lseek failed");
   num_pages_.store(
@@ -34,17 +33,6 @@ Status PageFile::Close() {
     fd_ = -1;
   }
   return Status::OK();
-}
-
-Result<PageId> PageFile::AllocatePage() {
-  if (fd_ < 0) return Status::InvalidArgument("PageFile not open");
-  // Hold grow_mu_ across the read-modify-write so two concurrent
-  // allocators cannot claim the same page id.
-  MutexLock lock(&grow_mu_);
-  PageId id = num_pages_.load(std::memory_order_relaxed);
-  char zeros[kPageSize] = {};
-  LODVIZ_RETURN_NOT_OK(WritePage(id, zeros));  // bumps num_pages_ to id + 1
-  return id;
 }
 
 ssize_t PageFile::PreadSome(void* buf, size_t count, off_t offset) {
@@ -100,12 +88,7 @@ Status PageFile::WritePage(PageId id, const void* buf) {
     done += static_cast<size_t>(n);
   }
   writes_.fetch_add(1, std::memory_order_relaxed);
-  // Grow the page count monotonically (CAS loop: concurrent writers may
-  // both extend the file; keep the max).
-  uint32_t n = num_pages_.load(std::memory_order_relaxed);
-  while (id >= n && !num_pages_.compare_exchange_weak(
-                        n, id + 1, std::memory_order_relaxed)) {
-  }
+  if (id >= num_pages()) num_pages_.store(id + 1, std::memory_order_relaxed);
   return Status::OK();
 }
 

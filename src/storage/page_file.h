@@ -5,9 +5,7 @@
 #include <cstdint>
 #include <string>
 
-#include "common/mutex.h"
 #include "common/result.h"
-#include "common/thread_annotations.h"
 
 namespace lodviz::storage {
 
@@ -21,12 +19,12 @@ inline constexpr PageId kInvalidPageId = ~PageId(0);
 /// pread/pwrite. Counts physical I/Os so the disk-vs-memory experiments
 /// can report them.
 ///
-/// ReadPage/WritePage/Sync are safe to call concurrently (positional I/O,
-/// atomic counters) — the striped BufferPool issues them from several
-/// shards at once. AllocatePage is a read-modify-write of the page count
-/// and serializes itself on grow_mu_, so concurrent allocators from
-/// different pool shards are safe too. Open/Close are single-threaded
-/// setup/teardown: no I/O may be in flight when they run.
+/// The file is write-once: BTree::BulkLoad, single-threaded, writes each
+/// page once at num_pages(), and from then on the pages are only read.
+/// ReadPage/Sync are safe to call concurrently (positional I/O, atomic
+/// counters) — the striped BufferPool reads from several shards at once.
+/// Open/Close are single-threaded setup/teardown: no I/O may be in flight
+/// when they run.
 class PageFile {
  public:
   PageFile() = default;
@@ -41,19 +39,16 @@ class PageFile {
 
   bool is_open() const { return fd_ >= 0; }
 
-  /// Appends a zeroed page; returns its id. Safe to call concurrently
-  /// (growth is a read-modify-write of the page count, serialized on
-  /// grow_mu_). Virtual so tests can inject I/O failures (see
-  /// storage_test.cc).
-  virtual Result<PageId> AllocatePage() LODVIZ_EXCLUDES(grow_mu_);
-
   /// Reads page `id` into `buf` (kPageSize bytes). Loops until the full
   /// page is transferred: POSIX allows pread to return fewer bytes than
-  /// requested, and a read landing mid-signal returns EINTR.
+  /// requested, and a read landing mid-signal returns EINTR. Virtual (like
+  /// WritePage and Sync) so tests can inject I/O failures (see
+  /// storage_test.cc).
   virtual Status ReadPage(PageId id, void* buf);
 
   /// Writes `buf` (kPageSize bytes) to page `id`, looping on short writes
-  /// and EINTR like ReadPage.
+  /// and EINTR like ReadPage; writing at num_pages() grows the file by one
+  /// page. One writer at a time.
   virtual Status WritePage(PageId id, const void* buf);
 
   /// Flushes file data to stable storage (fdatasync).
@@ -76,15 +71,9 @@ class PageFile {
   virtual ssize_t PwriteSome(const void* buf, size_t count, off_t offset);
 
  private:
-  /// Serializes file growth in AllocatePage. Leaf mutex: no other lock is
-  /// ever acquired while it is held (WritePage is lock-free).
-  Mutex grow_mu_;
-  /// Written only by Open/Close under their single-threaded contract; all
-  /// concurrent entry points (Read/Write/Sync/Allocate) only read it.
-  // LINT-ALLOW(concurrency.guarded_by): Open/Close are single-threaded
+  /// Written only by Open/Close under their single-threaded contract; the
+  /// I/O entry points only read it.
   int fd_ = -1;
-  // LINT-ALLOW(concurrency.guarded_by): Open/Close are single-threaded
-  std::string path_;
   std::atomic<uint32_t> num_pages_{0};
   std::atomic<uint64_t> reads_{0};
   std::atomic<uint64_t> writes_{0};

@@ -494,6 +494,18 @@ TEST(NTriplesTest, RejectsMalformed) {
   EXPECT_FALSE(
       ParseNTriplesLine("<http://x/s> <http://x/p> <http://x/o>").ok());
   EXPECT_FALSE(ParseNTriplesLine("<unterminated <p> <o> .").ok());
+  // Nothing but whitespace or a comment may follow the terminator.
+  EXPECT_FALSE(
+      ParseNTriplesLine("<http://x/a> <http://x/p> <http://x/o> . junk").ok());
+  EXPECT_FALSE(
+      ParseNTriplesLine("<http://x/a> <http://x/p> <http://x/o> .. <x>").ok());
+  EXPECT_TRUE(ParseNTriplesLine(
+                  "<http://x/a> <http://x/p> <http://x/o> . # a comment")
+                  .ok());
+  EXPECT_TRUE(
+      ParseNTriplesLine("<http://x/a> <http://x/p> <http://x/o> .#c").ok());
+  EXPECT_TRUE(
+      ParseNTriplesLine("<http://x/a> <http://x/p> <http://x/o> . \t  ").ok());
 }
 
 TEST(NTriplesTest, DocumentRoundTrip) {

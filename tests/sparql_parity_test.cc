@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -702,58 +701,6 @@ TEST(SparqlParityStripedPool, ConcurrentFetchWithEviction) {
   for (int i = 0; i < kThreads; ++i) {
     EXPECT_EQ(errors[i], 0) << "thread " << i;
     EXPECT_EQ(corruptions[i], 0) << "thread " << i;
-  }
-  ASSERT_TRUE(pool.FlushAll().ok());
-  std::remove(path.c_str());
-}
-
-TEST(SparqlParityStripedPool, ConcurrentWritersOnDistinctPages) {
-  // Writers own disjoint page ranges: pin, fill, MarkDirty, unpin. Dirty
-  // write-back happens on eviction inside whichever shard needs a victim,
-  // concurrently with other writers. After FlushAll, a cold re-read must
-  // see every byte — this pins down the atomic dirty flag and the
-  // write-back path under contention.
-  const std::string path = StripedPoolPath("write");
-  storage::PageFile file;
-  ASSERT_TRUE(file.Open(path, /*truncate=*/true).ok());
-  constexpr storage::PageId kPages = 128;
-  constexpr int kThreads = 4;
-  {
-    storage::BufferPool pool(&file, 32);
-    // NewPage serializes allocation; create the address space up front.
-    for (storage::PageId id = 0; id < kPages; ++id) {
-      auto ref = pool.NewPage();
-      ASSERT_TRUE(ref.ok());
-      ASSERT_EQ(ref->page_id(), id);
-    }
-    std::vector<std::thread> workers;
-    std::atomic<int> errors{0};
-    for (int i = 0; i < kThreads; ++i) {
-      workers.emplace_back([&, i] {
-        const storage::PageId lo = kPages / kThreads * i;
-        const storage::PageId hi = lo + kPages / kThreads;
-        for (storage::PageId id = lo; id < hi; ++id) {
-          auto ref = pool.Fetch(id);
-          if (!ref.ok()) {
-            errors.fetch_add(1);
-            continue;
-          }
-          FillPage(ref->data(), id);
-          ref->MarkDirty();
-        }
-      });
-    }
-    for (std::thread& w : workers) w.join();
-    EXPECT_EQ(errors.load(), 0);
-    ASSERT_TRUE(pool.FlushAll().ok());
-  }
-  // Cold pool: everything must come back from disk intact.
-  storage::BufferPool reread(&file, 8);
-  EXPECT_EQ(reread.num_shards(), 1u);  // tiny pools degrade to one shard
-  for (storage::PageId id = 0; id < kPages; ++id) {
-    auto ref = reread.Fetch(id);
-    ASSERT_TRUE(ref.ok()) << "page " << id;
-    EXPECT_TRUE(CheckPage(ref->data(), id)) << "page " << id;
   }
   std::remove(path.c_str());
 }

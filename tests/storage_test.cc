@@ -57,24 +57,37 @@ std::vector<rdf::Triple> ScanAll(const DiskTripleStore& disk,
   return triples;
 }
 
+/// Writes `n` pages at the end of `file`, page i filled with byte i: the
+/// way BTree::BulkLoad lays out a file, for pool tests to read back.
+void WritePages(PageFile* file, int n) {
+  for (int i = 0; i < n; ++i) {
+    char page[kPageSize];
+    std::memset(page, i, kPageSize);
+    ASSERT_TRUE(file->WritePage(file->num_pages(), page).ok());
+  }
+}
+
 TEST(PageFileTest, AllocateWriteRead) {
+  // A page is allocated by writing it at num_pages().
   PageFile file;
   ASSERT_TRUE(file.Open(TempPath("pf1"), /*truncate=*/true).ok());
-  auto p0 = file.AllocatePage();
-  auto p1 = file.AllocatePage();
-  ASSERT_TRUE(p0.ok() && p1.ok());
-  EXPECT_EQ(p0.ValueOrDie(), 0u);
-  EXPECT_EQ(p1.ValueOrDie(), 1u);
+  EXPECT_EQ(file.num_pages(), 0u);
+  char zeros[kPageSize] = {};
+  ASSERT_TRUE(file.WritePage(file.num_pages(), zeros).ok());
+  ASSERT_TRUE(file.WritePage(file.num_pages(), zeros).ok());
   EXPECT_EQ(file.num_pages(), 2u);
 
   char out[kPageSize];
   for (size_t i = 0; i < kPageSize; ++i) out[i] = static_cast<char>(i % 251);
   ASSERT_TRUE(file.WritePage(1, out).ok());
+  EXPECT_EQ(file.num_pages(), 2u);
   char in[kPageSize] = {};
   ASSERT_TRUE(file.ReadPage(1, in).ok());
   EXPECT_EQ(0, std::memcmp(out, in, kPageSize));
-  EXPECT_GE(file.reads(), 1u);
-  EXPECT_GE(file.writes(), 1u);
+  ASSERT_TRUE(file.ReadPage(0, in).ok());
+  EXPECT_EQ(0, std::memcmp(zeros, in, kPageSize));
+  EXPECT_EQ(file.reads(), 2u);
+  EXPECT_EQ(file.writes(), 3u);
   ASSERT_TRUE(file.Close().ok());
 }
 
@@ -88,112 +101,100 @@ TEST(PageFileTest, ReadPastEndFails) {
 TEST(BufferPoolTest, HitAndMissAccounting) {
   PageFile file;
   ASSERT_TRUE(file.Open(TempPath("bp1"), true).ok());
+  WritePages(&file, 2);
   BufferPool pool(&file, 4);
-  auto p = pool.NewPage();
-  ASSERT_TRUE(p.ok());
-  PageId id = p->page_id();
-  p->data()[0] = 42;
-  p->MarkDirty();
-  p->Release();
+  {
+    auto p = pool.Fetch(1);
+    ASSERT_TRUE(p.ok());
+    EXPECT_EQ(p->data()[0], 1);
+  }
+  EXPECT_EQ(pool.hits(), 0u);
+  EXPECT_EQ(pool.misses(), 1u);
+  EXPECT_EQ(file.reads(), 1u);
 
-  auto again = pool.Fetch(id);
+  auto again = pool.Fetch(1);
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again->data()[0], 42);
+  EXPECT_EQ(again->data()[0], 1);
   EXPECT_EQ(pool.hits(), 1u);
-  EXPECT_EQ(pool.misses(), 0u);
+  EXPECT_EQ(pool.misses(), 1u);
+  EXPECT_EQ(file.reads(), 1u);
+  // The pool only reads: nothing was written back.
+  EXPECT_EQ(file.writes(), 2u);
 }
 
-TEST(BufferPoolTest, EvictsLruAndWritesBackDirty) {
+TEST(BufferPoolTest, EvictsLruAndRereads) {
   PageFile file;
   ASSERT_TRUE(file.Open(TempPath("bp2"), true).ok());
-  BufferPool pool(&file, 4);
-  std::vector<PageId> ids;
-  for (int i = 0; i < 10; ++i) {
-    auto p = pool.NewPage();
+  WritePages(&file, 10);
+  BufferPool pool(&file, 4);  // one shard, so LRU order is global
+  for (PageId id = 0; id < 10; ++id) ASSERT_TRUE(pool.Fetch(id).ok());
+  EXPECT_EQ(pool.misses(), 10u);
+  EXPECT_EQ(pool.evictions(), 6u);
+  // Frames hold 6..9. Touch 6, so 7 is least recent: loading 0 evicts 7.
+  ASSERT_TRUE(pool.Fetch(6).ok());
+  ASSERT_TRUE(pool.Fetch(0).ok());
+  EXPECT_EQ(pool.hits(), 1u);
+  ASSERT_TRUE(pool.Fetch(6).ok());
+  EXPECT_EQ(pool.hits(), 2u);
+  ASSERT_TRUE(pool.Fetch(7).ok());
+  EXPECT_EQ(pool.hits(), 2u);
+  // Every page reads back its bytes after eviction.
+  for (PageId id = 0; id < 10; ++id) {
+    auto p = pool.Fetch(id);
     ASSERT_TRUE(p.ok());
-    p->data()[0] = static_cast<uint8_t>(i);
-    p->MarkDirty();
-    ids.push_back(p->page_id());
+    EXPECT_EQ(p->data()[0], static_cast<uint8_t>(id));
+    EXPECT_EQ(p->data()[kPageSize - 1], static_cast<uint8_t>(id));
   }
-  EXPECT_GT(pool.evictions(), 0u);
-  // All pages must read back their data even after eviction.
-  for (int i = 0; i < 10; ++i) {
-    auto p = pool.Fetch(ids[i]);
-    ASSERT_TRUE(p.ok());
-    EXPECT_EQ(p->data()[0], static_cast<uint8_t>(i));
-  }
+  EXPECT_EQ(file.writes(), 10u);
 }
 
 TEST(BufferPoolTest, AllPinnedIsResourceExhausted) {
   PageFile file;
   ASSERT_TRUE(file.Open(TempPath("bp3"), true).ok());
+  WritePages(&file, 5);
   BufferPool pool(&file, 4);
   std::vector<PageRef> pins;
-  for (int i = 0; i < 4; ++i) {
-    auto p = pool.NewPage();
+  for (PageId id = 0; id < 4; ++id) {
+    auto p = pool.Fetch(id);
     ASSERT_TRUE(p.ok());
     pins.push_back(std::move(p).ValueOrDie());
   }
-  auto fifth = pool.NewPage();
+  auto fifth = pool.Fetch(4);
   EXPECT_FALSE(fifth.ok());
   EXPECT_EQ(fifth.status().code(), StatusCode::kResourceExhausted);
   pins.clear();  // unpin
-  EXPECT_TRUE(pool.NewPage().ok());
-}
-
-TEST(BufferPoolTest, FlushAllPersists) {
-  std::string path = TempPath("bp4");
-  PageId id;
-  {
-    PageFile file;
-    ASSERT_TRUE(file.Open(path, true).ok());
-    BufferPool pool(&file, 4);
-    auto p = pool.NewPage();
-    ASSERT_TRUE(p.ok());
-    id = p->page_id();
-    p->data()[100] = 77;
-    p->MarkDirty();
-    p->Release();
-    ASSERT_TRUE(pool.FlushAll().ok());
-  }
-  PageFile file;
-  ASSERT_TRUE(file.Open(path, false).ok());
-  char buf[kPageSize];
-  ASSERT_TRUE(file.ReadPage(id, buf).ok());
-  EXPECT_EQ(buf[100], 77);
+  EXPECT_TRUE(pool.Fetch(4).ok());
 }
 
 Key128 K(uint64_t hi, uint64_t lo = 0) { return {hi, lo}; }
 
-TEST(BTreeTest, InsertAndLookupSmall) {
+TEST(BTreeTest, LookupSmall) {
   PageFile file;
   ASSERT_TRUE(file.Open(TempPath("bt1"), true).ok());
   BufferPool pool(&file, 64);
-  auto tree = BTree::Create(&pool);
+  auto tree = BTree::BulkLoad(&pool, {{K(3), 30}, {K(5), 50}, {K(9), 90}});
   ASSERT_TRUE(tree.ok());
-  ASSERT_TRUE(tree->Insert(K(5), 50).ok());
-  ASSERT_TRUE(tree->Insert(K(3), 30).ok());
-  ASSERT_TRUE(tree->Insert(K(9), 90).ok());
   EXPECT_EQ(test::Unwrap(tree->Lookup(K(3))), 30u);
   EXPECT_EQ(test::Unwrap(tree->Lookup(K(5))), 50u);
+  EXPECT_EQ(test::Unwrap(tree->Lookup(K(9))), 90u);
   EXPECT_FALSE(tree->Lookup(K(4)).ok());
+  EXPECT_FALSE(tree->Lookup(K(10)).ok());
   EXPECT_EQ(tree->size(), 3u);
+  EXPECT_EQ(file.num_pages(), 1u);
 }
 
-TEST(BTreeTest, OverwriteKeepsSize) {
-  PageFile file;
-  ASSERT_TRUE(file.Open(TempPath("bt2"), true).ok());
-  BufferPool pool(&file, 64);
-  auto tree = BTree::Create(&pool);
-  ASSERT_TRUE(tree.ok());
-  ASSERT_TRUE(tree->Insert(K(1), 10).ok());
-  ASSERT_TRUE(tree->Insert(K(1), 11).ok());
-  EXPECT_EQ(tree->size(), 1u);
-  EXPECT_EQ(test::Unwrap(tree->Lookup(K(1))), 11u);
+/// The model's final contents as bulk-load input: ascending, one item per
+/// distinct key.
+std::vector<BTree::Item> ModelItems(
+    const std::map<std::pair<uint64_t, uint64_t>, uint64_t>& model) {
+  std::vector<BTree::Item> items;
+  for (const auto& [k, v] : model) items.push_back({K(k.first, k.second), v});
+  return items;
 }
 
-/// Model check: random inserts + range scans vs std::map, with a pool far
-/// smaller than the data so splits and evictions are exercised.
+/// Model check: random upserts into a std::map, bulk-loaded, then point
+/// lookups and range scans against the map, with a pool far smaller than
+/// the tree so scans evict and re-read.
 class BTreeModelCheck : public ::testing::TestWithParam<int> {};
 
 TEST_P(BTreeModelCheck, AgreesWithStdMap) {
@@ -201,19 +202,16 @@ TEST_P(BTreeModelCheck, AgreesWithStdMap) {
   ASSERT_TRUE(
       file.Open(TempPath("btm" + std::to_string(GetParam())), true).ok());
   BufferPool pool(&file, 16);
-  auto tree_r = BTree::Create(&pool);
-  ASSERT_TRUE(tree_r.ok());
-  BTree& tree = tree_r.ValueOrDie();
-
   Rng rng(GetParam());
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> model;
   for (int i = 0; i < 20000; ++i) {
-    Key128 key = K(rng.Uniform(5000), rng.Uniform(4));
-    uint64_t value = rng.Next();
-    ASSERT_TRUE(tree.Insert(key, value).ok());
-    model[{key.hi, key.lo}] = value;
+    model[{rng.Uniform(5000), rng.Uniform(4)}] = rng.Next();
   }
+  auto tree_r = BTree::BulkLoad(&pool, ModelItems(model));
+  ASSERT_TRUE(tree_r.ok());
+  const BTree& tree = tree_r.ValueOrDie();
   EXPECT_EQ(tree.size(), model.size());
+  ASSERT_GT(file.num_pages(), 16u);
 
   // Point lookups.
   for (int i = 0; i < 500; ++i) {
@@ -273,11 +271,6 @@ TEST(BTreeTest, BulkLoadEqualsInserts) {
     ++n;
   }
   EXPECT_EQ(n, 5000u);
-
-  // Inserts still work after bulk load.
-  ASSERT_TRUE(tree->Insert(K(1, 0), 999).ok());
-  EXPECT_EQ(test::Unwrap(tree->Lookup(K(1, 0))), 999u);
-  EXPECT_EQ(tree->size(), 5001u);
 }
 
 TEST(BTreeTest, EmptyBulkLoad) {
@@ -287,7 +280,56 @@ TEST(BTreeTest, EmptyBulkLoad) {
   auto tree = BTree::BulkLoad(&pool, {});
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(tree->size(), 0u);
-  EXPECT_FALSE(tree->Lookup(K(1)).ok());
+  EXPECT_EQ(tree->Lookup(K(1)).status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(RangeItems(*tree, Key128::Min(), Key128::Max()).empty());
+  // The empty tree is no pages at all.
+  EXPECT_EQ(tree->root(), kInvalidPageId);
+  EXPECT_EQ(file.num_pages(), 0u);
+}
+
+/// A tree is written once, in full, by BulkLoad: a second PageFile and
+/// pool opened on the same path, with nothing flushed in between, see
+/// every tree of the file exactly as the loading pool does.
+TEST(BTreeTest, BulkLoadLeavesEveryPageOnDisk) {
+  const std::string path = TempPath("bt_ondisk");
+  PageFile file;
+  ASSERT_TRUE(file.Open(path, true).ok());
+  BufferPool pool(&file, 8);
+  Rng rng(4);
+  std::map<std::pair<uint64_t, uint64_t>, uint64_t> big;
+  for (int i = 0; i < 30000; ++i) {
+    big[{rng.Next(), rng.Uniform(3)}] = rng.Uniform(2);
+  }
+  std::vector<BTree::Item> dense;
+  for (uint64_t i = 0; i < 3000; ++i) dense.push_back({K(i / 4, i % 4), i});
+  std::vector<BTree> trees;
+  for (const std::vector<BTree::Item>& items :
+       {ModelItems(big), dense, std::vector<BTree::Item>{{K(7), 7}},
+        std::vector<BTree::Item>{}}) {
+    trees.push_back(test::Unwrap(BTree::BulkLoad(&pool, items)));
+  }
+  ASSERT_GE(trees[0].height(), 2);
+  EXPECT_EQ(file.writes(), file.num_pages());
+
+  PageFile reopened;
+  ASSERT_TRUE(reopened.Open(path, /*truncate=*/false).ok());
+  EXPECT_EQ(reopened.num_pages(), file.num_pages());
+  BufferPool cold(&reopened, 8);
+  for (const BTree& tree : trees) {
+    const BTree attached = BTree::Attach(&cold, tree.root(), tree.size());
+    const std::vector<BTree::Item> want =
+        RangeItems(tree, Key128::Min(), Key128::Max());
+    const std::vector<BTree::Item> got =
+        RangeItems(attached, Key128::Min(), Key128::Max());
+    ASSERT_EQ(got.size(), tree.size());
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_TRUE(got[i].key == want[i].key) << i;
+      ASSERT_EQ(got[i].value, want[i].value) << i;
+    }
+  }
+  EXPECT_GT(reopened.reads(), 0u);
+  std::remove(path.c_str());
 }
 
 TEST(DiskTripleStoreTest, ScanAgreesWithMemoryStore) {
@@ -341,19 +383,6 @@ TEST(DiskTripleStoreTest, MemoryStatisticsMatchDiskMirrorWithDuplicates) {
   }
 }
 
-TEST(DiskTripleStoreTest, InsertAfterBulkLoad) {
-  auto disk_r = DiskTripleStore::Create(TempPath("dts2"), 32);
-  ASSERT_TRUE(disk_r.ok());
-  DiskTripleStore& disk = **disk_r;
-  ASSERT_TRUE(disk.BulkLoad({{1, 2, 3}, {4, 5, 6}}).ok());
-  ASSERT_TRUE(disk.Insert({7, 8, 9}).ok());
-  EXPECT_EQ(test::Unwrap(disk.Count(rdf::TriplePattern())), 3u);
-  EXPECT_EQ(test::Unwrap(disk.Count({7, 8, 9})), 1u);
-  EXPECT_EQ(
-      test::Unwrap(disk.Count({rdf::kInvalidTermId, 8, rdf::kInvalidTermId})),
-      1u);
-}
-
 TEST(DiskTripleStoreTest, BoundedMemory) {
   // 50k triples through a 64-page (512 KiB) pool: memory stays capped.
   Rng rng(5);
@@ -367,12 +396,20 @@ TEST(DiskTripleStoreTest, BoundedMemory) {
   ASSERT_TRUE(disk_r.ok());
   DiskTripleStore& disk = **disk_r;
   ASSERT_TRUE(disk.BulkLoad(triples).ok());
-  EXPECT_LE(disk.MemoryUsage(), 64u * kPageSize);
+  // Queries work with the tiny pool. The store is larger than the pool,
+  // so scanning both triple indexes evicts.
+  ASSERT_GT(disk.file().num_pages(), 64u);
+  EXPECT_EQ(ScanAll(disk, rdf::TriplePattern()).size(), disk.size());
+  uint64_t via_pos = 0;
+  for (rdf::TermId p = 1; p <= 20; ++p) {
+    const rdf::TriplePattern pat(rdf::kInvalidTermId, p, rdf::kInvalidTermId);
+    const size_t n = ScanAll(disk, pat).size();
+    EXPECT_EQ(test::Unwrap(disk.Count(pat)), n);
+    via_pos += n;
+  }
+  EXPECT_EQ(via_pos, disk.size());
   EXPECT_GT(disk.pool().evictions(), 0u);
-  // Queries still work with the tiny pool.
-  EXPECT_GT(
-      test::Unwrap(disk.Count({rdf::kInvalidTermId, 1, rdf::kInvalidTermId})),
-      0u);
+  EXPECT_LE(disk.MemoryUsage(), 64u * kPageSize);
 }
 
 TEST(CrackingTest, ResultsMatchSortedBaseline) {
@@ -478,23 +515,30 @@ TEST(ShortIoTest, PageSurvivesShortTransfersAndEintr) {
 TEST(ShortIoTest, BTreeRoundTripsOverFlakyIo) {
   ShortIoPageFile file(/*max_chunk=*/4096, /*eintr_every=*/5);
   ASSERT_TRUE(file.Open(TempPath("shortio2"), true).ok());
-  // 5000 of these keys fill about a dozen compressed pages, so a 4-page
-  // pool keeps evicting and re-reading through the flaky file.
+  // 5000 of these keys fill about a dozen compressed pages, all written
+  // through the flaky pwrite, so a 4-page pool keeps evicting and
+  // re-reading them through the flaky pread.
   BufferPool pool(&file, 4);
-  auto tree = BTree::Create(&pool);
+  std::vector<BTree::Item> items;
+  for (uint64_t i = 0; i < 5000; ++i) {
+    items.push_back({{i * 2654435761u, 0}, i});
+  }
+  auto tree = BTree::BulkLoad(&pool, items);
   ASSERT_TRUE(tree.ok());
-  for (uint64_t i = 0; i < 5000; ++i) {
-    ASSERT_TRUE(tree->Insert({i * 2654435761u, 0}, i).ok());
-  }
-  ASSERT_TRUE(pool.FlushAll().ok());
-  for (uint64_t i = 0; i < 5000; ++i) {
-    auto r = tree->Lookup({i * 2654435761u, 0});
+  // Look up in a scrambled order (7919 is prime to 5000), so successive
+  // lookups land on different leaves.
+  for (size_t j = 0; j < items.size(); ++j) {
+    const BTree::Item& item = items[j * 7919 % items.size()];
+    auto r = tree->Lookup(item.key);
     ASSERT_TRUE(r.ok());
+    EXPECT_EQ(*r, item.value);
   }
-  // The round trip really went through the flaky reads: the tree outgrew
-  // the pool, so lookups re-read evicted pages.
+  // The round trip really went through the flaky I/O: every page was
+  // written once, and the tree outgrew the pool, so lookups re-read
+  // evicted pages.
   EXPECT_GT(file.num_pages(), 4u);
-  EXPECT_GT(file.reads(), 0u);
+  EXPECT_EQ(file.writes(), file.num_pages());
+  EXPECT_GT(file.reads(), file.num_pages());
 }
 
 TEST(PageFileTest, SyncFlushesOpenFile) {
@@ -510,8 +554,8 @@ TEST(PageFileTest, SyncFlushesOpenFile) {
 }
 
 /// Failure injection: a PageFile whose reads start failing after a set
-/// number of operations. Verifies errors propagate (not crash) through
-/// the buffer pool and B+-tree.
+/// number of reads. Verifies errors propagate (not crash) through the
+/// buffer pool and B+-tree.
 class FlakyPageFile : public PageFile {
  public:
   explicit FlakyPageFile(uint64_t fail_after) : fail_after_(fail_after) {}
@@ -532,21 +576,42 @@ TEST(FailureInjectionTest, ReadErrorsPropagateThroughBTree) {
   FlakyPageFile file(/*fail_after=*/40);
   ASSERT_TRUE(file.Open(TempPath("flaky1"), true).ok());
   BufferPool pool(&file, 8);  // tiny pool forces re-reads
-  auto tree = BTree::Create(&pool);
-  ASSERT_TRUE(tree.ok());
   Rng rng(1);
+  std::set<uint64_t> keys;
+  while (keys.size() < 100000) keys.insert(rng.Next());
+  std::vector<BTree::Item> items;
+  for (uint64_t k : keys) items.push_back({{k, 0}, 1});
+  auto tree = BTree::BulkLoad(&pool, items);  // writes only, no reads
+  ASSERT_TRUE(tree.ok());
+  // The tree is many times the 8-page pool, so a few full scans need more
+  // than 40 reads; the scans that hit the failure must report it.
+  ASSERT_GT(file.num_pages(), 40u);
   Status failure = Status::OK();
-  for (int i = 0; i < 100000; ++i) {
-    Status s = tree->Insert({rng.Next(), 0}, 1);
-    if (!s.ok()) {
-      failure = s;
-      break;
+  for (int round = 0; round < 4 && failure.ok(); ++round) {
+    uint64_t delivered = 0;
+    failure = tree->RangeScanRuns(Key128::Min(), Key128::Max(),
+                                  [&](const BTree::Item*, size_t n) {
+                                    delivered += n;
+                                    return true;
+                                  });
+    if (failure.ok()) {
+      EXPECT_EQ(delivered, items.size());
+    } else {
+      EXPECT_LT(delivered, items.size());
     }
   }
   ASSERT_FALSE(failure.ok()) << "injected failure never surfaced";
   EXPECT_EQ(failure.code(), StatusCode::kIoError);
-  // Reads only happen once the tree outgrows the 8-page pool.
-  EXPECT_GT(file.num_pages(), 8u);
+  // Lookups fail the same way once the pool has to read.
+  size_t lookup_errors = 0;
+  for (size_t i = 0; i < items.size(); i += 997) {
+    Result<uint64_t> r = tree->Lookup(items[i].key);
+    if (!r.ok()) {
+      EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+      ++lookup_errors;
+    }
+  }
+  EXPECT_GT(lookup_errors, 0u);
 }
 
 TEST(FailureInjectionTest, LookupReportsIoError) {
@@ -678,12 +743,10 @@ TEST_P(BTreeFormatTest, BulkLoadEmpty) {
   auto tree = BTree::BulkLoad(&pool, {});
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(tree->size(), 0u);
+  EXPECT_EQ(tree->height(), 0);
   EXPECT_FALSE(tree->Lookup(K(1)).ok());
-  // An empty-loaded tree accepts inserts.
-  bool inserted = false;
-  ASSERT_TRUE(tree->Insert(K(5, 5), 1, &inserted).ok());
-  EXPECT_TRUE(inserted);
-  EXPECT_EQ(test::Unwrap(tree->Lookup(K(5, 5))), 1u);
+  EXPECT_TRUE(RangeItems(*tree, K(0), K(9)).empty());
+  EXPECT_EQ(file.writes(), 0u);
 }
 
 TEST_P(BTreeFormatTest, BulkLoadSingleItem) {
@@ -725,15 +788,15 @@ TEST_P(BTreeFormatTest, BulkLoadExactlyOneFullLeaf) {
     ++n;
   }
   EXPECT_EQ(n, per_leaf);
-  // The next insert still works, and it must split: the leaf was full.
-  ASSERT_TRUE(tree->Insert(K(per_leaf), per_leaf).ok());
-  EXPECT_EQ(tree->size(), per_leaf + 1);
-  EXPECT_EQ(tree->height(), 2);
-  // One item more than a leaf holds bulk-loads into two leaves, too.
+  EXPECT_EQ(file.num_pages(), 1u);
+  // One item more than a leaf holds bulk-loads into two leaves and a root.
   items.push_back({K(per_leaf), per_leaf});
   auto two = BTree::BulkLoad(&pool, items);
   ASSERT_TRUE(two.ok());
   EXPECT_EQ(two->height(), 2);
+  EXPECT_EQ(file.num_pages(), 1u + 3u);
+  EXPECT_EQ(RangeItems(*two, Key128::Min(), Key128::Max()).size(),
+            per_leaf + 1);
 }
 
 TEST_P(BTreeFormatTest, BulkLoadRejectsNonAscendingInput) {
@@ -802,26 +865,22 @@ INSTANTIATE_TEST_SUITE_P(Formats, BTreeFormatTest,
                          ::testing::Values(PoolSize::kRoomy,
                                            PoolSize::kTight));
 
-/// Model check of compressed leaves under random point inserts into a
-/// narrower key space than BTreeModelCheck (more overwrites per leaf):
-/// exercises decode/re-encode in place and leaf splits against std::map,
-/// with evictions (16-page pool), and ends with a full ordered scan.
+/// Model check of compressed leaves over a narrower key space than
+/// BTreeModelCheck: random upserts into a std::map (more overwrites per
+/// key, denser leaves), bulk-loaded through a 16-page pool, checked by
+/// point lookups and a full ordered scan.
 TEST(BTreeCompressedTest, RandomInsertsAgreeWithStdMap) {
   PageFile file;
   ASSERT_TRUE(file.Open(TempPath("btc1"), true).ok());
   BufferPool pool(&file, 16);
-  auto tree_r = BTree::Create(&pool);
-  ASSERT_TRUE(tree_r.ok());
-  BTree& tree = tree_r.ValueOrDie();
-
   Rng rng(99);
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> model;
   for (int i = 0; i < 20000; ++i) {
-    Key128 key = K(rng.Uniform(3000), rng.Uniform(4));
-    uint64_t value = rng.Next();
-    ASSERT_TRUE(tree.Insert(key, value).ok());
-    model[{key.hi, key.lo}] = value;
+    model[{rng.Uniform(3000), rng.Uniform(4)}] = rng.Next();
   }
+  auto tree_r = BTree::BulkLoad(&pool, ModelItems(model));
+  ASSERT_TRUE(tree_r.ok());
+  const BTree& tree = tree_r.ValueOrDie();
   EXPECT_EQ(tree.size(), model.size());
 
   for (int i = 0; i < 500; ++i) {
@@ -917,16 +976,74 @@ TEST(DiskTripleStoreTest, AggregatesExactAfterBulkLoadAndInsert) {
   }
   EXPECT_EQ(test::Unwrap(disk.PairCount(51, 1)), 0u);
 
-  // Point inserts keep the aggregates exact: a new triple bumps both, a
-  // duplicate bumps neither.
+  // A triple inserted into the load input moves both aggregates by one; a
+  // duplicate of it moves neither.
   const uint64_t sp_before = test::Unwrap(disk.PairCount(1, 1));
   const uint64_t p_before = test::Unwrap(disk.PredicateCount(1));
-  ASSERT_TRUE(disk.Insert({1, 1, 999}).ok());
-  EXPECT_EQ(test::Unwrap(disk.PairCount(1, 1)), sp_before + 1);
-  EXPECT_EQ(test::Unwrap(disk.PredicateCount(1)), p_before + 1);
-  ASSERT_TRUE(disk.Insert({1, 1, 999}).ok());
-  EXPECT_EQ(test::Unwrap(disk.PairCount(1, 1)), sp_before + 1);
-  EXPECT_EQ(test::Unwrap(disk.PredicateCount(1)), p_before + 1);
+  for (int copies = 1; copies <= 2; ++copies) {
+    std::vector<rdf::Triple> more = triples;
+    more.insert(more.end(), copies, rdf::Triple(1, 1, 999));
+    const std::string path = TempPath("agg_more" + std::to_string(copies));
+    auto again = test::Unwrap(DiskTripleStore::Create(path, 64));
+    ASSERT_TRUE(again->BulkLoad(more).ok());
+    EXPECT_EQ(test::Unwrap(again->PairCount(1, 1)), sp_before + 1);
+    EXPECT_EQ(test::Unwrap(again->PredicateCount(1)), p_before + 1);
+    EXPECT_EQ(again->size(), disk.size() + 1);
+    again.reset();
+    std::remove(path.c_str());
+  }
+}
+
+/// A PageFile whose WritePage fails once `budget` pages were written.
+class WriteLimitedPageFile : public PageFile {
+ public:
+  explicit WriteLimitedPageFile(uint64_t budget) : budget_(budget) {}
+
+  Status WritePage(PageId id, const void* buf) override {
+    if (writes() >= budget_) return Status::IoError("injected write failure");
+    return PageFile::WritePage(id, buf);
+  }
+
+ private:
+  uint64_t budget_;
+};
+
+TEST(DiskTripleStoreTest, BulkLoadReportsWriteErrors) {
+  Rng rng(41);
+  std::vector<rdf::Triple> triples;
+  for (int i = 0; i < 20000; ++i) {
+    triples.emplace_back(static_cast<rdf::TermId>(1 + rng.Uniform(2000)),
+                         static_cast<rdf::TermId>(1 + rng.Uniform(8)),
+                         static_cast<rdf::TermId>(1 + rng.Uniform(5000)));
+  }
+  const std::string path = TempPath("wfail");
+  auto store_with = [&](uint64_t budget) {
+    auto file = std::make_unique<WriteLimitedPageFile>(budget);
+    EXPECT_TRUE(file->Open(path, /*truncate=*/true).ok());
+    return DiskTripleStore::Create(std::move(file), 8);
+  };
+  // The full load's page count; every budget below it must fail cleanly.
+  const uint64_t pages = [&] {
+    auto disk = store_with(~0ULL);
+    EXPECT_TRUE(disk->BulkLoad(triples).ok());
+    return disk->file().writes();
+  }();
+  ASSERT_GT(pages, 8u);
+  for (uint64_t budget : {uint64_t{0}, uint64_t{1}, pages / 2, pages - 1}) {
+    auto disk = store_with(budget);
+    const Status st = disk->BulkLoad(triples);
+    ASSERT_FALSE(st.ok()) << "budget " << budget;
+    EXPECT_EQ(st.code(), StatusCode::kIoError);
+    EXPECT_EQ(disk->file().writes(), budget);
+    // A failed load leaves the store empty, not half loaded.
+    EXPECT_EQ(disk->size(), 0u);
+    EXPECT_TRUE(ScanAll(*disk, rdf::TriplePattern()).empty());
+    EXPECT_EQ(test::Unwrap(disk->Count(rdf::TriplePattern(
+                  rdf::kInvalidTermId, 1, rdf::kInvalidTermId))),
+              0u);
+    EXPECT_TRUE(test::Unwrap(disk->PredicateCounts()).empty());
+  }
+  std::remove(path.c_str());
 }
 
 TEST(DiskTripleStoreTest, ScanRunsMatchesScanAcrossFormats) {
@@ -969,8 +1086,8 @@ TEST(DiskTripleStoreTest, ScanRunsMatchesScanAcrossFormats) {
 }
 
 TEST(DiskTripleStoreTest, StorageErrorsSurfaceThroughCountAndAdapter) {
-  // Load through a small evicting pool, flush, then cut the page file
-  // short: every page the pool no longer holds now fails to read.
+  // Load through a small pool, then cut the page file short: every page
+  // the pool does not hold now fails to read.
   Rng rng(31);
   std::vector<rdf::Triple> triples;
   for (int i = 0; i < 20000; ++i) {
@@ -983,7 +1100,6 @@ TEST(DiskTripleStoreTest, StorageErrorsSurfaceThroughCountAndAdapter) {
   ASSERT_TRUE(disk_r.ok());
   DiskTripleStore& disk = **disk_r;
   ASSERT_TRUE(disk.BulkLoad(triples).ok());
-  ASSERT_TRUE(disk.pool().FlushAll().ok());
   ASSERT_GT(disk.file().num_pages(), 8u);
   // A full SPO scan leaves only SPO leaves in the pool, so the aggregate
   // indexes must be read from the file. Its bytes are kept to restore it.

@@ -13,7 +13,7 @@ namespace lodviz::test {
 /// succeed"; satisfies lodviz_lint's unchecked-result rule because the
 /// access is preceded by LODVIZ_CHECK_OK.
 ///
-///   BTree tree = test::Unwrap(BTree::Create(&pool));
+///   BTree tree = test::Unwrap(BTree::BulkLoad(&pool, items));
 template <typename T>
 T Unwrap(Result<T> r) {
   LODVIZ_CHECK_OK(r);
