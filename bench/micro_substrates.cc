@@ -9,18 +9,23 @@
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
+#include "rdf/ntriples.h"
 #include "rdf/triple_store.h"
+#include "rdf/turtle.h"
 #include "sparql/column_batch.h"
 #include "sparql/engine.h"
+#include "sparql/lexer.h"
 #include "sparql/parser.h"
 #include "stats/sketch.h"
 #include "storage/btree.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
+#include "workload/synthetic_lod.h"
 
 #include <algorithm>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <unistd.h>
 #include <unordered_map>
@@ -537,6 +542,81 @@ void BM_BgpExtendBatch(benchmark::State& state) {
                           sizeof(rdf::TermId));
 }
 BENCHMARK(BM_BgpExtendBatch);
+
+// RDF text in: the N-Triples and Turtle loaders over the same document
+// (WriteNTriples of a fixed synthetic dataset, which is also valid Turtle),
+// and the SPARQL lexer over the lodbench query shapes. Every served request
+// is tokenized before its plan-cache lookup.
+const std::string& SyntheticNTriples() {
+  static const std::string* doc = [] {
+    rdf::TripleStore store;
+    workload::SyntheticLodOptions opts;
+    opts.num_entities = 2000;
+    workload::GenerateSyntheticLod(opts, &store);
+    std::ostringstream out;
+    rdf::WriteNTriples(store, out);
+    return new std::string(out.str());
+  }();
+  return *doc;
+}
+
+template <typename LoadFn>
+void RunLoadBench(benchmark::State& state, LoadFn load) {
+  const std::string& doc = SyntheticNTriples();
+  size_t triples = 0;
+  for (auto _ : state) {
+    rdf::TripleStore store;
+    triples = bench::Unwrap(load(doc, &store));
+    benchmark::DoNotOptimize(triples);
+  }
+  state.SetItemsProcessed(state.iterations() * triples);
+  state.SetBytesProcessed(state.iterations() * doc.size());
+}
+
+void BM_LoadNTriples(benchmark::State& state) {
+  RunLoadBench(state, rdf::LoadNTriplesString);
+}
+BENCHMARK(BM_LoadNTriples)->Unit(benchmark::kMillisecond);
+
+void BM_LoadTurtle(benchmark::State& state) {
+  RunLoadBench(state, rdf::LoadTurtleString);
+}
+BENCHMARK(BM_LoadTurtle)->Unit(benchmark::kMillisecond);
+
+void BM_TokenizeQuery(benchmark::State& state) {
+  // serve-mem-views' four shapes (slice, facet, OPTIONAL, ASK), then
+  // serve-disk-lookups' entity page and one-hop query.
+  const std::vector<std::string> queries = {
+      "SELECT ?s ?age WHERE { ?s "
+      "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
+      "<http://lod.example/ontology/Person> ; "
+      "<http://lod.example/ontology/age> ?age . FILTER(?age > 60) } "
+      "ORDER BY DESC(?age) LIMIT 100",
+      "SELECT ?cat (COUNT(*) AS ?n) WHERE { ?s "
+      "<http://lod.example/ontology/category> ?cat } GROUP BY ?cat "
+      "ORDER BY DESC(?n) ?cat",
+      "SELECT ?s ?label WHERE { ?s <http://lod.example/ontology/age> ?age . "
+      "OPTIONAL { ?s <http://www.w3.org/2000/01/rdf-schema#label> ?label . } "
+      "FILTER(?age < 20) } ORDER BY ?s LIMIT 200",
+      "ASK { ?s <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
+      "<http://lod.example/ontology/Place> }",
+      "SELECT ?p ?o WHERE { <http://lod.example/entity/1234> ?p ?o }",
+      "SELECT ?f ?c WHERE { <http://lod.example/entity/1234> "
+      "<http://lod.example/ontology/knows> ?f . ?f "
+      "<http://lod.example/ontology/category> ?c }",
+  };
+  size_t bytes = 0;
+  for (const std::string& q : queries) bytes += q.size();
+  for (auto _ : state) {
+    for (const std::string& q : queries) {
+      auto tokens = sparql::Tokenize(q);
+      benchmark::DoNotOptimize(tokens.ok());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * queries.size());
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_TokenizeQuery);
 
 }  // namespace
 }  // namespace lodviz

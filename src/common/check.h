@@ -16,7 +16,7 @@
 ///   LODVIZ_CHECK(idx < size()) << "idx " << idx << " out of range";
 ///   LODVIZ_CHECK_OK(store.Insert(t));
 ///   LODVIZ_DCHECK(IsSorted(v));          // debug builds only
-///   LODVIZ_ASSIGN_OR_RETURN(auto v, ParseTerm(text));
+///   LODVIZ_ASSIGN_OR_RETURN(auto iri, rdf::ScanIriRef(text, &pos));
 
 namespace lodviz::internal {
 

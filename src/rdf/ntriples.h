@@ -18,19 +18,12 @@ struct ParsedTriple {
   Term object;
 };
 
-/// Parses one N-Triples line ("<s> <p> <o> ." / literals / blanks).
-/// Comments (#...) and blank lines yield kNotFound, which callers skip.
-Result<ParsedTriple> ParseNTriplesLine(std::string_view line);
-
-/// Parses a single term at the front of `input`, advancing `*pos` past the
-/// term and any following whitespace.
-Result<Term> ParseTerm(std::string_view input, size_t* pos);
-
-/// Parses a whole N-Triples document into `store`. Returns the number of
-/// triples added; stops at the first malformed line unless `strict` is
-/// false, in which case bad lines are skipped.
+/// Parses a whole N-Triples document into `store`, one statement per line:
+/// subject, predicate, object and '.', then only spaces, tabs or a '#'
+/// comment. Blank and comment lines are skipped. Returns the number of
+/// triples added; stops at the first malformed line, naming it.
 Result<size_t> LoadNTriplesString(std::string_view document,
-                                  TripleStore* store, bool strict = true);
+                                  TripleStore* store);
 
 /// Serializes the full source as N-Triples (sorted SPO order).
 void WriteNTriples(const TripleSource& source, std::ostream& out);

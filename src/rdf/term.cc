@@ -1,5 +1,6 @@
 #include "rdf/term.h"
 
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <cinttypes>
@@ -244,6 +245,86 @@ Result<std::string> UnescapeNTriplesString(std::string_view s) {
     }
   }
   return out;
+}
+
+namespace {
+
+Status ScanError(const char* what, size_t at) {
+  return Status::ParseError(std::string(what) + " at offset " +
+                            std::to_string(at));
+}
+
+bool At(std::string_view in, size_t pos, char c) {
+  return pos < in.size() && in[pos] == c;
+}
+
+bool IsAlnum(char c) { return std::isalnum(static_cast<unsigned char>(c)); }
+
+/// The bytes an IRIREF may hold between its brackets, as a table: the scan
+/// runs over every byte of every IRI a loader or the lexer reads.
+constexpr std::array<bool, 256> kIriByte = [] {
+  std::array<bool, 256> ok{};
+  for (int c = 0x21; c < 256; ++c) ok[c] = true;
+  for (char c : std::string_view("<>\"{}|^`")) {
+    ok[static_cast<unsigned char>(c)] = false;
+  }
+  return ok;
+}();
+
+bool IsLabelByte(char c) {
+  return IsAlnum(c) || c == '_' || c == '-' || c == '.' ||
+         static_cast<unsigned char>(c) >= 0x80;
+}
+
+}  // namespace
+
+Result<std::string_view> ScanIriRef(std::string_view in, size_t* pos) {
+  if (!At(in, *pos, '<')) return ScanError("expected IRI", *pos);
+  size_t end = *pos + 1;
+  while (end < in.size() && kIriByte[static_cast<unsigned char>(in[end])]) {
+    ++end;
+  }
+  if (!At(in, end, '>')) return ScanError("IRI not closed by '>'", *pos);
+  std::string_view iri = in.substr(*pos + 1, end - *pos - 1);
+  *pos = end + 1;
+  return iri;
+}
+
+Result<std::string_view> ScanBlankLabel(std::string_view in, size_t* pos) {
+  if (!At(in, *pos, '_') || !At(in, *pos + 1, ':')) {
+    return ScanError("expected blank node", *pos);
+  }
+  // A label never ends in '.', so "_:b1." is the label "b1" followed by a
+  // terminator, and "_:a.b" keeps its dot.
+  const size_t start = *pos + 2;
+  size_t end = start;
+  while (end < in.size() && IsLabelByte(in[end])) ++end;
+  while (end > start && in[end - 1] == '.') --end;
+  if (end == start) return ScanError("empty blank node label", *pos);
+  *pos = end;
+  return in.substr(start, end - start);
+}
+
+Result<std::string> ScanQuotedString(std::string_view in, size_t* pos) {
+  if (!At(in, *pos, '"')) return ScanError("expected string", *pos);
+  size_t end = *pos + 1;
+  while (end < in.size() && in[end] != '"') end += in[end] == '\\' ? 2 : 1;
+  if (end >= in.size()) return ScanError("unterminated string", *pos);
+  LODVIZ_ASSIGN_OR_RETURN(
+      std::string value,
+      UnescapeNTriplesString(in.substr(*pos + 1, end - *pos - 1)));
+  *pos = end + 1;
+  return value;
+}
+
+Result<std::string_view> ScanLangTag(std::string_view in, size_t* pos) {
+  if (!At(in, *pos, '@')) return ScanError("expected language tag", *pos);
+  const size_t start = *pos + 1;
+  size_t end = start;
+  while (end < in.size() && (IsAlnum(in[end]) || in[end] == '-')) ++end;
+  if (end == start) return ScanError("empty language tag", *pos);
+  *pos = end;
+  return in.substr(start, end - start);
 }
 
 namespace {

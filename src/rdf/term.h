@@ -95,6 +95,23 @@ std::string EscapeNTriplesString(std::string_view s);
 /// Reverses EscapeNTriplesString; error on malformed escapes.
 Result<std::string> UnescapeNTriplesString(std::string_view s);
 
+/// Term scanners: the one place where the N-Triples loader, the Turtle
+/// parser and the SPARQL lexer decide where a term ends. Each reads one
+/// token starting at `in[*pos]`. On success it moves `*pos` past the token;
+/// on error it leaves `*pos` alone and the message names the offset.
+///
+/// IRIREF: '<', then no byte <= 0x20 and none of <>"{}|^`, then '>'.
+/// Returns the text between the brackets; a backslash is kept verbatim.
+Result<std::string_view> ScanIriRef(std::string_view in, size_t* pos);
+/// "_:" and a label of ASCII letters, digits, '_', '-', bytes >= 0x80 and
+/// '.' anywhere but at the end. Returns the label.
+Result<std::string_view> ScanBlankLabel(std::string_view in, size_t* pos);
+/// A short '"'-quoted string, its escapes as in N-Triples; returns the
+/// unescaped value.
+Result<std::string> ScanQuotedString(std::string_view in, size_t* pos);
+/// '@' and a language tag of letters, digits and '-'. Returns the tag.
+Result<std::string_view> ScanLangTag(std::string_view in, size_t* pos);
+
 /// Parses "YYYY-MM-DD[Thh:mm:ss[Z]]" into epoch seconds (UTC, proleptic
 /// Gregorian).
 Result<int64_t> ParseDateTime(std::string_view s);

@@ -1,5 +1,6 @@
 #include "rdf/turtle.h"
 
+#include <algorithm>
 #include <cctype>
 #include <unordered_map>
 
@@ -9,6 +10,20 @@
 namespace lodviz::rdf {
 
 namespace {
+
+/// True when `iri` starts with a scheme (RFC 3986: ALPHA *(ALPHA / DIGIT /
+/// "+" / "-" / ".") ":"), that is, when it is absolute.
+bool HasScheme(std::string_view iri) {
+  const size_t colon = iri.find(':');
+  if (colon == std::string_view::npos || colon == 0 ||
+      !std::isalpha(static_cast<unsigned char>(iri[0]))) {
+    return false;
+  }
+  return std::all_of(iri.begin() + 1, iri.begin() + colon, [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) || c == '+' ||
+           c == '-' || c == '.';
+  });
+}
 
 /// Recursive-descent Turtle parser over a raw character buffer.
 class TurtleParser {
@@ -107,17 +122,11 @@ class TurtleParser {
 
   Result<std::string> ParseIriRef() {
     SkipWs();
-    if (pos_ >= in_.size() || in_[pos_] != '<') return Err("expected IRI");
-    size_t end = in_.find('>', pos_ + 1);
-    if (end == std::string_view::npos) return Err("unterminated IRI");
-    std::string iri(in_.substr(pos_ + 1, end - pos_ - 1));
-    pos_ = end + 1;
+    LODVIZ_ASSIGN_OR_RETURN(std::string_view ref, ScanIriRef(in_, &pos_));
     // Resolve relative IRIs against the base (simple concatenation
     // resolution, sufficient for test data).
-    if (!base_.empty() && iri.find("://") == std::string::npos) {
-      iri = base_ + iri;
-    }
-    return iri;
+    if (!base_.empty() && !HasScheme(ref)) return base_ + std::string(ref);
+    return std::string(ref);
   }
 
   Result<Term> ParseSubject() {
@@ -134,20 +143,9 @@ class TurtleParser {
   }
 
   Result<Term> ParseBlankLabel() {
-    if (pos_ + 1 >= in_.size() || in_[pos_ + 1] != ':') {
-      return Err("malformed blank node");
-    }
-    size_t start = pos_ + 2;
-    size_t end = start;
-    while (end < in_.size() && (std::isalnum(static_cast<unsigned char>(
-                                    in_[end])) ||
-                                in_[end] == '_')) {
-      ++end;
-    }
-    if (end == start) return Err("empty blank node label");
-    Term t = Term::Blank(std::string(in_.substr(start, end - start)));
-    pos_ = end;
-    return t;
+    LODVIZ_ASSIGN_OR_RETURN(std::string_view label,
+                            ScanBlankLabel(in_, &pos_));
+    return Term::Blank(std::string(label));
   }
 
   /// '[' predicateObjectList ']': emits the nested triples and returns the
@@ -283,30 +281,12 @@ class TurtleParser {
           value, UnescapeNTriplesString(in_.substr(pos_ + 3, end - pos_ - 3)));
       pos_ = end + 3;
     } else {
-      size_t i = pos_ + 1;
-      while (i < in_.size()) {
-        if (in_[i] == '\\') {
-          i += 2;
-          continue;
-        }
-        if (in_[i] == '"') break;
-        ++i;
-      }
-      if (i >= in_.size()) return Err("unterminated string");
-      LODVIZ_ASSIGN_OR_RETURN(
-          value, UnescapeNTriplesString(in_.substr(pos_ + 1, i - pos_ - 1)));
-      pos_ = i + 1;
+      LODVIZ_ASSIGN_OR_RETURN(value, ScanQuotedString(in_, &pos_));
     }
     Term t = Term::Literal(std::move(value));
     if (pos_ < in_.size() && in_[pos_] == '@') {
-      size_t start = ++pos_;
-      while (pos_ < in_.size() &&
-             (std::isalnum(static_cast<unsigned char>(in_[pos_])) ||
-              in_[pos_] == '-')) {
-        ++pos_;
-      }
-      if (pos_ == start) return Err("empty language tag");
-      t.language = std::string(in_.substr(start, pos_ - start));
+      LODVIZ_ASSIGN_OR_RETURN(std::string_view lang, ScanLangTag(in_, &pos_));
+      t.language = lang;
     } else if (in_.substr(pos_, 2) == "^^") {
       pos_ += 2;
       SkipWs();

@@ -13,11 +13,13 @@ namespace lodviz::rdf {
 ///
 /// Supported subset:
 ///   @prefix / PREFIX and @base / BASE declarations
-///   prefixed names and <IRIs> (resolved against the base when relative)
+///   prefixed names and <IRIs> (resolved against the base unless they
+///   start with a scheme such as "http:" or "urn:")
 ///   'a' for rdf:type; ';' and ',' predicate/object lists
 ///   literals: "..." and """...""" with @lang or ^^datatype,
 ///             integers/decimals/doubles, true/false
-///   blank nodes: _:label and anonymous [ p o ; ... ] property lists
+///   blank nodes: _:label (letters, digits, '_', '-', non-ASCII bytes,
+///                and inner '.') and anonymous [ p o ; ... ] property lists
 ///   comments (#) and arbitrary whitespace
 ///
 /// Not supported (errors): collections ( ... ), RDF-star, quoted graphs.

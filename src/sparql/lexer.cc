@@ -48,33 +48,13 @@ Result<std::vector<Token>> Tokenize(std::string_view in) {
     }
     size_t start = i;
     if (c == '<') {
-      // '<' opens an IRI only if a '>' closes it before any whitespace or
-      // quote; otherwise it is the less-than operator (e.g. "?a < 10").
-      size_t end = std::string_view::npos;
-      for (size_t j = i + 1; j < in.size(); ++j) {
-        if (in[j] == '>') {
-          end = j;
-          break;
-        }
-        if (std::isspace(static_cast<unsigned char>(in[j])) || in[j] == '"' ||
-            in[j] == '{' || in[j] == '}' || in[j] == '<') {
-          break;
-        }
-      }
-      if (end != std::string_view::npos) {
-        push(TokenKind::kIriRef, std::string(in.substr(i + 1, end - i - 1)),
-             start);
-        i = end + 1;
+      // '<' opens an IRI only if the IRIREF scan closes it; otherwise it is
+      // the less-than operator, read below (e.g. "?a < 10", "?o<3||?s>2").
+      Result<std::string_view> iri = rdf::ScanIriRef(in, &i);
+      if (iri.ok()) {
+        push(TokenKind::kIriRef, std::string(*iri), start);
         continue;
       }
-      if (i + 1 < in.size() && in[i + 1] == '=') {
-        push(TokenKind::kPunct, "<=", start);
-        i += 2;
-      } else {
-        push(TokenKind::kPunct, "<", start);
-        ++i;
-      }
-      continue;
     }
     if (c == '?' || c == '$') {
       size_t j = i + 1;
@@ -91,39 +71,13 @@ Result<std::vector<Token>> Tokenize(std::string_view in) {
       continue;
     }
     if (c == '"') {
-      size_t j = i + 1;
-      while (j < in.size()) {
-        if (in[j] == '\\') {
-          j += 2;
-          continue;
-        }
-        if (in[j] == '"') break;
-        ++j;
-      }
-      if (j >= in.size()) {
-        return Status::ParseError("unterminated string at offset " +
-                                  std::to_string(i));
-      }
-      LODVIZ_ASSIGN_OR_RETURN(
-          std::string value,
-          rdf::UnescapeNTriplesString(in.substr(i + 1, j - i - 1)));
+      LODVIZ_ASSIGN_OR_RETURN(std::string value, rdf::ScanQuotedString(in, &i));
       push(TokenKind::kString, std::move(value), start);
-      i = j + 1;
       continue;
     }
     if (c == '@') {
-      size_t j = i + 1;
-      while (j < in.size() &&
-             (std::isalnum(static_cast<unsigned char>(in[j])) || in[j] == '-')) {
-        ++j;
-      }
-      if (j == i + 1) {
-        return Status::ParseError("empty language tag at offset " +
-                                  std::to_string(i));
-      }
-      push(TokenKind::kLangTag, std::string(in.substr(i + 1, j - i - 1)),
-           start);
-      i = j;
+      LODVIZ_ASSIGN_OR_RETURN(std::string_view tag, rdf::ScanLangTag(in, &i));
+      push(TokenKind::kLangTag, std::string(tag), start);
       continue;
     }
     if (std::isdigit(static_cast<unsigned char>(c)) ||

@@ -3,7 +3,6 @@
 // disk store behind a tiny buffer pool it must produce identical output.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <map>
 #include <memory>
@@ -36,11 +35,6 @@ namespace {
 
 namespace lod = workload::lod;
 using rdf::TermId;
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/lodviz_" + name + "_" +
-         std::to_string(::getpid());
-}
 
 /// Full-precision text of a double, so digests compare bit patterns.
 std::string Num(double v) {
@@ -133,8 +127,8 @@ class ExploreParityTest : public ::testing::Test {
     mem_->Add(Term::Iri(lod::kPlace), label, Term::LangLiteral("Place", "en"));
     mem_->Compact();
 
-    path_ = TempPath("explore_parity");
-    disk_ = test::Unwrap(storage::DiskTripleStore::Create(path_, 4));
+    file_ = std::make_unique<test::TempFile>("explore_parity");
+    disk_ = test::Unwrap(storage::DiskTripleStore::Create(file_->path(), 4));
     ASSERT_TRUE(disk_->BulkLoad(mem_->Match(rdf::TriplePattern())).ok());
     adapter_ =
         std::make_unique<storage::DiskSourceAdapter>(disk_.get(),
@@ -145,7 +139,7 @@ class ExploreParityTest : public ::testing::Test {
     adapter_.reset();
     disk_.reset();
     mem_.reset();
-    std::remove(path_.c_str());
+    file_.reset();
   }
 
   static TermId Iri(const std::string& iri) {
@@ -166,13 +160,13 @@ class ExploreParityTest : public ::testing::Test {
   static std::unique_ptr<rdf::TripleStore> mem_;
   static std::unique_ptr<storage::DiskTripleStore> disk_;
   static std::unique_ptr<storage::DiskSourceAdapter> adapter_;
-  static std::string path_;
+  static std::unique_ptr<test::TempFile> file_;
 };
 
 std::unique_ptr<rdf::TripleStore> ExploreParityTest::mem_;
 std::unique_ptr<storage::DiskTripleStore> ExploreParityTest::disk_;
 std::unique_ptr<storage::DiskSourceAdapter> ExploreParityTest::adapter_;
-std::string ExploreParityTest::path_;
+std::unique_ptr<test::TempFile> ExploreParityTest::file_;
 
 TEST_F(ExploreParityTest, FacetsBeforeAndAfterSelect) {
   const TermId category = Iri(lod::kCategory);
@@ -358,9 +352,9 @@ TEST(PredicateCountsTest, MemoryDiskAndBruteForceAgree) {
   options.num_entities = 300;
   options.seed = 11;
   workload::GenerateSyntheticLod(options, &mem);
-  const std::string path = TempPath("predicate_counts");
+  const test::TempFile tmp("predicate_counts");
   std::unique_ptr<storage::DiskTripleStore> disk =
-      test::Unwrap(storage::DiskTripleStore::Create(path, 4));
+      test::Unwrap(storage::DiskTripleStore::Create(tmp.path(), 4));
   ASSERT_TRUE(disk->BulkLoad(mem.Match(rdf::TriplePattern())).ok());
   const storage::DiskSourceAdapter adapter(disk.get(), &mem.dict());
 
@@ -378,7 +372,6 @@ TEST(PredicateCountsTest, MemoryDiskAndBruteForceAgree) {
   }
   EXPECT_EQ(BruteCounts(adapter), brute);
   disk.reset();
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <unistd.h>
 #include <vector>
 
 #include "exec/parallel.h"
@@ -32,6 +31,7 @@
 #include "storage/disk_triple_store.h"
 #include "storage/leaf_codec.h"
 #include "storage/page_file.h"
+#include "test_util.h"
 
 namespace lodviz::sparql {
 namespace {
@@ -183,7 +183,6 @@ std::string ReadGolden(const std::string& path) {
 class SparqlParityFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = "/tmp/lodviz_parity_" + std::to_string(::getpid()) + ".db";
     ASSERT_TRUE(rdf::LoadNTriplesString(kDoc, &store_).ok());
     std::vector<rdf::Triple> triples;
     store_.Scan(rdf::TriplePattern(), [&](const rdf::Triple& t) {
@@ -192,7 +191,7 @@ class SparqlParityFixture : public ::testing::Test {
     });
     // A 8-page pool is far smaller than the data needs, so disk scans
     // genuinely go through buffer-pool traffic.
-    auto disk = storage::DiskTripleStore::Create(path_, 8);
+    auto disk = storage::DiskTripleStore::Create(file_.path(), 8);
     ASSERT_TRUE(disk.ok()) << disk.status().ToString();
     disk_ = std::move(disk).ValueOrDie();
     ASSERT_TRUE(disk_->BulkLoad(triples).ok());
@@ -213,10 +212,9 @@ class SparqlParityFixture : public ::testing::Test {
   void TearDown() override {
     adapter_.reset();
     disk_.reset();
-    std::remove(path_.c_str());
   }
 
-  std::string path_;
+  const test::TempFile file_{"parity"};
   rdf::TripleStore store_;
   std::unique_ptr<storage::DiskTripleStore> disk_;
   std::unique_ptr<storage::DiskSourceAdapter> adapter_;
@@ -589,8 +587,7 @@ TEST(SparqlParitySharedEngine, ConcurrentQueriesOnDiskBackend) {
   // anymore, so this doubles as a TSan regression for the whole
   // engine → adapter → pool stack. Everyone must still get the right
   // answer out of an 8-page (single-shard) pool under heavy eviction.
-  const std::string path = "/tmp/lodviz_parity_shared_" +
-                           std::to_string(::getpid()) + ".db";
+  const test::TempFile tmp("parity_shared");
   rdf::TripleStore store;
   ASSERT_TRUE(rdf::LoadNTriplesString(kDoc, &store).ok());
   std::vector<rdf::Triple> triples;
@@ -598,7 +595,7 @@ TEST(SparqlParitySharedEngine, ConcurrentQueriesOnDiskBackend) {
     triples.push_back(t);
     return true;
   });
-  auto disk = storage::DiskTripleStore::Create(path, 8);
+  auto disk = storage::DiskTripleStore::Create(tmp.path(), 8);
   ASSERT_TRUE(disk.ok());
   ASSERT_TRUE(disk.ValueOrDie()->BulkLoad(triples).ok());
   storage::DiskSourceAdapter adapter(disk.ValueOrDie().get(), &store.dict());
@@ -627,7 +624,6 @@ TEST(SparqlParitySharedEngine, ConcurrentQueriesOnDiskBackend) {
   }
   for (std::thread& w : workers) w.join();
   for (int i = 0; i < kThreads; ++i) EXPECT_EQ(mismatches[i], 0);
-  std::remove(path.c_str());
 }
 
 // --- Striped BufferPool TSan regressions -------------------------------
@@ -636,11 +632,6 @@ TEST(SparqlParitySharedEngine, ConcurrentQueriesOnDiskBackend) {
 // TSan gate — which runs suites matching ^(Obs|Exec|SparqlParity) — picks
 // them up. They replace the old "serialized adapter" concurrency test:
 // the pool itself is now the concurrent object under test.
-
-std::string StripedPoolPath(const char* tag) {
-  return "/tmp/lodviz_striped_" + std::string(tag) + "_" +
-         std::to_string(::getpid()) + ".db";
-}
 
 // Fills page `id` with a content pattern a reader can verify byte-for-byte.
 void FillPage(uint8_t* data, storage::PageId id) {
@@ -661,9 +652,9 @@ TEST(SparqlParityStripedPool, ConcurrentFetchWithEviction) {
   // every Fetch has a 3/4 chance of needing a victim, so the shard-local
   // eviction path runs constantly while other shards serve hits. Content
   // verification catches any frame recycled while still visible.
-  const std::string path = StripedPoolPath("fetch");
+  const test::TempFile tmp("striped_fetch");
   storage::PageFile file;
-  ASSERT_TRUE(file.Open(path, /*truncate=*/true).ok());
+  ASSERT_TRUE(file.Open(tmp.path(), /*truncate=*/true).ok());
   constexpr storage::PageId kPages = 256;
   {
     uint8_t buf[storage::kPageSize];
@@ -702,16 +693,15 @@ TEST(SparqlParityStripedPool, ConcurrentFetchWithEviction) {
     EXPECT_EQ(errors[i], 0) << "thread " << i;
     EXPECT_EQ(corruptions[i], 0) << "thread " << i;
   }
-  std::remove(path.c_str());
 }
 
 TEST(SparqlParityStripedPool, ShardCountScalesWithCapacity) {
   // PickShards keeps ≥8 frames per shard and caps at 8 shards, so tiny
   // test pools behave exactly like the old single-mutex pool while big
   // pools stripe. (Capacity 4 is the constructor's documented minimum.)
-  const std::string path = StripedPoolPath("shards");
+  const test::TempFile tmp("striped_shards");
   storage::PageFile file;
-  ASSERT_TRUE(file.Open(path, /*truncate=*/true).ok());
+  ASSERT_TRUE(file.Open(tmp.path(), /*truncate=*/true).ok());
   struct Case {
     size_t capacity;
     size_t shards;
@@ -720,7 +710,6 @@ TEST(SparqlParityStripedPool, ShardCountScalesWithCapacity) {
     storage::BufferPool pool(&file, c.capacity);
     EXPECT_EQ(pool.num_shards(), c.shards) << "capacity " << c.capacity;
   }
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -30,6 +30,15 @@ TEST(LexerTest, TokenizesRepresentativeQuery) {
   EXPECT_EQ(v[6].kind, TokenKind::kString);
   EXPECT_EQ(v[7].kind, TokenKind::kLangTag);
   EXPECT_EQ(v[7].text, "en");
+
+  // "<3||?s>" is no IRI: '<' and '>' are operators here.
+  auto filter = Tokenize("FILTER(?o<3||?s>2)");
+  ASSERT_TRUE(filter.ok()) << filter.status().ToString();
+  std::vector<std::string> texts;
+  for (const Token& t : filter.ValueOrDie()) texts.push_back(t.text);
+  EXPECT_EQ(texts, (std::vector<std::string>{"FILTER", "(", "o", "<", "3",
+                                             "||", "s", ">", "2", ")", ""}));
+  EXPECT_EQ(filter.ValueOrDie()[3].kind, TokenKind::kPunct);
 }
 
 TEST(LexerTest, KeywordsAreCaseInsensitive) {

@@ -25,11 +25,6 @@
 namespace lodviz::storage {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/lodviz_" + name + "_" +
-         std::to_string(::getpid());
-}
-
 /// The items of [lo, hi] in key order: the tree's runs, flattened.
 std::vector<BTree::Item> RangeItems(const BTree& tree, const Key128& lo,
                                     const Key128& hi) {
@@ -70,7 +65,8 @@ void WritePages(PageFile* file, int n) {
 TEST(PageFileTest, AllocateWriteRead) {
   // A page is allocated by writing it at num_pages().
   PageFile file;
-  ASSERT_TRUE(file.Open(TempPath("pf1"), /*truncate=*/true).ok());
+  const test::TempFile tmp("pf1");
+  ASSERT_TRUE(file.Open(tmp.path(), /*truncate=*/true).ok());
   EXPECT_EQ(file.num_pages(), 0u);
   char zeros[kPageSize] = {};
   ASSERT_TRUE(file.WritePage(file.num_pages(), zeros).ok());
@@ -93,14 +89,16 @@ TEST(PageFileTest, AllocateWriteRead) {
 
 TEST(PageFileTest, ReadPastEndFails) {
   PageFile file;
-  ASSERT_TRUE(file.Open(TempPath("pf2"), true).ok());
+  const test::TempFile tmp("pf2");
+  ASSERT_TRUE(file.Open(tmp.path(), true).ok());
   char buf[kPageSize];
   EXPECT_FALSE(file.ReadPage(5, buf).ok());
 }
 
 TEST(BufferPoolTest, HitAndMissAccounting) {
   PageFile file;
-  ASSERT_TRUE(file.Open(TempPath("bp1"), true).ok());
+  const test::TempFile tmp("bp1");
+  ASSERT_TRUE(file.Open(tmp.path(), true).ok());
   WritePages(&file, 2);
   BufferPool pool(&file, 4);
   {
@@ -124,7 +122,8 @@ TEST(BufferPoolTest, HitAndMissAccounting) {
 
 TEST(BufferPoolTest, EvictsLruAndRereads) {
   PageFile file;
-  ASSERT_TRUE(file.Open(TempPath("bp2"), true).ok());
+  const test::TempFile tmp("bp2");
+  ASSERT_TRUE(file.Open(tmp.path(), true).ok());
   WritePages(&file, 10);
   BufferPool pool(&file, 4);  // one shard, so LRU order is global
   for (PageId id = 0; id < 10; ++id) ASSERT_TRUE(pool.Fetch(id).ok());
@@ -150,7 +149,8 @@ TEST(BufferPoolTest, EvictsLruAndRereads) {
 
 TEST(BufferPoolTest, AllPinnedIsResourceExhausted) {
   PageFile file;
-  ASSERT_TRUE(file.Open(TempPath("bp3"), true).ok());
+  const test::TempFile tmp("bp3");
+  ASSERT_TRUE(file.Open(tmp.path(), true).ok());
   WritePages(&file, 5);
   BufferPool pool(&file, 4);
   std::vector<PageRef> pins;
@@ -170,7 +170,8 @@ Key128 K(uint64_t hi, uint64_t lo = 0) { return {hi, lo}; }
 
 TEST(BTreeTest, LookupSmall) {
   PageFile file;
-  ASSERT_TRUE(file.Open(TempPath("bt1"), true).ok());
+  const test::TempFile tmp("bt1");
+  ASSERT_TRUE(file.Open(tmp.path(), true).ok());
   BufferPool pool(&file, 64);
   auto tree = BTree::BulkLoad(&pool, {{K(3), 30}, {K(5), 50}, {K(9), 90}});
   ASSERT_TRUE(tree.ok());
@@ -199,8 +200,8 @@ class BTreeModelCheck : public ::testing::TestWithParam<int> {};
 
 TEST_P(BTreeModelCheck, AgreesWithStdMap) {
   PageFile file;
-  ASSERT_TRUE(
-      file.Open(TempPath("btm" + std::to_string(GetParam())), true).ok());
+  const test::TempFile tmp("btm" + std::to_string(GetParam()));
+  ASSERT_TRUE(file.Open(tmp.path(), true).ok());
   BufferPool pool(&file, 16);
   Rng rng(GetParam());
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> model;
@@ -248,7 +249,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BTreeModelCheck, ::testing::Range(1, 4));
 
 TEST(BTreeTest, BulkLoadEqualsInserts) {
   PageFile file;
-  ASSERT_TRUE(file.Open(TempPath("bt3"), true).ok());
+  const test::TempFile tmp("bt3");
+  ASSERT_TRUE(file.Open(tmp.path(), true).ok());
   BufferPool pool(&file, 32);
 
   std::vector<BTree::Item> items;
@@ -275,7 +277,8 @@ TEST(BTreeTest, BulkLoadEqualsInserts) {
 
 TEST(BTreeTest, EmptyBulkLoad) {
   PageFile file;
-  ASSERT_TRUE(file.Open(TempPath("bt4"), true).ok());
+  const test::TempFile tmp("bt4");
+  ASSERT_TRUE(file.Open(tmp.path(), true).ok());
   BufferPool pool(&file, 16);
   auto tree = BTree::BulkLoad(&pool, {});
   ASSERT_TRUE(tree.ok());
@@ -291,9 +294,9 @@ TEST(BTreeTest, EmptyBulkLoad) {
 /// pool opened on the same path, with nothing flushed in between, see
 /// every tree of the file exactly as the loading pool does.
 TEST(BTreeTest, BulkLoadLeavesEveryPageOnDisk) {
-  const std::string path = TempPath("bt_ondisk");
+  const test::TempFile tmp("bt_ondisk");
   PageFile file;
-  ASSERT_TRUE(file.Open(path, true).ok());
+  ASSERT_TRUE(file.Open(tmp.path(), true).ok());
   BufferPool pool(&file, 8);
   Rng rng(4);
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> big;
@@ -312,7 +315,7 @@ TEST(BTreeTest, BulkLoadLeavesEveryPageOnDisk) {
   EXPECT_EQ(file.writes(), file.num_pages());
 
   PageFile reopened;
-  ASSERT_TRUE(reopened.Open(path, /*truncate=*/false).ok());
+  ASSERT_TRUE(reopened.Open(tmp.path(), /*truncate=*/false).ok());
   EXPECT_EQ(reopened.num_pages(), file.num_pages());
   BufferPool cold(&reopened, 8);
   for (const BTree& tree : trees) {
@@ -329,7 +332,6 @@ TEST(BTreeTest, BulkLoadLeavesEveryPageOnDisk) {
     }
   }
   EXPECT_GT(reopened.reads(), 0u);
-  std::remove(path.c_str());
 }
 
 TEST(DiskTripleStoreTest, ScanAgreesWithMemoryStore) {
@@ -343,7 +345,8 @@ TEST(DiskTripleStoreTest, ScanAgreesWithMemoryStore) {
     mem.AddEncoded(t);
     triples.push_back(t);
   }
-  auto disk_r = DiskTripleStore::Create(TempPath("dts1"), /*pool_pages=*/32);
+  const test::TempFile tmp("dts1");
+  auto disk_r = DiskTripleStore::Create(tmp.path(), /*pool_pages=*/32);
   ASSERT_TRUE(disk_r.ok());
   DiskTripleStore& disk = **disk_r;
   ASSERT_TRUE(disk.BulkLoad(triples).ok());
@@ -373,7 +376,8 @@ TEST(DiskTripleStoreTest, MemoryStatisticsMatchDiskMirrorWithDuplicates) {
     mem.AddEncoded(t);
     if (i % 3 == 0) mem.AddEncoded(t);
   }
-  auto disk_r = DiskTripleStore::Create(TempPath("dts_stats"), 32);
+  const test::TempFile tmp("dts_stats");
+  auto disk_r = DiskTripleStore::Create(tmp.path(), 32);
   ASSERT_TRUE(disk_r.ok());
   ASSERT_TRUE((*disk_r)->BulkLoad(mem.Match(rdf::TriplePattern())).ok());
   DiskSourceAdapter adapter(disk_r->get(), &mem.dict());
@@ -392,7 +396,8 @@ TEST(DiskTripleStoreTest, BoundedMemory) {
                          static_cast<rdf::TermId>(1 + rng.Uniform(20)),
                          static_cast<rdf::TermId>(1 + rng.Uniform(10000)));
   }
-  auto disk_r = DiskTripleStore::Create(TempPath("dts3"), 64);
+  const test::TempFile tmp("dts3");
+  auto disk_r = DiskTripleStore::Create(tmp.path(), 64);
   ASSERT_TRUE(disk_r.ok());
   DiskTripleStore& disk = **disk_r;
   ASSERT_TRUE(disk.BulkLoad(triples).ok());
@@ -498,7 +503,8 @@ TEST(ShortIoTest, PageSurvivesShortTransfersAndEintr) {
   // 1000-byte transfers force ceil(8192/1000) = 9 raw calls per page, and
   // every 3rd call is interrupted on top of that.
   ShortIoPageFile file(/*max_chunk=*/1000, /*eintr_every=*/3);
-  ASSERT_TRUE(file.Open(TempPath("shortio1"), true).ok());
+  const test::TempFile tmp("shortio1");
+  ASSERT_TRUE(file.Open(tmp.path(), true).ok());
   char out[kPageSize];
   for (size_t i = 0; i < kPageSize; ++i) out[i] = static_cast<char>(i * 7 % 251);
   ASSERT_TRUE(file.WritePage(0, out).ok());
@@ -514,7 +520,8 @@ TEST(ShortIoTest, PageSurvivesShortTransfersAndEintr) {
 
 TEST(ShortIoTest, BTreeRoundTripsOverFlakyIo) {
   ShortIoPageFile file(/*max_chunk=*/4096, /*eintr_every=*/5);
-  ASSERT_TRUE(file.Open(TempPath("shortio2"), true).ok());
+  const test::TempFile tmp("shortio2");
+  ASSERT_TRUE(file.Open(tmp.path(), true).ok());
   // 5000 of these keys fill about a dozen compressed pages, all written
   // through the flaky pwrite, so a 4-page pool keeps evicting and
   // re-reading them through the flaky pread.
@@ -543,7 +550,8 @@ TEST(ShortIoTest, BTreeRoundTripsOverFlakyIo) {
 
 TEST(PageFileTest, SyncFlushesOpenFile) {
   PageFile file;
-  ASSERT_TRUE(file.Open(TempPath("sync1"), true).ok());
+  const test::TempFile tmp("sync1");
+  ASSERT_TRUE(file.Open(tmp.path(), true).ok());
   char buf[kPageSize] = {42};
   ASSERT_TRUE(file.WritePage(0, buf).ok());
   EXPECT_TRUE(file.Sync().ok());
@@ -574,7 +582,8 @@ class FlakyPageFile : public PageFile {
 
 TEST(FailureInjectionTest, ReadErrorsPropagateThroughBTree) {
   FlakyPageFile file(/*fail_after=*/40);
-  ASSERT_TRUE(file.Open(TempPath("flaky1"), true).ok());
+  const test::TempFile tmp("flaky1");
+  ASSERT_TRUE(file.Open(tmp.path(), true).ok());
   BufferPool pool(&file, 8);  // tiny pool forces re-reads
   Rng rng(1);
   std::set<uint64_t> keys;
@@ -615,8 +624,9 @@ TEST(FailureInjectionTest, ReadErrorsPropagateThroughBTree) {
 }
 
 TEST(FailureInjectionTest, LookupReportsIoError) {
+  const test::TempFile tmp("flaky2");
   FlakyPageFile file(/*fail_after=*/1000000);  // healthy during build
-  ASSERT_TRUE(file.Open(TempPath("flaky2"), true).ok());
+  ASSERT_TRUE(file.Open(tmp.path(), true).ok());
   auto pool = std::make_unique<BufferPool>(&file, 8);
   std::vector<BTree::Item> items;
   for (uint64_t i = 0; i < 50000; ++i) items.push_back({{i, 0}, i});
@@ -625,7 +635,7 @@ TEST(FailureInjectionTest, LookupReportsIoError) {
 
   // Rebuild the pool over a now-failing file view: all reads fail.
   FlakyPageFile dead(/*fail_after=*/0);
-  ASSERT_TRUE(dead.Open(TempPath("flaky2"), false).ok());
+  ASSERT_TRUE(dead.Open(tmp.path(), false).ok());
   BufferPool dead_pool(&dead, 8);
   BTree attached = BTree::Attach(&dead_pool, tree->root(), tree->size());
   auto r = attached.Lookup({7, 0});
@@ -738,7 +748,8 @@ class BTreeFormatTest : public ::testing::TestWithParam<PoolSize> {
 
 TEST_P(BTreeFormatTest, BulkLoadEmpty) {
   PageFile file;
-  ASSERT_TRUE(file.Open(TempPath("bl0"), true).ok());
+  const test::TempFile tmp("bl0");
+  ASSERT_TRUE(file.Open(tmp.path(), true).ok());
   BufferPool pool(&file, Frames(16));
   auto tree = BTree::BulkLoad(&pool, {});
   ASSERT_TRUE(tree.ok());
@@ -751,7 +762,8 @@ TEST_P(BTreeFormatTest, BulkLoadEmpty) {
 
 TEST_P(BTreeFormatTest, BulkLoadSingleItem) {
   PageFile file;
-  ASSERT_TRUE(file.Open(TempPath("bl1"), true).ok());
+  const test::TempFile tmp("bl1");
+  ASSERT_TRUE(file.Open(tmp.path(), true).ok());
   BufferPool pool(&file, Frames(16));
   auto tree = BTree::BulkLoad(&pool, {{K(42, 7), 99}});
   ASSERT_TRUE(tree.ok());
@@ -762,7 +774,8 @@ TEST_P(BTreeFormatTest, BulkLoadSingleItem) {
 
 TEST_P(BTreeFormatTest, BulkLoadExactlyOneFullLeaf) {
   PageFile file;
-  ASSERT_TRUE(file.Open(TempPath("bl2"), true).ok());
+  const test::TempFile tmp("bl2");
+  ASSERT_TRUE(file.Open(tmp.path(), true).ok());
   BufferPool pool(&file, Frames(16));
   // The bulk loader packs each leaf until the next item no longer encodes
   // into the page. Count how many items of this key shape one page holds
@@ -801,7 +814,8 @@ TEST_P(BTreeFormatTest, BulkLoadExactlyOneFullLeaf) {
 
 TEST_P(BTreeFormatTest, BulkLoadRejectsNonAscendingInput) {
   PageFile file;
-  ASSERT_TRUE(file.Open(TempPath("bl3"), true).ok());
+  const test::TempFile tmp("bl3");
+  ASSERT_TRUE(file.Open(tmp.path(), true).ok());
   BufferPool pool(&file, Frames(16));
   // Duplicate key.
   auto dup = BTree::BulkLoad(&pool, {{K(1), 1}, {K(1), 2}});
@@ -815,7 +829,8 @@ TEST_P(BTreeFormatTest, BulkLoadRejectsNonAscendingInput) {
 
 TEST_P(BTreeFormatTest, RangeScanRunsConcatenationEqualsRangeScan) {
   PageFile file;
-  ASSERT_TRUE(file.Open(TempPath("bl4"), true).ok());
+  const test::TempFile tmp("bl4");
+  ASSERT_TRUE(file.Open(tmp.path(), true).ok());
   BufferPool pool(&file, Frames(32));
   std::vector<BTree::Item> items;
   for (uint64_t i = 0; i < 8000; ++i) items.push_back({K(i / 5, i % 5), i});
@@ -871,7 +886,8 @@ INSTANTIATE_TEST_SUITE_P(Formats, BTreeFormatTest,
 /// point lookups and a full ordered scan.
 TEST(BTreeCompressedTest, RandomInsertsAgreeWithStdMap) {
   PageFile file;
-  ASSERT_TRUE(file.Open(TempPath("btc1"), true).ok());
+  const test::TempFile tmp("btc1");
+  ASSERT_TRUE(file.Open(tmp.path(), true).ok());
   BufferPool pool(&file, 16);
   Rng rng(99);
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> model;
@@ -914,7 +930,8 @@ TEST(BTreeCompressedTest, FormatsAgreeAndCompressedUsesFewerPages) {
   for (uint64_t i = 0; i < 60000; ++i) items.push_back({K(i / 8, i % 8), 0});
 
   PageFile file;
-  ASSERT_TRUE(file.Open(TempPath("fmt_c"), true).ok());
+  const test::TempFile tmp("fmt_c");
+  ASSERT_TRUE(file.Open(tmp.path(), true).ok());
   BufferPool pool(&file, 64);
   auto comp = BTree::BulkLoad(&pool, items);
   ASSERT_TRUE(comp.ok());
@@ -946,7 +963,8 @@ TEST(BTreeCompressedTest, FormatsAgreeAndCompressedUsesFewerPages) {
 // ---- aggregated indexes ----
 
 TEST(DiskTripleStoreTest, AggregatesExactAfterBulkLoadAndInsert) {
-  auto disk_r = DiskTripleStore::Create(TempPath("agg1"), 64);
+  const test::TempFile tmp("agg1");
+  auto disk_r = DiskTripleStore::Create(tmp.path(), 64);
   ASSERT_TRUE(disk_r.ok());
   DiskTripleStore& disk = **disk_r;
 
@@ -983,14 +1001,13 @@ TEST(DiskTripleStoreTest, AggregatesExactAfterBulkLoadAndInsert) {
   for (int copies = 1; copies <= 2; ++copies) {
     std::vector<rdf::Triple> more = triples;
     more.insert(more.end(), copies, rdf::Triple(1, 1, 999));
-    const std::string path = TempPath("agg_more" + std::to_string(copies));
-    auto again = test::Unwrap(DiskTripleStore::Create(path, 64));
+    const test::TempFile again_tmp("agg_more" + std::to_string(copies));
+    auto again = test::Unwrap(DiskTripleStore::Create(again_tmp.path(), 64));
     ASSERT_TRUE(again->BulkLoad(more).ok());
     EXPECT_EQ(test::Unwrap(again->PairCount(1, 1)), sp_before + 1);
     EXPECT_EQ(test::Unwrap(again->PredicateCount(1)), p_before + 1);
     EXPECT_EQ(again->size(), disk.size() + 1);
     again.reset();
-    std::remove(path.c_str());
   }
 }
 
@@ -1016,10 +1033,10 @@ TEST(DiskTripleStoreTest, BulkLoadReportsWriteErrors) {
                          static_cast<rdf::TermId>(1 + rng.Uniform(8)),
                          static_cast<rdf::TermId>(1 + rng.Uniform(5000)));
   }
-  const std::string path = TempPath("wfail");
+  const test::TempFile tmp("wfail");
   auto store_with = [&](uint64_t budget) {
     auto file = std::make_unique<WriteLimitedPageFile>(budget);
-    EXPECT_TRUE(file->Open(path, /*truncate=*/true).ok());
+    EXPECT_TRUE(file->Open(tmp.path(), /*truncate=*/true).ok());
     return DiskTripleStore::Create(std::move(file), 8);
   };
   // The full load's page count; every budget below it must fail cleanly.
@@ -1043,7 +1060,6 @@ TEST(DiskTripleStoreTest, BulkLoadReportsWriteErrors) {
               0u);
     EXPECT_TRUE(test::Unwrap(disk->PredicateCounts()).empty());
   }
-  std::remove(path.c_str());
 }
 
 TEST(DiskTripleStoreTest, ScanRunsMatchesScanAcrossFormats) {
@@ -1054,7 +1070,8 @@ TEST(DiskTripleStoreTest, ScanRunsMatchesScanAcrossFormats) {
                          static_cast<rdf::TermId>(1 + rng.Uniform(5)),
                          static_cast<rdf::TermId>(1 + rng.Uniform(300)));
   }
-  auto disk_r = DiskTripleStore::Create(TempPath("sr_c"), 32);
+  const test::TempFile tmp("sr_c");
+  auto disk_r = DiskTripleStore::Create(tmp.path(), 32);
   ASSERT_TRUE(disk_r.ok());
   DiskTripleStore& disk = **disk_r;
   ASSERT_TRUE(disk.BulkLoad(triples).ok());
@@ -1095,8 +1112,8 @@ TEST(DiskTripleStoreTest, StorageErrorsSurfaceThroughCountAndAdapter) {
                          static_cast<rdf::TermId>(1 + rng.Uniform(8)),
                          static_cast<rdf::TermId>(1 + rng.Uniform(5000)));
   }
-  const std::string path = TempPath("trunc");
-  auto disk_r = DiskTripleStore::Create(path, 8);
+  const test::TempFile tmp("trunc");
+  auto disk_r = DiskTripleStore::Create(tmp.path(), 8);
   ASSERT_TRUE(disk_r.ok());
   DiskTripleStore& disk = **disk_r;
   ASSERT_TRUE(disk.BulkLoad(triples).ok());
@@ -1106,11 +1123,11 @@ TEST(DiskTripleStoreTest, StorageErrorsSurfaceThroughCountAndAdapter) {
   ScanAll(disk, rdf::TriplePattern());
   std::string saved;
   {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(tmp.path(), std::ios::binary);
     saved.assign(std::istreambuf_iterator<char>(in),
                  std::istreambuf_iterator<char>());
   }
-  ASSERT_EQ(::truncate(path.c_str(), 0), 0) << std::strerror(errno);
+  ASSERT_EQ(::truncate(tmp.path().c_str(), 0), 0) << std::strerror(errno);
 
   // An object-only pattern has no aggregate: Count must scan.
   const rdf::TriplePattern pat(rdf::kInvalidTermId, rdf::kInvalidTermId, 42);
@@ -1171,7 +1188,7 @@ TEST(DiskTripleStoreTest, StorageErrorsSurfaceThroughCountAndAdapter) {
 
   // Once the file is back, the same adapter answers exactly.
   {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    std::ofstream out(tmp.path(), std::ios::binary | std::ios::trunc);
     out.write(saved.data(), static_cast<std::streamsize>(saved.size()));
   }
   before = errors.value();
@@ -1181,7 +1198,6 @@ TEST(DiskTripleStoreTest, StorageErrorsSurfaceThroughCountAndAdapter) {
             (std::vector<std::pair<rdf::TermId, uint64_t>>(
                 pred_truth.begin(), pred_truth.end())));
   EXPECT_EQ(errors.value(), before);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,6 +1,11 @@
 #ifndef LODVIZ_TESTS_TEST_UTIL_H_
 #define LODVIZ_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -19,6 +24,26 @@ T Unwrap(Result<T> r) {
   LODVIZ_CHECK_OK(r);
   return std::move(r).ValueOrDie();
 }
+
+/// A file path under ::testing::TempDir(), unique to the test process;
+/// the file, if one was made, is removed when this object goes away.
+///
+///   const test::TempFile tmp("bt1");
+///   ASSERT_TRUE(file.Open(tmp.path(), /*truncate=*/true).ok());
+class TempFile {
+ public:
+  explicit TempFile(const std::string& name)
+      : path_(::testing::TempDir() + "lodviz_" + name + "_" +
+              std::to_string(::getpid())) {}
+  ~TempFile() { std::remove(path_.c_str()); }
+  TempFile(const TempFile&) = delete;
+  TempFile& operator=(const TempFile&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 }  // namespace lodviz::test
 

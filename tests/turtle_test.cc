@@ -114,12 +114,16 @@ TEST(TurtleTest, BaseResolution) {
   const char* doc = R"(
 @base <http://base.org/data/> .
 <item1> <prop> <item2> .
+<item1> <prop> <urn:isbn:1> , <mailto:a@b> .
 )";
   TripleStore store;
   auto n = LoadTurtleString(doc, &store);
   ASSERT_TRUE(n.ok()) << n.status().ToString();
   EXPECT_NE(store.dict().Lookup(Term::Iri("http://base.org/data/item1")),
             kInvalidTermId);
+  // An IRI with a scheme is absolute, whatever follows the ':'.
+  EXPECT_NE(store.dict().Lookup(Term::Iri("urn:isbn:1")), kInvalidTermId);
+  EXPECT_NE(store.dict().Lookup(Term::Iri("mailto:a@b")), kInvalidTermId);
 }
 
 TEST(TurtleTest, CommentsAndWhitespace) {
@@ -156,11 +160,13 @@ TEST(TurtleTest, AgreesWithNTriplesOnSharedSubset) {
       "<http://x/a> <http://x/p> <http://x/b> .\n"
       "<http://x/a> <http://x/q> \"5\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n"
       "<http://x/a> <http://x/r> \"hi\"@en .\n"
-      "_:b0 <http://x/p> \"plain\" .\n";
+      "_:b0 <http://x/p> \"plain\" .\n"
+      "_:a.b <http://x/p> _:c-d .\n";
   const char* ttl_doc = R"(
 @prefix x: <http://x/> .
 x:a x:p x:b ; x:q 5 ; x:r "hi"@en .
 _:b0 x:p "plain" .
+_:a.b x:p _:c-d .
 )";
   TripleStore from_nt, from_ttl;
   ASSERT_TRUE(LoadNTriplesString(nt_doc, &from_nt).ok());
