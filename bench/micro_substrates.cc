@@ -5,6 +5,8 @@
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "core/engine.h"
+#include "explore/facets.h"
 #include "geo/rtree.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -12,6 +14,7 @@
 #include "rdf/ntriples.h"
 #include "rdf/triple_store.h"
 #include "rdf/turtle.h"
+#include "rdf/vocab.h"
 #include "sparql/column_batch.h"
 #include "sparql/engine.h"
 #include "sparql/lexer.h"
@@ -617,6 +620,56 @@ void BM_TokenizeQuery(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * bytes);
 }
 BENCHMARK(BM_TokenizeQuery);
+
+// One explore-session step's parts over lodbench's explore dataset (4,000
+// entities through core::Engine): facets with no selection and after a
+// category refine, the all-subjects scan a new browser starts from, and a
+// scatter render of age x lat.
+core::Engine& ExploreEngine() {
+  static core::Engine* engine = [] {
+    auto* e = new core::Engine();
+    workload::SyntheticLodOptions opts;
+    opts.num_entities = 4000;
+    opts.seed = 1;
+    e->LoadSynthetic(opts);
+    return e;
+  }();
+  return *engine;
+}
+
+void BM_FacetsUnselected(benchmark::State& state) {
+  const explore::FacetedBrowser browser = ExploreEngine().MakeBrowser();
+  for (auto _ : state) benchmark::DoNotOptimize(browser.Facets());
+}
+BENCHMARK(BM_FacetsUnselected)->Unit(benchmark::kMicrosecond);
+
+void BM_FacetsRefined(benchmark::State& state) {
+  const rdf::Dictionary& dict = ExploreEngine().store().dict();
+  explore::FacetedBrowser browser = ExploreEngine().MakeBrowser();
+  LODVIZ_CHECK_OK(browser.Select(
+      dict.Lookup(rdf::Term::Iri(workload::lod::kCategory)),
+      dict.Lookup(rdf::Term::Iri(
+          std::string(workload::lod::kCategoryPrefix) + "0"))));
+  for (auto _ : state) benchmark::DoNotOptimize(browser.Facets());
+}
+BENCHMARK(BM_FacetsRefined)->Unit(benchmark::kMicrosecond);
+
+void BM_DistinctSubjects(benchmark::State& state) {
+  const rdf::TripleStore& store = ExploreEngine().store();
+  for (auto _ : state) benchmark::DoNotOptimize(store.DistinctSubjects());
+}
+BENCHMARK(BM_DistinctSubjects)->Unit(benchmark::kMicrosecond);
+
+void BM_EngineRenderScatter(benchmark::State& state) {
+  viz::VisSpec spec;
+  spec.kind = viz::VisKind::kScatter;
+  spec.x_property = workload::lod::kAge;
+  spec.y_property = rdf::vocab::kGeoLat;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bench::Unwrap(ExploreEngine().Render(spec)));
+  }
+}
+BENCHMARK(BM_EngineRenderScatter)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace lodviz
