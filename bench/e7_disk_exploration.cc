@@ -28,9 +28,23 @@
 namespace lodviz {
 namespace {
 
-std::string TempPath(const std::string& tag) {
-  return "/tmp/lodviz_e7_" + tag + "_" + std::to_string(::getpid()) + ".db";
-}
+/// A phase's page file, removed when the phase ends, whether it succeeds
+/// or fails. Declare it before the store that writes it, so the store
+/// closes first.
+class TempPath {
+ public:
+  explicit TempPath(const std::string& tag)
+      : path_("/tmp/lodviz_e7_" + tag + "_" + std::to_string(::getpid()) +
+              ".db") {}
+  ~TempPath() { std::remove(path_.c_str()); }
+  TempPath(const TempPath&) = delete;
+  TempPath& operator=(const TempPath&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// Every facet, value and count, in the browser's order.
 std::string FacetDigest(const std::vector<explore::Facet>& facets) {
@@ -92,9 +106,8 @@ int Run() {
     });
 
     Stopwatch sw;
-    auto disk_r =
-        storage::DiskTripleStore::Create(TempPath(std::to_string(entities)),
-                                         kPoolPages);
+    const TempPath file(std::to_string(entities));
+    auto disk_r = storage::DiskTripleStore::Create(file.path(), kPoolPages);
     if (!disk_r.ok()) {
       std::cerr << disk_r.status().ToString() << "\n";
       return 1;
@@ -146,8 +159,8 @@ int Run() {
   TablePrinter pools({"pool pages", "pool MiB", "workload ms", "hit rate",
                       "disk reads"});
   for (size_t pages : {16ul, 64ul, 256ul, 1024ul}) {
-    auto disk_r = storage::DiskTripleStore::Create(
-        TempPath("pool" + std::to_string(pages)), pages);
+    const TempPath file("pool" + std::to_string(pages));
+    auto disk_r = storage::DiskTripleStore::Create(file.path(), pages);
     if (!disk_r.ok()) return 1;
     storage::DiskTripleStore& disk = **disk_r;
     if (!disk.BulkLoad(triples).ok()) return 1;
@@ -192,8 +205,8 @@ int Run() {
   // against the in-memory store and against a small-pool disk mirror.
   std::cout << "\nSPARQL exploration, memory vs disk backend (100k "
                "entities, 64-page pool):\n";
-  const std::string sparql_path = TempPath("sparql");
-  auto sparql_disk_r = storage::DiskTripleStore::Create(sparql_path, 64);
+  const TempPath sparql_file("sparql");
+  auto sparql_disk_r = storage::DiskTripleStore::Create(sparql_file.path(), 64);
   if (!sparql_disk_r.ok()) return 1;
   storage::DiskTripleStore& sparql_disk = **sparql_disk_r;
   if (!sparql_disk.BulkLoad(triples).ok()) return 1;
@@ -273,7 +286,6 @@ int Run() {
                           hit_rate);
     if (!identical || !identical4) {
       std::cerr << "backend divergence on " << q.label << "\n";
-      std::remove(sparql_path.c_str());
       return 1;
     }
   }
@@ -324,7 +336,6 @@ int Run() {
   compare("facets_refine", facets_of);
   compare("hetree_age", hetree_of);
   explore_table.Print(std::cout);
-  std::remove(sparql_path.c_str());
   if (!explore_identical) {
     std::cerr << "backend divergence in the exploration modules\n";
     return 1;

@@ -224,22 +224,31 @@ std::vector<geo::Point> Engine::CollectPairs(const std::string& x_iri,
   rdf::TermId yp = dict.Lookup(rdf::Term::Iri(y_iri));
   if (xp == rdf::kInvalidTermId || yp == rdf::kInvalidTermId) return {};
 
-  std::unordered_map<rdf::TermId, double> x_values;
-  store_.Scan({rdf::kInvalidTermId, xp, rdf::kInvalidTermId},
-              [&](const rdf::Triple& t) {
-                Result<double> v = dict.NumberValue(t.o);
-                if (v.ok()) x_values[t.s] = v.ValueOrDie();
-                return true;
-              });
+  // Each subject's x value by id; a later x value of the same subject
+  // overwrites an earlier one (the last in POS order wins). A flag, not a
+  // NaN sentinel, marks presence: NaN is a valid xsd:double.
+  std::vector<double> x_value(dict.size() + 1);
+  std::vector<bool> has_x(dict.size() + 1);
+  store_.ScanRuns({rdf::kInvalidTermId, xp, rdf::kInvalidTermId},
+                  [&](const rdf::Triple* run, size_t n) {
+                    for (size_t i = 0; i < n; ++i) {
+                      Result<double> v = dict.NumberValue(run[i].o);
+                      if (!v.ok()) continue;
+                      x_value[run[i].s] = *v;
+                      has_x[run[i].s] = true;
+                    }
+                    return true;
+                  });
   std::vector<geo::Point> pairs;
-  store_.Scan({rdf::kInvalidTermId, yp, rdf::kInvalidTermId},
-              [&](const rdf::Triple& t) {
-                auto it = x_values.find(t.s);
-                if (it == x_values.end()) return true;
-                Result<double> v = dict.NumberValue(t.o);
-                if (v.ok()) pairs.push_back({it->second, v.ValueOrDie()});
-                return true;
-              });
+  store_.ScanRuns({rdf::kInvalidTermId, yp, rdf::kInvalidTermId},
+                  [&](const rdf::Triple* run, size_t n) {
+                    for (size_t i = 0; i < n; ++i) {
+                      if (!has_x[run[i].s]) continue;
+                      Result<double> v = dict.NumberValue(run[i].o);
+                      if (v.ok()) pairs.push_back({x_value[run[i].s], *v});
+                    }
+                    return true;
+                  });
   return pairs;
 }
 

@@ -118,6 +118,10 @@ class Engine {
   // ---- rendering ----
   /// Renders `spec` headlessly; set `with_svg` to also emit SVG.
   Result<ViewResult> Render(const viz::VisSpec& spec, bool with_svg = false);
+  /// The (x, y) numeric pairs a scatter plots: one per y triple, in POS
+  /// order, whose subject has a numeric x value (its last in POS order).
+  std::vector<geo::Point> CollectPairs(const std::string& x_iri,
+                                       const std::string& y_iri) const;
 
   explore::SessionLog& session() { return session_; }
   const Options& options() const { return options_; }
@@ -126,9 +130,6 @@ class Engine {
   /// Ends every load: publishes the store's snapshot and drops the state
   /// derived from the old data.
   void FinishLoad();
-  /// (x, y) numeric pairs per subject for two properties.
-  std::vector<geo::Point> CollectPairs(const std::string& x_iri,
-                                       const std::string& y_iri) const;
   std::vector<double> CollectValues(const std::string& iri) const;
 
   Options options_;

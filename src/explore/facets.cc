@@ -1,8 +1,7 @@
 #include "explore/facets.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 namespace lodviz::explore {
 
@@ -54,44 +53,62 @@ void FacetedBrowser::Recompute() {
 
 std::vector<Facet> FacetedBrowser::Facets() const {
   const rdf::Dictionary& dict = source_->dict();
-  std::unordered_set<rdf::TermId> match_set(matching_.begin(),
-                                            matching_.end());
+  // With no selection every subject matches, so nothing is tested.
+  const bool all_match = selection_.empty();
+  std::vector<bool> matches;
+  if (!all_match) {
+    matches.resize(dict.size() + 1);
+    for (rdf::TermId s : matching_) matches[s] = true;
+  }
 
   std::vector<Facet> facets;
+  std::vector<std::pair<rdf::TermId, uint64_t>> counts;  // (value, count)
   for (const auto& [pred, total] : source_->PredicateCounts()) {
     if (selection_.count(pred)) continue;  // already constrained
-    // Count values over the matching set only.
-    std::unordered_map<rdf::TermId, uint64_t> counts;
+    // A {?, p, ?} scan arrives in POS order: each value's subjects form one
+    // run, so a value is counted once per run, over the matching set only.
+    counts.clear();
     bool facetable = true;
-    source_->Scan({rdf::kInvalidTermId, pred, rdf::kInvalidTermId},
-                  [&](const rdf::Triple& t) {
-                    if (!match_set.count(t.s)) return true;
-                    ++counts[t.o];
-                    if (counts.size() > kMaxFacetValues) {
-                      facetable = false;
-                      return false;
-                    }
-                    return true;
-                  });
+    source_->ScanRuns(
+        {rdf::kInvalidTermId, pred, rdf::kInvalidTermId},
+        [&](const rdf::Triple* run, size_t n) {
+          for (size_t i = 0; i < n;) {
+            const rdf::TermId value = run[i].o;
+            uint64_t count = 0;
+            for (; i < n && run[i].o == value; ++i) {
+              count += all_match || matches[run[i].s];
+            }
+            if (count == 0) continue;
+            // A value's run may continue into the next delivered run.
+            if (counts.empty() || counts.back().first != value) {
+              if (counts.size() == kMaxFacetValues) {
+                facetable = false;
+                return false;
+              }
+              counts.emplace_back(value, 0);
+            }
+            counts.back().second += count;
+          }
+          return true;
+        });
     if (!facetable || counts.empty()) continue;
 
+    // Count desc, then label asc; two distinct terms can share a label
+    // (the IRI x and the literal "x"), so the id breaks the last tie.
+    std::sort(counts.begin(), counts.end(),
+              [&dict](const auto& a, const auto& b) {
+                if (a.second != b.second) return a.second > b.second;
+                const std::string& la = dict.term(a.first).lexical;
+                const std::string& lb = dict.term(b.first).lexical;
+                if (la != lb) return la < lb;
+                return a.first < b.first;
+              });
     Facet facet;
     facet.predicate = pred;
     facet.label = dict.term(pred).lexical;
-    for (const auto& [value, count] : counts) {
-      FacetValue fv;
-      fv.value = value;
-      fv.label = dict.term(value).lexical;
-      fv.count = count;
-      facet.values.push_back(std::move(fv));
-    }
-    std::sort(facet.values.begin(), facet.values.end(),
-              [](const FacetValue& a, const FacetValue& b) {
-                if (a.count != b.count) return a.count > b.count;
-                return a.label < b.label;
-              });
-    if (facet.values.size() > kTopFacetValues) {
-      facet.values.resize(kTopFacetValues);
+    for (size_t i = 0; i < std::min(counts.size(), kTopFacetValues); ++i) {
+      const auto& [value, count] = counts[i];
+      facet.values.push_back({value, dict.term(value).lexical, count});
     }
     facets.push_back(std::move(facet));
   }

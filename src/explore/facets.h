@@ -20,7 +20,7 @@ struct FacetValue {
 struct Facet {
   rdf::TermId predicate = rdf::kInvalidTermId;
   std::string label;
-  std::vector<FacetValue> values;  // sorted by count desc
+  std::vector<FacetValue> values;  // count desc, label asc, id asc
 };
 
 /// Faceted browsing over a triple source (/facet, gFacet, Rhizomer
@@ -36,7 +36,13 @@ class FacetedBrowser {
 
   /// Available facets with counts under the current selection: the
   /// predicates with at most 64 distinct values over the matching set,
-  /// each listing its 20 most frequent values.
+  /// each listing its 20 most frequent values (count desc, then label,
+  /// then id), sorted by predicate label. A count is the number of
+  /// matching triples with that value. Counts come from value runs: each
+  /// predicate's `{?, p, ?}` scan arrives in POS order, so one value's
+  /// subjects are contiguous. With a selection, subjects are tested
+  /// against a bitmap over the dictionary's ids; with none, a run's
+  /// length is its count.
   std::vector<Facet> Facets() const;
 
   /// Adds a conjunctive constraint (predicate = value) and refines.

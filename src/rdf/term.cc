@@ -161,6 +161,9 @@ Result<std::string> UnescapeNTriplesString(std::string_view s) {
       case '"':
         out += '"';
         break;
+      case '\'':
+        out += '\'';
+        break;
       case 'n':
         out += '\n';
         break;
@@ -306,9 +309,12 @@ Result<std::string_view> ScanBlankLabel(std::string_view in, size_t* pos) {
 }
 
 Result<std::string> ScanQuotedString(std::string_view in, size_t* pos) {
-  if (!At(in, *pos, '"')) return ScanError("expected string", *pos);
+  if (!At(in, *pos, '"') && !At(in, *pos, '\'')) {
+    return ScanError("expected string", *pos);
+  }
+  const char quote = in[*pos];
   size_t end = *pos + 1;
-  while (end < in.size() && in[end] != '"') end += in[end] == '\\' ? 2 : 1;
+  while (end < in.size() && in[end] != quote) end += in[end] == '\\' ? 2 : 1;
   if (end >= in.size()) return ScanError("unterminated string", *pos);
   LODVIZ_ASSIGN_OR_RETURN(
       std::string value,

@@ -106,8 +106,8 @@ Result<std::string_view> ScanIriRef(std::string_view in, size_t* pos);
 /// "_:" and a label of ASCII letters, digits, '_', '-', bytes >= 0x80 and
 /// '.' anywhere but at the end. Returns the label.
 Result<std::string_view> ScanBlankLabel(std::string_view in, size_t* pos);
-/// A short '"'-quoted string, its escapes as in N-Triples; returns the
-/// unescaped value.
+/// A short string quoted by '"' or '\'' (Turtle and SPARQL allow both),
+/// its escapes as in N-Triples; returns the unescaped value.
 Result<std::string> ScanQuotedString(std::string_view in, size_t* pos);
 /// '@' and a language tag of letters, digits and '-'. Returns the tag.
 Result<std::string_view> ScanLangTag(std::string_view in, size_t* pos);

@@ -71,9 +71,10 @@ class TripleSource {
   /// Materializes every match of `pattern`, in scan order.
   [[nodiscard]] std::vector<Triple> Match(const TriplePattern& pattern) const;
 
-  /// Distinct subjects that have at least one triple, ascending: one `{}`
-  /// scan (SPO order on every backend) with adjacent duplicates dropped.
-  [[nodiscard]] std::vector<TermId> DistinctSubjects() const;
+  /// Distinct subjects that have at least one triple, ascending. The
+  /// default is one `{}` scan (SPO order on every backend) with adjacent
+  /// duplicates dropped; the memory store keeps the list in its snapshot.
+  [[nodiscard]] virtual std::vector<TermId> DistinctSubjects() const;
 
   /// The term dictionary the triple ids refer to.
   virtual const Dictionary& dict() const = 0;

@@ -153,6 +153,15 @@ void TripleStore::FoldLocked() const {
   if (!fresh.empty()) {
     auto next = std::make_unique<Indexes>();
     next->spo = MergeSorted(old.spo, fresh, OrderSpo());
+    std::vector<TermId> fresh_subjects;
+    for (const Triple& t : fresh) {  // SPO order
+      if (fresh_subjects.empty() || fresh_subjects.back() != t.s) {
+        fresh_subjects.push_back(t.s);
+      }
+    }
+    std::set_union(old.subjects.begin(), old.subjects.end(),
+                   fresh_subjects.begin(), fresh_subjects.end(),
+                   std::back_inserter(next->subjects));
     std::sort(fresh.begin(), fresh.end(), OrderPos());
     next->pred_counts = MergePredicateCounts(old.pred_counts, fresh);
     next->pos = MergeSorted(old.pos, fresh, OrderPos());
@@ -260,6 +269,11 @@ std::vector<std::pair<TermId, uint64_t>> TripleStore::PredicateCounts()
     const {
   const SnapshotRef snap(this);
   return snap->pred_counts;
+}
+
+std::vector<TermId> TripleStore::DistinctSubjects() const {
+  const SnapshotRef snap(this);
+  return snap->subjects;
 }
 
 size_t TripleStore::MemoryUsage() const {

@@ -86,6 +86,11 @@ class TripleStore : public TripleSource {
   [[nodiscard]] std::vector<std::pair<TermId, uint64_t>> PredicateCounts()
       const override LODVIZ_EXCLUDES(mu_);
 
+  /// The snapshot's distinct subjects, ascending: a copy of a list each
+  /// fold merges, so no scan happens.
+  [[nodiscard]] std::vector<TermId> DistinctSubjects() const override
+      LODVIZ_EXCLUDES(mu_);
+
   /// Publishes the pending triples now instead of on the next read; a
   /// no-op when nothing is pending.
   void Compact() const LODVIZ_EXCLUDES(mu_);
@@ -101,6 +106,8 @@ class TripleStore : public TripleSource {
     std::vector<Triple> osp;
     /// Distinct-triple count per predicate, ascending by id.
     std::vector<std::pair<TermId, uint64_t>> pred_counts;
+    /// Distinct subjects, ascending.
+    std::vector<TermId> subjects;
   };
 
   /// Pins the current snapshot for one read, folding pending triples

@@ -220,7 +220,7 @@ class TurtleParser {
     }
     if (c == '_') return ParseBlankLabel();
     if (c == '[') return ParseAnonBlank();
-    if (c == '"') return ParseLiteral();
+    if (c == '"' || c == '\'') return ParseLiteral();
     if (c == '(') return Err("RDF collections are not supported");
     if (std::isdigit(static_cast<unsigned char>(c)) || c == '+' || c == '-') {
       return ParseNumber();
@@ -274,8 +274,9 @@ class TurtleParser {
 
   Result<Term> ParseLiteral() {
     std::string value;
-    if (in_.substr(pos_, 3) == "\"\"\"") {
-      size_t end = in_.find("\"\"\"", pos_ + 3);
+    const std::string_view long_quote = in_[pos_] == '"' ? "\"\"\"" : "'''";
+    if (in_.substr(pos_, 3) == long_quote) {
+      size_t end = in_.find(long_quote, pos_ + 3);
       if (end == std::string_view::npos) return Err("unterminated long string");
       LODVIZ_ASSIGN_OR_RETURN(
           value, UnescapeNTriplesString(in_.substr(pos_ + 3, end - pos_ - 3)));

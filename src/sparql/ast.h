@@ -18,6 +18,15 @@ struct Var {
   bool operator==(const Var& other) const { return name == other.name; }
 };
 
+/// A blank node `_:label` in a pattern binds like a variable. Its name is
+/// "_:label", which no `?var` can spell, and `SELECT *` does not project it.
+inline std::string BlankNodeVarName(const std::string& label) {
+  return "_:" + label;
+}
+inline bool IsBlankNodeVar(const std::string& name) {
+  return name.size() > 2 && name[0] == '_' && name[1] == ':';
+}
+
 /// One position of a triple pattern: a constant term or a variable.
 using NodeOrVar = std::variant<rdf::Term, Var>;
 

@@ -91,10 +91,11 @@ class FingerprintVisitor {
 
  private:
   /// Canonical variable id: dense index in first-appearance order of this
-  /// traversal. Renaming variables consistently cannot change the ids.
+  /// traversal. Renaming variables consistently cannot change the ids. A
+  /// blank node has its own tag: `SELECT *` projects `?x` but not `_:x`.
   void Variable(const std::string& name) {
     auto [it, inserted] = var_ids_.emplace(name, var_ids_.size());
-    h_->Tag('v');
+    h_->Tag(IsBlankNodeVar(name) ? 'w' : 'v');
     h_->U64(it->second);
   }
 

@@ -70,9 +70,15 @@ Result<std::vector<Token>> Tokenize(std::string_view in) {
       i = j;
       continue;
     }
-    if (c == '"') {
+    if (c == '"' || c == '\'') {
       LODVIZ_ASSIGN_OR_RETURN(std::string value, rdf::ScanQuotedString(in, &i));
       push(TokenKind::kString, std::move(value), start);
+      continue;
+    }
+    if (c == '_' && i + 1 < in.size() && in[i + 1] == ':') {
+      LODVIZ_ASSIGN_OR_RETURN(std::string_view label,
+                              rdf::ScanBlankLabel(in, &i));
+      push(TokenKind::kBlankNode, std::string(label), start);
       continue;
     }
     if (c == '@') {

@@ -14,7 +14,8 @@ enum class TokenKind {
   kVar,       ///< ?name (text holds the name without '?')
   kIriRef,    ///< <...> (text holds the IRI)
   kPname,     ///< prefix:local (text holds the full form)
-  kString,    ///< "..." (text holds the unescaped value)
+  kBlankNode, ///< _:label (text holds the label)
+  kString,    ///< "..." or '...' (text holds the unescaped value)
   kLangTag,   ///< @en
   kNumber,    ///< integer or decimal literal (text holds the lexical form)
   kA,         ///< the keyword 'a' (rdf:type shorthand)

@@ -41,6 +41,14 @@ class Parser {
           !tmpl.union_branches.empty()) {
         return Err("CONSTRUCT template must contain only triples");
       }
+      // A template blank node would mint a fresh node per solution.
+      for (const TriplePatternAst& t : tmpl.triples) {
+        for (const NodeOrVar* n : {&t.s, &t.p, &t.o}) {
+          if (IsVar(*n) && IsBlankNodeVar(AsVar(*n).name)) {
+            return Err("blank node in a CONSTRUCT template");
+          }
+        }
+      }
       q.construct_template = std::move(tmpl.triples);
     } else if (AcceptKeyword("DESCRIBE")) {
       q.form = QueryForm::kDescribe;
@@ -383,6 +391,8 @@ class Parser {
     switch (tok.kind) {
       case TokenKind::kVar:
         return NodeOrVar(Var{Next().text});
+      case TokenKind::kBlankNode:
+        return NodeOrVar(Var{BlankNodeVarName(Next().text)});
       case TokenKind::kIriRef:
         return NodeOrVar(rdf::Term::Iri(Next().text));
       case TokenKind::kPname: {
@@ -567,6 +577,9 @@ class Parser {
     }
     if (tok.kind == TokenKind::kVar) {
       return Expr::Variable(Next().text);
+    }
+    if (tok.kind == TokenKind::kBlankNode) {
+      return Err("blank node in an expression");
     }
     // Constants share the node parser.
     LODVIZ_ASSIGN_OR_RETURN(NodeOrVar n, ParseNode(q, /*allow_literal=*/true));

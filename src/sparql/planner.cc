@@ -52,10 +52,13 @@ class PlannerImpl {
 
   void Run(const Query& query) {
     // Pass 1: intern triple-pattern variables of the WHERE clause in
-    // first-appearance order. Their slots form the `SELECT *` projection,
-    // matching the original engine's CollectVars column order.
+    // first-appearance order. Their slots, less the blank nodes', form the
+    // `SELECT *` projection, matching the original engine's CollectVars
+    // column order.
     CollectPatternVars(query.where);
-    plan_->visible_vars = plan_->slot_names;
+    for (const std::string& name : plan_->slot_names) {
+      if (!IsBlankNodeVar(name)) plan_->visible_vars.push_back(name);
+    }
 
     // Pass 2: every other place a variable can occur gets a (later) slot.
     for (const std::string& v : query.select_vars) InternVar(v);

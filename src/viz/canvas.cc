@@ -15,11 +15,12 @@ Canvas::Canvas(int width, int height) : width_(width), height_(height) {
 void Canvas::Clear() {
   std::fill(cells_.begin(), cells_.end(), 0);
   total_marks_ = 0;
+  pixels_touched_ = 0;
 }
 
 void Canvas::Mark(int px, int py) {
   if (px < 0 || py < 0 || px >= width_ || py >= height_) return;
-  ++cells_[Index(px, py)];
+  pixels_touched_ += cells_[Index(px, py)]++ == 0;
   ++total_marks_;
 }
 
@@ -62,17 +63,10 @@ void Canvas::DrawCircle(double cx, double cy, double radius) {
   }
 }
 
-uint64_t Canvas::pixels_touched() const {
-  uint64_t n = 0;
-  for (uint32_t c : cells_) n += (c > 0);
-  return n;
-}
-
 double Canvas::OverplotFactor() const {
-  uint64_t touched = pixels_touched();
-  return touched ? static_cast<double>(total_marks_) /
-                       static_cast<double>(touched)
-                 : 0.0;
+  return pixels_touched_ ? static_cast<double>(total_marks_) /
+                              static_cast<double>(pixels_touched_)
+                        : 0.0;
 }
 
 uint32_t Canvas::MaxCount() const {
@@ -83,7 +77,7 @@ uint32_t Canvas::MaxCount() const {
 
 double Canvas::HiddenMarkFraction() const {
   if (total_marks_ == 0) return 0.0;
-  uint64_t hidden = total_marks_ - pixels_touched();
+  uint64_t hidden = total_marks_ - pixels_touched_;
   return static_cast<double>(hidden) / static_cast<double>(total_marks_);
 }
 

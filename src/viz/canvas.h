@@ -40,8 +40,9 @@ class Canvas {
 
   /// Number of marks drawn (sum of all counts).
   uint64_t total_marks() const { return total_marks_; }
-  /// Pixels with at least one mark.
-  uint64_t pixels_touched() const;
+  /// Pixels with at least one mark; O(1): Mark counts each pixel's first
+  /// mark, so this, OverplotFactor and HiddenMarkFraction read no cells.
+  uint64_t pixels_touched() const { return pixels_touched_; }
   /// Mean marks per touched pixel; > 1 means over-plotting.
   double OverplotFactor() const;
   /// Max marks on a single pixel.
@@ -63,6 +64,7 @@ class Canvas {
   int height_;
   std::vector<uint32_t> cells_;
   uint64_t total_marks_ = 0;
+  uint64_t pixels_touched_ = 0;
 };
 
 }  // namespace lodviz::viz

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "core/archetype.h"
 #include "core/capabilities.h"
@@ -213,6 +217,57 @@ TEST_F(EngineFixture, MapAggregatesAboveBudget) {
   // Clustered markers: bounded by the 48x48 grid, not by point count.
   EXPECT_LE(view->render.elements_drawn, 48u * 48u);
   EXPECT_EQ(view->render.input_size, 400u);
+}
+
+TEST_F(EngineFixture, CollectPairsMatchesMapReference) {
+  // Entity 5 gets a second age, so the last one in POS order must win;
+  // entity 7's second age is NaN, which must pair like any other number.
+  using rdf::Term;
+  const Term age = Term::Iri(workload::lod::kAge);
+  const Term lat = Term::Iri(rdf::vocab::kGeoLat);
+  const std::string entity = workload::lod::kEntityPrefix;
+  engine_.store().Add(Term::Iri(entity + "5"), age,
+                      Term::DoubleLiteral(1234.5));
+  engine_.store().Add(Term::Iri(entity + "7"), age,
+                      Term::Literal("NaN", rdf::vocab::kXsdDouble));
+  engine_.store().Add(Term::Iri(entity + "7"), lat, Term::DoubleLiteral(1.5));
+
+  // The join as it was: x values kept in a hash map, y scanned in order.
+  const rdf::TripleStore& store = engine_.store();
+  const rdf::Dictionary& dict = store.dict();
+  const rdf::TermId xp = dict.Lookup(age), yp = dict.Lookup(lat);
+  std::unordered_map<rdf::TermId, double> x_values;
+  store.Scan({rdf::kInvalidTermId, xp, rdf::kInvalidTermId},
+             [&](const rdf::Triple& t) {
+               Result<double> v = dict.NumberValue(t.o);
+               if (v.ok()) x_values[t.s] = *v;
+               return true;
+             });
+  std::vector<geo::Point> expected;
+  store.Scan({rdf::kInvalidTermId, yp, rdf::kInvalidTermId},
+             [&](const rdf::Triple& t) {
+               auto it = x_values.find(t.s);
+               Result<double> v = dict.NumberValue(t.o);
+               if (it != x_values.end() && v.ok()) {
+                 expected.push_back({it->second, *v});
+               }
+               return true;
+             });
+
+  const std::vector<geo::Point> pairs =
+      engine_.CollectPairs(workload::lod::kAge, rdf::vocab::kGeoLat);
+  ASSERT_EQ(pairs.size(), expected.size());
+  size_t nan_pairs = 0;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    // Bit patterns, so a NaN compares equal to itself.
+    EXPECT_EQ(std::bit_cast<uint64_t>(pairs[i].x),
+              std::bit_cast<uint64_t>(expected[i].x)) << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(pairs[i].y),
+              std::bit_cast<uint64_t>(expected[i].y)) << i;
+    nan_pairs += std::isnan(pairs[i].x);
+  }
+  EXPECT_EQ(nan_pairs, 2u);  // entity 7's two lat values
+  EXPECT_EQ(x_values.at(dict.Lookup(Term::Iri(entity + "5"))), 1234.5);
 }
 
 TEST_F(EngineFixture, HierarchyGraphSearchFacets) {

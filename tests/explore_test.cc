@@ -168,6 +168,31 @@ TEST(FacetsTest, DistinctValueAndListingBounds) {
   EXPECT_EQ(find(facets, "http://x/ranked"), nullptr);
 }
 
+TEST(FacetsTest, EqualCountAndLabelBreaksTieById) {
+  // The IRI x and the literal "x" share a label; with equal counts the
+  // smaller id comes first, whichever order they were added in.
+  using rdf::Term;
+  for (bool literal_first : {true, false}) {
+    rdf::TripleStore store;
+    const Term pred = Term::Iri("http://x/p");
+    const Term iri = Term::Iri("http://x/v");
+    const Term literal = Term::Literal("http://x/v");
+    store.Add(Term::Iri("http://x/s1"), pred, literal_first ? literal : iri);
+    store.Add(Term::Iri("http://x/s2"), pred, literal_first ? iri : literal);
+    FacetedBrowser browser(&store);
+    const std::vector<Facet> facets = browser.Facets();
+    ASSERT_EQ(facets.size(), 1u);
+    ASSERT_EQ(facets[0].values.size(), 2u);
+    const rdf::TermId first = store.dict().Lookup(literal_first ? literal : iri);
+    const rdf::TermId second =
+        store.dict().Lookup(literal_first ? iri : literal);
+    ASSERT_LT(first, second);
+    EXPECT_EQ(facets[0].values[0].value, first);
+    EXPECT_EQ(facets[0].values[1].value, second);
+    EXPECT_EQ(facets[0].values[0].label, facets[0].values[1].label);
+  }
+}
+
 TEST(KeywordTest, FindsByLabelAndRanksLabelHigher) {
   rdf::TripleStore store = MakeBookStore();
   KeywordIndex index = KeywordIndex::Build(store);

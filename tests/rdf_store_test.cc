@@ -122,6 +122,14 @@ TEST_F(TripleStoreFixture, DuplicatesRemovedOnCompact) {
 TEST_F(TripleStoreFixture, DistinctSubjects) {
   // carol appears only as an object.
   EXPECT_EQ(store_.DistinctSubjects(), (std::vector<TermId>{alice_, bob_}));
+  // A fold merges new subjects into the snapshot's ascending list.
+  store_.AddEncoded({carol_, knows_, alice_});
+  store_.AddEncoded({bob_, age_, carol_});
+  EXPECT_EQ(store_.DistinctSubjects(),
+            (std::vector<TermId>{alice_, bob_, carol_}));
+  // The same list the base class's {} scan gives.
+  const TripleSource& source = store_;
+  EXPECT_EQ(store_.DistinctSubjects(), source.TripleSource::DistinctSubjects());
 }
 
 TEST_F(TripleStoreFixture, PredicateCounts) {

@@ -7,6 +7,7 @@
 #include "rdf/ntriples.h"
 #include "rdf/triple_store.h"
 #include "sparql/engine.h"
+#include "sparql/fingerprint.h"
 #include "sparql/lexer.h"
 #include "sparql/parser.h"
 #include "test_util.h"
@@ -271,6 +272,47 @@ TEST_F(EngineFixture, StarProjection) {
   ResultTable t = Run("SELECT * WHERE { ?s <http://x/knows> ?o . }");
   EXPECT_EQ(t.columns(), (std::vector<std::string>{"s", "o"}));
   EXPECT_EQ(t.num_rows(), 2u);
+}
+
+TEST_F(EngineFixture, BlankNodeLabelsBindLikeHiddenVariables) {
+  ResultTable t = Run("SELECT ?o WHERE { _:b1 <http://x/knows> ?o }");
+  ASSERT_EQ(t.num_rows(), 2u);
+  EXPECT_EQ(t.rows()[0][0].term.lexical, "http://x/bob");
+  EXPECT_EQ(t.rows()[1][0].term.lexical, "http://x/carol");
+
+  // One label is one node across patterns: whom someone knows, by name.
+  ResultTable names = Run(
+      "SELECT ?n WHERE { _:a <http://x/knows> _:k . _:k <http://x/name> ?n }"
+      " ORDER BY ?n");
+  ASSERT_EQ(names.num_rows(), 2u);
+  EXPECT_EQ(names.rows()[0][0].term.lexical, "Bob");
+  EXPECT_EQ(names.rows()[1][0].term.lexical, "Carol");
+
+  // SELECT * leaves blank nodes out, so `_:s` and `?s` are different
+  // queries to the plan cache.
+  ResultTable star = Run("SELECT * WHERE { _:s <http://x/knows> ?o . }");
+  EXPECT_EQ(star.columns(), (std::vector<std::string>{"o"}));
+  EXPECT_EQ(star.num_rows(), 2u);
+  EXPECT_NE(QueryFingerprint(test::Unwrap(
+                ParseQuery("SELECT * WHERE { _:s <http://x/knows> ?o . }"))),
+            QueryFingerprint(test::Unwrap(
+                ParseQuery("SELECT * WHERE { ?s <http://x/knows> ?o . }"))));
+
+  EXPECT_FALSE(
+      ParseQuery("SELECT ?s WHERE { ?s ?p ?o FILTER(?o = _:b) }").ok());
+  EXPECT_FALSE(
+      ParseQuery("CONSTRUCT { _:b <http://x/p> ?o } WHERE { ?s ?p ?o }").ok());
+}
+
+TEST_F(EngineFixture, SingleQuotedStrings) {
+  ResultTable t = Run("SELECT ?s WHERE { ?s <http://x/name> 'Alice' }");
+  ASSERT_EQ(t.num_rows(), 1u);
+  EXPECT_EQ(t.rows()[0][0].term.lexical, "http://x/alice");
+  // A single-quoted string may hold '"' and escape '\''.
+  auto tokens = test::Unwrap(Tokenize("'say \"hi\"' 'it\\'s'"));
+  EXPECT_EQ(tokens[0].text, "say \"hi\"");
+  EXPECT_EQ(tokens[1].text, "it's");
+  EXPECT_FALSE(Tokenize("'unterminated").ok());
 }
 
 TEST_F(EngineFixture, AggregatesWithGroupBy) {

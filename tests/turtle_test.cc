@@ -69,12 +69,15 @@ ex:a ex:int 42 ;
      ex:typed "5"^^xsd:integer ;
      ex:typed2 "x"^^<http://x.org/custom> ;
      ex:long """multi
-line "quoted" text""" .
+line "quoted" text""" ;
+     ex:single 'it\'s "single"' ;
+     ex:longsingle '''two
+lines''' .
 )";
   TripleStore store;
   auto n = LoadTurtleString(doc, &store);
   ASSERT_TRUE(n.ok()) << n.status().ToString();
-  EXPECT_EQ(n.ValueOrDie(), 10u);
+  EXPECT_EQ(n.ValueOrDie(), 12u);
 
   const auto& dict = store.dict();
   EXPECT_NE(dict.Lookup(Term::Literal("42", vocab::kXsdInteger)),
@@ -91,6 +94,8 @@ line "quoted" text""" .
             kInvalidTermId);
   EXPECT_NE(dict.Lookup(Term::Literal("multi\nline \"quoted\" text")),
             kInvalidTermId);
+  EXPECT_NE(dict.Lookup(Term::Literal("it's \"single\"")), kInvalidTermId);
+  EXPECT_NE(dict.Lookup(Term::Literal("two\nlines")), kInvalidTermId);
 }
 
 TEST(TurtleTest, BlankNodes) {

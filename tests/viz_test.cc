@@ -35,6 +35,8 @@ TEST(CanvasTest, PointCountingAndOverplot) {
   EXPECT_NEAR(canvas.HiddenMarkFraction(), 1.0 / 3.0, 1e-12);
   canvas.Clear();
   EXPECT_EQ(canvas.total_marks(), 0u);
+  EXPECT_EQ(canvas.pixels_touched(), 0u);
+  EXPECT_EQ(canvas.OverplotFactor(), 0.0);
 }
 
 TEST(CanvasTest, LineTouchesContiguousPixels) {
@@ -65,6 +67,54 @@ TEST(CanvasTest, AsciiArtRenders) {
   std::string art = canvas.ToAscii(20);
   EXPECT_FALSE(art.empty());
   EXPECT_NE(art.find('\n'), std::string::npos);
+}
+
+TEST(CanvasTest, StatisticsMatchBruteForceCount) {
+  // Seeded draws, some reaching past the unit square, with an occasional
+  // Clear: after every call the O(1) statistics equal a count over At().
+  Canvas canvas(37, 23);
+  Rng rng(17);
+  auto coord = [&] { return rng.UniformDouble(-0.2, 1.2); };
+  for (int call = 0; call < 3000; ++call) {
+    switch (rng.Uniform(20)) {
+      case 0:
+        canvas.Clear();
+        break;
+      case 1:
+      case 2:
+        canvas.DrawLine(coord(), coord(), coord(), coord());
+        break;
+      case 3:
+      case 4: {
+        const double x = coord(), y = coord();
+        canvas.FillRect({x, y, x + rng.UniformDouble(0.0, 0.3),
+                         y + rng.UniformDouble(0.0, 0.3)});
+        break;
+      }
+      case 5:
+        canvas.DrawCircle(coord(), coord(), rng.UniformDouble(0.0, 0.4));
+        break;
+      default:
+        canvas.DrawPoint(coord(), coord());
+    }
+    uint64_t touched = 0, marks = 0;
+    for (int y = 0; y < canvas.height(); ++y) {
+      for (int x = 0; x < canvas.width(); ++x) {
+        touched += canvas.At(x, y) > 0;
+        marks += canvas.At(x, y);
+      }
+    }
+    ASSERT_EQ(canvas.total_marks(), marks) << "call " << call;
+    ASSERT_EQ(canvas.pixels_touched(), touched) << "call " << call;
+    const double overplot =
+        touched ? static_cast<double>(marks) / static_cast<double>(touched)
+                : 0.0;
+    const double hidden =
+        marks ? static_cast<double>(marks - touched) / static_cast<double>(marks)
+              : 0.0;
+    ASSERT_EQ(canvas.OverplotFactor(), overplot) << "call " << call;
+    ASSERT_EQ(canvas.HiddenMarkFraction(), hidden) << "call " << call;
+  }
 }
 
 TEST(M4Test, BudgetIsFourPerColumn) {
