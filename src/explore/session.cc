@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "obs/metrics.h"
 
@@ -40,23 +41,16 @@ void SessionLog::Record(OpKind kind, std::string detail, double latency_ms,
       &obs::MetricRegistry::Global().GetHistogram("explore.session.op_us");
   ops_counter->Increment();
   op_us->RecordDouble(latency_ms * 1e3);
+  ++recorded_;
+  total_latency_ms_ += latency_ms;
+  max_latency_ms_ = std::max(max_latency_ms_, latency_ms);
+  if (ops_.size() == kKeptOps) ops_.pop_front();
   ops_.push_back({kind, std::move(detail), latency_ms, objects_touched});
 }
 
-double SessionLog::TotalLatencyMs() const {
-  double total = 0;
-  for (const SessionOp& op : ops_) total += op.latency_ms;
-  return total;
-}
-
-double SessionLog::MaxLatencyMs() const {
-  double best = 0;
-  for (const SessionOp& op : ops_) best = std::max(best, op.latency_ms);
-  return best;
-}
-
 double SessionLog::MeanLatencyMs() const {
-  return ops_.empty() ? 0.0 : TotalLatencyMs() / static_cast<double>(ops_.size());
+  return recorded_ == 0 ? 0.0
+                        : total_latency_ms_ / static_cast<double>(recorded_);
 }
 
 double SessionLog::LatencyQuantileMs(double q) const {

@@ -1,8 +1,10 @@
 #ifndef LODVIZ_EXPLORE_SESSION_H_
 #define LODVIZ_EXPLORE_SESSION_H_
 
+#include <cstddef>
+#include <cstdint>
+#include <deque>
 #include <string>
-#include <vector>
 
 namespace lodviz::explore {
 
@@ -31,28 +33,35 @@ struct SessionOp {
   uint64_t objects_touched = 0;
 };
 
-/// Append-only log of an exploration session, with latency summaries —
-/// the instrument the claim benches use to report per-operation and
-/// cumulative costs.
+/// Log of an exploration session, with latency summaries — the instrument
+/// the claim benches use to report per-operation and cumulative costs.
+/// The count, total and maximum cover every recorded operation; only the
+/// most recent kKeptOps operations are kept, so an engine that serves a
+/// long session holds a bounded log.
 class SessionLog {
  public:
+  static constexpr size_t kKeptOps = 1024;
+
   void Record(OpKind kind, std::string detail, double latency_ms,
               uint64_t objects_touched = 0);
 
-  const std::vector<SessionOp>& ops() const { return ops_; }
-  size_t size() const { return ops_.size(); }
+  /// Operations recorded so far, kept or not.
+  size_t size() const { return recorded_; }
 
-  double TotalLatencyMs() const;
-  double MaxLatencyMs() const;
+  double TotalLatencyMs() const { return total_latency_ms_; }
+  double MaxLatencyMs() const { return max_latency_ms_; }
   double MeanLatencyMs() const;
-  /// Latency at the given quantile (0..1) over all ops.
+  /// Latency at the given quantile (0..1) over the kept operations.
   double LatencyQuantileMs(double q) const;
 
-  /// Compact textual trace.
+  /// Compact textual trace of the kept operations, oldest first.
   std::string ToString(size_t max_ops = 50) const;
 
  private:
-  std::vector<SessionOp> ops_;
+  std::deque<SessionOp> ops_;  // the most recent kKeptOps
+  size_t recorded_ = 0;
+  double total_latency_ms_ = 0.0;
+  double max_latency_ms_ = 0.0;
 };
 
 }  // namespace lodviz::explore

@@ -346,6 +346,16 @@ TEST(SessionTest, RecordsAndSummarizes) {
   EXPECT_DOUBLE_EQ(log.LatencyQuantileMs(0.5), 20.0);
   std::string trace = log.ToString();
   EXPECT_NE(trace.find("zoom"), std::string::npos);
+
+  // Totals cover every op; the trace and quantiles only the kept ones.
+  for (size_t i = 0; i < SessionLog::kKeptOps; ++i) {
+    log.Record(OpKind::kRender, "r", 1.0);
+  }
+  EXPECT_EQ(log.size(), SessionLog::kKeptOps + 3);
+  EXPECT_DOUBLE_EQ(log.TotalLatencyMs(), 60.0 + SessionLog::kKeptOps);
+  EXPECT_DOUBLE_EQ(log.MaxLatencyMs(), 30.0);
+  EXPECT_DOUBLE_EQ(log.LatencyQuantileMs(0.99), 1.0);
+  EXPECT_EQ(log.ToString().find("zoom"), std::string::npos);
 }
 
 }  // namespace
