@@ -383,6 +383,9 @@ class Parser {
       ++pos_;
       return NodeOrVar(rdf::Term::Iri(rdf::vocab::kRdfType));
     }
+    if (Peek().kind == TokenKind::kBlankNode) {
+      return Err("blank node as a predicate");
+    }
     return ParseNode(q, /*allow_literal=*/false);
   }
 

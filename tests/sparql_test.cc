@@ -300,6 +300,7 @@ TEST_F(EngineFixture, BlankNodeLabelsBindLikeHiddenVariables) {
 
   EXPECT_FALSE(
       ParseQuery("SELECT ?s WHERE { ?s ?p ?o FILTER(?o = _:b) }").ok());
+  EXPECT_FALSE(ParseQuery("SELECT ?s WHERE { ?s _:p ?o }").ok());
   EXPECT_FALSE(
       ParseQuery("CONSTRUCT { _:b <http://x/p> ?o } WHERE { ?s ?p ?o }").ok());
 }
