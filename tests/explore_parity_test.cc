@@ -107,6 +107,28 @@ std::vector<explore::Facet> HashFacets(const rdf::TripleSource& source,
   return facets;
 }
 
+/// The memory store's triples, delivered one per run.
+class OneTriplePerRun : public rdf::TripleSource {
+ public:
+  explicit OneTriplePerRun(const rdf::TripleSource* base) : base_(base) {}
+
+  void ScanRuns(const rdf::TriplePattern& pattern,
+                const ScanRunFn& fn) const override {
+    base_->Scan(pattern, [&](const rdf::Triple& t) { return fn(&t, 1); });
+  }
+  uint64_t Count(const rdf::TriplePattern& pattern) const override {
+    return base_->Count(pattern);
+  }
+  const rdf::Dictionary& dict() const override { return base_->dict(); }
+  uint64_t size() const override { return base_->size(); }
+  uint64_t PredicateCount(TermId p) const override {
+    return base_->PredicateCount(p);
+  }
+
+ private:
+  const rdf::TripleSource* base_;
+};
+
 std::string Digest(const hier::HETree& tree) {
   std::string out;
   for (hier::HETree::NodeId id = 0; id < tree.materialized_nodes(); ++id) {
@@ -236,7 +258,7 @@ TEST_F(ExploreParityTest, FacetsBeforeAndAfterSelect) {
   const TermId value = Iri(std::string(lod::kCategoryPrefix) + "2");
   const TermId person = Iri(lod::kPerson);
   const TermId type = Iri(rdf::vocab::kRdfType);
-  ExpectParity([&](const rdf::TripleSource& source) {
+  auto run = [&](const rdf::TripleSource& source) {
     // Each step's facets also match the hash-counted reference.
     explore::FacetedBrowser browser(&source);
     auto facets = [&] {
@@ -251,7 +273,10 @@ TEST_F(ExploreParityTest, FacetsBeforeAndAfterSelect) {
     out += facets();
     for (TermId s : browser.Matching()) out += std::to_string(s) + " ";
     return out;
-  });
+  };
+  ExpectParity(run);
+  // A backend may end a run anywhere, even inside one value's subjects.
+  EXPECT_EQ(run(OneTriplePerRun(mem_.get())), run(*mem_));
 }
 
 TEST_F(ExploreParityTest, HETreeOverNumericAndTemporalProperties) {

@@ -169,8 +169,9 @@ TEST(FacetsTest, DistinctValueAndListingBounds) {
 }
 
 TEST(FacetsTest, EqualCountAndLabelBreaksTieById) {
-  // The IRI x and the literal "x" share a label; with equal counts the
-  // smaller id comes first, whichever order they were added in.
+  // The IRI x, the literal "x" and "x" in 40 languages share one label;
+  // with equal counts the smaller id comes first, whichever order they
+  // were interned in.
   using rdf::Term;
   for (bool literal_first : {true, false}) {
     rdf::TripleStore store;
@@ -179,17 +180,24 @@ TEST(FacetsTest, EqualCountAndLabelBreaksTieById) {
     const Term literal = Term::Literal("http://x/v");
     store.Add(Term::Iri("http://x/s1"), pred, literal_first ? literal : iri);
     store.Add(Term::Iri("http://x/s2"), pred, literal_first ? iri : literal);
+    for (int i = 0; i < 40; ++i) {
+      std::string lang = "l";
+      lang += std::to_string(i);
+      store.Add(Term::Iri("http://x/t" + std::to_string(i)), pred,
+                Term::LangLiteral("http://x/v", lang));
+    }
     FacetedBrowser browser(&store);
     const std::vector<Facet> facets = browser.Facets();
     ASSERT_EQ(facets.size(), 1u);
-    ASSERT_EQ(facets[0].values.size(), 2u);
-    const rdf::TermId first = store.dict().Lookup(literal_first ? literal : iri);
-    const rdf::TermId second =
-        store.dict().Lookup(literal_first ? iri : literal);
-    ASSERT_LT(first, second);
-    EXPECT_EQ(facets[0].values[0].value, first);
-    EXPECT_EQ(facets[0].values[1].value, second);
-    EXPECT_EQ(facets[0].values[0].label, facets[0].values[1].label);
+    ASSERT_EQ(facets[0].values.size(), 20u);
+    EXPECT_EQ(facets[0].values[0].value,
+              store.dict().Lookup(literal_first ? literal : iri));
+    EXPECT_EQ(facets[0].values[1].value,
+              store.dict().Lookup(literal_first ? iri : literal));
+    for (size_t i = 1; i < facets[0].values.size(); ++i) {
+      EXPECT_LT(facets[0].values[i - 1].value, facets[0].values[i].value);
+      EXPECT_EQ(facets[0].values[i].label, "http://x/v");
+    }
   }
 }
 
