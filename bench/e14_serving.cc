@@ -183,7 +183,7 @@ void Run() {
 
   // Cold pass: first execution of each query plans it; the bodies become
   // the reference every later (cached-plan) answer must match byte for
-  // byte — the answer-stability contract gate 5 also enforces.
+  // byte — the answer-stability contract gate 6 also enforces.
   std::vector<std::string> expected;
   for (const std::string& req : requests) {
     Result<serve::HttpResponse> cold = serve::ParseHttpResponse(

@@ -7,14 +7,18 @@
 #   2. thread-safety    — clang -Werror=thread-safety build of the library
 #      (skipped with a notice when clang++ is not installed; the annotation
 #      macros are no-ops elsewhere, so only clang can check them)
-#   3. ASan+UBSan       — full tier-1 suite under address+undefined
-#   4. TSan             — obs/exec/sparql/serve/rdf-store concurrency tests
-#   5. serving parity   — serve_check drives a live HTTP server with
+#   3. reachability     — scripts/reachability.sh: every library function
+#      is kept by a shipped program (bench, tool, example, lodbench) or
+#      named in scripts/reachability_allowlist.txt with its reason, and no
+#      allowlist entry is stale (an -O0 build of the programs, minutes)
+#   4. ASan+UBSan       — full tier-1 suite under address+undefined
+#   5. TSan             — obs/exec/sparql/serve/rdf-store concurrency tests
+#   6. serving parity   — serve_check drives a live HTTP server with
 #      concurrent clients and asserts every answer (cold plan cache, warm
 #      plan cache, and under contention) is bit-identical to a direct
 #      QueryEngine execution of the same query
 #
-#   scripts/check.sh            # all five gates
+#   scripts/check.sh            # all six gates
 #   scripts/check.sh --lint     # gate 1 only (fast pre-commit check)
 #
 # Run from the repository root. See README "Correctness tooling".
@@ -27,7 +31,7 @@ ASAN_BUILD=build-asan
 TSAN_BUILD=build-tsan
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 2)"
 
-echo "== [1/5] static analysis (lodviz_lint) =="
+echo "== [1/6] static analysis (lodviz_lint) =="
 cmake -B "$LINT_BUILD" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$LINT_BUILD" --target lodviz_lint -j "$JOBS" >/dev/null
 "$LINT_BUILD"/tools/lint/lodviz_lint --self-test
@@ -41,7 +45,7 @@ if [ "${1:-}" = "--lint" ]; then
   exit 0
 fi
 
-echo "== [2/5] clang -Werror=thread-safety =="
+echo "== [2/6] clang -Werror=thread-safety =="
 if command -v clang++ >/dev/null 2>&1; then
   # Library targets only: the annotations live in src/, and this keeps the
   # leg fast enough to run before the sanitizer builds.
@@ -54,12 +58,15 @@ else
        "the lint gate above still enforces GUARDED_BY/lock-order statically)"
 fi
 
-echo "== [3/5] ASan+UBSan tier-1 suite =="
+echo "== [3/6] reachability (no library function without a shipped caller) =="
+bash scripts/reachability.sh
+
+echo "== [4/6] ASan+UBSan tier-1 suite =="
 cmake -B "$ASAN_BUILD" -S . -C cmake/sanitize.cmake >/dev/null
 cmake --build "$ASAN_BUILD" -j "$JOBS"
 ctest --test-dir "$ASAN_BUILD" --output-on-failure -j "$JOBS"
 
-echo "== [4/5] TSan obs + exec + sparql + serve + rdf store concurrency tests =="
+echo "== [5/6] TSan obs + exec + sparql + serve + rdf store concurrency tests =="
 # ThreadSanitizer is exclusive with ASan, so the concurrency tests get their
 # own build tree. The Exec suites cover the thread pool plus every
 # parallelized hot path (hetree, progressive, clustering, bundling, layout,
@@ -74,7 +81,7 @@ echo "== [4/5] TSan obs + exec + sparql + serve + rdf store concurrency tests ==
 # gate for the serving layer's front door.
 # The SparqlParity golden grid runs every memory/disk × join × thread leg
 # with profiling off and on, and the shared-engine tests mix profiled and
-# plain engines, so gate 3 (ASan) and this gate cover the profiler's
+# plain engines, so gate 4 (ASan) and this gate cover the profiler's
 # observe-don't-perturb contract.
 # RdfStoreConcurrency races readers to the memory store's first fold and
 # keeps scans running (with their callbacks parked) while a writer
@@ -87,7 +94,7 @@ ctest --test-dir "$TSAN_BUILD" \
   -R '^(Obs|Exec|SparqlParity|Serve|RdfStoreConcurrency)' \
   --output-on-failure -j "$JOBS"
 
-echo "== [5/5] serving layer end-to-end parity (serve_check) =="
+echo "== [6/6] serving layer end-to-end parity (serve_check) =="
 # serve_check starts a real server on an ephemeral port and asserts that
 # HTTP answers — cold cache, warm cache, and under 8 concurrent clients —
 # are bit-identical to direct in-process execution, and that the plan

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# reachability.sh — lists the library functions that no shipped program keeps.
+# reachability.sh — fails when a library function has no shipped caller.
 #
 # Method:
 #   1. Build the lodviz libraries and every non-test program at -O0 with
@@ -14,17 +14,32 @@
 #      with the symbols those binaries still define. A library function no
 #      binary keeps is reached only from tests, or from nothing.
 #
+# The gate: every unreached function must match an entry of
+# scripts/reachability_allowlist.txt, and every entry must match at least
+# one unreached function (an entry whose function was deleted or gained a
+# caller is stale and fails the gate too). An entry is one line: a
+# demangled name prefix, then the reason it is kept. At most 20 entries.
+# Allowed reasons: a reference that tests compare shipped code against, a
+# function that a named ROADMAP item gives a caller, or a member a type
+# needs for safety. Everything else with no shipped caller is deleted.
+#
 # Blind spots: header-inline functions and templates are emitted as weak
 # symbols into every object that uses them, not as strong symbols of the
-# library, so this script cannot see them at all. A function kept only
-# because a kept function references it counts as kept, and a virtual
+# library, so this script cannot see them at all; nor can it see
+# anonymous-namespace or static helpers (local symbols — -Werror's
+# unused-function warning catches those). Moving a function body into a
+# header, or into an anonymous namespace, to hide it from nm is out of
+# bounds: delete the function or give it a real caller. A function kept
+# only because a kept function references it counts as kept, and a virtual
 # function counts as kept whenever its class's vtable is.
 #
 # Usage: scripts/reachability.sh [-v] [BUILD_DIR]
 #   BUILD_DIR defaults to build-reach. -v prints each unreached function
-#   (demangled) under its library. The last lines give one count per
-#   library and the total. This is a report, not a gate: it exits 0
-#   whatever it finds, and non-zero only when the build fails.
+#   (demangled) under its library, marked "allowed" when an allowlist
+#   entry covers it. The last lines give one count per library (unreached,
+#   and of those not allowlisted) and the totals. Exit status: 0 when the
+#   gate passes, 1 when it fails (an unlisted unreached function, a stale
+#   or reasonless entry, or more than 20 entries), 2 when the build fails.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -36,6 +51,8 @@ if [[ "${1:-}" == "-v" ]]; then
 fi
 BUILD="${1:-build-reach}"
 JOBS="${JOBS:-4}"
+ALLOWLIST=scripts/reachability_allowlist.txt
+MAX_ENTRIES=20
 
 FLAGS=(-DCMAKE_BUILD_TYPE=Debug
        -DCMAKE_CXX_FLAGS_DEBUG=-O0
@@ -48,11 +65,18 @@ for f in bench/*.cc tools/*.cc examples/*.cpp; do
   programs+=("${name%.*}")
 done
 
+build() {
+  cmake -B "$BUILD" -S . "${FLAGS[@]}" >/dev/null &&
+    cmake --build "$BUILD" -j "$JOBS" --target "${programs[@]}" >/dev/null &&
+    cmake -B "$BUILD/lodbench" -S lodbench "${FLAGS[@]}" >/dev/null &&
+    cmake --build "$BUILD/lodbench" -j "$JOBS" --target lodbench >/dev/null
+}
+
 echo "== building ${#programs[@]} programs + lodbench in $BUILD (-O0, gc-sections) ==" >&2
-cmake -B "$BUILD" -S . "${FLAGS[@]}" >/dev/null
-cmake --build "$BUILD" -j "$JOBS" --target "${programs[@]}" >/dev/null
-cmake -B "$BUILD/lodbench" -S lodbench "${FLAGS[@]}" >/dev/null
-cmake --build "$BUILD/lodbench" -j "$JOBS" --target lodbench >/dev/null
+if ! build; then
+  echo "reachability: build failed" >&2
+  exit 2
+fi
 
 binaries=("$BUILD/lodbench/lodbench")
 for name in "${programs[@]}"; do
@@ -60,34 +84,94 @@ for name in "${programs[@]}"; do
               -type f -name "$name" -perm -u+x -print -quit)"
   if [[ -z "$bin" ]]; then
     echo "reachability: no binary for $name" >&2
-    exit 1
+    exit 2
   fi
   binaries+=("$bin")
 done
 
+# Allowlist: "<prefix> <reason...>" per line; blank lines and # comments
+# are skipped.
+prefixes=()
+failed=0
+while read -r prefix reason; do
+  [[ -z "$prefix" || "$prefix" == \#* ]] && continue
+  if [[ -z "$reason" ]]; then
+    echo "reachability: allowlist entry '$prefix' gives no reason" >&2
+    failed=1
+  fi
+  prefixes+=("$prefix")
+done <"$ALLOWLIST"
+if ((${#prefixes[@]} > MAX_ENTRIES)); then
+  echo "reachability: ${#prefixes[@]} allowlist entries (at most" \
+       "$MAX_ENTRIES)" >&2
+  failed=1
+fi
+
+allowed() {
+  local name="$1" p
+  for p in "${prefixes[@]}"; do
+    [[ "$name" == "$p"* ]] && return 0
+  done
+  return 1
+}
+
 kept="$(mktemp)"
-trap 'rm -f "$kept"' EXIT
+all_unreached="$(mktemp)"
+trap 'rm -f "$kept" "$all_unreached"' EXIT
 for bin in "${binaries[@]}"; do
   nm --defined-only "$bin" | awk 'NF == 3 { print $3 }'
 done | sort -u >"$kept"
 
 total=0
+total_unlisted=0
 summary=""
 for lib in $(find "$BUILD/src" -name 'liblodviz_*.a' | sort); do
   name="$(basename "$lib" .a)"
   name="${name#lib}"
   unreached="$(nm --defined-only "$lib" 2>/dev/null |
                awk 'NF == 3 && $2 == "T" { print $3 }' | sort -u |
-               comm -23 - "$kept")"
+               comm -23 - "$kept" | c++filt)"
   count=0
+  unlisted=0
   if [[ -n "$unreached" ]]; then
-    count="$(printf '%s\n' "$unreached" | wc -l)"
-    if [[ "$VERBOSE" == 1 ]]; then
-      printf '%s\n' "$unreached" | c++filt | sed "s/^/$name\t/"
-    fi
+    while IFS= read -r fn; do
+      count=$((count + 1))
+      printf '%s\n' "$fn" >>"$all_unreached"
+      if allowed "$fn"; then
+        mark="allowed"
+      else
+        mark="UNLISTED"
+        unlisted=$((unlisted + 1))
+      fi
+      if [[ "$VERBOSE" == 1 || "$mark" == UNLISTED ]]; then
+        printf '%s\t%s\t%s\n' "$name" "$mark" "$fn"
+      fi
+    done <<<"$unreached"
   fi
   total=$((total + count))
-  summary+="$(printf '%-18s %4d' "$name" "$count")"$'\n'
+  total_unlisted=$((total_unlisted + unlisted))
+  summary+="$(printf '%-18s %4d unreached %4d unlisted' \
+              "$name" "$count" "$unlisted")"$'\n'
 done
 printf '%s' "$summary"
-printf '%-18s %4d\n' total "$total"
+printf '%-18s %4d unreached %4d unlisted\n' total "$total" "$total_unlisted"
+
+for p in "${prefixes[@]}"; do
+  if ! awk -v p="$p" 'index($0, p) == 1 { found = 1 } END { exit !found }' \
+       "$all_unreached"; then
+    echo "reachability: stale allowlist entry '$p' matches no unreached" \
+         "function" >&2
+    failed=1
+  fi
+done
+
+if ((total_unlisted > 0)); then
+  echo "reachability: $total_unlisted unreached function(s) not in" \
+       "$ALLOWLIST: delete them or give them a shipped caller" >&2
+  failed=1
+fi
+if ((failed)); then
+  echo "reachability: FAILED" >&2
+  exit 1
+fi
+echo "reachability: OK (${#prefixes[@]} allowlist entries)"

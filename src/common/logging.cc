@@ -4,7 +4,8 @@ namespace lodviz {
 namespace internal_logging {
 
 namespace {
-LogLevel g_level = LogLevel::kWarning;
+/// Messages below this level are discarded.
+constexpr LogLevel kMinLevel = LogLevel::kWarning;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -21,11 +22,8 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-LogLevel GetLogLevel() { return g_level; }
-void SetLogLevel(LogLevel level) { g_level = level; }
-
 LogMessage::LogMessage(LogLevel level, const char* file, int line, bool fatal)
-    : level_(level), fatal_(fatal), enabled_(fatal || level >= g_level) {
+    : level_(level), fatal_(fatal), enabled_(fatal || level >= kMinLevel) {
   if (enabled_) {
     stream_ << "[" << LevelName(level_) << " " << file << ":" << line << "] ";
   }

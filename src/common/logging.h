@@ -16,10 +16,6 @@ namespace internal_logging {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
-/// Process-wide minimum level; messages below it are discarded.
-LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
-
 /// Accumulates one log line and flushes it (with level prefix) on
 /// destruction. `fatal` aborts the process after flushing.
 class LogMessage {

@@ -5,31 +5,6 @@
 
 namespace lodviz {
 
-std::vector<std::string> SplitString(std::string_view input, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (true) {
-    size_t pos = input.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(input.substr(start));
-      break;
-    }
-    out.emplace_back(input.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return out;
-}
-
-std::string JoinStrings(const std::vector<std::string>& parts,
-                        std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 std::string_view TrimWhitespace(std::string_view s) {
   size_t b = 0;
   while (b < s.size() && std::isspace(static_cast<unsigned char>(s[b]))) ++b;

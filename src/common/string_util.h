@@ -7,13 +7,6 @@
 
 namespace lodviz {
 
-/// Splits `input` on `sep`, keeping empty fields.
-std::vector<std::string> SplitString(std::string_view input, char sep);
-
-/// Joins `parts` with `sep`.
-std::string JoinStrings(const std::vector<std::string>& parts,
-                        std::string_view sep);
-
 /// Strips ASCII whitespace from both ends.
 std::string_view TrimWhitespace(std::string_view s);
 

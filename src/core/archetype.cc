@@ -60,19 +60,6 @@ Result<ProbeResult> ArchetypeAdapter::Probe(Capability capability) {
   return result;
 }
 
-std::vector<ProbeResult> ArchetypeAdapter::ProbeAll() {
-  std::vector<ProbeResult> results;
-  for (Capability cap : AllCapabilities()) {
-    Result<ProbeResult> r = Probe(cap);
-    if (r.ok()) {
-      results.push_back(r.ValueOrDie());
-    } else {
-      results.push_back({cap, /*executed=*/false, 0});
-    }
-  }
-  return results;
-}
-
 Result<uint64_t> ArchetypeAdapter::RunKeywordSearch() {
   std::vector<explore::SearchHit> hits = engine_->Search("ancient", 10);
   if (hits.empty()) return Status::NotFound("keyword probe found nothing");

@@ -34,9 +34,6 @@ class ArchetypeAdapter {
   /// Runs one capability probe.
   Result<ProbeResult> Probe(Capability capability);
 
-  /// Runs all capability probes in table-column order.
-  std::vector<ProbeResult> ProbeAll();
-
  private:
   Result<uint64_t> RunKeywordSearch();
   Result<uint64_t> RunFilter();

@@ -26,15 +26,4 @@ std::string_view CapabilityName(Capability cap) {
   return "?";
 }
 
-const std::vector<Capability>& AllCapabilities() {
-  static const std::vector<Capability> kAll = {
-      Capability::kKeywordSearch, Capability::kFilter,
-      Capability::kSampling,      Capability::kAggregation,
-      Capability::kIncremental,   Capability::kDiskBased,
-      Capability::kRecommendation, Capability::kPreferences,
-      Capability::kStatistics,
-  };
-  return kAll;
-}
-
 }  // namespace lodviz::core

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace lodviz::core {
 
@@ -36,9 +35,6 @@ inline bool HasCapability(CapabilitySet set, Capability cap) {
 }
 
 std::string_view CapabilityName(Capability cap);
-
-/// All capabilities, in table-column order.
-const std::vector<Capability>& AllCapabilities();
 
 }  // namespace lodviz::core
 

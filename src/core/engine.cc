@@ -73,16 +73,6 @@ size_t Engine::LoadSynthetic(const workload::SyntheticLodOptions& options) {
   return n;
 }
 
-size_t Engine::IngestStream(rdf::StreamSource* source, size_t batch_size) {
-  LODVIZ_TRACE_SPAN("core.engine.ingest_stream");
-  CountCapability("ingest_stream");
-  Stopwatch sw;
-  size_t n = rdf::IngestStream(source, &store_, batch_size);
-  FinishLoad();
-  session_.Record(explore::OpKind::kLoad, "stream", sw.ElapsedMillis(), n);
-  return n;
-}
-
 Result<std::vector<rdf::ParsedTriple>> Engine::QueryGraph(
     std::string_view sparql_text) {
   LODVIZ_TRACE_SPAN("core.engine.query_graph");
@@ -188,11 +178,6 @@ Result<hier::HETree> Engine::BuildHierarchy(
 graph::Graph Engine::BuildGraph() const {
   CountCapability("build_graph");
   return graph::Graph::FromSource(store_);
-}
-
-graph::GraphHierarchy Engine::BuildGraphHierarchy(
-    const graph::GraphHierarchy::Options& options) const {
-  return graph::GraphHierarchy::Build(BuildGraph(), options);
 }
 
 explore::FacetedBrowser Engine::MakeBrowser() const {

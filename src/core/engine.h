@@ -9,10 +9,8 @@
 #include "explore/keyword.h"
 #include "explore/session.h"
 #include "graph/graph.h"
-#include "graph/supergraph.h"
 #include "hier/hetree.h"
 #include "rec/recommender.h"
-#include "rdf/streaming.h"
 #include "rdf/triple_source.h"
 #include "rdf/triple_store.h"
 #include "serve/frontend.h"
@@ -67,7 +65,6 @@ class Engine {
   // ---- data in ----
   Status LoadNTriples(std::string_view document);
   size_t LoadSynthetic(const workload::SyntheticLodOptions& options);
-  size_t IngestStream(rdf::StreamSource* source, size_t batch_size);
 
   // ---- query & analysis ----
   Result<sparql::ResultTable> Query(std::string_view sparql_text);
@@ -106,8 +103,6 @@ class Engine {
   Result<hier::HETree> BuildHierarchy(const std::string& property_iri,
                                       const hier::HETree::Options& options);
   graph::Graph BuildGraph() const;
-  graph::GraphHierarchy BuildGraphHierarchy(
-      const graph::GraphHierarchy::Options& options) const;
 
   // ---- exploration services ----
   explore::FacetedBrowser MakeBrowser() const;

@@ -1,42 +1,21 @@
 #include "core/ldvm.h"
 
+#include <vector>
+
 namespace lodviz::core {
 
-LdvmPipeline::LdvmPipeline(Engine* engine) : engine_(engine) {
-  analytical_ = [](Engine& e) { return e.Profile(); };
-  visual_ = [](Engine& e, const stats::DatasetProfile& profile)
-      -> Result<viz::VisSpec> {
-    std::vector<rec::Recommendation> recs =
-        e.recommender().Recommend(profile, 1);
-    if (recs.empty()) {
-      return Status::NotFound("no visualization applies to this profile");
-    }
-    return recs.front().spec;
-  };
-  view_ = [](Engine& e, const viz::VisSpec& spec) {
-    return e.Render(spec, /*with_svg=*/false);
-  };
-}
-
-LdvmPipeline& LdvmPipeline::WithAnalyticalStage(AnalyticalStage stage) {
-  analytical_ = std::move(stage);
-  return *this;
-}
-
-LdvmPipeline& LdvmPipeline::WithVisualStage(VisualStage stage) {
-  visual_ = std::move(stage);
-  return *this;
-}
-
-LdvmPipeline& LdvmPipeline::WithViewStage(ViewStage stage) {
-  view_ = std::move(stage);
-  return *this;
-}
-
 Result<ViewResult> LdvmPipeline::Run() {
-  LODVIZ_ASSIGN_OR_RETURN(profile_, analytical_(*engine_));
-  LODVIZ_ASSIGN_OR_RETURN(spec_, visual_(*engine_, profile_));
-  return view_(*engine_, spec_);
+  // Stage 2: dataset -> analytical abstraction (profile).
+  LODVIZ_ASSIGN_OR_RETURN(stats::DatasetProfile profile, engine_->Profile());
+  // Stage 3: profile -> visualization abstraction (the top recommendation).
+  std::vector<rec::Recommendation> recs =
+      engine_->recommender().Recommend(profile, 1);
+  if (recs.empty()) {
+    return Status::NotFound("no visualization applies to this profile");
+  }
+  spec_ = recs.front().spec;
+  // Stage 4: spec -> view.
+  return engine_->Render(spec_, /*with_svg=*/false);
 }
 
 }  // namespace lodviz::core

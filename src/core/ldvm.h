@@ -1,10 +1,6 @@
 #ifndef LODVIZ_CORE_LDVM_H_
 #define LODVIZ_CORE_LDVM_H_
 
-#include <functional>
-#include <string>
-#include <vector>
-
 #include "core/engine.h"
 
 namespace lodviz::core {
@@ -12,42 +8,21 @@ namespace lodviz::core {
 /// The Linked Data Visualization Model [29]: a four-stage pipeline
 ///   Source data -> Analytical abstraction -> Visualization abstraction
 ///   -> View
-/// where each stage is replaceable, so different datasets connect to
-/// different visualizations dynamically. lodviz's default stages are the
-/// profiler, the recommender, and the headless renderer; callers override
-/// any stage with their own function.
+/// run by lodviz's stages: the profiler, the recommender, and the
+/// headless renderer.
 class LdvmPipeline {
  public:
-  /// Stage 2: dataset -> analytical abstraction (profile).
-  using AnalyticalStage =
-      std::function<Result<stats::DatasetProfile>(Engine&)>;
-  /// Stage 3: profile -> visualization abstraction (a spec).
-  using VisualStage = std::function<Result<viz::VisSpec>(
-      Engine&, const stats::DatasetProfile&)>;
-  /// Stage 4: spec -> view.
-  using ViewStage =
-      std::function<Result<ViewResult>(Engine&, const viz::VisSpec&)>;
-
-  /// A pipeline with the default stages over `engine` (not owned).
-  explicit LdvmPipeline(Engine* engine);
-
-  LdvmPipeline& WithAnalyticalStage(AnalyticalStage stage);
-  LdvmPipeline& WithVisualStage(VisualStage stage);
-  LdvmPipeline& WithViewStage(ViewStage stage);
+  /// A pipeline over `engine` (not owned).
+  explicit LdvmPipeline(Engine* engine) : engine_(engine) {}
 
   /// Runs all four stages (stage 1, the source, is the engine's store).
   Result<ViewResult> Run();
 
-  /// Stage outputs of the last Run (for inspection / tests).
-  const stats::DatasetProfile& last_profile() const { return profile_; }
+  /// The spec stage 3 chose in the last Run.
   const viz::VisSpec& last_spec() const { return spec_; }
 
  private:
   Engine* engine_;
-  AnalyticalStage analytical_;
-  VisualStage visual_;
-  ViewStage view_;
-  stats::DatasetProfile profile_;
   viz::VisSpec spec_;
 };
 

@@ -145,14 +145,4 @@ SurveyedSystem LodvizSystem(int table) {
   return s;
 }
 
-const SurveyedSystem* FindSystem(const std::string& name) {
-  for (const auto& s : Table1Systems()) {
-    if (s.name == name) return &s;
-  }
-  for (const auto& s : Table2Systems()) {
-    if (s.name == name) return &s;
-  }
-  return nullptr;
-}
-
 }  // namespace lodviz::core

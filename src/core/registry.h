@@ -34,9 +34,6 @@ const std::vector<SurveyedSystem>& Table2Systems();
 /// all capability columns on.
 SurveyedSystem LodvizSystem(int table);
 
-/// Find a system by name; nullptr if absent.
-const SurveyedSystem* FindSystem(const std::string& name);
-
 }  // namespace lodviz::core
 
 #endif  // LODVIZ_CORE_REGISTRY_H_

@@ -106,24 +106,6 @@ Result<DataCube> DataCube::FromStore(
   return cube;
 }
 
-Result<DataCube> DataCube::FromObservations(
-    std::vector<std::string> dimension_names,
-    std::vector<std::string> measure_names,
-    std::vector<Observation> observations, const rdf::Dictionary* dict) {
-  for (const Observation& o : observations) {
-    if (o.dims.size() != dimension_names.size() ||
-        o.measures.size() != measure_names.size()) {
-      return Status::InvalidArgument("observation arity mismatch");
-    }
-  }
-  DataCube cube;
-  cube.dimension_names_ = std::move(dimension_names);
-  cube.measure_names_ = std::move(measure_names);
-  cube.observations_ = std::move(observations);
-  cube.dict_ = dict;
-  return cube;
-}
-
 std::string DataCube::ValueLabel(rdf::TermId value) const {
   if (dict_ != nullptr && dict_->Contains(value)) {
     return dict_->term(value).lexical;

@@ -38,13 +38,6 @@ class DataCube {
       const std::vector<std::string>& dimension_predicates,
       const std::vector<std::string>& measure_predicates);
 
-  /// Builds directly from rows (tests / generators).
-  static Result<DataCube> FromObservations(
-      std::vector<std::string> dimension_names,
-      std::vector<std::string> measure_names,
-      std::vector<Observation> observations,
-      const rdf::Dictionary* dict);
-
   const std::vector<std::string>& dimension_names() const {
     return dimension_names_;
   }

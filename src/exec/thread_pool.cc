@@ -1,5 +1,6 @@
 #include "exec/thread_pool.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -10,20 +11,19 @@ namespace lodviz::exec {
 
 namespace {
 
-/// Set for the duration of WorkerLoop; lets InThisPool()/ParallelFor detect
+/// Set for the duration of WorkerLoop; lets InAnyPool()/ParallelFor detect
 /// re-entrant parallelism without any lock.
 thread_local const ThreadPool* tl_worker_pool = nullptr;
 
 }  // namespace
 
-ThreadPool::ThreadPool(size_t num_threads) {
-  if (num_threads < 1) num_threads = 1;
+ThreadPool::ThreadPool(size_t num_threads)
+    : num_threads_(std::max<size_t>(num_threads, 1)) {
   obs::MetricRegistry::Global()
       .GetGauge("exec.pool.threads")
-      .Set(static_cast<int64_t>(num_threads));
-  worker_task_counts_.assign(num_threads, 0);
-  workers_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
+      .Set(static_cast<int64_t>(num_threads_));
+  workers_.reserve(num_threads_);
+  for (size_t i = 0; i < num_threads_; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
@@ -57,26 +57,6 @@ void ThreadPool::Shutdown() {
   obs::MetricRegistry::Global().GetGauge("exec.pool.threads").Set(0);
 }
 
-size_t ThreadPool::num_threads() const {
-  MutexLock lock(&mu_);
-  return worker_task_counts_.size();
-}
-
-uint64_t ThreadPool::tasks_executed() const {
-  MutexLock lock(&mu_);
-  uint64_t total = 0;
-  for (uint64_t c : worker_task_counts_) total += c;
-  return total;
-}
-
-uint64_t ThreadPool::worker_tasks(size_t i) const {
-  MutexLock lock(&mu_);
-  LODVIZ_CHECK(i < worker_task_counts_.size()) << "worker index" << i;
-  return worker_task_counts_[i];
-}
-
-bool ThreadPool::InThisPool() const { return tl_worker_pool == this; }
-
 bool ThreadPool::InAnyPool() { return tl_worker_pool != nullptr; }
 
 void ThreadPool::WorkerLoop(size_t worker_index) {
@@ -98,7 +78,6 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
       task = std::move(queue_.front());
       queue_.pop_front();
       queue_depth.Set(static_cast<int64_t>(queue_.size()));
-      ++worker_task_counts_[worker_index];
     }
     pool_tasks.Increment();
     my_tasks.Increment();

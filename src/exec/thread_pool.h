@@ -45,18 +45,8 @@ class ThreadPool {
   /// the workers. Idempotent; called by the destructor.
   void Shutdown() LODVIZ_EXCLUDES(mu_);
 
-  /// Pool size; stable across Shutdown() so post-mortem counter queries
-  /// (worker_tasks) can still iterate the workers.
-  size_t num_threads() const LODVIZ_EXCLUDES(mu_);
-
-  /// Total tasks executed across all workers.
-  uint64_t tasks_executed() const LODVIZ_EXCLUDES(mu_);
-
-  /// Tasks executed by worker `i` (also exported as exec.worker.<i>.tasks).
-  uint64_t worker_tasks(size_t i) const LODVIZ_EXCLUDES(mu_);
-
-  /// True iff the calling thread is one of this pool's workers.
-  bool InThisPool() const;
+  /// Pool size; stable across Shutdown().
+  size_t num_threads() const { return num_threads_; }
 
   /// True iff the calling thread is a worker of ANY ThreadPool (lock-free
   /// thread-local check; used by SerialMode to detect nested parallelism).
@@ -76,8 +66,7 @@ class ThreadPool {
   /// is the happens-before edge that makes the final clear() safe.
   // LINT-ALLOW(concurrency.guarded_by): ctor/Shutdown-only; join is the sync
   std::vector<std::thread> workers_;
-  /// Task counts, one slot per worker; mirrored into the obs registry.
-  std::vector<uint64_t> worker_task_counts_ LODVIZ_GUARDED_BY(mu_);
+  const size_t num_threads_;
 };
 
 }  // namespace lodviz::exec

@@ -43,14 +43,6 @@ Result<ResourceView> ResourceBrowser::Describe(rdf::TermId resource) const {
   return view;
 }
 
-Result<ResourceView> ResourceBrowser::DescribeIri(const std::string& iri) const {
-  rdf::TermId id = source_->dict().Lookup(rdf::Term::Iri(iri));
-  if (id == rdf::kInvalidTermId) {
-    return Status::NotFound("no such resource: " + iri);
-  }
-  return Describe(id);
-}
-
 Result<ResourceView> ResourceBrowser::Navigate(rdf::TermId resource) {
   LODVIZ_ASSIGN_OR_RETURN(ResourceView view, Describe(resource));
   history_.resize(position_);  // drop any forward entries

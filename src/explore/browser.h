@@ -38,7 +38,6 @@ class ResourceBrowser {
 
   /// Describes a resource without touching navigation history.
   Result<ResourceView> Describe(rdf::TermId resource) const;
-  Result<ResourceView> DescribeIri(const std::string& iri) const;
 
   /// Navigates to a resource (pushes onto the history).
   Result<ResourceView> Navigate(rdf::TermId resource);

@@ -127,17 +127,4 @@ Status FacetedBrowser::Select(rdf::TermId predicate, rdf::TermId value) {
   return Status::OK();
 }
 
-Status FacetedBrowser::Deselect(rdf::TermId predicate) {
-  if (selection_.erase(predicate) == 0) {
-    return Status::NotFound("predicate was not selected");
-  }
-  Recompute();
-  return Status::OK();
-}
-
-void FacetedBrowser::Reset() {
-  selection_.clear();
-  Recompute();
-}
-
 }  // namespace lodviz::explore

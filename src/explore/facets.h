@@ -48,12 +48,6 @@ class FacetedBrowser {
   /// Adds a conjunctive constraint (predicate = value) and refines.
   Status Select(rdf::TermId predicate, rdf::TermId value);
 
-  /// Removes the constraint on `predicate`.
-  Status Deselect(rdf::TermId predicate);
-
-  /// Clears all constraints.
-  void Reset();
-
   /// Current constraints as (predicate, value).
   const std::map<rdf::TermId, rdf::TermId>& selection() const {
     return selection_;

@@ -23,8 +23,6 @@ void InterestModel::MarkInteresting(rdf::TermId subject) {
   marked_.insert(subject);
 }
 
-void InterestModel::ClearMarks() { marked_.clear(); }
-
 std::vector<InterestSignal> InterestModel::TopSignals(size_t k) const {
   if (marked_.empty()) return {};
   const rdf::Dictionary& dict = source_->dict();

@@ -34,7 +34,6 @@ class InterestModel {
 
   /// Marks an entity as interesting (idempotent).
   void MarkInteresting(rdf::TermId subject);
-  void ClearMarks();
   size_t num_marked() const { return marked_.size(); }
 
   /// The strongest discriminating facets, by lift (requires >= 1 mark).

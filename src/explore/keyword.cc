@@ -110,14 +110,4 @@ std::vector<SearchHit> KeywordIndex::Search(const std::string& query,
   return hits;
 }
 
-size_t KeywordIndex::MemoryUsage() const {
-  size_t bytes = subjects_.capacity() * sizeof(rdf::TermId) +
-                 doc_lengths_.capacity() * sizeof(double);
-  for (const std::string& l : labels_) bytes += l.capacity();
-  for (const auto& [term, list] : postings_) {
-    bytes += term.capacity() + list.capacity() * sizeof(Posting);
-  }
-  return bytes;
-}
-
 }  // namespace lodviz::explore

@@ -34,7 +34,6 @@ class KeywordIndex {
 
   size_t num_documents() const { return doc_lengths_.size(); }
   size_t num_terms() const { return postings_.size(); }
-  size_t MemoryUsage() const;
 
  private:
   struct Posting {

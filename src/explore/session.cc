@@ -48,23 +48,6 @@ void SessionLog::Record(OpKind kind, std::string detail, double latency_ms,
   ops_.push_back({kind, std::move(detail), latency_ms, objects_touched});
 }
 
-double SessionLog::MeanLatencyMs() const {
-  return recorded_ == 0 ? 0.0
-                        : total_latency_ms_ / static_cast<double>(recorded_);
-}
-
-double SessionLog::LatencyQuantileMs(double q) const {
-  if (ops_.empty()) return 0.0;
-  std::vector<double> latencies;
-  latencies.reserve(ops_.size());
-  for (const SessionOp& op : ops_) latencies.push_back(op.latency_ms);
-  std::sort(latencies.begin(), latencies.end());
-  size_t idx = static_cast<size_t>(
-      std::min<double>(latencies.size() - 1,
-                       q * static_cast<double>(latencies.size())));
-  return latencies[idx];
-}
-
 std::string SessionLog::ToString(size_t max_ops) const {
   std::ostringstream oss;
   size_t shown = 0;

@@ -50,9 +50,6 @@ class SessionLog {
 
   double TotalLatencyMs() const { return total_latency_ms_; }
   double MaxLatencyMs() const { return max_latency_ms_; }
-  double MeanLatencyMs() const;
-  /// Latency at the given quantile (0..1) over the kept operations.
-  double LatencyQuantileMs(double q) const;
 
   /// Compact textual trace of the kept operations, oldest first.
   std::string ToString(size_t max_ops = 50) const;

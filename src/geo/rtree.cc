@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
 #include "common/logging.h"
 
@@ -279,64 +278,6 @@ std::vector<RTree::Entry> RTree::SearchAll(const Rect& window) const {
     return true;
   });
   return out;
-}
-
-std::vector<RTree::Entry> RTree::KNearest(const Point& p, size_t k) const {
-  nodes_visited = 0;
-  std::vector<Entry> out;
-  if (root_ < 0 || k == 0) return out;
-
-  struct Item {
-    double dist;
-    bool is_entry;
-    int32_t node;
-    Entry entry;
-  };
-  auto cmp = [](const Item& a, const Item& b) { return a.dist > b.dist; };
-  std::priority_queue<Item, std::vector<Item>, decltype(cmp)> pq(cmp);
-  pq.push({nodes_[root_].rect.DistanceSq(p), false, root_, {}});
-
-  while (!pq.empty() && out.size() < k) {
-    Item item = pq.top();
-    pq.pop();
-    if (item.is_entry) {
-      out.push_back(item.entry);
-      continue;
-    }
-    ++nodes_visited;
-    const Node& node = nodes_[item.node];
-    if (node.leaf) {
-      for (const Entry& e : node.entries) {
-        pq.push({e.rect.DistanceSq(p), true, -1, e});
-      }
-    } else {
-      for (int32_t c : node.children) {
-        pq.push({nodes_[c].rect.DistanceSq(p), false, c, {}});
-      }
-    }
-  }
-  return out;
-}
-
-int RTree::HeightRec(int32_t node_id) const {
-  const Node& node = nodes_[node_id];
-  if (node.leaf) return 1;
-  return 1 + HeightRec(node.children.front());
-}
-
-int RTree::height() const { return root_ < 0 ? 0 : HeightRec(root_); }
-
-Rect RTree::Bounds() const {
-  return root_ < 0 ? Rect::Empty() : nodes_[root_].rect;
-}
-
-size_t RTree::MemoryUsage() const {
-  size_t bytes = nodes_.capacity() * sizeof(Node);
-  for (const Node& n : nodes_) {
-    bytes += n.entries.capacity() * sizeof(Entry) +
-             n.children.capacity() * sizeof(int32_t);
-  }
-  return bytes;
 }
 
 }  // namespace lodviz::geo

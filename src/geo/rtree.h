@@ -45,17 +45,9 @@ class RTree {
   /// Materializes window-query results.
   [[nodiscard]] std::vector<Entry> SearchAll(const Rect& window) const;
 
-  /// The k entries nearest to `p` (by rect distance), closest first.
-  [[nodiscard]] std::vector<Entry> KNearest(const Point& p, size_t k) const;
-
   [[nodiscard]] size_t size() const { return size_; }
-  int height() const;
-  /// Bounding box of everything in the tree.
-  Rect Bounds() const;
-  /// Nodes visited by the last Search/KNearest (perf introspection).
+  /// Nodes visited by the last Search (perf introspection).
   mutable uint64_t nodes_visited = 0;
-
-  size_t MemoryUsage() const;
 
  private:
   struct Node {
@@ -75,7 +67,6 @@ class RTree {
   void SearchRec(int32_t node_id, const Rect& window,
                  const std::function<bool(const Entry&)>& fn,
                  bool* keep_going) const;
-  int HeightRec(int32_t node_id) const;
 
   size_t max_entries_;
   size_t min_entries_;

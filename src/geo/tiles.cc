@@ -29,35 +29,4 @@ std::vector<TileKey> TileScheme::TilesInRect(uint8_t zoom,
   return out;
 }
 
-Rect TileScheme::TileBounds(const TileKey& key) const {
-  uint32_t n = 1u << key.zoom;
-  double w = domain_.Width() / n;
-  double h = domain_.Height() / n;
-  double x0 = domain_.min_x + w * key.x;
-  double y0 = domain_.min_y + h * key.y;
-  return {x0, y0, x0 + w, y0 + h};
-}
-
-void TileIndex::Add(uint64_t id, const Point& p) {
-  for (uint8_t z = 0; z <= max_zoom_; ++z) {
-    tiles_[scheme_.TileForPoint(z, p)].push_back(id);
-  }
-}
-
-const std::vector<uint64_t>& TileIndex::Items(const TileKey& key) const {
-  auto it = tiles_.find(key);
-  if (it == tiles_.end()) return empty_;
-  return it->second;
-}
-
-uint64_t TileIndex::Count(const TileKey& key) const {
-  return Items(key).size();
-}
-
-size_t TileIndex::MemoryUsage() const {
-  size_t bytes = tiles_.size() * (sizeof(TileKey) + sizeof(void*) * 4);
-  for (const auto& [k, v] : tiles_) bytes += v.capacity() * sizeof(uint64_t);
-  return bytes;
-}
-
 }  // namespace lodviz::geo

@@ -2,8 +2,6 @@
 #define LODVIZ_GEO_TILES_H_
 
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "geo/geometry.h"
@@ -39,21 +37,6 @@ struct TileKey {
     if (zoom == 0) return *this;
     return {static_cast<uint8_t>(zoom - 1), x / 2, y / 2};
   }
-
-  /// The four children one zoom level down.
-  std::vector<TileKey> Children() const {
-    uint8_t z = static_cast<uint8_t>(zoom + 1);
-    return {{z, 2 * x, 2 * y},
-            {z, 2 * x + 1, 2 * y},
-            {z, 2 * x, 2 * y + 1},
-            {z, 2 * x + 1, 2 * y + 1}};
-  }
-};
-
-struct TileKeyHash {
-  size_t operator()(const TileKey& k) const {
-    return std::hash<uint64_t>()(k.Pack());
-  }
 };
 
 /// Maps a rectangular data domain onto the quadtree tile grid.
@@ -62,48 +45,14 @@ class TileScheme {
   /// The domain rect is stretched over the whole tile square.
   explicit TileScheme(Rect domain) : domain_(domain) {}
 
-  const Rect& domain() const { return domain_; }
-
   /// Tile containing `p` at `zoom` (points outside clamp to edge tiles).
   TileKey TileForPoint(uint8_t zoom, const Point& p) const;
 
   /// All tiles intersecting `window` at `zoom`.
   std::vector<TileKey> TilesInRect(uint8_t zoom, const Rect& window) const;
 
-  /// Domain-space bounds of a tile.
-  Rect TileBounds(const TileKey& key) const;
-
  private:
   Rect domain_;
-};
-
-/// Materialized tile -> item-ids map over a point dataset: the server-side
-/// structure behind map panning / tile caching / prefetching experiments
-/// (imMens/Nanocubes-style precomputed tiles [97, 96]).
-class TileIndex {
- public:
-  TileIndex(TileScheme scheme, uint8_t max_zoom)
-      : scheme_(scheme), max_zoom_(max_zoom) {}
-
-  /// Indexes an item at `p` into every zoom level up to max_zoom.
-  void Add(uint64_t id, const Point& p);
-
-  /// Item ids in one tile (empty vector if none).
-  const std::vector<uint64_t>& Items(const TileKey& key) const;
-
-  /// Number of items in a tile without materializing them.
-  uint64_t Count(const TileKey& key) const;
-
-  const TileScheme& scheme() const { return scheme_; }
-  uint8_t max_zoom() const { return max_zoom_; }
-  size_t tile_count() const { return tiles_.size(); }
-  size_t MemoryUsage() const;
-
- private:
-  TileScheme scheme_;
-  uint8_t max_zoom_;
-  std::unordered_map<TileKey, std::vector<uint64_t>, TileKeyHash> tiles_;
-  std::vector<uint64_t> empty_;
 };
 
 }  // namespace lodviz::geo

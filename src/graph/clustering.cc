@@ -8,12 +8,6 @@
 
 namespace lodviz::graph {
 
-std::vector<size_t> Clustering::ClusterSizes() const {
-  std::vector<size_t> sizes(num_clusters, 0);
-  for (NodeId c : assignment) ++sizes[c];
-  return sizes;
-}
-
 Clustering Densify(std::vector<NodeId> assignment) {
   std::unordered_map<NodeId, NodeId> remap;
   for (NodeId& a : assignment) {
@@ -70,44 +64,6 @@ double Modularity(const Graph& g, const Clustering& clustering) {
     q += intra[c] / m - (degree_sum[c] / (2.0 * m)) * (degree_sum[c] / (2.0 * m));
   }
   return q;
-}
-
-Clustering LabelPropagation(const Graph& g, uint64_t seed,
-                            int max_iterations) {
-  NodeId n = g.num_nodes();
-  std::vector<NodeId> label(n);
-  std::iota(label.begin(), label.end(), 0);
-  std::vector<NodeId> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  Rng rng(seed);
-
-  for (int iter = 0; iter < max_iterations; ++iter) {
-    // Shuffle visiting order (Fisher–Yates).
-    for (NodeId i = n; i > 1; --i) {
-      std::swap(order[i - 1], order[rng.Uniform(i)]);
-    }
-    bool changed = false;
-    std::unordered_map<NodeId, uint32_t> counts;
-    for (NodeId u : order) {
-      counts.clear();
-      for (NodeId v : g.Neighbors(u)) ++counts[label[v]];
-      if (counts.empty()) continue;
-      NodeId best = label[u];
-      uint32_t best_count = 0;
-      for (const auto& [lbl, cnt] : counts) {
-        if (cnt > best_count || (cnt == best_count && lbl < best)) {
-          best = lbl;
-          best_count = cnt;
-        }
-      }
-      if (best != label[u]) {
-        label[u] = best;
-        changed = true;
-      }
-    }
-    if (!changed) break;
-  }
-  return Densify(std::move(label));
 }
 
 namespace {

@@ -12,18 +12,10 @@ namespace lodviz::graph {
 struct Clustering {
   std::vector<NodeId> assignment;
   NodeId num_clusters = 0;
-
-  /// Sizes of each cluster.
-  std::vector<size_t> ClusterSizes() const;
 };
 
 /// Newman modularity of an assignment in [-0.5, 1].
 double Modularity(const Graph& g, const Clustering& clustering);
-
-/// Asynchronous label propagation: near-linear community detection.
-/// Deterministic given `seed`.
-Clustering LabelPropagation(const Graph& g, uint64_t seed,
-                            int max_iterations = 20);
 
 /// Louvain-style greedy modularity optimization (local moving +
 /// graph aggregation, repeated until modularity stops improving).

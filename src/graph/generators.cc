@@ -32,35 +32,6 @@ Graph BarabasiAlbert(NodeId n, int m, uint64_t seed) {
   return Graph::FromEdges(n, std::move(edges));
 }
 
-Graph ErdosRenyi(NodeId n, double p, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  // Geometric skipping for sparse p.
-  if (p <= 0.0 || n < 2) return Graph::FromEdges(n, {});
-  uint64_t total_pairs = static_cast<uint64_t>(n) * (n - 1) / 2;
-  auto pair_of = [n](uint64_t idx) {
-    // Map a linear index to (u, v), u < v (row-major upper triangle).
-    NodeId u = 0;
-    uint64_t row_len = n - 1;
-    while (idx >= row_len) {
-      idx -= row_len;
-      ++u;
-      --row_len;
-    }
-    return std::make_pair(u, static_cast<NodeId>(u + 1 + idx));
-  };
-  double log1mp = std::log(1.0 - std::min(p, 0.999999));
-  uint64_t idx = 0;
-  while (true) {
-    double r = std::max(1e-12, rng.UniformDouble());
-    uint64_t skip = static_cast<uint64_t>(std::log(r) / log1mp) + 1;
-    if (idx + skip > total_pairs) break;
-    idx += skip;
-    edges.push_back(pair_of(idx - 1));
-  }
-  return Graph::FromEdges(n, std::move(edges));
-}
-
 Graph WattsStrogatz(NodeId n, int k, double beta, uint64_t seed) {
   Rng rng(seed);
   std::vector<std::pair<NodeId, NodeId>> edges;

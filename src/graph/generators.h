@@ -13,9 +13,6 @@ namespace lodviz::graph {
 /// linked-data graphs. `m` edges per new node.
 Graph BarabasiAlbert(NodeId n, int m, uint64_t seed);
 
-/// Erdős–Rényi G(n, p).
-Graph ErdosRenyi(NodeId n, double p, uint64_t seed);
-
 /// Watts–Strogatz small world: ring lattice with degree `k` (even),
 /// rewired with probability `beta`.
 Graph WattsStrogatz(NodeId n, int k, double beta, uint64_t seed);

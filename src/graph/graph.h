@@ -53,25 +53,11 @@ class Graph {
     return u < terms_.size() ? terms_[u] : rdf::kInvalidTermId;
   }
 
-  /// Node id for an RDF term; returns false if the term is not a node.
-  bool NodeForTerm(rdf::TermId term, NodeId* out) const;
-
-  /// BFS distances from `source` (unreachable = UINT32_MAX).
-  std::vector<uint32_t> BfsDistances(NodeId source) const;
-
-  /// Connected component id per node (0-based, dense).
-  std::vector<NodeId> ConnectedComponents(NodeId* num_components = nullptr) const;
-
-  /// k-core decomposition: per-node core number.
-  std::vector<uint32_t> CoreNumbers() const;
-
   /// Induced subgraph on `nodes`; `old_to_new` (optional) receives the
   /// node-id mapping.
   Graph InducedSubgraph(const std::vector<NodeId>& nodes,
                         std::unordered_map<NodeId, NodeId>* old_to_new =
                             nullptr) const;
-
-  size_t MemoryUsage() const;
 
  private:
   void BuildCsr(NodeId num_nodes,
@@ -81,7 +67,6 @@ class Graph {
   std::vector<NodeId> adj_;
   std::vector<std::pair<NodeId, NodeId>> edges_;  // u < v, unique
   std::vector<rdf::TermId> terms_;
-  std::unordered_map<rdf::TermId, NodeId> term_to_node_;
 };
 
 }  // namespace lodviz::graph

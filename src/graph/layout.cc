@@ -177,27 +177,6 @@ Layout CircularLayout(const Graph& g) {
   return pos;
 }
 
-Layout GridLayout(const Graph& g) {
-  NodeId n = g.num_nodes();
-  Layout pos(n);
-  NodeId side = static_cast<NodeId>(std::ceil(std::sqrt(static_cast<double>(
-      std::max<NodeId>(1, n)))));
-  for (NodeId i = 0; i < n; ++i) {
-    pos[i] = {static_cast<double>(i % side) / side,
-              static_cast<double>(i / side) / side};
-  }
-  return pos;
-}
-
-double MeanEdgeLengthSq(const Graph& g, const Layout& layout) {
-  if (g.edges().empty()) return 0.0;
-  double total = 0.0;
-  for (const auto& [u, v] : g.edges()) {
-    total += geo::DistanceSq(layout[u], layout[v]);
-  }
-  return total / static_cast<double>(g.edges().size());
-}
-
 size_t ForceLayoutMemoryBytes(NodeId n) {
   // positions + displacement vectors + adjacency working set.
   return static_cast<size_t>(n) * (2 * sizeof(geo::Point));

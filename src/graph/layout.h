@@ -28,13 +28,6 @@ Layout ForceDirectedLayout(const Graph& g, const ForceLayoutOptions& options);
 /// Nodes on a circle (O(n), used as a cheap baseline).
 Layout CircularLayout(const Graph& g);
 
-/// Row-major grid layout (O(n)).
-Layout GridLayout(const Graph& g);
-
-/// Mean squared distance between adjacent nodes — lower is tighter; used
-/// to compare layout quality across strategies.
-double MeanEdgeLengthSq(const Graph& g, const Layout& layout);
-
 /// Bytes needed to lay out `n` nodes with FR (positions + displacement
 /// buffers); the memory wall quantified in bench E6.
 size_t ForceLayoutMemoryBytes(NodeId n);

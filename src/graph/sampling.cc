@@ -6,69 +6,6 @@
 
 namespace lodviz::graph {
 
-std::vector<NodeId> RandomNodeSample(const Graph& g, size_t target_nodes,
-                                     uint64_t seed) {
-  NodeId n = g.num_nodes();
-  std::vector<NodeId> all(n);
-  std::iota(all.begin(), all.end(), 0);
-  Rng rng(seed);
-  size_t k = std::min<size_t>(target_nodes, n);
-  // Partial Fisher–Yates.
-  for (size_t i = 0; i < k; ++i) {
-    size_t j = i + rng.Uniform(n - i);
-    std::swap(all[i], all[j]);
-  }
-  all.resize(k);
-  std::sort(all.begin(), all.end());
-  return all;
-}
-
-std::vector<NodeId> RandomEdgeSample(const Graph& g, size_t target_nodes,
-                                     uint64_t seed) {
-  Rng rng(seed);
-  std::unordered_set<NodeId> chosen;
-  const auto& edges = g.edges();
-  if (edges.empty()) return RandomNodeSample(g, target_nodes, seed);
-  size_t guard = 0;
-  while (chosen.size() < target_nodes && guard < 50 * target_nodes) {
-    const auto& [u, v] = edges[rng.Uniform(edges.size())];
-    chosen.insert(u);
-    if (chosen.size() < target_nodes) chosen.insert(v);
-    ++guard;
-  }
-  std::vector<NodeId> out(chosen.begin(), chosen.end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<NodeId> RandomWalkSample(const Graph& g, size_t target_nodes,
-                                     uint64_t seed,
-                                     double restart_probability) {
-  Rng rng(seed);
-  NodeId n = g.num_nodes();
-  if (n == 0) return {};
-  std::unordered_set<NodeId> visited;
-  NodeId start = static_cast<NodeId>(rng.Uniform(n));
-  NodeId current = start;
-  visited.insert(current);
-  size_t budget = 100 * target_nodes + 1000;
-  while (visited.size() < std::min<size_t>(target_nodes, n) && budget-- > 0) {
-    if (rng.Bernoulli(restart_probability) || g.Degree(current) == 0) {
-      // Restart; occasionally jump to an entirely random node so
-      // disconnected components are eventually reached.
-      current = rng.Bernoulli(0.1) ? static_cast<NodeId>(rng.Uniform(n)) : start;
-      visited.insert(current);
-      continue;
-    }
-    auto neighbors = g.Neighbors(current);
-    current = neighbors[rng.Uniform(neighbors.size())];
-    visited.insert(current);
-  }
-  std::vector<NodeId> out(visited.begin(), visited.end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 std::vector<NodeId> ForestFireSample(const Graph& g, size_t target_nodes,
                                      uint64_t seed, double burn_probability) {
   Rng rng(seed);

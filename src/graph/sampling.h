@@ -8,25 +8,10 @@
 
 namespace lodviz::graph {
 
-/// Graph sampling strategies for visual reduction (Section 3.4, e.g. the
-/// Oracle sampling approach [127]). All return node subsets; use
+/// Graph sampling for visual reduction (Section 3.4, e.g. the Oracle
+/// sampling approach [127]). Returns a node subset; use
 /// Graph::InducedSubgraph to materialize the sampled view.
-
-/// Uniform random nodes without replacement.
-std::vector<NodeId> RandomNodeSample(const Graph& g, size_t target_nodes,
-                                     uint64_t seed);
-
-/// Endpoints of uniformly sampled edges (biases toward high degree,
-/// preserving hubs).
-std::vector<NodeId> RandomEdgeSample(const Graph& g, size_t target_nodes,
-                                     uint64_t seed);
-
-/// Random walk with restart from a random start node; collects visited
-/// nodes until the target size (or a step budget) is reached.
-std::vector<NodeId> RandomWalkSample(const Graph& g, size_t target_nodes,
-                                     uint64_t seed,
-                                     double restart_probability = 0.15);
-
+///
 /// Forest fire: recursive probabilistic frontier burning (Leskovec),
 /// preserving community structure better than uniform sampling.
 std::vector<NodeId> ForestFireSample(const Graph& g, size_t target_nodes,

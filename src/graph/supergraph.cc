@@ -51,37 +51,12 @@ GraphHierarchy GraphHierarchy::Build(const Graph& base,
   return h;
 }
 
-std::vector<NodeId> GraphHierarchy::BaseMembers(size_t level_idx,
-                                                NodeId u) const {
-  std::vector<NodeId> frontier = {u};
-  for (size_t l = level_idx; l > 0; --l) {
-    std::vector<NodeId> below;
-    for (NodeId node : frontier) {
-      const auto& members = levels_[l].members[node];
-      below.insert(below.end(), members.begin(), members.end());
-    }
-    frontier = std::move(below);
-  }
-  std::sort(frontier.begin(), frontier.end());
-  return frontier;
-}
-
 Graph GraphHierarchy::ExpandNode(size_t level_idx, NodeId u) const {
   if (level_idx == 0) {
     return levels_[0].graph.InducedSubgraph({u});
   }
   return levels_[level_idx - 1].graph.InducedSubgraph(
       levels_[level_idx].members[u]);
-}
-
-size_t GraphHierarchy::MemoryUsage() const {
-  size_t bytes = 0;
-  for (const AbstractionLevel& l : levels_) {
-    bytes += l.graph.MemoryUsage() +
-             l.base_node_counts.capacity() * sizeof(uint64_t);
-    for (const auto& m : l.members) bytes += m.capacity() * sizeof(NodeId);
-  }
-  return bytes;
 }
 
 }  // namespace lodviz::graph

@@ -41,15 +41,9 @@ class GraphHierarchy {
   const AbstractionLevel& level(size_t i) const { return levels_[i]; }
   const AbstractionLevel& top() const { return levels_.back(); }
 
-  /// Base-graph node ids represented by node `u` of level `level_idx`.
-  std::vector<NodeId> BaseMembers(size_t level_idx, NodeId u) const;
-
   /// "Expand" a super-node: the induced subgraph (one level down) of its
   /// members — what a UI renders when the user opens a cluster.
   Graph ExpandNode(size_t level_idx, NodeId u) const;
-
-  /// Total memory of all levels.
-  size_t MemoryUsage() const;
 
  private:
   std::vector<AbstractionLevel> levels_;

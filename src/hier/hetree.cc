@@ -210,22 +210,6 @@ void HETree::MaterializeAll() {
   }
 }
 
-std::vector<HETree::NodeId> HETree::NodesAtDepth(uint32_t depth) {
-  std::vector<NodeId> frontier = {root()};
-  for (uint32_t d = 0; d < depth; ++d) {
-    std::vector<NodeId> next;
-    for (NodeId id : frontier) {
-      if (nodes_[id].is_leaf) {
-        next.push_back(id);  // leaves stay visible below their depth
-      } else {
-        for (NodeId c : Children(id)) next.push_back(c);
-      }
-    }
-    frontier = std::move(next);
-  }
-  return frontier;
-}
-
 NodeStats HETree::RangeStats(double lo, double hi) const {
   if (hi < lo) return {};
   size_t first = LowerBound(lo);
@@ -243,14 +227,6 @@ HETree HETree::Adapt(const Options& new_options) const {
   LODVIZ_CHECK(new_options.fanout >= 2);
   LODVIZ_CHECK(new_options.leaf_capacity >= 1);
   return HETree(data_, new_options);
-}
-
-size_t HETree::MemoryUsage() const {
-  size_t bytes = nodes_.capacity() * sizeof(Node);
-  for (const Node& n : nodes_) bytes += n.children.capacity() * sizeof(NodeId);
-  bytes += data_->items.capacity() * sizeof(Item) +
-           data_->prefix_sum.capacity() * sizeof(double) * 2;
-  return bytes;
 }
 
 }  // namespace lodviz::hier

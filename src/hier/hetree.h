@@ -95,9 +95,6 @@ class HETree {
   /// Number of nodes materialized so far (ICO cost metric).
   size_t materialized_nodes() const { return nodes_.size(); }
 
-  /// All nodes of a given depth (materializes down to that depth).
-  std::vector<NodeId> NodesAtDepth(uint32_t depth);
-
   /// Exact statistics over the value interval [lo, hi], computed from
   /// prefix sums in O(log n) — independent of materialization state.
   [[nodiscard]] NodeStats RangeStats(double lo, double hi) const;
@@ -109,8 +106,6 @@ class HETree {
   /// returned tree is lazy regardless of `new_options.lazy` until nodes
   /// are visited, which is what makes adaptation cheap.
   HETree Adapt(const Options& new_options) const;
-
-  size_t MemoryUsage() const;
 
  private:
   /// Sorted items + prefix aggregates, shared across adaptations.

@@ -190,8 +190,4 @@ std::string ChromeTraceJson(const std::vector<SpanRecord>& spans) {
   return out.str();
 }
 
-std::string ChromeTraceDocument(const std::vector<SpanRecord>& spans) {
-  return "{\"traceEvents\":" + ChromeTraceJson(spans) + "}";
-}
-
 }  // namespace lodviz::obs

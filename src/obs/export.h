@@ -24,14 +24,11 @@ std::string JsonSnapshot(const MetricsSnapshot& snapshot);
 /// Convenience: snapshot + render the global registry.
 std::string JsonSnapshot();
 
-/// Chrome trace-event JSON array of complete ("ph":"X") events — load the
-/// surrounding {"traceEvents": [...]} object (see ChromeTraceDocument) in
+/// Chrome trace-event JSON array of complete ("ph":"X") events — load it
+/// inside a {"traceEvents": [...]} object in
 /// chrome://tracing or https://ui.perfetto.dev. Timestamps are relative to
 /// the earliest span, in microseconds.
 std::string ChromeTraceJson(const std::vector<SpanRecord>& spans);
-
-/// Full trace document: {"traceEvents": <ChromeTraceJson(...)>}.
-std::string ChromeTraceDocument(const std::vector<SpanRecord>& spans);
 
 /// Escapes a string for embedding in a JSON string literal (no quotes
 /// added). Exposed because the bench telemetry writer reuses it.

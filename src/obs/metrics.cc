@@ -18,27 +18,6 @@ void Histogram::Record(uint64_t value) {
   }
 }
 
-void Histogram::Merge(const Histogram& other) {
-  for (size_t i = 0; i < kNumBuckets; ++i) {
-    uint64_t n = other.buckets_[i].load(std::memory_order_relaxed);
-    if (n != 0) buckets_[i].fetch_add(n, std::memory_order_relaxed);
-  }
-  count_.fetch_add(other.count_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  sum_.fetch_add(other.sum_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-  uint64_t v = other.min_.load(std::memory_order_relaxed);
-  uint64_t prev = min_.load(std::memory_order_relaxed);
-  while (v < prev &&
-         !min_.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
-  }
-  v = other.max_.load(std::memory_order_relaxed);
-  prev = max_.load(std::memory_order_relaxed);
-  while (v > prev &&
-         !max_.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
-  }
-}
-
 size_t Histogram::BucketFor(uint64_t value) {
   if (value < kSubBucketCount) return static_cast<size_t>(value);
   int msb = 63 - std::countl_zero(value);

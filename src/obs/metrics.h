@@ -88,15 +88,6 @@ class Histogram {
     Record(value > 0 ? static_cast<uint64_t>(value) : 0);
   }
 
-  /// Folds `other`'s samples into this histogram: afterwards every
-  /// quantile/count/sum reads as if both sample streams had been recorded
-  /// here directly (bucketing is deterministic per value, so merged
-  /// percentiles match single-histogram percentiles exactly — see
-  /// ObsTest.HistogramMerge*). Used to combine per-query/per-worker
-  /// digests into one summary. Safe against concurrent Record on either
-  /// side (relaxed atomics), like every other member.
-  void Merge(const Histogram& other);
-
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const {
     return static_cast<double>(sum_.load(std::memory_order_relaxed));

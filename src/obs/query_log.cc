@@ -74,21 +74,9 @@ std::vector<QueryLogEntry> QueryLog::Entries() const {
   return out;
 }
 
-size_t QueryLog::size() const {
-  MutexLock lock(&mu_);
-  return ring_.size();
-}
-
 uint64_t QueryLog::total_admitted() const {
   MutexLock lock(&mu_);
   return admitted_;
-}
-
-void QueryLog::Clear() {
-  MutexLock lock(&mu_);
-  ring_.clear();
-  next_ = 0;
-  admitted_ = 0;
 }
 
 std::string QueryLog::ToJson() const {

@@ -37,7 +37,7 @@ struct QueryLogEntry {
 /// producer-side check is one relaxed atomic load and a branch, so the
 /// engine can consult it unconditionally per query.
 ///
-/// Thread-safety: Record/Entries/Clear/ToJson take mu_; the threshold is
+/// Thread-safety: Record/Entries/ToJson take mu_; the threshold is
 /// atomic so ShouldRecord stays lock-free on the query hot path.
 class QueryLog {
  public:
@@ -81,16 +81,11 @@ class QueryLog {
   [[nodiscard]] std::vector<QueryLogEntry> Entries() const
       LODVIZ_EXCLUDES(mu_);
 
-  [[nodiscard]] size_t size() const LODVIZ_EXCLUDES(mu_);
   [[nodiscard]] size_t capacity() const { return capacity_; }
 
-  /// Entries admitted across the journal's lifetime (>= size(); the ring
-  /// overwrites, it never refuses).
+  /// Entries admitted across the journal's lifetime (>= Entries().size();
+  /// the ring overwrites, it never refuses).
   [[nodiscard]] uint64_t total_admitted() const LODVIZ_EXCLUDES(mu_);
-
-  /// Drops all retained entries and resets the admission counter. The
-  /// threshold is left unchanged.
-  void Clear() LODVIZ_EXCLUDES(mu_);
 
   /// JSON object: {"threshold_us":..,"capacity":..,"admitted":..,
   /// "entries":[...]} with entries oldest first; each entry carries its

@@ -48,20 +48,9 @@ Tracer& Tracer::Global() {
   return tracer;
 }
 
-void Tracer::Clear() {
-  MutexLock lock(&mu_);
-  finished_.clear();
-  dropped_.store(0, std::memory_order_relaxed);
-}
-
 std::vector<SpanRecord> Tracer::Finished() const {
   MutexLock lock(&mu_);
   return finished_;
-}
-
-size_t Tracer::size() const {
-  MutexLock lock(&mu_);
-  return finished_.size();
 }
 
 void Tracer::Append(SpanRecord record) {

@@ -56,15 +56,10 @@ class Tracer {
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Discards all collected spans.
-  void Clear() LODVIZ_EXCLUDES(mu_);
-
   /// Copies the finished spans collected so far (completion order).
   std::vector<SpanRecord> Finished() const LODVIZ_EXCLUDES(mu_);
 
-  size_t size() const LODVIZ_EXCLUDES(mu_);
-
-  /// Spans discarded because the buffer was full (reset by Clear()).
+  /// Spans discarded because the buffer was full.
   uint64_t dropped() const {
     return dropped_.load(std::memory_order_relaxed);
   }

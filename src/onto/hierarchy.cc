@@ -108,13 +108,6 @@ ClassHierarchy ClassHierarchy::Extract(const rdf::TripleSource& source) {
   return h;
 }
 
-int32_t ClassHierarchy::IndexOf(rdf::TermId cls) const {
-  for (size_t i = 0; i < classes_.size(); ++i) {
-    if (classes_[i].cls == cls) return static_cast<int32_t>(i);
-  }
-  return -1;
-}
-
 std::vector<int32_t> ClassHierarchy::KeyConcepts(size_t k) const {
   // KC-Viz-inspired structural importance: coverage (subtree instances),
   // branching (children), and shallowness.
@@ -135,12 +128,6 @@ std::vector<int32_t> ClassHierarchy::KeyConcepts(size_t k) const {
     out.push_back(scored[i].second);
   }
   return out;
-}
-
-uint32_t ClassHierarchy::MaxDepth() const {
-  uint32_t best = 0;
-  for (const ClassInfo& c : classes_) best = std::max(best, c.depth);
-  return best;
 }
 
 std::string ClassHierarchy::ToString(size_t max_classes) const {

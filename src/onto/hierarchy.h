@@ -34,15 +34,9 @@ class ClassHierarchy {
   const std::vector<int32_t>& roots() const { return roots_; }
   size_t size() const { return classes_.size(); }
 
-  /// Index of a class by term id; -1 if absent.
-  int32_t IndexOf(rdf::TermId cls) const;
-
   /// KC-Viz-style key concepts [104]: the k most "important" classes by a
   /// structural score (subtree instances + direct children + shallowness).
   std::vector<int32_t> KeyConcepts(size_t k) const;
-
-  /// Maximum depth of the forest.
-  uint32_t MaxDepth() const;
 
   /// Compact indented rendering.
   std::string ToString(size_t max_classes = 50) const;

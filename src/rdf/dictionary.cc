@@ -84,13 +84,6 @@ Result<double> Dictionary::ScalarValue(TermId id) const {
   return NumberValue(id);
 }
 
-Result<Term> Dictionary::GetTerm(TermId id) const {
-  if (!Contains(id)) {
-    return Status::NotFound("term id " + std::to_string(id) + " not in dictionary");
-  }
-  return terms_[id];
-}
-
 size_t Dictionary::MemoryUsage() const {
   size_t bytes = terms_.capacity() * sizeof(Term) +
                  decoded_.capacity() * sizeof(DecodedValue);

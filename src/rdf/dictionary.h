@@ -68,9 +68,6 @@ class Dictionary {
   /// Looks up an already-interned term; kInvalidTermId if absent.
   [[nodiscard]] TermId Lookup(const Term& term) const;
 
-  /// Returns the term for `id`; error if out of range.
-  Result<Term> GetTerm(TermId id) const;
-
   /// Fast const access for hot paths; id must be valid (checked in debug
   /// builds — an out-of-range id here means index corruption upstream).
   const Term& term(TermId id) const {

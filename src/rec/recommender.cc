@@ -11,23 +11,6 @@ using stats::ValueKind;
 using viz::VisKind;
 using viz::VisSpec;
 
-std::vector<viz::DataType> DetectDataTypes(
-    const stats::DatasetProfile& profile) {
-  bool numeric = false, temporal = false;
-  for (const PropertyProfile& p : profile.properties) {
-    if (p.is_geo_coordinate) continue;  // counted via has_spatial
-    numeric |= p.kind == ValueKind::kNumeric;
-    temporal |= p.kind == ValueKind::kTemporal;
-  }
-  std::vector<viz::DataType> out;
-  if (numeric) out.push_back(viz::DataType::kNumeric);
-  if (temporal) out.push_back(viz::DataType::kTemporal);
-  if (profile.has_spatial) out.push_back(viz::DataType::kSpatial);
-  if (profile.has_class_hierarchy) out.push_back(viz::DataType::kHierarchical);
-  if (profile.entity_link_count > 0) out.push_back(viz::DataType::kGraph);
-  return out;
-}
-
 void Recommender::SetPreference(VisKind kind, double multiplier) {
   preferences_[static_cast<uint8_t>(kind)] =
       std::clamp(multiplier, 0.25, 4.0);
@@ -36,11 +19,6 @@ void Recommender::SetPreference(VisKind kind, double multiplier) {
 double Recommender::preference(VisKind kind) const {
   auto it = preferences_.find(static_cast<uint8_t>(kind));
   return it == preferences_.end() ? 1.0 : it->second;
-}
-
-void Recommender::RecordFeedback(VisKind kind, bool accepted) {
-  double current = preference(kind);
-  SetPreference(kind, current * (accepted ? 1.15 : 0.85));
 }
 
 std::vector<Recommendation> Recommender::Recommend(

@@ -20,9 +20,9 @@ struct Recommendation {
   std::string reason;
 };
 
-/// Rule-based recommender over dataset profiles with a learned user
-/// preference layer (Table 1 "Preferences"): accepted/rejected feedback
-/// multiplies per-kind weights, personalizing future rankings.
+/// Rule-based recommender over dataset profiles with a user preference
+/// layer (Table 1 "Preferences"): per-kind weights multiply the scores,
+/// personalizing future rankings.
 class Recommender {
  public:
   Recommender() = default;
@@ -35,16 +35,9 @@ class Recommender {
   void SetPreference(viz::VisKind kind, double multiplier);
   double preference(viz::VisKind kind) const;
 
-  /// Online feedback: `accepted` nudges the kind's weight up, otherwise
-  /// down. Weights stay within [0.25, 4].
-  void RecordFeedback(viz::VisKind kind, bool accepted);
-
  private:
   std::unordered_map<uint8_t, double> preferences_;
 };
-
-/// The data types present in a profile, in Table 1 terms (N/T/S/H/G).
-std::vector<viz::DataType> DetectDataTypes(const stats::DatasetProfile& profile);
 
 }  // namespace lodviz::rec
 

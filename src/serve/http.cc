@@ -72,9 +72,14 @@ int HexDigit(char c) {
 
 }  // namespace
 
-Result<size_t> HttpRequestLength(std::string_view buffer) {
+Result<size_t> HttpRequestLength(std::string_view buffer, size_t max_bytes) {
   const size_t head_end = buffer.find(kHeadEnd);
-  if (head_end == std::string_view::npos) return static_cast<size_t>(0);
+  if (head_end == std::string_view::npos) {
+    if (buffer.size() > max_bytes) {
+      return Status::ResourceExhausted("request head too large");
+    }
+    return static_cast<size_t>(0);
+  }
   const size_t body_start = head_end + kHeadEnd.size();
   // Skip the request line; headers start after the first CRLF.
   const size_t line_end = buffer.find(kCrlf);
@@ -86,6 +91,10 @@ Result<size_t> HttpRequestLength(std::string_view buffer) {
       ParseHeaderLines(
           buffer.substr(line_end + kCrlf.size(), head_end - line_end)));
   LODVIZ_ASSIGN_OR_RETURN(int64_t content_length, ContentLengthOf(headers));
+  if (body_start > max_bytes ||
+      static_cast<uint64_t>(content_length) > max_bytes - body_start) {
+    return Status::ResourceExhausted("declared request size too large");
+  }
   const size_t total = body_start + static_cast<size_t>(content_length);
   if (buffer.size() < total) return static_cast<size_t>(0);
   return total;

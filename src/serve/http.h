@@ -38,9 +38,12 @@ struct HttpResponse {
 
 /// How much of `buffer` one complete request occupies: 0 if more bytes
 /// are needed (headers unterminated, or body shorter than
-/// Content-Length), the total byte count once complete, or ParseError
-/// for a malformed head / unparseable or negative Content-Length.
-Result<size_t> HttpRequestLength(std::string_view buffer);
+/// Content-Length), the total byte count once complete, ParseError for a
+/// malformed head / unparseable or negative Content-Length, or
+/// ResourceExhausted as soon as the request is known to exceed
+/// `max_bytes`: a head that declares a larger total, or more than
+/// `max_bytes` bytes with the head still unterminated.
+Result<size_t> HttpRequestLength(std::string_view buffer, size_t max_bytes);
 
 /// Parses one complete request (exactly the bytes HttpRequestLength
 /// measured). Malformed request lines, headers, or percent-escapes are

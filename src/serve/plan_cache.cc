@@ -74,9 +74,4 @@ std::shared_ptr<const sparql::QueryPlan> PlanCache::Insert(
   return shared;
 }
 
-size_t PlanCache::size() const {
-  MutexLock lock(&mu_);
-  return entries_.size();
-}
-
 }  // namespace lodviz::serve

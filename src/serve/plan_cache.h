@@ -64,10 +64,6 @@ class PlanCache {
       uint64_t fingerprint, std::string canonical_key,
       sparql::QueryPlan plan) LODVIZ_EXCLUDES(mu_);
 
-  /// Resident entries (for tests; the same value is exported as the
-  /// serve.plan_cache.size gauge).
-  [[nodiscard]] size_t size() const LODVIZ_EXCLUDES(mu_);
-
   [[nodiscard]] size_t capacity() const { return capacity_; }
 
  private:

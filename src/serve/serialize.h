@@ -22,7 +22,7 @@ namespace lodviz::serve {
 ///    the check-gate differ and spreadsheet imports want.
 ///
 /// Serialization is deterministic: the same ResultTable always renders to
-/// the same bytes, which is what lets scripts/check.sh gate 5 assert
+/// the same bytes, which is what lets scripts/check.sh gate 6 assert
 /// bit-identical cold-cache / warm-cache / direct-execution responses.
 
 /// SPARQL-results-style JSON for a SELECT/ASK result.

@@ -224,10 +224,16 @@ void Server::ServeConnection(int fd) {
   char chunk[4096];
   std::string response;
   while (true) {
-    Result<size_t> length = HttpRequestLength(buffer);
+    // A head that declares more than the cap is refused as soon as it is
+    // parsed, not after the client has sent the whole body.
+    Result<size_t> length =
+        HttpRequestLength(buffer, options_.max_request_bytes);
     if (!length.ok()) {
-      response = FormatHttpResponse(400, "text/plain",
-                                    length.status().ToString() + "\n");
+      response =
+          length.status().code() == StatusCode::kResourceExhausted
+              ? FormatHttpResponse(413, "text/plain", "request too large\n")
+              : FormatHttpResponse(400, "text/plain",
+                                   length.status().ToString() + "\n");
       break;
     }
     if (length.ValueOrDie() > 0) {
@@ -240,11 +246,6 @@ void Server::ServeConnection(int fd) {
       } else {
         Route(req.ValueOrDie(), &response);
       }
-      break;
-    }
-    if (buffer.size() > options_.max_request_bytes) {
-      response =
-          FormatHttpResponse(413, "text/plain", "request too large\n");
       break;
     }
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);

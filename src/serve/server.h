@@ -53,7 +53,8 @@ class Server {
     size_t num_workers = 4;
     /// Accepted-but-unserved connection cap; beyond it, 503.
     size_t queue_capacity = 64;
-    /// Request size cap; larger requests get 413 and the socket closed.
+    /// Request size cap; larger requests get 413 and the socket closed,
+    /// as soon as the head declares a larger size.
     size_t max_request_bytes = 1 << 20;
     /// Socket receive timeout — a client that stalls mid-request is
     /// dropped after this long, so slowloris-style dribbling cannot pin

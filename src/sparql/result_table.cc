@@ -6,13 +6,6 @@
 
 namespace lodviz::sparql {
 
-int ResultTable::ColumnIndex(std::string_view name) const {
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    if (columns_[i] == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 std::string ResultTable::ToString(size_t max_rows) const {
   std::vector<std::string> header;
   for (const std::string& c : columns_) header.push_back("?" + c);

@@ -44,9 +44,6 @@ class ResultTable {
   /// their output cardinality up front).
   void Reserve(size_t rows) { rows_.reserve(rows); }
 
-  /// Index of a column by name; -1 if absent.
-  int ColumnIndex(std::string_view name) const;
-
   /// ASCII rendering for CLI examples.
   std::string ToString(size_t max_rows = 50) const;
 

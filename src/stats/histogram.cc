@@ -42,18 +42,6 @@ Result<Histogram> Histogram::Build(const std::vector<double>& values,
   return h;
 }
 
-Result<Histogram> Histogram::MakeFixed(double lo, double hi, size_t num_bins) {
-  if (num_bins == 0) return Status::InvalidArgument("num_bins must be > 0");
-  if (!(hi > lo)) return Status::InvalidArgument("need hi > lo");
-  std::vector<Bin> bins(num_bins);
-  double width = (hi - lo) / static_cast<double>(num_bins);
-  for (size_t i = 0; i < num_bins; ++i) {
-    bins[i].lo = lo + width * static_cast<double>(i);
-    bins[i].hi = (i + 1 == num_bins) ? hi : lo + width * static_cast<double>(i + 1);
-  }
-  return Histogram(std::move(bins), BinningKind::kEquiWidth);
-}
-
 size_t Histogram::BinIndex(double value) const {
   // Binary search on bin lower bounds.
   size_t lo = 0, hi = bins_.size();
@@ -73,44 +61,6 @@ void Histogram::Add(double value) {
   ++bin.count;
   bin.stats.Add(value);
   ++total_;
-}
-
-double Histogram::EstimateRangeCount(double lo, double hi) const {
-  if (hi < lo) return 0.0;
-  double est = 0.0;
-  for (const Bin& b : bins_) {
-    double blo = b.lo, bhi = b.hi;
-    if (bhi <= lo || blo >= hi) {
-      if (!(blo == bhi && blo >= lo && blo <= hi)) continue;
-    }
-    double overlap_lo = std::max(lo, blo);
-    double overlap_hi = std::min(hi, bhi);
-    double width = bhi - blo;
-    double frac = width > 0 ? (overlap_hi - overlap_lo) / width : 1.0;
-    frac = std::clamp(frac, 0.0, 1.0);
-    est += frac * static_cast<double>(b.count);
-  }
-  return est;
-}
-
-std::string Histogram::ToAscii(size_t max_width) const {
-  uint64_t max_count = 1;
-  for (const Bin& b : bins_) max_count = std::max(max_count, b.count);
-  std::string out;
-  for (const Bin& b : bins_) {
-    size_t w = static_cast<size_t>(
-        std::llround(static_cast<double>(b.count) /
-                     static_cast<double>(max_count) *
-                     static_cast<double>(max_width)));
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "[%10.2f, %10.2f) ", b.lo, b.hi);
-    out += buf;
-    out.append(w, '#');
-    out += ' ';
-    out += std::to_string(b.count);
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace lodviz::stats

@@ -27,21 +27,12 @@ enum class BinningKind {
 };
 
 /// A one-dimensional histogram over numeric (or epoch-encoded temporal)
-/// values. Built either in one shot from a value vector, or incrementally
-/// with fixed bounds (streaming setting).
+/// values, built in one shot from a value vector.
 class Histogram {
  public:
   /// Builds from `values` (copied & sorted internally for equi-depth).
   static Result<Histogram> Build(const std::vector<double>& values,
                                  size_t num_bins, BinningKind kind);
-
-  /// Creates an empty equi-width histogram with fixed bounds for streaming
-  /// insertion.
-  static Result<Histogram> MakeFixed(double lo, double hi, size_t num_bins);
-
-  /// Adds a value (fixed-bounds histograms only; out-of-range values clamp
-  /// into the edge buckets).
-  void Add(double value);
 
   const std::vector<Bin>& bins() const { return bins_; }
   BinningKind kind() const { return kind_; }
@@ -50,15 +41,12 @@ class Histogram {
   /// Index of the bin containing `value` (clamped).
   size_t BinIndex(double value) const;
 
-  /// Estimated count in [lo, hi] assuming intra-bin uniformity.
-  double EstimateRangeCount(double lo, double hi) const;
-
-  /// Renders a compact ASCII sparkline-style summary (for examples/CLI).
-  std::string ToAscii(size_t max_width = 40) const;
-
  private:
   Histogram(std::vector<Bin> bins, BinningKind kind)
       : bins_(std::move(bins)), kind_(kind) {}
+
+  /// Adds a value to the bin containing it.
+  void Add(double value);
 
   std::vector<Bin> bins_;
   BinningKind kind_;

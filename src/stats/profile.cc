@@ -9,30 +9,6 @@
 
 namespace lodviz::stats {
 
-std::string_view ValueKindToString(ValueKind kind) {
-  switch (kind) {
-    case ValueKind::kNumeric:
-      return "numeric";
-    case ValueKind::kTemporal:
-      return "temporal";
-    case ValueKind::kCategorical:
-      return "categorical";
-    case ValueKind::kText:
-      return "text";
-    case ValueKind::kEntity:
-      return "entity";
-  }
-  return "?";
-}
-
-const PropertyProfile* DatasetProfile::FindProperty(
-    std::string_view iri) const {
-  for (const PropertyProfile& p : properties) {
-    if (p.predicate_iri == iri) return &p;
-  }
-  return nullptr;
-}
-
 Result<PropertyProfile> ProfileProperty(const rdf::TripleSource& source,
                                         rdf::TermId predicate,
                                         const ProfilerOptions& options) {

@@ -23,8 +23,6 @@ enum class ValueKind {
   kEntity,       ///< IRIs linking to other resources (graph edges, "G")
 };
 
-std::string_view ValueKindToString(ValueKind kind);
-
 /// Statistical profile of one predicate.
 struct PropertyProfile {
   rdf::TermId predicate = rdf::kInvalidTermId;
@@ -49,9 +47,6 @@ struct DatasetProfile {
   bool has_spatial = false;       ///< both geo:lat and geo:long observed
   bool has_class_hierarchy = false;  ///< rdfs:subClassOf edges present
   uint64_t entity_link_count = 0;    ///< triples whose object is an IRI
-
-  /// Profile of a predicate by IRI; nullptr if absent.
-  const PropertyProfile* FindProperty(std::string_view iri) const;
 };
 
 struct ProfilerOptions {

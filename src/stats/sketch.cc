@@ -8,15 +8,6 @@
 
 namespace lodviz::stats {
 
-uint64_t Fnv1aHash(std::string_view data, uint64_t seed) {
-  uint64_t h = seed;
-  for (char c : data) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 uint64_t Fnv1aHash64(uint64_t value, uint64_t seed) {
   uint64_t h = seed;
   for (int i = 0; i < 8; ++i) {
@@ -52,23 +43,6 @@ void CountMinSketch::Add(uint64_t item, uint64_t count) {
   total_ += count;
 }
 
-void CountMinSketch::AddString(std::string_view item, uint64_t count) {
-  Add(Fnv1aHash(item), count);
-}
-
-uint64_t CountMinSketch::Estimate(uint64_t item) const {
-  uint64_t h = Fnv1aHash64(item);
-  uint64_t best = ~0ULL;
-  for (size_t r = 0; r < depth_; ++r) {
-    best = std::min(best, table_[r * width_ + Index(r, h)]);
-  }
-  return best;
-}
-
-uint64_t CountMinSketch::EstimateString(std::string_view item) const {
-  return Estimate(Fnv1aHash(item));
-}
-
 HyperLogLog::HyperLogLog(int precision) : precision_(precision) {
   LODVIZ_CHECK(precision >= 4 && precision <= 18);
   registers_.assign(size_t{1} << precision, 0);
@@ -81,8 +55,6 @@ void HyperLogLog::Add(uint64_t item) {
   uint8_t rank = static_cast<uint8_t>(std::countl_zero(rest) + 1);
   registers_[idx] = std::max(registers_[idx], rank);
 }
-
-void HyperLogLog::AddString(std::string_view item) { Add(Fnv1aHash(item)); }
 
 double HyperLogLog::Estimate() const {
   size_t m = registers_.size();
@@ -113,14 +85,6 @@ double HyperLogLog::Estimate() const {
                std::log(static_cast<double>(m) / static_cast<double>(zeros));
   }
   return estimate;
-}
-
-void HyperLogLog::Merge(const HyperLogLog& other) {
-  LODVIZ_CHECK(precision_ == other.precision_)
-      << "cannot merge HLLs with different precision";
-  for (size_t i = 0; i < registers_.size(); ++i) {
-    registers_[i] = std::max(registers_[i], other.registers_[i]);
-  }
 }
 
 }  // namespace lodviz::stats

@@ -1,20 +1,19 @@
 #ifndef LODVIZ_STATS_SKETCH_H_
 #define LODVIZ_STATS_SKETCH_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 namespace lodviz::stats {
 
-/// 64-bit FNV-1a, the hash shared by the sketches below.
-uint64_t Fnv1aHash(std::string_view data, uint64_t seed = 1469598103934665603ULL);
+/// 64-bit FNV-1a with a splitmix64 finish, the hash shared by the
+/// sketches below.
 uint64_t Fnv1aHash64(uint64_t value, uint64_t seed = 1469598103934665603ULL);
 
-/// Count-Min sketch: sublinear-memory frequency estimates with one-sided
-/// error (never under-counts). Backs heavy-hitter detection over
-/// predicates/values without materializing exact counts.
+/// Count-Min sketch update path: `depth` rows of `width` counters, one
+/// counter per row bumped per item. Only the update is kept (timed by
+/// micro_substrates); nothing reads an estimate back.
 class CountMinSketch {
  public:
   /// width: counters per row (error ~ 2N/width); depth: rows
@@ -22,16 +21,8 @@ class CountMinSketch {
   CountMinSketch(size_t width, size_t depth);
 
   void Add(uint64_t item, uint64_t count = 1);
-  void AddString(std::string_view item, uint64_t count = 1);
 
-  /// Estimated count (>= true count).
-  uint64_t Estimate(uint64_t item) const;
-  uint64_t EstimateString(std::string_view item) const;
-
-  size_t width() const { return width_; }
-  size_t depth() const { return depth_; }
   uint64_t total() const { return total_; }
-  size_t MemoryUsage() const { return table_.size() * sizeof(uint64_t); }
 
  private:
   size_t Index(size_t row, uint64_t hash) const;
@@ -50,16 +41,9 @@ class HyperLogLog {
   explicit HyperLogLog(int precision = 12);
 
   void Add(uint64_t item);
-  void AddString(std::string_view item);
 
   /// Estimated number of distinct items added.
   double Estimate() const;
-
-  /// Merges another sketch with the same precision.
-  void Merge(const HyperLogLog& other);
-
-  int precision() const { return precision_; }
-  size_t MemoryUsage() const { return registers_.size(); }
 
  private:
   int precision_;

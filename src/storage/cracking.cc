@@ -30,24 +30,10 @@ size_t CrackerColumn::CrackAt(double v) {
   return pos;
 }
 
-std::vector<double> CrackerColumn::Range(double lo, double hi) {
-  size_t b = CrackAt(lo);
-  size_t e = CrackAt(hi);
-  return std::vector<double>(data_.begin() + b, data_.begin() + e);
-}
-
 uint64_t CrackerColumn::CountRange(double lo, double hi) {
   size_t b = CrackAt(lo);
   size_t e = CrackAt(hi);
   return e >= b ? e - b : 0;
-}
-
-double CrackerColumn::SumRange(double lo, double hi) {
-  size_t b = CrackAt(lo);
-  size_t e = CrackAt(hi);
-  double sum = 0.0;
-  for (size_t i = b; i < e; ++i) sum += data_[i];
-  return sum;
 }
 
 }  // namespace lodviz::storage

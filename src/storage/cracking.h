@@ -21,14 +21,8 @@ class CrackerColumn {
  public:
   explicit CrackerColumn(std::vector<double> values);
 
-  /// Values v with lo <= v < hi. Cracks the column at lo and hi.
-  std::vector<double> Range(double lo, double hi);
-
   /// Count of values in [lo, hi); also cracks.
   uint64_t CountRange(double lo, double hi);
-
-  /// Sum of values in [lo, hi); also cracks.
-  double SumRange(double lo, double hi);
 
   size_t size() const { return data_.size(); }
   /// Number of crack boundaries accumulated so far.

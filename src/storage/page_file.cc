@@ -27,14 +27,6 @@ Status PageFile::Open(const std::string& path, bool truncate) {
   return Status::OK();
 }
 
-Status PageFile::Close() {
-  if (fd_ >= 0) {
-    if (::close(fd_) != 0) return Status::IoError("close failed");
-    fd_ = -1;
-  }
-  return Status::OK();
-}
-
 ssize_t PageFile::PreadSome(void* buf, size_t count, off_t offset) {
   return ::pread(fd_, buf, count, offset);
 }

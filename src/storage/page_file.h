@@ -23,8 +23,8 @@ inline constexpr PageId kInvalidPageId = ~PageId(0);
 /// page once at num_pages(), and from then on the pages are only read.
 /// ReadPage/Sync are safe to call concurrently (positional I/O, atomic
 /// counters) — the striped BufferPool reads from several shards at once.
-/// Open/Close are single-threaded setup/teardown: no I/O may be in flight
-/// when they run.
+/// Open is single-threaded setup, and the destructor closes the file: no
+/// I/O may be in flight when either runs.
 class PageFile {
  public:
   PageFile() = default;
@@ -35,7 +35,6 @@ class PageFile {
 
   /// Creates (truncating) or opens the file at `path`.
   Status Open(const std::string& path, bool truncate);
-  Status Close();
 
   bool is_open() const { return fd_ >= 0; }
 
@@ -71,7 +70,7 @@ class PageFile {
   virtual ssize_t PwriteSome(const void* buf, size_t count, off_t offset);
 
  private:
-  /// Written only by Open/Close under their single-threaded contract; the
+  /// Written only by Open under its single-threaded contract; the
   /// I/O entry points only read it.
   int fd_ = -1;
   std::atomic<uint32_t> num_pages_{0};

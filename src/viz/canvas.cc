@@ -12,12 +12,6 @@ Canvas::Canvas(int width, int height) : width_(width), height_(height) {
   cells_.assign(static_cast<size_t>(width) * height, 0);
 }
 
-void Canvas::Clear() {
-  std::fill(cells_.begin(), cells_.end(), 0);
-  total_marks_ = 0;
-  pixels_touched_ = 0;
-}
-
 void Canvas::Mark(int px, int py) {
   if (px < 0 || py < 0 || px >= width_ || py >= height_) return;
   pixels_touched_ += cells_[Index(px, py)]++ == 0;
@@ -67,12 +61,6 @@ double Canvas::OverplotFactor() const {
   return pixels_touched_ ? static_cast<double>(total_marks_) /
                               static_cast<double>(pixels_touched_)
                         : 0.0;
-}
-
-uint32_t Canvas::MaxCount() const {
-  uint32_t best = 0;
-  for (uint32_t c : cells_) best = std::max(best, c);
-  return best;
 }
 
 double Canvas::HiddenMarkFraction() const {

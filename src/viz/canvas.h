@@ -22,8 +22,6 @@ class Canvas {
   int width() const { return width_; }
   int height() const { return height_; }
 
-  void Clear();
-
   /// Marks the pixel containing (x, y) in unit coordinates.
   void DrawPoint(double x, double y);
 
@@ -45,8 +43,6 @@ class Canvas {
   uint64_t pixels_touched() const { return pixels_touched_; }
   /// Mean marks per touched pixel; > 1 means over-plotting.
   double OverplotFactor() const;
-  /// Max marks on a single pixel.
-  uint32_t MaxCount() const;
   /// Fraction of marks that are invisible because they share a pixel with
   /// earlier marks (the information silently lost to over-plotting).
   double HiddenMarkFraction() const;

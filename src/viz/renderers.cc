@@ -243,16 +243,4 @@ RenderStats RenderTreemap(Canvas* canvas, const std::vector<double>& weights) {
   return stats;
 }
 
-RenderStats RenderHETreeLevel(Canvas* canvas, hier::HETree* tree,
-                              uint32_t depth) {
-  RenderStats stats;
-  std::vector<double> counts;
-  for (auto id : tree->NodesAtDepth(depth)) {
-    counts.push_back(static_cast<double>(tree->node(id).stats.count));
-  }
-  stats = RenderBars(canvas, counts);
-  stats.input_size = tree->num_items();
-  return stats;
-}
-
 }  // namespace lodviz::viz

@@ -7,7 +7,6 @@
 #include "geo/geometry.h"
 #include "graph/graph.h"
 #include "graph/layout.h"
-#include "hier/hetree.h"
 #include "viz/canvas.h"
 #include "viz/m4.h"
 
@@ -62,11 +61,6 @@ struct TreemapCell {
 std::vector<TreemapCell> SquarifiedTreemap(const std::vector<double>& weights,
                                            const geo::Rect& area);
 RenderStats RenderTreemap(Canvas* canvas, const std::vector<double>& weights);
-
-/// Renders one level of a HETree as bars (the SynopsViz overview view):
-/// one bar per visible node, height = count.
-RenderStats RenderHETreeLevel(Canvas* canvas, hier::HETree* tree,
-                              uint32_t depth);
 
 }  // namespace lodviz::viz
 

@@ -7,29 +7,6 @@ namespace lodviz::viz {
 
 namespace {
 
-std::string EscapeXml(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '<':
-        out += "&lt;";
-        break;
-      case '>':
-        out += "&gt;";
-        break;
-      case '&':
-        out += "&amp;";
-        break;
-      case '"':
-        out += "&quot;";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
 std::string Num(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.2f", v);
@@ -64,27 +41,6 @@ void SvgWriter::Rect(const geo::Rect& r, const std::string& fill,
       "\" width=\"" + Num((r.max_x - r.min_x) * width_) + "\" height=\"" +
       Num((r.max_y - r.min_y) * height_) + "\" fill=\"" + fill +
       "\" stroke=\"" + stroke + "\"/>");
-}
-
-void SvgWriter::Polyline(const std::vector<geo::Point>& points,
-                         const std::string& stroke, double stroke_width,
-                         double opacity) {
-  std::string attr = "<polyline fill=\"none\" stroke=\"" + stroke +
-                     "\" stroke-width=\"" + Num(stroke_width) +
-                     "\" stroke-opacity=\"" + Num(opacity) + "\" points=\"";
-  for (const geo::Point& p : points) {
-    attr += Num(X(p.x)) + "," + Num(Y(p.y)) + " ";
-  }
-  attr += "\"/>";
-  elements_.push_back(std::move(attr));
-}
-
-void SvgWriter::Text(double x, double y, const std::string& text,
-                     int font_size, const std::string& fill) {
-  elements_.push_back("<text x=\"" + Num(X(x)) + "\" y=\"" + Num(Y(y)) +
-                      "\" font-size=\"" + std::to_string(font_size) +
-                      "\" fill=\"" + fill + "\" font-family=\"sans-serif\">" +
-                      EscapeXml(text) + "</text>");
 }
 
 std::string SvgWriter::ToString() const {

@@ -22,11 +22,6 @@ class SvgWriter {
             double opacity = 1.0);
   void Rect(const geo::Rect& r, const std::string& fill = "#1f77b4",
             const std::string& stroke = "none");
-  void Polyline(const std::vector<geo::Point>& points,
-                const std::string& stroke = "#1f77b4",
-                double stroke_width = 1.0, double opacity = 1.0);
-  void Text(double x, double y, const std::string& text, int font_size = 12,
-            const std::string& fill = "#222");
 
   /// Complete SVG document.
   std::string ToString() const;

@@ -18,22 +18,6 @@ std::string_view DataTypeCode(DataType t) {
   return "?";
 }
 
-std::string_view DataTypeName(DataType t) {
-  switch (t) {
-    case DataType::kNumeric:
-      return "numeric";
-    case DataType::kTemporal:
-      return "temporal";
-    case DataType::kSpatial:
-      return "spatial";
-    case DataType::kHierarchical:
-      return "hierarchical";
-    case DataType::kGraph:
-      return "graph";
-  }
-  return "?";
-}
-
 std::string_view VisKindCode(VisKind k) {
   switch (k) {
     case VisKind::kBubbleChart:

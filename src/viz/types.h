@@ -19,7 +19,6 @@ enum class DataType : uint8_t {
 
 /// One-letter code used in the regenerated Table 1 ("N", "T", ...).
 std::string_view DataTypeCode(DataType t);
-std::string_view DataTypeName(DataType t);
 
 /// The visualization-type taxonomy of Tables 1 and 2 (the tables' legend:
 /// B, C, CI, G, M, P, PC, S, SG, T, TL, TR) plus line/bar split used

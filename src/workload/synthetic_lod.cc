@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/random.h"
+#include "rdf/ntriples.h"
 #include "rdf/vocab.h"
 
 namespace lodviz::workload {
@@ -118,16 +120,6 @@ struct Generator {
 };
 
 }  // namespace
-
-std::vector<rdf::ParsedTriple> GenerateSyntheticLodTriples(
-    const SyntheticLodOptions& options) {
-  Generator gen(options);
-  std::vector<rdf::ParsedTriple> out;
-  for (uint64_t i = 0; i < options.num_entities; ++i) {
-    gen.GenerateEntity(i, &out);
-  }
-  return out;
-}
 
 size_t GenerateSyntheticLod(const SyntheticLodOptions& options,
                             rdf::TripleStore* store) {

@@ -2,9 +2,7 @@
 #define LODVIZ_WORKLOAD_SYNTHETIC_LOD_H_
 
 #include <cstdint>
-#include <vector>
 
-#include "rdf/streaming.h"
 #include "rdf/triple_store.h"
 
 namespace lodviz::workload {
@@ -47,11 +45,6 @@ struct SyntheticLodOptions {
 /// Generates the dataset directly into `store`. Returns triple count.
 size_t GenerateSyntheticLod(const SyntheticLodOptions& options,
                             rdf::TripleStore* store);
-
-/// Materializes the same dataset as parsed triples (for endpoint /
-/// streaming simulations).
-std::vector<rdf::ParsedTriple> GenerateSyntheticLodTriples(
-    const SyntheticLodOptions& options);
 
 }  // namespace lodviz::workload
 

@@ -88,17 +88,6 @@ TEST(ResultTest, MoveOnlyValue) {
   EXPECT_EQ(*v, 9);
 }
 
-TEST(StringUtilTest, SplitKeepsEmptyFields) {
-  EXPECT_EQ(SplitString("a,b,,c", ','),
-            (std::vector<std::string>{"a", "b", "", "c"}));
-  EXPECT_EQ(SplitString("", ','), (std::vector<std::string>{""}));
-}
-
-TEST(StringUtilTest, JoinInvertsSplit) {
-  std::vector<std::string> parts = {"x", "y", "z"};
-  EXPECT_EQ(JoinStrings(parts, "--"), "x--y--z");
-}
-
 TEST(StringUtilTest, Trim) {
   EXPECT_EQ(TrimWhitespace("  hi\t\n"), "hi");
   EXPECT_EQ(TrimWhitespace(""), "");

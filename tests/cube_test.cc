@@ -125,17 +125,21 @@ TEST_F(CubeFixture, PivotTable) {
 }
 
 TEST_F(CubeFixture, PivotWithMissingCombinationsHasNaN) {
-  DataCube diced = cube_->Dice(0, {Region("north")});
-  // Remove north/2015 by dicing years too? Instead pivot a cube missing
-  // combinations: slice to 2014 first then pivot region x region... use
-  // FromObservations for a sparse cube.
-  rdf::Dictionary* dict = &store_.dict();
-  std::vector<DataCube::Observation> obs = {
-      {{Region("north"), Year("2014")}, {1.0}},
-      {{Region("south"), Year("2015")}, {2.0}},
-  };
-  auto sparse = DataCube::FromObservations({"r", "y"}, {"m"}, obs, dict);
-  ASSERT_TRUE(sparse.ok());
+  // A sparse cube: north has only 2014, south only 2015.
+  using rdf::Term;
+  rdf::TripleStore store;
+  const Term region = Term::Iri("http://x/region");
+  const Term year = Term::Iri("http://x/year");
+  const Term m = Term::Iri("http://x/m");
+  store.Add(Term::Iri("http://x/o1"), region, Term::Literal("north"));
+  store.Add(Term::Iri("http://x/o1"), year, Term::Literal("2014"));
+  store.Add(Term::Iri("http://x/o1"), m, Term::DoubleLiteral(1.0));
+  store.Add(Term::Iri("http://x/o2"), region, Term::Literal("south"));
+  store.Add(Term::Iri("http://x/o2"), year, Term::Literal("2015"));
+  store.Add(Term::Iri("http://x/o2"), m, Term::DoubleLiteral(2.0));
+  auto sparse = DataCube::FromStore(
+      store, {"http://x/region", "http://x/year"}, {"http://x/m"});
+  ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
   auto pivot = sparse->Pivot(0, 1, 0, Agg::kSum);
   ASSERT_EQ(pivot.cells.size(), 2u);
   int nan_count = 0;
@@ -172,11 +176,6 @@ TEST(CubeTest, IncompleteObservationsSkipped) {
   auto cube = DataCube::FromStore(store, {"http://x/d"}, {"http://x/m"});
   ASSERT_TRUE(cube.ok());
   EXPECT_EQ(cube->size(), 1u);
-}
-
-TEST(CubeTest, ArityMismatchRejected) {
-  std::vector<DataCube::Observation> obs = {{{1}, {1.0, 2.0}}};
-  EXPECT_FALSE(DataCube::FromObservations({"d"}, {"m"}, obs, nullptr).ok());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -14,6 +15,7 @@
 #include "graph/generators.h"
 #include "graph/layout.h"
 #include "hier/hetree.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rdf/ntriples.h"
 #include "rdf/triple_store.h"
@@ -38,7 +40,6 @@ TEST(ExecPoolTest, ExecutesEveryTask) {
   }
   pool.Shutdown();
   EXPECT_EQ(count.load(), 100);
-  EXPECT_EQ(pool.tasks_executed(), 100u);
 }
 
 TEST(ExecPoolTest, ShutdownDrainsQueueUnderLoad) {
@@ -54,30 +55,36 @@ TEST(ExecPoolTest, ShutdownDrainsQueueUnderLoad) {
   }
   pool.Shutdown();
   EXPECT_EQ(sum.load(), static_cast<uint64_t>(kTasks) * (kTasks - 1) / 2);
-  EXPECT_EQ(pool.tasks_executed(), static_cast<uint64_t>(kTasks));
 }
 
 TEST(ExecPoolTest, PerWorkerCountersSumToTotal) {
+  // The per-worker exec.worker.<i>.tasks counters are process-wide, so
+  // the test reads their deltas.
+  obs::MetricRegistry& reg = obs::MetricRegistry::Global();
+  auto worker_total = [&reg] {
+    uint64_t sum = 0;
+    for (int w = 0; w < 3; ++w) {
+      sum += reg.GetCounter("exec.worker." + std::to_string(w) + ".tasks")
+                 .value();
+    }
+    return sum;
+  };
+  obs::Counter& pool_tasks = reg.GetCounter("exec.pool.tasks");
+  const uint64_t workers_before = worker_total();
+  const uint64_t pool_before = pool_tasks.value();
   ThreadPool pool(3);
   for (int i = 0; i < 300; ++i) pool.Submit([] {});
   pool.Shutdown();
-  uint64_t sum = 0;
-  for (size_t w = 0; w < pool.num_threads(); ++w) sum += pool.worker_tasks(w);
-  EXPECT_EQ(sum, pool.tasks_executed());
-  EXPECT_EQ(sum, 300u);
+  EXPECT_EQ(worker_total() - workers_before, 300u);
+  EXPECT_EQ(pool_tasks.value() - pool_before, 300u);
 }
 
 TEST(ExecPoolTest, WorkerThreadsAreRecognized) {
   EXPECT_FALSE(ThreadPool::InAnyPool());
   ThreadPool pool(2);
-  EXPECT_FALSE(pool.InThisPool());
-  std::atomic<bool> in_this{false}, in_any{false};
-  pool.Submit([&] {
-    in_this.store(pool.InThisPool());
-    in_any.store(ThreadPool::InAnyPool());
-  });
+  std::atomic<bool> in_any{false};
+  pool.Submit([&] { in_any.store(ThreadPool::InAnyPool()); });
   pool.Shutdown();
-  EXPECT_TRUE(in_this.load());
   EXPECT_TRUE(in_any.load());
 }
 
@@ -172,7 +179,6 @@ TEST(ExecParallelTest, NestedParallelismDegradesToSerial) {
 TEST(ExecTraceTest, SpanParentPropagatesIntoWorkers) {
   ScopedThreads threads(4);
   obs::Tracer& tracer = obs::Tracer::Global();
-  tracer.Clear();
   tracer.SetEnabled(true);
   {
     LODVIZ_TRACE_SPAN("exec.test.parent");
@@ -194,7 +200,6 @@ TEST(ExecTraceTest, SpanParentPropagatesIntoWorkers) {
         << "child span lost its cross-thread parent";
   }
   EXPECT_EQ(children, 64u);
-  tracer.Clear();
 }
 
 // --- Determinism and TSan coverage of the parallelized hot paths. Run
@@ -242,8 +247,8 @@ TEST(ExecDeterminismTest, HETreeBuildIsThreadCountInvariant) {
 }
 
 TEST(ExecDeterminismTest, ModularityIsExactAcrossThreadCounts) {
-  graph::Graph g = graph::ErdosRenyi(3000, 0.01, 11);
-  graph::Clustering c = graph::LabelPropagation(g, 5, 20);
+  graph::Graph g = graph::BarabasiAlbert(3000, 3, 11);
+  graph::Clustering c = graph::LouvainClustering(g, 5);
   SetThreads(1);
   double serial = graph::Modularity(g, c);
   SetThreads(4);

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "explore/browser.h"
-#include "explore/explain.h"
-#include "common/random.h"
 #include "explore/interest.h"
 #include "explore/summary.h"
 #include "rdf/turtle.h"
@@ -37,13 +35,16 @@ ex:greece a ex:Country ;
 TEST(BrowserTest, DescribeShowsPropertiesAndIncoming) {
   rdf::TripleStore store = MakeCityStore();
   ResourceBrowser browser(&store);
-  auto view = browser.DescribeIri("http://x.org/athens");
+  auto iri = [&store](const char* text) {
+    return store.dict().Lookup(rdf::Term::Iri(text));
+  };
+  auto view = browser.Describe(iri("http://x.org/athens"));
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   EXPECT_EQ(view->label, "Athens");
   EXPECT_EQ(view->outgoing.size(), 4u);  // type, label, population, country
   EXPECT_TRUE(view->incoming.empty());
 
-  auto greece = browser.DescribeIri("http://x.org/greece");
+  auto greece = browser.Describe(iri("http://x.org/greece"));
   ASSERT_TRUE(greece.ok());
   EXPECT_EQ(greece->label, "Greece");
   EXPECT_EQ(greece->incoming.size(), 2u);  // two cities point at it
@@ -78,13 +79,13 @@ TEST(BrowserTest, LinkNavigationAndHistory) {
 TEST(BrowserTest, RenderAndErrors) {
   rdf::TripleStore store = MakeCityStore();
   ResourceBrowser browser(&store);
-  auto view = browser.DescribeIri("http://x.org/athens");
+  auto view = browser.Describe(
+      store.dict().Lookup(rdf::Term::Iri("http://x.org/athens")));
   ASSERT_TRUE(view.ok());
   std::string text = browser.Render(*view);
   EXPECT_NE(text.find("Athens"), std::string::npos);
   EXPECT_NE(text.find("[navigable]"), std::string::npos);
 
-  EXPECT_FALSE(browser.DescribeIri("http://x.org/nothing").ok());
   EXPECT_FALSE(browser.Describe(999999).ok());
 }
 
@@ -202,52 +203,6 @@ TEST(SummaryTest, SyntheticLodShape) {
     knows_edge |= e.predicate_label == workload::lod::kKnows;
   }
   EXPECT_TRUE(knows_edge);
-}
-
-TEST(ExplainTest, FindsTheCausalFacet) {
-  // Sensors: those at site "foundry" read ~90, everything else ~20.
-  rdf::TripleStore store;
-  using rdf::Term;
-  Rng rng(3);
-  for (int i = 0; i < 120; ++i) {
-    std::string s = "http://x/sensor" + std::to_string(i);
-    bool hot = i < 25;
-    store.Add(Term::Iri(s), Term::Iri("http://x/site"),
-              Term::Literal(hot ? "foundry" : (i % 2 ? "office" : "yard")));
-    store.Add(Term::Iri(s), Term::Iri("http://x/vendor"),
-              Term::Literal(i % 3 == 0 ? "acme" : "globex"));
-    store.Add(Term::Iri(s), Term::Iri("http://x/reading"),
-              Term::DoubleLiteral((hot ? 90.0 : 20.0) + rng.Normal(0, 2)));
-  }
-  rdf::TermId reading = store.dict().Lookup(Term::Iri("http://x/reading"));
-  ASSERT_NE(reading, rdf::kInvalidTermId);
-
-  // Outlier group: the 30 hottest sensors (25 foundry + 5 noise).
-  auto outliers = TopValueSubjects(store, reading, 30);
-  ASSERT_EQ(outliers.size(), 30u);
-
-  auto explanations = ExplainDeviation(store, reading, outliers, 3);
-  ASSERT_TRUE(explanations.ok()) << explanations.status().ToString();
-  ASSERT_FALSE(explanations->empty());
-  const Explanation& top = explanations->front();
-  EXPECT_EQ(top.predicate_label, "http://x/site");
-  EXPECT_EQ(top.value_label, "foundry");
-  // Removing the foundry sensors drops the group's mean substantially.
-  EXPECT_GT(top.influence, 20.0);
-  EXPECT_EQ(top.support, 25u);
-  EXPECT_GT(top.facet_mean, 80.0);
-}
-
-TEST(ExplainTest, ErrorsAndEdgeCases) {
-  rdf::TripleStore store = MakeCityStore();
-  rdf::TermId pop = store.dict().Lookup(rdf::Term::Iri("http://x.org/population"));
-  EXPECT_FALSE(ExplainDeviation(store, pop, {}).ok());
-  // Outliers with no numeric target.
-  rdf::TermId greece = store.dict().Lookup(rdf::Term::Iri("http://x.org/greece"));
-  EXPECT_FALSE(ExplainDeviation(store, pop, {greece}).ok());
-  // Top-value helper respects k and ordering.
-  auto top = TopValueSubjects(store, pop, 5);
-  ASSERT_EQ(top.size(), 1u);  // only athens has a population
 }
 
 }  // namespace

@@ -85,17 +85,12 @@ TEST(FacetsTest, ConjunctiveRefinement) {
     EXPECT_LE(total, 1u * 3u);  // at most the matching set per predicate
   }
 
-  ASSERT_TRUE(browser.Deselect(lang).ok());
-  EXPECT_EQ(browser.num_matching(), 3u);
-  browser.Reset();
-  EXPECT_EQ(browser.num_matching(), 6u);
 }
 
 TEST(FacetsTest, SelectErrors) {
   rdf::TripleStore store = MakeBookStore();
   FacetedBrowser browser(&store);
   EXPECT_FALSE(browser.Select(9999, 1).ok());
-  EXPECT_FALSE(browser.Deselect(9999).ok());
 }
 
 TEST(FacetsTest, EmptyIntersection) {
@@ -350,19 +345,16 @@ TEST(SessionTest, RecordsAndSummarizes) {
   EXPECT_EQ(log.size(), 3u);
   EXPECT_DOUBLE_EQ(log.TotalLatencyMs(), 60.0);
   EXPECT_DOUBLE_EQ(log.MaxLatencyMs(), 30.0);
-  EXPECT_DOUBLE_EQ(log.MeanLatencyMs(), 20.0);
-  EXPECT_DOUBLE_EQ(log.LatencyQuantileMs(0.5), 20.0);
   std::string trace = log.ToString();
   EXPECT_NE(trace.find("zoom"), std::string::npos);
 
-  // Totals cover every op; the trace and quantiles only the kept ones.
+  // Totals cover every op; the trace only the kept ones.
   for (size_t i = 0; i < SessionLog::kKeptOps; ++i) {
     log.Record(OpKind::kRender, "r", 1.0);
   }
   EXPECT_EQ(log.size(), SessionLog::kKeptOps + 3);
   EXPECT_DOUBLE_EQ(log.TotalLatencyMs(), 60.0 + SessionLog::kKeptOps);
   EXPECT_DOUBLE_EQ(log.MaxLatencyMs(), 30.0);
-  EXPECT_DOUBLE_EQ(log.LatencyQuantileMs(0.99), 1.0);
   EXPECT_EQ(log.ToString().find("zoom"), std::string::npos);
 }
 

@@ -49,41 +49,6 @@ TEST(GraphTest, FromTripleStoreDropsLiterals) {
   Graph g = Graph::FromSource(store);
   EXPECT_EQ(g.num_nodes(), 3u);
   EXPECT_EQ(g.num_edges(), 2u);
-
-  NodeId node;
-  rdf::TermId a = store.dict().Lookup(Term::Iri("http://x/a"));
-  ASSERT_TRUE(g.NodeForTerm(a, &node));
-  EXPECT_EQ(g.node_term(node), a);
-}
-
-TEST(GraphTest, BfsDistances) {
-  // Path 0-1-2-3 plus isolated 4.
-  Graph g = Graph::FromEdges(5, {{0, 1}, {1, 2}, {2, 3}});
-  auto dist = g.BfsDistances(0);
-  EXPECT_EQ(dist[0], 0u);
-  EXPECT_EQ(dist[3], 3u);
-  EXPECT_EQ(dist[4], UINT32_MAX);
-}
-
-TEST(GraphTest, ConnectedComponents) {
-  Graph g = Graph::FromEdges(6, {{0, 1}, {1, 2}, {3, 4}});
-  NodeId n = 0;
-  auto comp = g.ConnectedComponents(&n);
-  EXPECT_EQ(n, 3u);
-  EXPECT_EQ(comp[0], comp[2]);
-  EXPECT_EQ(comp[3], comp[4]);
-  EXPECT_NE(comp[0], comp[3]);
-  EXPECT_NE(comp[5], comp[0]);
-}
-
-TEST(GraphTest, CoreNumbers) {
-  // A 3-clique with a pendant node: clique has core 2, pendant core 1.
-  Graph g = Graph::FromEdges(4, {{0, 1}, {1, 2}, {0, 2}, {2, 3}});
-  auto core = g.CoreNumbers();
-  EXPECT_EQ(core[0], 2u);
-  EXPECT_EQ(core[1], 2u);
-  EXPECT_EQ(core[2], 2u);
-  EXPECT_EQ(core[3], 1u);
 }
 
 TEST(GraphTest, InducedSubgraph) {
@@ -99,14 +64,6 @@ TEST(GeneratorsTest, BarabasiAlbertIsHeavyTailed) {
   EXPECT_GT(g.num_edges(), 3000u);
   // Heavy tail: max degree far above average.
   EXPECT_GT(static_cast<double>(g.MaxDegree()), 5.0 * g.AverageDegree());
-}
-
-TEST(GeneratorsTest, ErdosRenyiEdgeCountNearExpectation) {
-  NodeId n = 500;
-  double p = 0.02;
-  Graph g = ErdosRenyi(n, p, 7);
-  double expected = p * n * (n - 1) / 2.0;
-  EXPECT_NEAR(static_cast<double>(g.num_edges()), expected, expected * 0.15);
 }
 
 TEST(GeneratorsTest, WattsStrogatzDegrees) {
@@ -154,16 +111,6 @@ TEST_P(CommunityRecovery, LouvainRecoversPlantedPartition) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CommunityRecovery, ::testing::Values(1, 2, 3));
 
-TEST(ClusteringTest, LabelPropagationSeparatesComponents) {
-  Graph g = Graph::FromEdges(6, {{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}});
-  Clustering c = LabelPropagation(g, 3);
-  EXPECT_EQ(c.num_clusters, 2u);
-  EXPECT_EQ(c.assignment[0], c.assignment[1]);
-  EXPECT_NE(c.assignment[0], c.assignment[3]);
-  auto sizes = c.ClusterSizes();
-  EXPECT_EQ(sizes, (std::vector<size_t>{3, 3}));
-}
-
 TEST(ClusteringTest, LouvainImprovesOverSingletons) {
   Graph g = BarabasiAlbert(500, 3, 11);
   Clustering c = LouvainClustering(g, 11);
@@ -202,7 +149,17 @@ TEST(HierarchyTest, BaseMembersPartitionTheGraph) {
   const AbstractionLevel& top = h.top();
   std::set<NodeId> seen;
   for (NodeId u = 0; u < top.graph.num_nodes(); ++u) {
-    for (NodeId base : h.BaseMembers(h.num_levels() - 1, u)) {
+    // Descend through each level's member lists to the base nodes.
+    std::vector<NodeId> frontier = {u};
+    for (size_t l = h.num_levels() - 1; l > 0; --l) {
+      std::vector<NodeId> below;
+      for (NodeId node : frontier) {
+        const std::vector<NodeId>& members = h.level(l).members[node];
+        below.insert(below.end(), members.begin(), members.end());
+      }
+      frontier = std::move(below);
+    }
+    for (NodeId base : frontier) {
       EXPECT_TRUE(seen.insert(base).second) << "node in two super-nodes";
     }
   }
@@ -226,9 +183,6 @@ TEST_P(SamplerContract, RespectsTargetAndValidity) {
   Graph g = BarabasiAlbert(1000, 3, 23);
   size_t target = 150;
   std::vector<std::vector<NodeId>> samples = {
-      RandomNodeSample(g, target, GetParam()),
-      RandomEdgeSample(g, target, GetParam()),
-      RandomWalkSample(g, target, GetParam()),
       ForestFireSample(g, target, GetParam()),
   };
   for (size_t i = 0; i < samples.size(); ++i) {
@@ -244,22 +198,9 @@ TEST_P(SamplerContract, RespectsTargetAndValidity) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SamplerContract, ::testing::Values(1, 7, 99));
 
-TEST(SamplerTest, EdgeSamplePrefersHubs) {
-  Graph g = BarabasiAlbert(3000, 2, 31);
-  auto node_sample = RandomNodeSample(g, 300, 5);
-  auto edge_sample = RandomEdgeSample(g, 300, 5);
-  auto mean_degree = [&](const std::vector<NodeId>& nodes) {
-    double total = 0;
-    for (NodeId u : nodes) total += static_cast<double>(g.Degree(u));
-    return total / static_cast<double>(nodes.size());
-  };
-  EXPECT_GT(mean_degree(edge_sample), mean_degree(node_sample));
-}
-
 TEST(SamplerTest, WholeGraphWhenTargetExceedsSize) {
   Graph g = Triangle();
-  EXPECT_EQ(RandomNodeSample(g, 100, 1).size(), 3u);
-  EXPECT_EQ(RandomWalkSample(g, 100, 1).size(), 3u);
+  EXPECT_EQ(ForestFireSample(g, 100, 1).size(), 3u);
 }
 
 TEST(LayoutTest, PositionsInUnitSquare) {
@@ -288,15 +229,21 @@ TEST(LayoutTest, ForceLayoutPullsNeighborsCloserThanRandom) {
   Layout random(g.num_nodes());
   for (auto& p : random) p = {rng.UniformDouble(), rng.UniformDouble()};
 
-  EXPECT_LT(MeanEdgeLengthSq(g, fr), MeanEdgeLengthSq(g, random));
+  // Mean squared distance between adjacent nodes: lower is tighter.
+  auto mean_edge_length_sq = [&g](const Layout& layout) {
+    double total = 0.0;
+    for (const auto& [u, v] : g.edges()) {
+      total += geo::DistanceSq(layout[u], layout[v]);
+    }
+    return total / static_cast<double>(g.edges().size());
+  };
+  EXPECT_LT(mean_edge_length_sq(fr), mean_edge_length_sq(random));
 }
 
 TEST(LayoutTest, CheapLayoutsAreValid) {
   Graph g = BarabasiAlbert(50, 2, 43);
   Layout circular = CircularLayout(g);
-  Layout grid = GridLayout(g);
   EXPECT_EQ(circular.size(), 50u);
-  EXPECT_EQ(grid.size(), 50u);
   // Circular layout keeps all nodes distinct.
   std::set<std::pair<double, double>> unique;
   for (const auto& p : circular) unique.insert({p.x, p.y});

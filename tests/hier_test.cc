@@ -192,18 +192,6 @@ TEST(HETreeTest, IcoMaterializesOnlyVisitedPath) {
   EXPECT_GT(eager->materialized_nodes(), 1000u);
 }
 
-TEST(HETreeTest, NodesAtDepthCoverAllItems) {
-  auto tree = HETree::Build(UniformItems(2000, 17), ContentOpts());
-  ASSERT_TRUE(tree.ok());
-  for (uint32_t depth : {0u, 1u, 2u, 3u}) {
-    uint64_t total = 0;
-    for (auto id : tree->NodesAtDepth(depth)) {
-      total += tree->node(id).stats.count;
-    }
-    EXPECT_EQ(total, 2000u) << "depth " << depth;
-  }
-}
-
 TEST(HETreeTest, AdaptReusesDataAndAgreesWithRebuild) {
   std::vector<Item> items = UniformItems(20000, 19);
   auto original = HETree::Build(items, ContentOpts());

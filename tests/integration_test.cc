@@ -2,7 +2,9 @@
 // downstream user of lodviz would actually run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "core/engine.h"
 #include "core/ldvm.h"
@@ -12,7 +14,6 @@
 #include "explore/summary.h"
 #include "hier/hetree.h"
 #include "rdf/ntriples.h"
-#include "rdf/streaming.h"
 #include "workload/synthetic_lod.h"
 #include "test_util.h"
 
@@ -64,27 +65,32 @@ ex:birdco a ex:Company ; rdfs:label "BirdCo" .
 
   // Browse: ACME sells two products (incoming links via ex:sells).
   explore::ResourceBrowser browser(&derived_store);
-  auto acme = browser.DescribeIri("http://shop.example/acme");
+  auto acme = browser.Describe(derived_store.dict().Lookup(
+      rdf::Term::Iri("http://shop.example/acme")));
   ASSERT_TRUE(acme.ok());
   EXPECT_EQ(acme->outgoing.size(), 2u);
 }
 
-/// Dynamic setting: data streams in from a paged endpoint; after each
-/// batch the engine re-profiles and the HETree adapts — nothing is
-/// precomputed.
+/// Dynamic setting: data arrives in pages; after each page the engine
+/// re-profiles and the HETree adapts — nothing is precomputed.
 TEST(IntegrationTest, StreamingIngestWithIncrementalAnalysis) {
-  auto triples = workload::GenerateSyntheticLodTriples(
-      {.num_entities = 3000, .seed = 11});
-  rdf::EndpointSimulator endpoint(triples, /*page_size=*/2000,
-                                  /*per_request_ms=*/10);
+  rdf::TripleStore source;
+  workload::GenerateSyntheticLod({.num_entities = 3000, .seed = 11}, &source);
+  std::vector<rdf::Triple> triples;
+  source.Scan({}, [&](const rdf::Triple& t) {
+    triples.push_back(t);
+    return true;
+  });
 
   core::Engine engine;
+  const rdf::Dictionary& dict = source.dict();
   size_t batches = 0;
   uint64_t last_count = 0;
-  while (!endpoint.Exhausted()) {
-    auto page = endpoint.NextBatch(2000);
-    for (const auto& pt : page) {
-      engine.store().Add(pt.subject, pt.predicate, pt.object);
+  for (size_t begin = 0; begin < triples.size(); begin += 2000) {
+    const size_t end = std::min(triples.size(), begin + 2000);
+    for (size_t i = begin; i < end; ++i) {
+      engine.store().Add(dict.term(triples[i].s), dict.term(triples[i].p),
+                         dict.term(triples[i].o));
     }
     ++batches;
     // Incremental analysis over the data so far.
@@ -98,7 +104,6 @@ TEST(IntegrationTest, StreamingIngestWithIncrementalAnalysis) {
   }
   EXPECT_GT(batches, 5u);
   EXPECT_EQ(last_count, 3000u);
-  EXPECT_GT(endpoint.requests_made(), 5u);
 }
 
 /// The full SynopsViz-style session: load, profile, recommend, render,

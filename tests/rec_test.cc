@@ -36,24 +36,6 @@ TEST(RecommenderTest, MapTopsSpatialDataset) {
   }
 }
 
-TEST(RecommenderTest, DetectDataTypesCoversTaxonomy) {
-  rdf::TripleStore store = SyntheticStore();
-  auto types = DetectDataTypes(ProfileOf(store));
-  // Synthetic LOD has numeric (age), temporal (created), spatial (geo)
-  // and graph (knows) data.
-  auto has = [&](viz::DataType t) {
-    for (auto x : types) {
-      if (x == t) return true;
-    }
-    return false;
-  };
-  EXPECT_TRUE(has(viz::DataType::kNumeric));
-  EXPECT_TRUE(has(viz::DataType::kTemporal));
-  EXPECT_TRUE(has(viz::DataType::kSpatial));
-  EXPECT_TRUE(has(viz::DataType::kGraph));
-  EXPECT_FALSE(has(viz::DataType::kHierarchical));
-}
-
 TEST(RecommenderTest, NumericOnlyDatasetGetsChart) {
   rdf::TripleStore store;
   using rdf::Term;
@@ -119,17 +101,6 @@ TEST(RecommenderTest, PreferencesReorderRanking) {
   auto after = rec.Recommend(profile, 3);
   ASSERT_FALSE(after.empty());
   EXPECT_NE(after.front().spec.kind, top);
-}
-
-TEST(RecommenderTest, FeedbackLearnsGradually) {
-  Recommender rec;
-  EXPECT_DOUBLE_EQ(rec.preference(viz::VisKind::kPie), 1.0);
-  rec.RecordFeedback(viz::VisKind::kPie, /*accepted=*/true);
-  EXPECT_GT(rec.preference(viz::VisKind::kPie), 1.0);
-  for (int i = 0; i < 50; ++i) rec.RecordFeedback(viz::VisKind::kPie, false);
-  EXPECT_DOUBLE_EQ(rec.preference(viz::VisKind::kPie), 0.25);  // clamped
-  for (int i = 0; i < 100; ++i) rec.RecordFeedback(viz::VisKind::kPie, true);
-  EXPECT_DOUBLE_EQ(rec.preference(viz::VisKind::kPie), 4.0);  // clamped
 }
 
 TEST(RecommenderTest, EmptyProfileYieldsNothing) {

@@ -6,10 +6,12 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/check.h"
 #include "common/result.h"
+#include "stats/profile.h"
 
 namespace lodviz::test {
 
@@ -23,6 +25,15 @@ template <typename T>
 T Unwrap(Result<T> r) {
   LODVIZ_CHECK_OK(r);
   return std::move(r).ValueOrDie();
+}
+
+/// The profile of the predicate `iri` in `profile`; nullptr if absent.
+inline const stats::PropertyProfile* FindProperty(
+    const stats::DatasetProfile& profile, std::string_view iri) {
+  for (const stats::PropertyProfile& p : profile.properties) {
+    if (p.predicate_iri == iri) return &p;
+  }
+  return nullptr;
 }
 
 /// A file path under ::testing::TempDir(), unique to the test process;

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
+#include <vector>
 
-#include "common/string_util.h"
 #include "rdf/ntriples.h"
 #include "rdf/turtle.h"
 #include "rdf/vocab.h"
@@ -181,8 +182,14 @@ _:a.b x:p _:c-d .
   WriteNTriples(from_nt, a);
   WriteNTriples(from_ttl, b);
   // Same canonical serialization (term ids differ; text must not).
-  std::vector<std::string> la = SplitString(a.str(), '\n');
-  std::vector<std::string> lb = SplitString(b.str(), '\n');
+  auto lines = [](const std::string& text) {
+    std::vector<std::string> out;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) out.push_back(line);
+    return out;
+  };
+  std::vector<std::string> la = lines(a.str());
+  std::vector<std::string> lb = lines(b.str());
   std::sort(la.begin(), la.end());
   std::sort(lb.begin(), lb.end());
   EXPECT_EQ(la, lb);

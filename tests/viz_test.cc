@@ -31,12 +31,7 @@ TEST(CanvasTest, PointCountingAndOverplot) {
   EXPECT_EQ(canvas.total_marks(), 3u);
   EXPECT_EQ(canvas.pixels_touched(), 2u);
   EXPECT_DOUBLE_EQ(canvas.OverplotFactor(), 1.5);
-  EXPECT_EQ(canvas.MaxCount(), 2u);
   EXPECT_NEAR(canvas.HiddenMarkFraction(), 1.0 / 3.0, 1e-12);
-  canvas.Clear();
-  EXPECT_EQ(canvas.total_marks(), 0u);
-  EXPECT_EQ(canvas.pixels_touched(), 0u);
-  EXPECT_EQ(canvas.OverplotFactor(), 0.0);
 }
 
 TEST(CanvasTest, LineTouchesContiguousPixels) {
@@ -70,16 +65,13 @@ TEST(CanvasTest, AsciiArtRenders) {
 }
 
 TEST(CanvasTest, StatisticsMatchBruteForceCount) {
-  // Seeded draws, some reaching past the unit square, with an occasional
-  // Clear: after every call the O(1) statistics equal a count over At().
+  // Seeded draws, some reaching past the unit square: after every call
+  // the O(1) statistics equal a count over At().
   Canvas canvas(37, 23);
   Rng rng(17);
   auto coord = [&] { return rng.UniformDouble(-0.2, 1.2); };
   for (int call = 0; call < 3000; ++call) {
     switch (rng.Uniform(20)) {
-      case 0:
-        canvas.Clear();
-        break;
       case 1:
       case 2:
         canvas.DrawLine(coord(), coord(), coord(), coord());
@@ -279,13 +271,10 @@ TEST(SvgTest, ProducesValidishDocument) {
   svg.Circle(0.5, 0.5, 3.0);
   svg.Line(0, 0, 1, 1);
   svg.Rect({0.1, 0.1, 0.2, 0.2});
-  svg.Polyline({{0, 0}, {0.5, 1}, {1, 0}});
-  svg.Text(0.1, 0.9, "hello <world> & co");
   std::string doc = svg.ToString();
   EXPECT_NE(doc.find("<svg"), std::string::npos);
   EXPECT_NE(doc.find("</svg>"), std::string::npos);
-  EXPECT_NE(doc.find("&lt;world&gt;"), std::string::npos);
-  EXPECT_EQ(svg.num_elements(), 5u);
+  EXPECT_EQ(svg.num_elements(), 3u);
   // y-flip: circle at unit y=0.5 lands at pixel y=50.
   EXPECT_NE(doc.find("cy=\"50.00\""), std::string::npos);
 }

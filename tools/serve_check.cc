@@ -1,5 +1,5 @@
 // serve_check: end-to-end gate for the SPARQL serving layer (check.sh
-// gate 5). Starts a real server on an ephemeral port, then asserts that
+// gate 6). Starts a real server on an ephemeral port, then asserts that
 //
 //   1. every query answered over HTTP is BIT-IDENTICAL to serializing a
 //      direct QueryEngine execution of the same query (cold plan cache),
