@@ -75,10 +75,10 @@ class SerializedSource : public rdf::TripleSource {
   mutable std::mutex mu_;
 };
 
-/// Part F: the serve-mem-views OPTIONAL shape (filtered, and without its
-/// filter) under the planner's NLJ pin for optional steps and under a
-/// forced hash join. Records the numbers behind keeping the pin; fails on
-/// any row divergence between the two.
+/// Part F: the serve-mem-views OPTIONAL shape, filtered and without its
+/// filter, timed on one thread and on four: the baseline that batched
+/// probes and fitted selectivities have to beat. Fails when the rows at
+/// one thread and at four differ.
 bool RunOptionalPart(bench::Telemetry* telemetry) {
   rdf::TripleStore store;
   workload::SyntheticLodOptions lod;
@@ -86,10 +86,7 @@ bool RunOptionalPart(bench::Telemetry* telemetry) {
   lod.seed = 3;
   workload::GenerateSyntheticLod(lod, &store);
   store.Compact();
-  sparql::QueryEngine nlj(&store);  // kAuto pins optional steps to NLJ
-  sparql::QueryEngine::Options hash_opts;
-  hash_opts.force_join = sparql::JoinForce::kHash;
-  sparql::QueryEngine hash(&store, hash_opts);
+  sparql::QueryEngine engine(&store);
 
   const std::string head =
       "SELECT ?s ?label WHERE { ?s <http://lod.example/ontology/age> ?age . "
@@ -100,15 +97,13 @@ bool RunOptionalPart(bench::Telemetry* telemetry) {
     const char* phase;
     std::string query;
   } shapes[] = {
-      {"filtered", "partF_optional_filtered",
-       head + "FILTER(?age < 20) " + tail},
+      {"filtered", "partF_optional_filtered", head + "FILTER(?age < 20) " + tail},
       {"unfiltered", "partF_optional_unfiltered", head + tail},
   };
 
   // Median wall time of 21 runs after one warm-up; the rendered rows of
   // the last run come back through `rows`.
-  auto median_ms = [](const sparql::QueryEngine& engine,
-                      const std::string& q, std::string* rows) {
+  auto median_ms = [&](const std::string& q, std::string* rows) {
     std::vector<double> ms;
     for (int i = 0; i < 22; ++i) {
       Stopwatch sw;
@@ -122,33 +117,29 @@ bool RunOptionalPart(bench::Telemetry* telemetry) {
     return ms[ms.size() / 2];
   };
 
-  exec::SetThreads(1);
-  TablePrinter table({"query", "NLJ ms", "hash ms", "hash/NLJ", "identical"});
+  TablePrinter table({"query", "1 thread ms", "4 threads ms", "identical"});
   bool all_identical = true;
   for (const Shape& shape : shapes) {
-    std::string nlj_rows, hash_rows;
-    const double nlj_ms = median_ms(nlj, shape.query, &nlj_rows);
-    const double hash_ms = median_ms(hash, shape.query, &hash_rows);
-    const bool identical = nlj_rows == hash_rows;
+    std::string serial_rows, parallel_rows;
+    exec::SetThreads(1);
+    const double serial_ms = median_ms(shape.query, &serial_rows);
+    exec::SetThreads(4);
+    const double parallel_ms = median_ms(shape.query, &parallel_rows);
+    const bool identical = parallel_rows == serial_rows;
     all_identical = all_identical && identical;
-    char ratio[32];
-    std::snprintf(ratio, sizeof(ratio), "%.2fx", hash_ms / nlj_ms);
-    table.AddRow({shape.name, bench::Ms(nlj_ms), bench::Ms(hash_ms), ratio,
+    table.AddRow({shape.name, bench::Ms(serial_ms), bench::Ms(parallel_ms),
                   identical ? "yes" : "NO"});
-    telemetry->RecordPhase(std::string(shape.phase) + "_nlj_ms", nlj_ms);
-    telemetry->RecordPhase(std::string(shape.phase) + "_hash_ms", hash_ms);
+    telemetry->RecordPhase(std::string(shape.phase) + "_ms", serial_ms);
+    telemetry->RecordPhase(std::string(shape.phase) + "_4t_ms", parallel_ms);
   }
   exec::SetThreads(0);
   table.Print(std::cout);
   if (!all_identical) {
-    std::cerr << "OPTIONAL rows diverge between NLJ and hash\n";
+    std::cerr << "OPTIONAL rows diverge between 1 and 4 threads\n";
     return false;
   }
   std::cout << "\nShape check: each OPTIONAL is one left-outer join over all "
-               "of its parents under either strategy, with identical rows. "
-               "The planner keeps optional steps on NLJ under kAuto: the "
-               "filtered shape probes a few surviving parents, where a hash "
-               "build over every label loses.\n";
+               "of its parents, with the same rows at any thread count.\n";
   return true;
 }
 
@@ -299,13 +290,9 @@ int Run() {
                "adapter serialized every scan):\n";
   // Nested-loop joins do one index scan per probe row, so they put the
   // most concurrent pressure on the storage layer — exactly what the
-  // striping is for. Force NLJ so the comparison measures the pool, not
-  // the join strategy.
-  sparql::QueryEngine::Options nlj_opts;
-  nlj_opts.force_join = sparql::JoinForce::kNestedLoop;
+  // striping is for.
   SerializedSource serialized(&adapter);
-  sparql::QueryEngine striped_engine(&adapter, nlj_opts);
-  sparql::QueryEngine serialized_engine(&serialized, nlj_opts);
+  sparql::QueryEngine serialized_engine(&serialized);
   const char* scaling_q = kQueries[1];  // two-hop path: probe-heavy BGP
 
   TablePrinter scaling({"source", "threads", "ms"});
@@ -314,7 +301,7 @@ int Run() {
     sparql::QueryEngine* engine;
     const char* name;
   } sources[] = {{&serialized_engine, "serialized"},
-                 {&striped_engine, "striped"}};
+                 {&disk_engine, "striped"}};
   for (int si = 0; si < 2; ++si) {
     for (int ti = 0; ti < 2; ++ti) {
       const int threads = ti == 0 ? 1 : 4;
@@ -349,42 +336,10 @@ int Run() {
             << "x); on a single-core host both flatline and the ratio "
                "hovers near 1 — see EXPERIMENTS.md E10 for the caveat.\n";
 
-  std::cout << "\nPart E — join strategy on the disk backend (same two-hop "
-               "query, forced each way):\n";
-  sparql::QueryEngine::Options hash_opts;
-  hash_opts.force_join = sparql::JoinForce::kHash;
-  sparql::QueryEngine disk_hash_engine(&adapter, hash_opts);
-  TablePrinter joins({"strategy", "ms", "identical"});
-  (void)striped_engine.ExecuteString(scaling_q);
-  Stopwatch nlj_sw;
-  auto nlj_r = striped_engine.ExecuteString(scaling_q);
-  double nlj_ms = nlj_sw.ElapsedMillis();
-  (void)disk_hash_engine.ExecuteString(scaling_q);
-  Stopwatch hash_sw;
-  auto hash_r = disk_hash_engine.ExecuteString(scaling_q);
-  double hash_ms = hash_sw.ElapsedMillis();
-  if (!nlj_r.ok() || !hash_r.ok()) {
-    std::remove(disk_path.c_str());
-    return 1;
-  }
-  bool join_identical = nlj_r->ToString(nlj_r->num_rows()) ==
-                        hash_r->ToString(hash_r->num_rows());
-  joins.AddRow({"nested-loop", bench::Ms(nlj_ms), join_identical ? "yes" : "NO"});
-  joins.AddRow({"hash", bench::Ms(hash_ms), join_identical ? "yes" : "NO"});
-  telemetry.RecordPhase("disk_join_nlj_ms", nlj_ms);
-  telemetry.RecordPhase("disk_join_hash_ms", hash_ms);
-  joins.Print(std::cout);
   std::remove(disk_path.c_str());
-  if (!join_identical) {
-    std::cerr << "join strategy divergence\n";
-    return 1;
-  }
-  std::cout << "\nShape check: both strategies return bit-identical rows; "
-               "the adaptive planner picks between them per pattern from "
-               "shared statistics.\n";
 
   std::cout << "\nPart F — OPTIONAL as a left-outer join (4k entities, "
-               "one thread, median of 21 runs):\n";
+               "median of 21 runs):\n";
   if (!RunOptionalPart(&telemetry)) return 1;
 
   std::cout << "\nPart G — compressed disk leaves (same data, Q2 over a "

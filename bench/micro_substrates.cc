@@ -159,16 +159,6 @@ void BM_RTreeWindowQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_RTreeWindowQuery);
 
-void BM_CountMinUpdate(benchmark::State& state) {
-  stats::CountMinSketch cms(4096, 4);
-  uint64_t i = 0;
-  for (auto _ : state) {
-    cms.Add(i++ * 2654435761ULL);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CountMinUpdate);
-
 void BM_HyperLogLogUpdate(benchmark::State& state) {
   stats::HyperLogLog hll(14);
   uint64_t i = 0;
@@ -324,16 +314,15 @@ void BM_ProfileOperatorOn(benchmark::State& state) {
 }
 BENCHMARK(BM_ProfileOperatorOn);
 
-// --- Adaptive-join substrate -------------------------------------------
+// --- Index nested-loop join fan-out ------------------------------------
 //
-// Hash vs index nested-loop on a fanout self-join at three probe-rows/
-// bucket-size cardinality ratios. Every subject has `fanout` p1-edges and
-// the second pattern re-derives the edge with a variable predicate
-// (`?a ?p ?b`), so a nested-loop probe must index-scan the subject's
-// whole `fanout`-row range to find its single match, while the hash probe
-// jumps straight to a one-element (?a,?b)-keyed bucket. Output is pinned
-// at 8192 rows for every arg, so the measured difference is pure probe
-// cost: NLJ work grows linearly with fanout, hash work stays flat.
+// A fanout self-join at three fan-outs. Every subject has `fanout`
+// p1-edges and the second pattern re-derives the edge with a variable
+// predicate (`?a ?p ?b`), so each probe must index-scan the subject's
+// whole `fanout`-row range to find its single match. Output is pinned at
+// 8192 rows for every arg, so the curve is pure probe cost: it grows
+// linearly with fanout, which a set-at-a-time (batched) probe would have
+// to flatten.
 
 constexpr int kJoinResultRows = 8192;
 
@@ -353,14 +342,12 @@ void FillJoinStore(rdf::TripleStore* store, int fanout) {
   store->Compact();
 }
 
-void RunJoinBench(benchmark::State& state, sparql::JoinForce force) {
+void BM_SparqlJoinNestedLoop(benchmark::State& state) {
   rdf::TripleStore store;
   FillJoinStore(&store, static_cast<int>(state.range(0)));
-  sparql::QueryEngine::Options opts;
-  opts.force_join = force;
-  sparql::QueryEngine engine(&store, opts);
+  sparql::QueryEngine engine(&store);
   // COUNT(*) keeps the measurement on the join itself — materializing
-  // 8192 projected term rows would otherwise dominate both strategies.
+  // 8192 projected term rows would otherwise dominate.
   sparql::Query query = bench::Unwrap(sparql::ParseQuery(
       "SELECT (COUNT(*) AS ?n) WHERE { ?a <http://bench.example/p1> ?b . "
       "?a ?p ?b . }"));
@@ -370,16 +357,7 @@ void RunJoinBench(benchmark::State& state, sparql::JoinForce force) {
   }
   state.SetItemsProcessed(state.iterations() * kJoinResultRows);
 }
-
-void BM_SparqlJoinNestedLoop(benchmark::State& state) {
-  RunJoinBench(state, sparql::JoinForce::kNestedLoop);
-}
 BENCHMARK(BM_SparqlJoinNestedLoop)->Arg(4)->Arg(32)->Arg(256);
-
-void BM_SparqlJoinHash(benchmark::State& state) {
-  RunJoinBench(state, sparql::JoinForce::kHash);
-}
-BENCHMARK(BM_SparqlJoinHash)->Arg(4)->Arg(32)->Arg(256);
 
 // --- Buffer-pool striping ----------------------------------------------
 //

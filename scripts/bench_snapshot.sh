@@ -22,9 +22,9 @@ JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 2)"
 # memory-vs-disk backend phases (per-query mem_qN_*/disk_qN_* latency,
 # rows/s, and buffer-pool hit rate), the Part D thread-scaling phases
 # (disk_bgp_{serialized,striped}_{1,4}t_ms over the lock-striped buffer
-# pool plus the disk_bgp_4t_striped_speedup ratio), and the Part E join
-# strategy phases (disk_join_{nlj,hash}_ms); e7 records the same phase
-# keys for its exploration queries.
+# pool plus the disk_bgp_4t_striped_speedup ratio), and the Part F
+# OPTIONAL phases (partF_optional_{filtered,unfiltered}_{ms,4t_ms}); e7
+# records the same phase keys for its exploration queries.
 BENCHES=(e1_sampling e5_hetree e10_sparql)
 
 echo "== bench_snapshot: building ${BENCHES[*]} =="

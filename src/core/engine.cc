@@ -149,10 +149,8 @@ std::string Engine::SlowQueryLogJson() const {
 Result<stats::DatasetProfile> Engine::Profile() {
   CountCapability("profile");
   if (!profile_.has_value()) {
-    stats::ProfilerOptions popts;
-    popts.seed = kSeed;
     LODVIZ_ASSIGN_OR_RETURN(stats::DatasetProfile p,
-                            stats::ProfileDataset(store_, popts));
+                            stats::ProfileDataset(store_));
     profile_ = std::move(p);
   }
   return *profile_;

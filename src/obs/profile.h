@@ -17,8 +17,8 @@ namespace lodviz::obs {
 /// the query layer builds the skeleton (labels, estimates, children) and
 /// this layer stores, renders, and serializes it.
 struct OperatorProfile {
-  /// Operator kind ("scan", "hash-join", "filter", "union", "optional",
-  /// "group") — free-form, chosen by the layer that builds the skeleton.
+  /// Operator kind ("scan", "filter", "union", "optional", "group") —
+  /// free-form, chosen by the layer that builds the skeleton.
   std::string op;
   /// Human-readable operand description (e.g. the triple-pattern text).
   std::string label;

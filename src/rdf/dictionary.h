@@ -18,7 +18,7 @@ using TermId = uint32_t;
 inline constexpr TermId kInvalidTermId = 0;
 
 /// Parsed value of a literal, cached per TermId at intern time so hot
-/// comparison paths (FILTER relations, hash-join key checks) never re-parse
+/// comparison paths (FILTER relations, MIN/MAX) never re-parse
 /// lexical forms per row. `kNum`/`kTime` are set only when the literal both
 /// claims the type (Term::IsNumericLiteral / IsTemporalLiteral) and parses
 /// cleanly; everything else is `kNone` and falls back to the Term-based

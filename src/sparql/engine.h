@@ -40,8 +40,7 @@ struct QueryStats {
 
 /// Executes parsed queries against any rdf::TripleSource — the in-memory
 /// store or a disk-resident one behind storage::DiskSourceAdapter — using
-/// selectivity-ordered joins (per pattern either an index nested-loop or a
-/// build-once hash join, chosen by the planner; volcano-style, fully
+/// selectivity-ordered index nested-loop joins (volcano-style, fully
 /// materialized per group) over slot-addressed binding rows; planning
 /// lives in planner.h, the operator pipeline in executor.h.
 ///
@@ -50,7 +49,7 @@ struct QueryStats {
 /// run concurrently per the TripleSource contract).
 class QueryEngine {
  public:
-  /// The planner's options (join ordering, forced join strategy) plus
+  /// The planner's options (join ordering) plus
   /// the execution-side ones; Plan() hands the PlannerOptions part to
   /// PlanQuery as is.
   struct Options : PlannerOptions {

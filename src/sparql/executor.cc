@@ -1,7 +1,6 @@
 #include "sparql/executor.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "exec/parallel.h"
 #include "obs/trace.h"
@@ -23,8 +22,6 @@ SparqlMetrics& SparqlMetrics::Get() {
                          r.GetCounter("sparql.op.filter_errors"),
                          r.GetCounter("sparql.op.optional_rows"),
                          r.GetCounter("sparql.op.union_rows"),
-                         r.GetCounter("sparql.op.hash_joins"),
-                         r.GetCounter("sparql.op.hash_build_rows"),
                          r.GetHistogram("sparql.execute_us")};
   return m;
 }
@@ -436,74 +433,6 @@ bool PassesFilter(const CompiledExpr& e, const rdf::Dictionary& dict,
   return b.ValueOrDie();
 }
 
-namespace {
-
-/// Hash-join key: the runtime TermIds at the pattern's statically-bound
-/// join slots; kInvalidTermId at every other position.
-struct JoinKey {
-  TermId a = kInvalidTermId;
-  TermId b = kInvalidTermId;
-  TermId c = kInvalidTermId;
-  bool operator==(const JoinKey& o) const {
-    return a == o.a && b == o.b && c == o.c;
-  }
-};
-
-struct JoinKeyHash {
-  size_t operator()(const JoinKey& k) const {
-    uint64_t h = static_cast<uint64_t>(k.a) * 0x9E3779B97F4A7C15ULL;
-    h ^= static_cast<uint64_t>(k.b) + 0x9E3779B97F4A7C15ULL + (h << 6) +
-         (h >> 2);
-    h ^= static_cast<uint64_t>(k.c) + 0x9E3779B97F4A7C15ULL + (h << 6) +
-         (h >> 2);
-    return static_cast<size_t>(h);
-  }
-};
-
-using JoinTable =
-    std::unordered_map<JoinKey, std::vector<rdf::Triple>, JoinKeyHash>;
-
-/// Build side of a hash-join step: one scan with the join slots wildcarded
-/// (only plan constants stay fixed), bucketed on the key positions. Every
-/// bucket is then sorted back into NLJ probe delivery order: the index a
-/// probe would pick is a function of which positions are bound (SPO when
-/// the s position is, else POS when p is, else SPO for o-only — both
-/// backends agree, see DESIGN.md §4.5), and a sorted bucket filtered by the
-/// runtime bindings stays in that order. This is what keeps hash-join
-/// output bit-identical to NLJ output.
-JoinTable BuildJoinTable(const rdf::TripleSource& source,
-                         const PatternStep& st) {
-  SparqlMetrics::Get().op_hash_joins.Increment();
-  rdf::TriplePattern build_pat(
-      st.s_slot == kNoSlot ? st.s_id : kInvalidTermId,
-      st.p_slot == kNoSlot ? st.p_id : kInvalidTermId,
-      st.o_slot == kNoSlot ? st.o_id : kInvalidTermId);
-  JoinTable table;
-  uint64_t build_rows = 0;
-  source.Scan(build_pat, [&](const rdf::Triple& t) {
-    ++build_rows;
-    JoinKey k{st.s_bound ? t.s : kInvalidTermId,
-              st.p_bound ? t.p : kInvalidTermId,
-              st.o_bound ? t.o : kInvalidTermId};
-    table[k].push_back(t);
-    return true;
-  });
-  SparqlMetrics::Get().op_hash_build_rows.Increment(build_rows);
-
-  const bool s_fixed = st.s_slot == kNoSlot || st.s_bound;
-  const bool p_fixed = st.p_slot == kNoSlot || st.p_bound;
-  for (auto& [key, bucket] : table) {
-    if (s_fixed || !p_fixed) {
-      std::sort(bucket.begin(), bucket.end(), rdf::OrderSpo());
-    } else {
-      std::sort(bucket.begin(), bucket.end(), rdf::OrderPos());
-    }
-  }
-  return table;
-}
-
-}  // namespace
-
 obs::OperatorProfile BuildProfileSkeleton(const GroupPlan& plan) {
   obs::OperatorProfile node;
   node.op = "group";
@@ -519,7 +448,7 @@ obs::OperatorProfile BuildProfileSkeleton(const GroupPlan& plan) {
   };
   for (const PatternStep& st : plan.steps) {
     obs::OperatorProfile& step = node.children.emplace_back();
-    step.op = st.strategy == JoinStrategy::kHash ? "hash-join" : "scan";
+    step.op = "scan";
     step.label = st.label;
     step.est_rows = st.est_rows;
   }
@@ -560,11 +489,11 @@ bool Executor::TimeExpired() {
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized execution. Output is bit-identical across join strategies and
-// thread counts: same logical rows in the same order, same plans, same
-// metric deltas. Every structural choice below — chunk grains, chunk
-// concatenation order, per-bucket sorting, filter error accounting — exists
-// to preserve that; see DESIGN.md §4.9 before changing any of it.
+// Vectorized execution. Output is bit-identical across backends and thread
+// counts: same logical rows in the same order, same plans, same metric
+// deltas. Every structural choice below — chunk grains, chunk
+// concatenation order, filter error accounting — exists to preserve that;
+// see DESIGN.md §4.9 before changing any of it.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -737,10 +666,6 @@ std::vector<ColumnBatch> Executor::EvalBgpBatches(
     ++step_index;
     std::vector<ColumnBatch> next;
     if (!st.dead && view.total() > 0) {
-      const bool hash = st.strategy == JoinStrategy::kHash;
-      const JoinTable table =
-          hash ? BuildJoinTable(*source_, st) : JoinTable();
-
       // Solutions extend independently over logical rows (grain 8) and
       // per-chunk outputs concatenate in chunk order, so the logical row
       // order of `next` is the serial loop's order by construction. Batch
@@ -753,13 +678,13 @@ std::vector<ColumnBatch> Executor::EvalBgpBatches(
             BatchSink sink(width_, &out);
             RunExtender extender(st);
             std::vector<TermId> sol(width_);
-            // Index nested-loop probe for one gathered solution. The
-            // per-solution index walk is the NLJ fallback by design; the
+            // Index nested-loop probe, one per gathered solution: the
             // source hands matches back as whole runs (index-resident for
             // the memory store, one decoded leaf per run on disk) and each
             // run extends into the column batch without an intermediate
             // copy — Extend is callable once per run per solution.
-            auto nlj_probe = [&]() {
+            view.ForEachRow(cb, ce, [&](const ColumnBatch& b, uint32_t r) {
+              b.GatherRow(r, sol.data());
               rdf::TriplePattern pat(
                   st.s_slot == kNoSlot ? st.s_id : sol[st.s_slot],
                   st.p_slot == kNoSlot ? st.p_id : sol[st.p_slot],
@@ -768,30 +693,6 @@ std::vector<ColumnBatch> Executor::EvalBgpBatches(
                 extender.Extend(sink, sol.data(), run, n);
                 return true;
               });
-            };
-            view.ForEachRow(cb, ce, [&](const ColumnBatch& b, uint32_t r) {
-              b.GatherRow(r, sol.data());
-              if (!hash) {
-                nlj_probe();
-                return;
-              }
-              // The planner's "certainly bound" is static: a key slot can
-              // still be unbound at runtime (seeds from an outer group),
-              // where NLJ semantics treat it as a wildcard. Fall back to
-              // the index probe for such rows.
-              if ((st.s_bound && sol[st.s_slot] == kInvalidTermId) ||
-                  (st.p_bound && sol[st.p_slot] == kInvalidTermId) ||
-                  (st.o_bound && sol[st.o_slot] == kInvalidTermId)) {
-                nlj_probe();
-                return;
-              }
-              JoinKey k{st.s_bound ? sol[st.s_slot] : kInvalidTermId,
-                        st.p_bound ? sol[st.p_slot] : kInvalidTermId,
-                        st.o_bound ? sol[st.o_slot] : kInvalidTermId};
-              auto it = table.find(k);
-              if (it == table.end()) return;
-              extender.Extend(sink, sol.data(), it->second.data(),
-                              it->second.size());
             });
             return out;
           },

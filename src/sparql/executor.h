@@ -28,8 +28,6 @@ struct SparqlMetrics {
   obs::Counter& op_filter_errors;
   obs::Counter& op_optional_rows;
   obs::Counter& op_union_rows;
-  obs::Counter& op_hash_joins;
-  obs::Counter& op_hash_build_rows;
   obs::Histogram& execute_us;
 
   static SparqlMetrics& Get();
@@ -89,7 +87,7 @@ bool PassesFilter(const CompiledExpr& e, const rdf::Dictionary& dict,
                   const rdf::TermId* row);
 
 /// Builds the obs::OperatorProfile tree mirroring `plan`: one node per
-/// pattern step (op "scan"/"hash-join", the planner's label and estimate),
+/// pattern step (op "scan", the planner's label and estimate),
 /// one "union"/"optional" group node per branch (recursively mirrored),
 /// and one "filter" node per non-empty filter list: the filters pushed
 /// below the optionals, then the rest. The executor walks plan and
@@ -98,18 +96,18 @@ bool PassesFilter(const CompiledExpr& e, const rdf::Dictionary& dict,
 [[nodiscard]] obs::OperatorProfile BuildProfileSkeleton(const GroupPlan& plan);
 
 /// Executes a compiled GroupPlan against a TripleSource, vectorized:
-/// scan/extend, per-step index nested-loop or build-once hash joins (the
-/// planner picks per PatternStep), unions, optionals and filters all
-/// process ColumnBatch chunks over slot-addressed columns; filters
-/// restrict batches via selection vectors without materializing rows, and
-/// each OPTIONAL is one left-outer join over all of its parent rows. One
-/// Executor per query execution (it accumulates the intermediate-row
-/// statistic); the underlying source is only read.
+/// scan/extend (one index nested-loop join per PatternStep), unions,
+/// optionals and filters all process ColumnBatch chunks over
+/// slot-addressed columns; filters restrict batches via selection vectors
+/// without materializing rows, and each OPTIONAL is one left-outer join
+/// over all of its parent rows. One Executor per query execution (it
+/// accumulates the intermediate-row statistic); the underlying source is
+/// only read.
 ///
 /// Output order is part of the contract (DESIGN.md §4.9): the logical row
 /// order (batches in order, active rows in order) is the nested-loop
-/// delivery order whatever the join strategy or thread count, and the
-/// checked-in golden answers under tests/golden/ pin it.
+/// delivery order whatever the thread count, and the checked-in golden
+/// answers under tests/golden/ pin it.
 ///
 /// Profiling: pass a skeleton built by BuildProfileSkeleton(plan) to
 /// record per-operator actual rows, invocations, and wall time into it.

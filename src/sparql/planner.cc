@@ -14,14 +14,6 @@ namespace {
 using rdf::kInvalidTermId;
 using rdf::TermId;
 
-/// Cost-model constants for the hash-vs-NLJ choice (rows-equivalent).
-/// An index probe walks a tree; a hash-table probe is one lookup; building
-/// the table touches every build row twice (scan + insert). Pure numbers,
-/// so the choice depends only on the source statistics.
-constexpr double kNljProbeCost = 4.0;
-constexpr double kHashProbeCost = 1.0;
-constexpr double kHashBuildCost = 2.0;
-
 /// True when every node of the compiled subtree is a literal (no variable
 /// and therefore no slot/row dependency anywhere beneath).
 bool IsConstExpr(const CompiledExpr& e) {
@@ -75,7 +67,7 @@ class PlannerImpl {
     }
 
     // Pass 3: compile the operator tree (filters may intern more slots).
-    PlanGroup(query.where, {}, 1.0, &plan_->root);
+    PlanGroup(query.where, {}, &plan_->root);
     plan_->num_slots = plan_->slot_names.size();
 
     // Pass 4: one hidden ordinal slot per optional group, after every
@@ -206,7 +198,7 @@ class PlannerImpl {
     return c;
   }
 
-  /// Compiles one group. `bound_in` is the set of variables certainly
+  /// Compiles one group. `bound` is the set of variables certainly
   /// bound by the enclosing context (the static image of the dynamic
   /// engine's seed-binding keys). Returns the variables certainly bound in
   /// every solution the group emits: input vars + own triple vars + the
@@ -214,8 +206,7 @@ class PlannerImpl {
   /// (they may not match).
   std::set<std::string> PlanGroup(const GraphPattern& group,
                                   std::set<std::string> bound,
-                                  double in_est, GroupPlan* out,
-                                  bool in_optional = false) {
+                                  GroupPlan* out) {
     LODVIZ_TRACE_SPAN("sparql.plan");
 
     // Replay the greedy selectivity loop statically: repeatedly take the
@@ -244,36 +235,6 @@ class PlannerImpl {
           EstimateCost(ast, bound);
       st.est_rows = ce.rows;
       st.est_exact = ce.exact;
-      st.s_bound = IsVar(ast.s) && bound.count(AsVar(ast.s).name) > 0;
-      st.p_bound = IsVar(ast.p) && bound.count(AsVar(ast.p).name) > 0;
-      st.o_bound = IsVar(ast.o) && bound.count(AsVar(ast.o).name) > 0;
-      st.est_build_rows = EstimateCost(ast, {}).rows;
-
-      // Adaptive join choice. NLJ probes the index once per intermediate
-      // solution; the hash join pays one build-side scan up front and then
-      // a constant-time probe per solution. Both costs are pure functions
-      // of PredicateCount/size, so every backend plans identically.
-      const bool has_key = st.s_bound || st.p_bound || st.o_bound;
-      if (has_key && !st.dead) {
-        const double nlj_cost = in_est * (kNljProbeCost + st.est_rows);
-        const double hash_cost =
-            kHashBuildCost * st.est_build_rows + kHashProbeCost * in_est;
-        bool pick_hash = hash_cost < nlj_cost;
-        // Optional steps stay NLJ under kAuto. Their parents arrive after
-        // filters the estimate cannot see (`in_est` ignores FILTER
-        // selectivity), so the model overrates the probe side and picks a
-        // hash build over every match for a few surviving parents. At
-        // 4,000 entities, single-threaded, the filtered label OPTIONAL
-        // runs ~0.2 ms NLJ vs ~0.7 ms hash; unfiltered, the two are
-        // within run-to-run noise of each other (bench/e10_sparql Part
-        // F). A forced kHash still applies.
-        if (in_optional) pick_hash = false;
-        if (options_.force_join == JoinForce::kNestedLoop) pick_hash = false;
-        if (options_.force_join == JoinForce::kHash) pick_hash = true;
-        st.strategy =
-            pick_hash ? JoinStrategy::kHash : JoinStrategy::kNestedLoop;
-      }
-      in_est *= st.est_rows;
       out->steps.push_back(std::move(st));
       auto note = [&](const NodeOrVar& n) {
         if (IsVar(n)) bound.insert(AsVar(n).name);
@@ -288,8 +249,7 @@ class PlannerImpl {
       bool first = true;
       for (const GraphPattern& branch : group.union_branches) {
         std::set<std::string> branch_certain =
-            PlanGroup(branch, bound, in_est, &out->union_branches.emplace_back(),
-                      in_optional);
+            PlanGroup(branch, bound, &out->union_branches.emplace_back());
         if (first) {
           certain = std::move(branch_certain);
           first = false;
@@ -305,8 +265,7 @@ class PlannerImpl {
     }
 
     for (const GraphPattern& opt : group.optionals) {
-      PlanGroup(opt, bound, in_est, &out->optionals.emplace_back(),
-                /*in_optional=*/true);
+      PlanGroup(opt, bound, &out->optionals.emplace_back());
     }
 
     // A filter reading only certainly-bound variables goes below the
@@ -334,11 +293,8 @@ void AppendGroup(const GroupPlan& g, int depth, std::string* out) {
     *out += indent + "filter x" + std::to_string(f.size()) + "\n";
   };
   for (const PatternStep& st : g.steps) {
-    const bool hash = st.strategy == JoinStrategy::kHash;
-    *out += indent + (hash ? "hash-join " : "scan ") + st.label +
-            "  est_rows=" + std::to_string(st.est_rows) +
-            (st.est_exact ? " [exact]" : "");
-    if (hash) *out += "  build_est=" + std::to_string(st.est_build_rows);
+    *out += indent + "scan " + st.label + "  est_rows=" +
+            std::to_string(st.est_rows) + (st.est_exact ? " [exact]" : "");
     if (st.dead) *out += "  [dead: constant not in dictionary]";
     *out += "\n";
   }

@@ -41,18 +41,10 @@ struct CompiledExpr {
   rdf::DecodedValue lit_decoded;
 };
 
-/// How a PatternStep joins against the solutions produced so far.
-enum class JoinStrategy : uint8_t {
-  /// Index nested-loop: one index probe per intermediate solution.
-  kNestedLoop = 0,
-  /// Build-once hash join: a single scan of the pattern (join slots
-  /// treated as wildcards) builds a hash table keyed on the shared slots;
-  /// every solution then probes the table instead of the index.
-  kHash = 1,
-};
-
-/// One triple pattern scheduled for execution. Each position is either a
-/// slot (variable) or a constant already resolved to its dictionary id.
+/// One triple pattern scheduled for execution: the executor probes the
+/// index once per solution produced so far (index nested-loop join). Each
+/// position is either a slot (variable) or a constant already resolved to
+/// its dictionary id.
 struct PatternStep {
   SlotId s_slot = kNoSlot;
   SlotId p_slot = kNoSlot;
@@ -65,16 +57,6 @@ struct PatternStep {
   /// the whole conjunction) matches nothing.
   bool dead = false;
 
-  /// Join strategy picked by the planner — a pure function of the source
-  /// statistics, so identical data yields identical plans on any backend.
-  JoinStrategy strategy = JoinStrategy::kNestedLoop;
-
-  /// Per-position flag: the slot is certainly bound by earlier steps when
-  /// this one runs. These positions form the hash-join key.
-  bool s_bound = false;
-  bool p_bound = false;
-  bool o_bound = false;
-
   /// Planner cardinality estimate at this point of the join order
   /// (EstimateCardinality over the source's statistics); surfaced by
   /// explain.
@@ -85,10 +67,6 @@ struct PatternStep {
   /// Patterns involving variables bound by earlier steps are always
   /// estimates. Explain renders exact counts with an [exact] marker.
   bool est_exact = false;
-
-  /// Estimated rows of the build-side scan (pattern with join slots
-  /// wildcarded); drives the hash-vs-NLJ choice and explain output.
-  double est_build_rows = 0.0;
 
   /// Human-readable pattern text for explain output.
   std::string label;
@@ -180,25 +158,11 @@ struct QueryPlan {
   std::unordered_map<std::string, SlotId> slots;
 };
 
-/// Overrides the planner's adaptive hash-vs-NLJ choice. Used by the parity
-/// tests (every query under both strategies must return identical rows)
-/// and the join micro-benchmarks; production code leaves it on kAuto.
-enum class JoinForce : uint8_t {
-  kAuto = 0,        // cost-based choice
-  kNestedLoop = 1,  // always index nested-loop
-  kHash = 2,        // hash join wherever a join key exists (steps without
-                    // a bound slot still run as NLJ — there is no key)
-};
-
 struct PlannerOptions {
   /// Greedy selectivity-based join ordering; disable to execute basic
   /// graph patterns in textual order (used by the E10 bench and the
   /// order-independence property test).
   bool optimize_join_order = true;
-
-  /// Overrides the planner's adaptive hash-vs-NLJ join choice (parity
-  /// tests and join micro-benchmarks); production leaves it on kAuto.
-  JoinForce force_join = JoinForce::kAuto;
 };
 
 /// Compiles `query` against `source`: resolves variable names to slots and

@@ -9,9 +9,22 @@
 
 namespace lodviz::stats {
 
+namespace {
+
+/// Max object values examined per predicate (reservoir-sampled above).
+constexpr size_t kSamplePerPredicate = 10000;
+/// Distinct-ratio below which string values are categorical not text.
+constexpr double kCategoricalDistinctRatio = 0.5;
+/// Absolute distinct count below which values are categorical.
+constexpr uint64_t kCategoricalMaxDistinct = 64;
+/// Number of top values kept for categorical properties.
+constexpr size_t kTopK = 10;
+constexpr uint64_t kSampleSeed = 42;
+
+}  // namespace
+
 Result<PropertyProfile> ProfileProperty(const rdf::TripleSource& source,
-                                        rdf::TermId predicate,
-                                        const ProfilerOptions& options) {
+                                        rdf::TermId predicate) {
   const rdf::Dictionary& dict = source.dict();
   if (!dict.Contains(predicate)) {
     return Status::NotFound("predicate id not in dictionary");
@@ -20,8 +33,7 @@ Result<PropertyProfile> ProfileProperty(const rdf::TripleSource& source,
   profile.predicate = predicate;
   profile.predicate_iri = dict.term(predicate).lexical;
 
-  ReservoirSampler<rdf::TermId> reservoir(options.sample_per_predicate,
-                                          options.seed);
+  ReservoirSampler<rdf::TermId> reservoir(kSamplePerPredicate, kSampleSeed);
   HyperLogLog distinct(12);
   rdf::TriplePattern pat(rdf::kInvalidTermId, predicate, rdf::kInvalidTermId);
   source.Scan(pat, [&](const rdf::Triple& t) {
@@ -62,8 +74,8 @@ Result<PropertyProfile> ProfileProperty(const rdf::TripleSource& source,
                    std::max<double>(1.0, static_cast<double>(profile.count));
     bool categorical =
         profile.distinct_estimate <=
-            static_cast<double>(options.categorical_max_distinct) ||
-        ratio < options.categorical_distinct_ratio;
+            static_cast<double>(kCategoricalMaxDistinct) ||
+        ratio < kCategoricalDistinctRatio;
     profile.kind = categorical ? ValueKind::kCategorical : ValueKind::kText;
   }
 
@@ -95,7 +107,7 @@ Result<PropertyProfile> ProfileProperty(const rdf::TripleSource& source,
     if (a.second != b.second) return a.second > b.second;
     return a.first < b.first;
   });
-  size_t k = std::min(options.top_k, sorted.size());
+  size_t k = std::min(kTopK, sorted.size());
   for (size_t i = 0; i < k; ++i) {
     profile.top_values.emplace_back(dict.term(sorted[i].first).lexical,
                                     sorted[i].second);
@@ -107,8 +119,7 @@ Result<PropertyProfile> ProfileProperty(const rdf::TripleSource& source,
   return profile;
 }
 
-Result<DatasetProfile> ProfileDataset(const rdf::TripleSource& source,
-                                      const ProfilerOptions& options) {
+Result<DatasetProfile> ProfileDataset(const rdf::TripleSource& source) {
   DatasetProfile out;
   out.subject_count = source.DistinctSubjects().size();
   out.triple_count = source.size();
@@ -116,7 +127,7 @@ Result<DatasetProfile> ProfileDataset(const rdf::TripleSource& source,
   bool has_lat = false, has_long = false;
   for (const auto& [pred, count] : source.PredicateCounts()) {
     LODVIZ_ASSIGN_OR_RETURN(PropertyProfile profile,
-                            ProfileProperty(source, pred, options));
+                            ProfileProperty(source, pred));
     if (profile.predicate_iri == rdf::vocab::kGeoLat) has_lat = true;
     if (profile.predicate_iri == rdf::vocab::kGeoLong) has_long = true;
     if (profile.predicate_iri == rdf::vocab::kRdfsSubClassOf && count > 0) {

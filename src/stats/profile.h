@@ -49,27 +49,14 @@ struct DatasetProfile {
   uint64_t entity_link_count = 0;    ///< triples whose object is an IRI
 };
 
-struct ProfilerOptions {
-  /// Max object values examined per predicate (reservoir-sampled above).
-  size_t sample_per_predicate = 10000;
-  /// Distinct-ratio below which string values are categorical not text.
-  double categorical_distinct_ratio = 0.5;
-  /// Absolute distinct count below which values are categorical.
-  uint64_t categorical_max_distinct = 64;
-  /// Number of top values kept for categorical properties.
-  size_t top_k = 10;
-  uint64_t seed = 42;
-};
-
 /// Scans `source` and produces a DatasetProfile. Cost is one pass per
-/// predicate over (up to) sample_per_predicate objects.
-Result<DatasetProfile> ProfileDataset(const rdf::TripleSource& source,
-                                      const ProfilerOptions& options = {});
+/// predicate; each predicate's objects are reservoir-sampled down to
+/// 10,000 (fixed seed, so a profile is a function of the data).
+Result<DatasetProfile> ProfileDataset(const rdf::TripleSource& source);
 
 /// Profiles a single predicate.
 Result<PropertyProfile> ProfileProperty(const rdf::TripleSource& source,
-                                        rdf::TermId predicate,
-                                        const ProfilerOptions& options = {});
+                                        rdf::TermId predicate);
 
 }  // namespace lodviz::stats
 

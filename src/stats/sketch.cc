@@ -23,26 +23,6 @@ uint64_t Fnv1aHash64(uint64_t value, uint64_t seed) {
   return h;
 }
 
-CountMinSketch::CountMinSketch(size_t width, size_t depth)
-    : width_(width), depth_(depth), table_(width * depth, 0) {
-  LODVIZ_CHECK(width > 0 && depth > 0);
-}
-
-size_t CountMinSketch::Index(size_t row, uint64_t hash) const {
-  // Double hashing: h1 + row*h2 gives pairwise-independent row hashes.
-  uint64_t h1 = hash;
-  uint64_t h2 = hash * 0x9E3779B97F4A7C15ULL + 0x85EBCA6B;
-  return (h1 + row * (h2 | 1)) % width_;
-}
-
-void CountMinSketch::Add(uint64_t item, uint64_t count) {
-  uint64_t h = Fnv1aHash64(item);
-  for (size_t r = 0; r < depth_; ++r) {
-    table_[r * width_ + Index(r, h)] += count;
-  }
-  total_ += count;
-}
-
 HyperLogLog::HyperLogLog(int precision) : precision_(precision) {
   LODVIZ_CHECK(precision >= 4 && precision <= 18);
   registers_.assign(size_t{1} << precision, 0);

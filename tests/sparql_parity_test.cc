@@ -3,11 +3,11 @@
 // rdf::TripleStore or the disk-resident DiskTripleStore behind a
 // deliberately tiny buffer pool (so scans actually page) — and the answer
 // must not depend on how many executor threads are configured, nor on
-// which join strategy (index nested-loop vs build-once hash) the planner
-// picks. Every such leg is compared against the checked-in golden answers
-// under tests/golden/ (one file per query; see GoldenPath). The suite
-// also carries the TSan regressions for the shared-QueryEngine statistics
-// race and for the lock-striped BufferPool (concurrent Fetch + eviction).
+// whether the engine profiles. Every such leg is compared against the
+// checked-in golden answers under tests/golden/ (one file per query; see
+// GoldenPath). The suite also carries the TSan regressions for the
+// shared-QueryEngine statistics race and for the lock-striped BufferPool
+// (concurrent Fetch + eviction).
 
 #include <gtest/gtest.h>
 
@@ -199,14 +199,6 @@ class SparqlParityFixture : public ::testing::Test {
                                                             &store_.dict());
     mem_engine_ = std::make_unique<QueryEngine>(&store_);
     disk_engine_ = std::make_unique<QueryEngine>(adapter_.get());
-    QueryEngine::Options nlj;
-    nlj.force_join = JoinForce::kNestedLoop;
-    QueryEngine::Options hash;
-    hash.force_join = JoinForce::kHash;
-    mem_nlj_ = std::make_unique<QueryEngine>(&store_, nlj);
-    mem_hash_ = std::make_unique<QueryEngine>(&store_, hash);
-    disk_nlj_ = std::make_unique<QueryEngine>(adapter_.get(), nlj);
-    disk_hash_ = std::make_unique<QueryEngine>(adapter_.get(), hash);
   }
 
   void TearDown() override {
@@ -220,12 +212,6 @@ class SparqlParityFixture : public ::testing::Test {
   std::unique_ptr<storage::DiskSourceAdapter> adapter_;
   std::unique_ptr<QueryEngine> mem_engine_;
   std::unique_ptr<QueryEngine> disk_engine_;
-  // Forced-strategy engines: same sources, planner knob pinned to one join
-  // strategy. Results must be bit-identical to the adaptive engines.
-  std::unique_ptr<QueryEngine> mem_nlj_;
-  std::unique_ptr<QueryEngine> mem_hash_;
-  std::unique_ptr<QueryEngine> disk_nlj_;
-  std::unique_ptr<QueryEngine> disk_hash_;
 };
 
 TEST_F(SparqlParityFixture, SelectAndAskIdenticalAcrossBackends) {
@@ -280,69 +266,6 @@ TEST_F(SparqlParityFixture, ExplainMarksExactCardinalities) {
     EXPECT_EQ(est_plan.ValueOrDie().find("[exact]"), std::string::npos)
         << est_plan.ValueOrDie();
   }
-}
-
-TEST_F(SparqlParityFixture, JoinStrategyDoesNotChangeResults) {
-  // Hash join is an execution-strategy choice, not a semantics choice: for
-  // every query, forcing nested-loop or hash on either backend must yield
-  // rows bit-identical to the adaptive plan. The hash probe walks its
-  // buckets in the same index order a nested-loop Scan would use, so even
-  // ORDER-BY-free queries (where row order is the delivery order) agree.
-  for (const char* q : kSelectQueries) {
-    auto baseline = mem_engine_->ExecuteString(q);
-    ASSERT_TRUE(baseline.ok()) << q << "\n" << baseline.status().ToString();
-    const std::string want = TableKey(baseline.ValueOrDie());
-    QueryEngine* engines[] = {mem_nlj_.get(), mem_hash_.get(), disk_nlj_.get(),
-                              disk_hash_.get(), disk_engine_.get()};
-    const char* labels[] = {"mem/nlj", "mem/hash", "disk/nlj", "disk/hash",
-                            "disk/auto"};
-    for (int i = 0; i < 5; ++i) {
-      auto got = engines[i]->ExecuteString(q);
-      ASSERT_TRUE(got.ok()) << labels[i] << ": " << q << "\n"
-                            << got.status().ToString();
-      EXPECT_EQ(want, TableKey(got.ValueOrDie())) << labels[i] << ": " << q;
-    }
-  }
-  for (const char* q : kGraphQueries) {
-    auto baseline = mem_engine_->ExecuteGraphString(q);
-    ASSERT_TRUE(baseline.ok()) << q;
-    const std::string want = GraphKey(baseline.ValueOrDie());
-    auto mem_hash = mem_hash_->ExecuteGraphString(q);
-    auto disk_hash = disk_hash_->ExecuteGraphString(q);
-    ASSERT_TRUE(mem_hash.ok() && disk_hash.ok()) << q;
-    EXPECT_EQ(want, GraphKey(mem_hash.ValueOrDie())) << q;
-    EXPECT_EQ(want, GraphKey(disk_hash.ValueOrDie())) << q;
-  }
-}
-
-TEST_F(SparqlParityFixture, ForcedStrategyPlansIdenticalAcrossBackends) {
-  // Because EstimateCardinality is non-virtual and the force knob is part
-  // of the plan inputs, the rendered plan (including the per-step
-  // strategy) must match between backends for each forced mode — and the
-  // forced-hash plan must actually say so.
-  bool saw_hash = false;
-  bool saw_scan_under_nlj = false;
-  for (const char* q : kSelectQueries) {
-    auto mem_nlj = mem_nlj_->ExplainString(q);
-    auto disk_nlj = disk_nlj_->ExplainString(q);
-    auto mem_hash = mem_hash_->ExplainString(q);
-    auto disk_hash = disk_hash_->ExplainString(q);
-    ASSERT_TRUE(mem_nlj.ok() && disk_nlj.ok() && mem_hash.ok() &&
-                disk_hash.ok())
-        << q;
-    EXPECT_EQ(mem_nlj.ValueOrDie(), disk_nlj.ValueOrDie()) << q;
-    EXPECT_EQ(mem_hash.ValueOrDie(), disk_hash.ValueOrDie()) << q;
-    EXPECT_EQ(mem_nlj.ValueOrDie().find("hash-join"), std::string::npos) << q;
-    if (mem_hash.ValueOrDie().find("hash-join") != std::string::npos) {
-      saw_hash = true;
-    }
-    if (mem_nlj.ValueOrDie().find("scan ") != std::string::npos) {
-      saw_scan_under_nlj = true;
-    }
-  }
-  // The knob is only real if it changes at least one plan each way.
-  EXPECT_TRUE(saw_hash);
-  EXPECT_TRUE(saw_scan_under_nlj);
 }
 
 TEST_F(SparqlParityFixture, ProfilingDoesNotPerturbResults) {
@@ -468,11 +391,11 @@ TEST_F(SparqlParityFixture, ThreadCountDoesNotChangeResults) {
 
 TEST_F(SparqlParityFixture, EveryLegMatchesGoldenAnswers) {
   // The order contract (DESIGN.md §4.9): for every query, every backend,
-  // every join strategy, every thread count, with profiling off and on,
-  // the executor returns the checked-in golden answer byte for byte —
-  // including row order, since ORDER BY-free queries expose delivery
-  // order directly. The profiled legs pin EXPLAIN ANALYZE's contract:
-  // the profiler observes, it never adds, drops or reorders a row.
+  // every thread count, with profiling off and on, the executor returns
+  // the checked-in golden answer byte for byte — including row order,
+  // since ORDER BY-free queries expose delivery order directly. The
+  // profiled legs pin EXPLAIN ANALYZE's contract: the profiler observes,
+  // it never adds, drops or reorders a row.
   struct Leg {
     std::string label;
     std::unique_ptr<QueryEngine> engine;
@@ -480,19 +403,13 @@ TEST_F(SparqlParityFixture, EveryLegMatchesGoldenAnswers) {
   std::vector<Leg> legs;
   const rdf::TripleSource* sources[] = {&store_, adapter_.get()};
   const char* source_names[] = {"mem", "disk"};
-  const JoinForce forces[] = {JoinForce::kAuto, JoinForce::kNestedLoop,
-                              JoinForce::kHash};
-  const char* force_names[] = {"auto", "nlj", "hash"};
   for (int s = 0; s < 2; ++s) {
-    for (int f = 0; f < 3; ++f) {
-      for (bool profile : {false, true}) {
-        QueryEngine::Options opts;
-        opts.force_join = forces[f];
-        opts.profile = profile;
-        legs.push_back(Leg{std::string(source_names[s]) + "/" +
-                               force_names[f] + (profile ? "/profiled" : ""),
-                           std::make_unique<QueryEngine>(sources[s], opts)});
-      }
+    for (bool profile : {false, true}) {
+      QueryEngine::Options opts;
+      opts.profile = profile;
+      legs.push_back(Leg{std::string(source_names[s]) +
+                             (profile ? "/profiled" : ""),
+                         std::make_unique<QueryEngine>(sources[s], opts)});
     }
   }
 

@@ -548,7 +548,7 @@ TEST_F(EngineFixture, ProfileOnRecordsOperatorTree) {
   EXPECT_EQ(root.actual_rows, 1u);
   ASSERT_EQ(root.children.size(), 2u);
   for (const obs::OperatorProfile& step : root.children) {
-    EXPECT_TRUE(step.op == "scan" || step.op == "hash-join") << step.op;
+    EXPECT_EQ(step.op, "scan");
     EXPECT_FALSE(step.label.empty());
     EXPECT_GE(step.wall_ns, 0);
   }

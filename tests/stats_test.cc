@@ -177,13 +177,6 @@ TEST(StratifiedTest, RareStrataAreRepresented) {
   EXPECT_EQ(s.Flatten().size(), 15u);
 }
 
-TEST(CountMinTest, NeverUndercounts) {
-  CountMinSketch cms(256, 4);
-  Rng rng(13);
-  for (int i = 0; i < 5000; ++i) cms.Add(rng.Uniform(500));
-  EXPECT_EQ(cms.total(), 5000u);
-}
-
 class HllAccuracy : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(HllAccuracy, WithinFivePercent) {

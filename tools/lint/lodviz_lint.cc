@@ -40,8 +40,7 @@
 //                            TripleSource::Scan call may not appear inside
 //                            a loop (or per-row lambda) — batch operators
 //                            extend whole runs; an intentional per-row
-//                            probe (the runtime-unbound NLJ fallback)
-//                            carries a LINT-ALLOW rationale
+//                            probe carries a LINT-ALLOW rationale
 //   concurrency.guarded_by   every mutable data member of a class that owns
 //                            a Mutex/std::mutex must carry LODVIZ_GUARDED_BY
 //                            / LODVIZ_PT_GUARDED_BY, be of an internally
@@ -963,9 +962,8 @@ void CheckNoEnvKnob(const FileModel& m, std::vector<Violation>* out) {
 /// `->Scan(` call lexically inside a loop body — `for`, `while`, `do`, or
 /// a lambda, since batch code expresses its per-row iteration as callbacks
 /// handed to BatchListView::ForEachRow / exec::ParallelReduce — must carry
-/// a LINT-ALLOW rationale (the one sanctioned case is the NLJ probe for
-/// join keys that are unbound at runtime, which is a per-solution index
-/// walk no batch primitive can replace).
+/// a LINT-ALLOW rationale (a per-solution index walk that no batch
+/// primitive can replace).
 ///
 /// Brace classification is lexical: for each `{`, look back — `) {` whose
 /// matching `(` follows `for`/`while` is a loop; whose matching `(`
