@@ -333,6 +333,23 @@ int Run() {
     telemetry.RecordPhase(std::string("disk_") + label + "_pool_hit_rate",
                           sparql_disk.pool().HitRate());
   };
+  // A browser's construction (the all-subjects list it starts from) and
+  // its first Facets() call, each timed on its own.
+  const explore::FacetedBrowser mem_browser(&mem);
+  const explore::FacetedBrowser disk_browser(&adapter);
+  compare("browser_build", [](const rdf::TripleSource& source) {
+    const explore::FacetedBrowser browser(&source);
+    // FNV-1a over the subject list: order-sensitive, and cheap next to
+    // the construction it checks.
+    uint64_t h = 14695981039346656037ULL;
+    for (rdf::TermId s : browser.Matching()) h = (h ^ s) * 1099511628211ULL;
+    return std::to_string(browser.Matching().size()) + " " +
+           std::to_string(h);
+  });
+  compare("facets", [&](const rdf::TripleSource& source) {
+    return FacetDigest(
+        (&source == &adapter ? disk_browser : mem_browser).Facets());
+  });
   compare("facets_refine", facets_of);
   compare("hetree_age", hetree_of);
   explore_table.Print(std::cout);

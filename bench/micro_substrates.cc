@@ -6,6 +6,7 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "core/engine.h"
+#include "exec/parallel.h"
 #include "explore/facets.h"
 #include "geo/rtree.h"
 #include "obs/metrics.h"
@@ -26,6 +27,7 @@
 #include "workload/synthetic_lod.h"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -125,12 +127,12 @@ void BM_LeafDecodeVarint(benchmark::State& state) {
   storage::CompressedLeafReader reader(page, 16, count);
   std::vector<storage::BTree::Item> out;
   out.reserve(count);
-  size_t decoded = 0;
+  uint64_t decoded = 0;
   for (auto _ : state) {
     out.clear();
-    reader.DecodeFrom(storage::Key128::Min(), &out);
+    benchmark::DoNotOptimize(reader.DecodeRange(
+        storage::Key128::Min(), storage::Key128::Max(), &out, &decoded));
     benchmark::DoNotOptimize(out.data());
-    decoded += out.size();
   }
   state.SetItemsProcessed(static_cast<int64_t>(decoded));
 }
@@ -358,6 +360,22 @@ void BM_SparqlJoinNestedLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kJoinResultRows);
 }
 BENCHMARK(BM_SparqlJoinNestedLoop)->Arg(4)->Arg(32)->Arg(256);
+
+// The fixed cost of one fan-out: ParallelFor over four one-index chunks
+// of near-empty work on a 4-thread pool. A chunk whose own work is below
+// this is cheaper run inline; the executor's grains are sized against it.
+void BM_ParallelForHandoff(benchmark::State& state) {
+  exec::SetThreads(4);
+  std::atomic<size_t> indexes{0};
+  for (auto _ : state) {
+    exec::ParallelFor(0, 4, 1, [&](size_t b, size_t e) {
+      indexes.fetch_add(e - b, std::memory_order_relaxed);
+    });
+  }
+  exec::SetThreads(0);
+  benchmark::DoNotOptimize(indexes.load());
+}
+BENCHMARK(BM_ParallelForHandoff)->UseRealTime();
 
 // --- Buffer-pool striping ----------------------------------------------
 //

@@ -12,7 +12,7 @@
 #      named in scripts/reachability_allowlist.txt with its reason, and no
 #      allowlist entry is stale (an -O0 build of the programs, minutes)
 #   4. ASan+UBSan       — full tier-1 suite under address+undefined
-#   5. TSan             — obs/exec/sparql/serve/rdf-store concurrency tests
+#   5. TSan             — obs/exec/sparql/serve/rdf-store/storage concurrency tests
 #   6. serving parity   — serve_check drives a live HTTP server with
 #      concurrent clients and asserts every answer (cold plan cache, warm
 #      plan cache, and under contention) is bit-identical to a direct
@@ -66,7 +66,7 @@ cmake -B "$ASAN_BUILD" -S . -C cmake/sanitize.cmake >/dev/null
 cmake --build "$ASAN_BUILD" -j "$JOBS"
 ctest --test-dir "$ASAN_BUILD" --output-on-failure -j "$JOBS"
 
-echo "== [5/6] TSan obs + exec + sparql + serve + rdf store concurrency tests =="
+echo "== [5/6] TSan obs + exec + sparql + serve + rdf store + storage concurrency tests =="
 # ThreadSanitizer is exclusive with ASan, so the concurrency tests get their
 # own build tree. The Exec suites cover the thread pool plus every
 # parallelized hot path (hetree, progressive, clustering, bundling, layout,
@@ -86,12 +86,15 @@ echo "== [5/6] TSan obs + exec + sparql + serve + rdf store concurrency tests ==
 # RdfStoreConcurrency races readers to the memory store's first fold and
 # keeps scans running (with their callbacks parked) while a writer
 # publishes a new snapshot — the race gate for the snapshot swap.
+# StorageConcurrency runs four threads of bounded B+-tree range scans over
+# a 4-frame pool, so leaf decodes race eviction and re-reads of the same
+# frames — the race gate for the bounded leaf decode.
 cmake -B "$TSAN_BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DLODVIZ_SANITIZE=thread >/dev/null
 cmake --build "$TSAN_BUILD" --target obs_test exec_test sparql_parity_test \
-  serve_test rdf_store_test -j "$JOBS"
+  serve_test rdf_store_test storage_test -j "$JOBS"
 ctest --test-dir "$TSAN_BUILD" \
-  -R '^(Obs|Exec|SparqlParity|Serve|RdfStoreConcurrency)' \
+  -R '^(Obs|Exec|SparqlParity|Serve|RdfStoreConcurrency|StorageConcurrency)' \
   --output-on-failure -j "$JOBS"
 
 echo "== [6/6] serving layer end-to-end parity (serve_check) =="

@@ -73,7 +73,8 @@ class TripleSource {
 
   /// Distinct subjects that have at least one triple, ascending. The
   /// default is one `{}` scan (SPO order on every backend) with adjacent
-  /// duplicates dropped; the memory store keeps the list in its snapshot.
+  /// duplicates dropped; the memory store keeps the list in its snapshot
+  /// and the disk adapter reads it from the store's subject tree.
   [[nodiscard]] virtual std::vector<TermId> DistinctSubjects() const;
 
   /// The term dictionary the triple ids refer to.

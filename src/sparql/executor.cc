@@ -498,6 +498,17 @@ bool Executor::TimeExpired() {
 
 namespace {
 
+/// Chunk grains of the two parallel loops below, sized so one chunk's work
+/// pays for a fan-out, which costs ~35 us on a 4-thread pool
+/// (BM_ParallelForHandoff, 4-vCPU host). A probe row costs ~0.2-0.3 us on
+/// the memory store (BM_SparqlJoinNestedLoop/4), so 256 rows are about two
+/// fan-outs, and disk probes cost more. A row of a generic FILTER
+/// expression costs ~0.5-0.6 us, so 64 rows are about one. Rows of
+/// specialized numeric filters cost under 1 ns, so their batches filter
+/// inline.
+constexpr size_t kProbeGrain = 256;
+constexpr size_t kGenericFilterGrain = 64;
+
 /// Applies a normalized BatchFilterSpec comparison the way SlimCompare
 /// would: three-way result first, then the operator on it. The detour
 /// through `c` is deliberate — SlimCompare maps NaN operands to c == 0, so
@@ -666,12 +677,12 @@ std::vector<ColumnBatch> Executor::EvalBgpBatches(
     ++step_index;
     std::vector<ColumnBatch> next;
     if (!st.dead && view.total() > 0) {
-      // Solutions extend independently over logical rows (grain 8) and
+      // Solutions extend independently over logical rows (kProbeGrain) and
       // per-chunk outputs concatenate in chunk order, so the logical row
       // order of `next` is the serial loop's order by construction. Batch
       // boundaries may differ across thread counts; row order never does.
       next = exec::ParallelReduce<std::vector<ColumnBatch>>(
-          0, view.total(), 8,
+          0, view.total(), kProbeGrain,
           [&](size_t cb, size_t ce) {
             std::vector<ColumnBatch> out;
             if (timed && TimeExpired()) return out;
@@ -882,12 +893,14 @@ void Executor::FilterBatches(const FilterList& filters,
                                                        : kBatchFail;
     }
 
-    // Selection build: chunks of active rows (grain 64) evaluate
-    // independently and concatenate ascending, so the resulting selection
-    // is ascending physical indices — a subset of any selection already
-    // installed.
+    // Selection build: chunks of active rows evaluate independently and
+    // concatenate ascending, so the resulting selection is ascending
+    // physical indices — a subset of any selection already installed.
+    // Only a batch with a generic filter row splits into chunks.
+    const bool generic =
+        std::find(state.begin(), state.end(), kPerRowGeneric) != state.end();
     std::vector<uint32_t> sel = exec::ParallelReduce<std::vector<uint32_t>>(
-        0, b.active(), 64,
+        0, b.active(), generic ? kGenericFilterGrain : b.active(),
         [&](size_t cb, size_t ce) {
           std::vector<uint32_t> keep;
           if (timed && TimeExpired()) return keep;

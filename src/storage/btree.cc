@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <string>
 
+#include "obs/metrics.h"
+
 namespace lodviz::storage {
 
 namespace {
@@ -79,40 +81,54 @@ Result<uint64_t> BTree::Lookup(const Key128& key) const {
 Status BTree::RangeScanRuns(
     const Key128& lo, const Key128& hi,
     const std::function<bool(const Item* run, size_t n)>& fn) const {
-  if (root_ == kInvalidPageId) return Status::OK();
-  // Descend to the leaf that may contain `lo`.
-  PageId page_id = root_;
-  while (true) {
-    LODVIZ_ASSIGN_OR_RETURN(PageRef page, pool_->Fetch(page_id));
-    const PageHeader* h = Header(page.data());
-    if (h->is_leaf) break;
-    const Key128* keys = InternalKeys(page.data());
-    const PageId* children = InternalChildren(page.data());
-    size_t idx = static_cast<size_t>(
-        std::upper_bound(keys, keys + h->count, lo) - keys);
-    page_id = children[idx];
-  }
+  // Entries decoded are tallied locally and folded in once per scan so the
+  // per-row path stays free of shared-cache-line traffic.
+  static obs::Counter& decoded_counter =
+      obs::MetricRegistry::Global().GetCounter("storage.leaf_entries_decoded");
+  uint64_t decoded = 0;
+  struct DecodedFold {
+    const uint64_t& decoded;
+    ~DecodedFold() { decoded_counter.Increment(decoded); }
+  } fold{decoded};
 
-  // Walk leaves via next pointers, delivering one run per leaf. The
-  // decode scratch is reused across leaves; only the first leaf needs the
-  // lower-bound seek (every later leaf starts above `lo`).
+  // One pass from the root: internal pages descend towards `lo`, then
+  // leaves are walked via next pointers, one run per leaf. The descent
+  // keeps the separator above the chosen child; the deepest one is the
+  // next leaf's first key, the first leaf's upper fence. Only the first
+  // leaf needs the lower-bound seek (every later leaf starts above `lo`).
+  // The scan ends at the first leaf holding a key above `hi`, or after the
+  // first leaf when `hi` is below its fence. The empty tree's root is
+  // kInvalidPageId, so it fetches nothing.
   std::vector<Item> scratch;
   Key128 seek = lo;
+  bool fenced = false;
+  Key128 fence;
+  PageId page_id = root_;
   while (page_id != kInvalidPageId) {
     LODVIZ_ASSIGN_OR_RETURN(PageRef page, pool_->Fetch(page_id));
+    const PageHeader* h = Header(page.data());
+    if (!h->is_leaf) {
+      const Key128* keys = InternalKeys(page.data());
+      size_t idx = static_cast<size_t>(
+          std::upper_bound(keys, keys + h->count, lo) - keys);
+      if (idx < h->count) {
+        fenced = true;
+        fence = keys[idx];
+      }
+      page_id = InternalChildren(page.data())[idx];
+      continue;
+    }
     scratch.clear();
-    ReaderFor(page.data()).DecodeFrom(seek, &scratch);
-    const Item* run = scratch.data();
-    const size_t n = scratch.size();
-    // Trim the run at `hi`; anything past it ends the scan.
-    const Item* cut = std::upper_bound(
-        run, run + n, hi,
-        [](const Key128& k, const Item& e) { return k < e.key; });
-    const size_t m = static_cast<size_t>(cut - run);
-    if (m > 0 && !fn(run, m)) return Status::OK();
-    if (m < n) return Status::OK();
+    const bool past_hi =
+        ReaderFor(page.data()).DecodeRange(seek, hi, &scratch, &decoded);
+    if (!scratch.empty() && !fn(scratch.data(), scratch.size())) {
+      return Status::OK();
+    }
+    // The fence stays set past the first leaf: it is at or below every
+    // later key, so `hi < fence` cannot hold once a leaf is passed in full.
+    if (past_hi || (fenced && hi < fence)) return Status::OK();
     seek = Key128::Min();
-    page_id = Header(page.data())->next_leaf;
+    page_id = h->next_leaf;
   }
   return Status::OK();
 }

@@ -44,8 +44,12 @@ class BTree {
   [[nodiscard]] Result<uint64_t> Lookup(const Key128& key) const;
 
   /// Streams items with lo <= key <= hi in key order, each leaf's
-  /// in-range items as one decoded run (one decode of the page); return
-  /// false to stop. Run pointers are only valid during the callback.
+  /// in-range items as one decoded run; return false to stop. A leaf is
+  /// decoded only over the blocks that overlap [lo, hi]; the scan stops at
+  /// the first leaf holding a key above `hi`, and fetches no second leaf
+  /// when `hi` is below the next leaf's first key. Entries
+  /// decoded are added to `storage.leaf_entries_decoded` once per scan.
+  /// Run pointers are only valid during the callback.
   Status RangeScanRuns(
       const Key128& lo, const Key128& hi,
       const std::function<bool(const Item* run, size_t n)>& fn) const;

@@ -79,4 +79,11 @@ DiskSourceAdapter::PredicateCounts() const {
   return {};
 }
 
+std::vector<rdf::TermId> DiskSourceAdapter::DistinctSubjects() const {
+  Result<std::vector<rdf::TermId>> subjects = store_->DistinctSubjects();
+  if (subjects.ok()) return std::move(subjects).ValueOrDie();
+  ReportScanError(subjects.status());
+  return {};
+}
+
 }  // namespace lodviz::storage

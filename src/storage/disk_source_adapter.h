@@ -68,6 +68,10 @@ class DiskSourceAdapter : public rdf::TripleSource {
   [[nodiscard]] std::vector<std::pair<rdf::TermId, uint64_t>>
   PredicateCounts() const override;
 
+  /// The store's s_agg keys. A storage error is logged and counted the
+  /// same way, and the list is then empty.
+  [[nodiscard]] std::vector<rdf::TermId> DistinctSubjects() const override;
+
  private:
   /// Cached aggregate lookup keyed (s<<32)|p; predicate rows use s = 0
   /// (0 is the invalid term id, so no (s,p) row collides with them). Only

@@ -62,8 +62,9 @@ std::vector<BTree::Item> GroupCounts(const std::vector<BTree::Item>& sorted,
 /// SPO keys group by hi = (s<<32)|p — exactly the sp_agg rows.
 uint64_t SpRow(const Key128& k) { return k.hi; }
 
-/// POS keys group by p = hi>>32 — the p_agg rows.
-uint64_t PRow(const Key128& k) { return k.hi >> 32; }
+/// SPO keys group by s and POS keys by p, both hi>>32 — the s_agg and
+/// p_agg rows.
+uint64_t LeadRow(const Key128& k) { return k.hi >> 32; }
 
 }  // namespace
 
@@ -79,12 +80,13 @@ std::unique_ptr<DiskTripleStore> DiskTripleStore::Create(
   auto store = std::make_unique<DiskTripleStore>(Private{});
   store->file_ = std::move(file);
   store->pool_ = std::make_unique<BufferPool>(store->file_.get(), pool_pages);
-  // Four empty trees: no pages until BulkLoad writes them.
+  // Five empty trees: no pages until BulkLoad writes them.
   const BTree empty =
       BTree::Attach(store->pool_.get(), kInvalidPageId, /*size=*/0);
   store->spo_ = std::make_unique<BTree>(empty);
   store->pos_ = std::make_unique<BTree>(empty);
   store->sp_agg_ = std::make_unique<BTree>(empty);
+  store->s_agg_ = std::make_unique<BTree>(empty);
   store->p_agg_ = std::make_unique<BTree>(empty);
   return store;
 }
@@ -96,14 +98,17 @@ Status DiskTripleStore::BulkLoad(std::vector<rdf::Triple> triples) {
   LODVIZ_ASSIGN_OR_RETURN(BTree spo, BTree::BulkLoad(pool_.get(), items));
   LODVIZ_ASSIGN_OR_RETURN(
       BTree sp_agg, BTree::BulkLoad(pool_.get(), GroupCounts(items, &SpRow)));
+  LODVIZ_ASSIGN_OR_RETURN(
+      BTree s_agg, BTree::BulkLoad(pool_.get(), GroupCounts(items, &LeadRow)));
   SortedKeys(triples, &PosKey, &items);
   LODVIZ_ASSIGN_OR_RETURN(BTree pos, BTree::BulkLoad(pool_.get(), items));
   LODVIZ_ASSIGN_OR_RETURN(
-      BTree p_agg, BTree::BulkLoad(pool_.get(), GroupCounts(items, &PRow)));
-  // The trees are swapped in only once all four are on disk, so a failed
+      BTree p_agg, BTree::BulkLoad(pool_.get(), GroupCounts(items, &LeadRow)));
+  // The trees are swapped in only once all five are on disk, so a failed
   // load leaves the store answering as before.
   *spo_ = spo;
   *sp_agg_ = sp_agg;
+  *s_agg_ = s_agg;
   *pos_ = pos;
   *p_agg_ = p_agg;
   return Status::OK();
@@ -221,6 +226,19 @@ DiskTripleStore::PredicateCounts() const {
         for (size_t i = 0; i < n; ++i) {
           out.emplace_back(static_cast<rdf::TermId>(run[i].key.hi),
                            run[i].value);
+        }
+        return true;
+      }));
+  return out;
+}
+
+Result<std::vector<rdf::TermId>> DiskTripleStore::DistinctSubjects() const {
+  std::vector<rdf::TermId> out;
+  out.reserve(s_agg_->size());
+  LODVIZ_RETURN_NOT_OK(s_agg_->RangeScanRuns(
+      Key128::Min(), Key128::Max(), [&](const BTree::Item* run, size_t n) {
+        for (size_t i = 0; i < n; ++i) {
+          out.push_back(static_cast<rdf::TermId>(run[i].key.hi));
         }
         return true;
       }));

@@ -27,11 +27,14 @@ namespace lodviz::storage {
 /// reopened) is not provided: every user builds a fresh file.
 ///
 /// Leaves use the delta-compressed format (leaf_codec.h). BulkLoad also
-/// writes two aggregated indexes, exact by construction:
+/// writes three aggregated indexes, exact by construction:
 ///   sp_agg: (s,p) -> number of distinct objects   (key {(s<<32)|p, 0})
+///   s_agg:  s     -> number of triples             (key {s, 0})
 ///   p_agg:  p     -> number of triples             (key {p, 0})
-/// They make PairCount/PredicateCount exact O(log n) lookups, which is
-/// what lets the planner cost BGPs from real cardinalities.
+/// sp_agg and p_agg make PairCount/PredicateCount exact O(log n) lookups,
+/// which is what lets the planner cost BGPs from real cardinalities;
+/// s_agg's keys are the subject list DistinctSubjects reads. All three
+/// come from one linear pass over the sorted keys of their permutation.
 ///
 /// Memory use is capped at `pool_pages` * 8 KiB regardless of dataset size.
 class DiskTripleStore {
@@ -81,6 +84,10 @@ class DiskTripleStore {
   Result<std::vector<std::pair<rdf::TermId, uint64_t>>> PredicateCounts()
       const;
 
+  /// Every subject with at least one triple, ascending: one range scan of
+  /// s_agg.
+  Result<std::vector<rdf::TermId>> DistinctSubjects() const;
+
   uint64_t size() const { return spo_->size(); }
 
   BufferPool& pool() { return *pool_; }
@@ -126,6 +133,7 @@ class DiskTripleStore {
   std::unique_ptr<BTree> spo_;
   std::unique_ptr<BTree> pos_;
   std::unique_ptr<BTree> sp_agg_;
+  std::unique_ptr<BTree> s_agg_;
   std::unique_ptr<BTree> p_agg_;
 };
 

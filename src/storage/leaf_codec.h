@@ -300,18 +300,27 @@ class CompressedLeafReader {
     return first;
   }
 
-  /// Appends every entry with key >= `lo` to `out`, in key order.
+  /// Appends every entry with lo <= key <= hi to `out`, in key order, and
+  /// adds the number of entries it decoded to `*decoded`. Decoding starts
+  /// at SeekBlock(lo) and stops before the first block whose restart key
+  /// is above `hi` and at the first entry above `hi`, so a narrow range
+  /// decodes only the blocks it overlaps. Returns true when the leaf holds
+  /// a key above `hi`: no later leaf can then hold one in range.
   template <typename ItemT>
-  void DecodeFrom(const Key128& lo, std::vector<ItemT>* out) const {
-    if (count_ == 0) return;
+  bool DecodeRange(const Key128& lo, const Key128& hi, std::vector<ItemT>* out,
+                   uint64_t* decoded) const {
+    if (count_ == 0) return false;
     ItemT block[kLeafRestartInterval];
     for (size_t b = SeekBlock(lo); b < n_restarts_; ++b) {
+      if (hi < RestartKey(b)) return true;
       const size_t n = DecodeBlock(b, block);
+      *decoded += n;
       for (size_t i = 0; i < n; ++i) {
-        if (block[i].key < lo) continue;
-        out->push_back(block[i]);
+        if (hi < block[i].key) return true;
+        if (lo <= block[i].key) out->push_back(block[i]);
       }
     }
+    return false;
   }
 
   /// Point lookup; false when absent.

@@ -407,6 +407,25 @@ TEST_F(ExploreParityTest, DistinctSubjectsAndPredicateCounts) {
   });
 }
 
+/// The disk adapter reads the subject list from the store's subject tree:
+/// it equals the memory store's list and the base-class full scan, on the
+/// fixture and on an empty store.
+TEST_F(ExploreParityTest, DiskSubjectTreeEqualsMemoryList) {
+  const std::vector<TermId> subjects = mem_->DistinctSubjects();
+  ASSERT_FALSE(subjects.empty());
+  EXPECT_EQ(adapter_->DistinctSubjects(), subjects);
+  EXPECT_EQ(adapter_->TripleSource::DistinctSubjects(), subjects);
+
+  const rdf::TripleStore empty;
+  const test::TempFile tmp("explore_parity_empty");
+  auto disk = test::Unwrap(storage::DiskTripleStore::Create(tmp.path(), 4));
+  ASSERT_TRUE(disk->BulkLoad({}).ok());
+  const storage::DiskSourceAdapter adapter(disk.get(), &empty.dict());
+  EXPECT_TRUE(empty.DistinctSubjects().empty());
+  EXPECT_TRUE(adapter.DistinctSubjects().empty());
+  EXPECT_TRUE(test::Unwrap(disk->DistinctSubjects()).empty());
+}
+
 /// Per-predicate triple counts by brute force over a full scan.
 std::vector<std::pair<TermId, uint64_t>> BruteCounts(
     const rdf::TripleSource& source) {

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -10,6 +11,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "common/random.h"
 #include "obs/metrics.h"
@@ -682,8 +684,11 @@ TEST(LeafCodecTest, BuildDecodeFindRoundTrip) {
 
   CompressedLeafReader reader(page, header, count);
   std::vector<BTree::Item> decoded;
-  reader.DecodeFrom(Key128::Min(), &decoded);
+  uint64_t entries = 0;
+  EXPECT_FALSE(
+      reader.DecodeRange(Key128::Min(), Key128::Max(), &decoded, &entries));
   ASSERT_EQ(decoded.size(), items.size());
+  EXPECT_EQ(entries, items.size());
   for (size_t i = 0; i < items.size(); ++i) {
     EXPECT_TRUE(decoded[i].key == items[i].key) << i;
     EXPECT_EQ(decoded[i].value, items[i].value) << i;
@@ -699,12 +704,42 @@ TEST(LeafCodecTest, BuildDecodeFindRoundTrip) {
   EXPECT_FALSE(reader.Find({1, 1}, &v));
   EXPECT_FALSE(reader.Find({items[3].key.hi, items[3].key.lo + 1}, &v));
 
-  // Mid-page seek: DecodeFrom(k) returns exactly the suffix from k on.
+  // Mid-page seek: DecodeRange(k, Max) returns exactly the suffix from k
+  // on, and reports no key above Max.
   const Key128 mid = items[items.size() / 2].key;
   decoded.clear();
-  reader.DecodeFrom(mid, &decoded);
+  EXPECT_FALSE(reader.DecodeRange(mid, Key128::Max(), &decoded, &entries));
   ASSERT_EQ(decoded.size(), items.size() - items.size() / 2);
   EXPECT_TRUE(decoded.front().key == mid);
+
+  // Bounded: `hi` on block 2's restart key returns items [5, 32], reports
+  // a key above `hi`, and decodes blocks 0-2 only.
+  ASSERT_GT(items.size(), 4 * kLeafRestartInterval);
+  const size_t restart = 2 * kLeafRestartInterval;
+  decoded.clear();
+  entries = 0;
+  EXPECT_TRUE(reader.DecodeRange(items[5].key, items[restart].key, &decoded,
+                                 &entries));
+  ASSERT_EQ(decoded.size(), restart - 5 + 1);
+  for (size_t i = 0; i < decoded.size(); ++i) {
+    EXPECT_TRUE(decoded[i].key == items[5 + i].key) << i;
+    EXPECT_EQ(decoded[i].value, items[5 + i].value) << i;
+  }
+  EXPECT_EQ(entries, 3 * kLeafRestartInterval);
+
+  // `hi` below the first key: nothing decoded, and the leaf holds keys
+  // above it. `lo` > `hi` inside the page: empty.
+  decoded.clear();
+  entries = 0;
+  EXPECT_TRUE(reader.DecodeRange(Key128::Min(), {1, 1}, &decoded, &entries));
+  EXPECT_TRUE(decoded.empty());
+  EXPECT_EQ(entries, 0u);
+  EXPECT_TRUE(
+      reader.DecodeRange(items[40].key, items[20].key, &decoded, &entries));
+  EXPECT_TRUE(decoded.empty());
+  // `hi` on the last key: everything from `lo`, and no key above it.
+  EXPECT_FALSE(reader.DecodeRange(mid, items.back().key, &decoded, &entries));
+  EXPECT_EQ(decoded.size(), items.size() - items.size() / 2);
 }
 
 TEST(LeafCodecTest, CompressedPageHoldsManyMoreClusteredEntries) {
@@ -862,6 +897,136 @@ TEST_P(BTreeFormatTest, RangeScanRunsConcatenationEqualsRangeScan) {
   // The tree outgrew the tight pool, so its scans re-read evicted pages.
   if (GetParam() == PoolSize::kTight) {
     EXPECT_GT(file.num_pages(), 4u);
+  }
+}
+
+/// The model's items with lo <= key <= hi, in key order.
+std::vector<BTree::Item> ModelRange(
+    const std::map<std::pair<uint64_t, uint64_t>, uint64_t>& model,
+    const Key128& lo, const Key128& hi) {
+  std::vector<BTree::Item> out;
+  for (auto it = model.lower_bound({lo.hi, lo.lo}); it != model.end(); ++it) {
+    const Key128 key = K(it->first.first, it->first.second);
+    if (hi < key) break;
+    out.push_back({key, it->second});
+  }
+  return out;
+}
+
+/// The tree's leaves, in order: a full scan delivers one run per leaf.
+std::vector<std::vector<BTree::Item>> Leaves(const BTree& tree) {
+  std::vector<std::vector<BTree::Item>> leaves;
+  const Status st = tree.RangeScanRuns(
+      Key128::Min(), Key128::Max(), [&](const BTree::Item* run, size_t n) {
+        leaves.emplace_back(run, run + n);
+        return true;
+      });
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return leaves;
+}
+
+Key128 Successor(const Key128& k) {
+  return k.lo == ~0ULL ? K(k.hi + 1, 0) : K(k.hi, k.lo + 1);
+}
+
+Key128 Predecessor(const Key128& k) {
+  return k.lo == 0 ? K(k.hi - 1, ~0ULL) : K(k.hi, k.lo - 1);
+}
+
+/// Bounded scans against a std::map over a tree of several leaves: random
+/// [lo, hi] pairs plus the edges where a bounded decode can go wrong — `hi`
+/// on a restart key, on a leaf's last key, between two leaves, empty
+/// ranges between adjacent keys, and lo > hi.
+TEST_P(BTreeFormatTest, BoundedScanSweepAgreesWithStdMap) {
+  PageFile file;
+  const test::TempFile tmp("bl_sweep");
+  ASSERT_TRUE(file.Open(tmp.path(), true).ok());
+  BufferPool pool(&file, Frames(64));
+  Rng rng(17);
+  // Only even `lo` components: a key's successor is never a key, so it
+  // probes strictly between two adjacent keys.
+  std::map<std::pair<uint64_t, uint64_t>, uint64_t> model;
+  for (int i = 0; i < 12000; ++i) {
+    model[{1 + rng.Uniform(3000), 2 * rng.Uniform(4)}] = rng.Uniform(3);
+  }
+  const BTree tree = test::Unwrap(BTree::BulkLoad(&pool, ModelItems(model)));
+  const std::vector<std::vector<BTree::Item>> leaves = Leaves(tree);
+  ASSERT_GE(leaves.size(), 3u);
+
+  size_t nonempty = 0;
+  auto check = [&](const Key128& lo, const Key128& hi) {
+    const std::vector<BTree::Item> got = RangeItems(tree, lo, hi);
+    const std::vector<BTree::Item> want = ModelRange(model, lo, hi);
+    ASSERT_EQ(got.size(), want.size())
+        << "[" << lo.hi << "/" << lo.lo << ", " << hi.hi << "/" << hi.lo << "]";
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_TRUE(got[i].key == want[i].key) << i;
+      ASSERT_EQ(got[i].value, want[i].value) << i;
+    }
+    if (!want.empty()) ++nonempty;
+  };
+  auto random_key = [&] { return K(rng.Uniform(3100), rng.Uniform(9)); };
+
+  for (size_t l = 0; l < leaves.size(); ++l) {
+    const std::vector<BTree::Item>& leaf = leaves[l];
+    for (size_t r = 0; r < leaf.size(); r += kLeafRestartInterval) {
+      // `hi` on a restart key, from inside the leaf and from a leaf before.
+      check(leaf[r / 2].key, leaf[r].key);
+      check(leaves[l / 2].front().key, leaf[r].key);
+      check(leaf[r].key, leaf[r].key);
+    }
+    // `hi` on the leaf's last key, and just below it.
+    check(leaf.front().key, leaf.back().key);
+    check(leaf[leaf.size() / 2].key, leaf.back().key);
+    check(leaf.front().key, Predecessor(leaf.back().key));
+    if (l + 1 < leaves.size()) {
+      // `hi` between two leaves, and the empty gap between them.
+      const Key128 gap = Successor(leaf.back().key);
+      check(leaf[leaf.size() / 3].key, gap);
+      check(gap, gap);
+      check(gap, Predecessor(leaves[l + 1].front().key));
+      check(leaf.back().key, leaves[l + 1].front().key);
+    }
+  }
+  for (int i = 0; i < 400; ++i) {
+    const std::vector<BTree::Item>& leaf = leaves[rng.Uniform(leaves.size())];
+    const size_t j = rng.Uniform(leaf.size() - 1);
+    // Empty range between adjacent keys; lo > hi over adjacent keys.
+    check(Successor(leaf[j].key), Predecessor(leaf[j + 1].key));
+    check(leaf[j + 1].key, leaf[j].key);
+    // Random bounds, both orders.
+    const Key128 a = random_key(), b = random_key();
+    check(a, b);
+    check(b, a);
+  }
+  check(Key128::Min(), Key128::Max());
+  EXPECT_GT(nonempty, 500u);
+}
+
+/// A range that ends inside the first leaf costs one page fetch per level,
+/// also when it ends on the leaf's last key: the separator above the leaf
+/// (its upper fence) ends the scan without fetching the next leaf.
+TEST_P(BTreeFormatTest, RangeInsideOneLeafFetchesOnePagePerLevel) {
+  PageFile file;
+  const test::TempFile tmp("bl_fence");
+  ASSERT_TRUE(file.Open(tmp.path(), true).ok());
+  BufferPool pool(&file, Frames(64));
+  std::vector<BTree::Item> items;
+  for (uint64_t i = 0; i < 20000; ++i) items.push_back({K(i / 5, i % 5), i});
+  const BTree tree = test::Unwrap(BTree::BulkLoad(&pool, items));
+  const std::vector<std::vector<BTree::Item>> leaves = Leaves(tree);
+  ASSERT_GE(leaves.size(), 3u);
+  ASSERT_GE(tree.height(), 2);
+  for (const std::vector<BTree::Item>& leaf : leaves) {
+    for (const Key128& hi : {leaf[3].key, leaf[kLeafRestartInterval].key,
+                             leaf[leaf.size() - 2].key, leaf.back().key}) {
+      const uint64_t before = pool.hits() + pool.misses();
+      const std::vector<BTree::Item> got = RangeItems(tree, leaf[1].key, hi);
+      EXPECT_EQ(pool.hits() + pool.misses() - before,
+                static_cast<uint64_t>(tree.height()));
+      ASSERT_FALSE(got.empty());
+      EXPECT_TRUE(got.back().key == hi);
+    }
   }
 }
 
@@ -1091,6 +1256,37 @@ TEST(DiskTripleStoreTest, ScanRunsMatchesScanAcrossFormats) {
   }
 }
 
+/// A one-subject scan decodes at most one partial block at each end of its
+/// range on top of the triples it delivers.
+TEST(DiskTripleStoreTest, SubjectScanDecodesOnlyItsBlocks) {
+  Rng rng(23);
+  std::vector<rdf::Triple> triples;
+  for (int i = 0; i < 30000; ++i) {
+    triples.emplace_back(static_cast<rdf::TermId>(1 + rng.Uniform(1500)),
+                         static_cast<rdf::TermId>(1 + rng.Uniform(12)),
+                         static_cast<rdf::TermId>(1 + rng.Uniform(5000)));
+  }
+  const test::TempFile tmp("subject_decode");
+  auto disk = test::Unwrap(DiskTripleStore::Create(tmp.path(), 16));
+  ASSERT_TRUE(disk->BulkLoad(triples).ok());
+  const obs::Counter& decoded =
+      obs::MetricRegistry::Global().GetCounter("storage.leaf_entries_decoded");
+  uint64_t delivered_total = 0;
+  for (rdf::TermId s = 1; s <= 1501; ++s) {
+    const uint64_t before = decoded.value();
+    const size_t delivered =
+        ScanAll(*disk, rdf::TriplePattern(s, rdf::kInvalidTermId,
+                                          rdf::kInvalidTermId))
+            .size();
+    EXPECT_LE(decoded.value() - before,
+              delivered + 2 * kLeafRestartInterval)
+        << "s=" << s;
+    delivered_total += delivered;
+  }
+  EXPECT_EQ(delivered_total, disk->size());
+  disk.reset();
+}
+
 TEST(DiskTripleStoreTest, StorageErrorsSurfaceThroughCountAndAdapter) {
   // Load through a small pool, then cut the page file short: every page
   // the pool does not hold now fails to read.
@@ -1140,15 +1336,20 @@ TEST(DiskTripleStoreTest, StorageErrorsSurfaceThroughCountAndAdapter) {
   // predicate list return the error, never an OK count that is wrong.
   std::map<rdf::TermId, uint64_t> pred_truth;
   std::map<std::pair<rdf::TermId, rdf::TermId>, uint64_t> pair_truth;
+  std::set<rdf::TermId> subject_truth;
   for (const rdf::Triple& t :
        std::set<rdf::Triple, rdf::OrderSpo>(triples.begin(), triples.end())) {
     ++pred_truth[t.p];
     ++pair_truth[{t.s, t.p}];
+    subject_truth.insert(t.s);
   }
   const Result<std::vector<std::pair<rdf::TermId, uint64_t>>> listed =
       disk.PredicateCounts();
   ASSERT_FALSE(listed.ok());
   EXPECT_EQ(listed.status().code(), StatusCode::kIoError);
+  const Result<std::vector<rdf::TermId>> subjects = disk.DistinctSubjects();
+  ASSERT_FALSE(subjects.ok());
+  EXPECT_EQ(subjects.status().code(), StatusCode::kIoError);
   for (rdf::TermId p = 1; p <= 8; ++p) {
     const Result<uint64_t> n =
         disk.Count(rdf::TriplePattern(rdf::kInvalidTermId, p,
@@ -1172,7 +1373,8 @@ TEST(DiskTripleStoreTest, StorageErrorsSurfaceThroughCountAndAdapter) {
     EXPECT_EQ(adapter.Count(rdf::TriplePattern(7, 3, rdf::kInvalidTermId)),
               0u);
     EXPECT_TRUE(adapter.PredicateCounts().empty());
-    EXPECT_EQ(errors.value(), before + 4) << "round " << round;
+    EXPECT_TRUE(adapter.DistinctSubjects().empty());
+    EXPECT_EQ(errors.value(), before + 5) << "round " << round;
   }
 
   // Once the file is back, the same adapter answers exactly.
@@ -1186,7 +1388,63 @@ TEST(DiskTripleStoreTest, StorageErrorsSurfaceThroughCountAndAdapter) {
   EXPECT_EQ(adapter.PredicateCounts(),
             (std::vector<std::pair<rdf::TermId, uint64_t>>(
                 pred_truth.begin(), pred_truth.end())));
+  EXPECT_EQ(adapter.DistinctSubjects(),
+            std::vector<rdf::TermId>(subject_truth.begin(),
+                                     subject_truth.end()));
   EXPECT_EQ(errors.value(), before);
+}
+
+/// Four threads of random bounded scans over a 4-frame pool: the scans
+/// evict and re-read the leaves other threads are decoding, and every
+/// answer must still equal the std::map's.
+TEST(StorageConcurrencyTest, BoundedScansAgreeUnderEviction) {
+  PageFile file;
+  const test::TempFile tmp("conc_scan");
+  ASSERT_TRUE(file.Open(tmp.path(), true).ok());
+  BufferPool pool(&file, 4);
+  Rng rng(5);
+  std::map<std::pair<uint64_t, uint64_t>, uint64_t> model;
+  for (int i = 0; i < 40000; ++i) {
+    model[{rng.Uniform(40000), rng.Uniform(4)}] = rng.Uniform(1000);
+  }
+  const BTree tree = test::Unwrap(BTree::BulkLoad(&pool, ModelItems(model)));
+  ASSERT_GT(file.num_pages(), 16u);
+
+  std::atomic<int> errors{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      Rng local(100 + t);
+      for (int i = 0; i < 300; ++i) {
+        Key128 lo = K(local.Uniform(41000), local.Uniform(5));
+        // Mostly point-sized ranges, now and then one across many leaves.
+        const uint64_t width = i % 10 == 0 ? local.Uniform(30000) : 0;
+        Key128 hi = K(lo.hi + width, local.Uniform(5));
+        if (i % 7 == 0) std::swap(lo, hi);
+        std::vector<BTree::Item> got;
+        const Status st =
+            tree.RangeScanRuns(lo, hi, [&](const BTree::Item* run, size_t n) {
+              got.insert(got.end(), run, run + n);
+              return true;
+            });
+        if (!st.ok()) {
+          ++errors;
+          continue;
+        }
+        const std::vector<BTree::Item> want = ModelRange(model, lo, hi);
+        bool same = got.size() == want.size();
+        for (size_t k = 0; same && k < want.size(); ++k) {
+          same = got[k].key == want[k].key && got[k].value == want[k].value;
+        }
+        if (!same) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(pool.evictions(), 0u);
 }
 
 }  // namespace
