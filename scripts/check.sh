@@ -12,7 +12,8 @@
 #      named in scripts/reachability_allowlist.txt with its reason, and no
 #      allowlist entry is stale (an -O0 build of the programs, minutes)
 #   4. ASan+UBSan       — full tier-1 suite under address+undefined
-#   5. TSan             — obs/exec/sparql/serve/rdf-store/storage concurrency tests
+#   5. TSan             — obs/exec/sparql/serve/rdf-store/storage concurrency
+#      tests and the exploration modules' 1-vs-4-thread parity legs
 #   6. serving parity   — serve_check drives a live HTTP server with
 #      concurrent clients and asserts every answer (cold plan cache, warm
 #      plan cache, and under contention) is bit-identical to a direct
@@ -66,7 +67,7 @@ cmake -B "$ASAN_BUILD" -S . -C cmake/sanitize.cmake >/dev/null
 cmake --build "$ASAN_BUILD" -j "$JOBS"
 ctest --test-dir "$ASAN_BUILD" --output-on-failure -j "$JOBS"
 
-echo "== [5/6] TSan obs + exec + sparql + serve + rdf store + storage concurrency tests =="
+echo "== [5/6] TSan obs + exec + sparql + serve + rdf store + storage + explore parity tests =="
 # ThreadSanitizer is exclusive with ASan, so the concurrency tests get their
 # own build tree. The Exec suites cover the thread pool plus every
 # parallelized hot path (hetree, progressive, clustering, bundling, layout,
@@ -89,12 +90,15 @@ echo "== [5/6] TSan obs + exec + sparql + serve + rdf store + storage concurrenc
 # StorageConcurrency runs four threads of bounded B+-tree range scans over
 # a 4-frame pool, so leaf decodes race eviction and re-reads of the same
 # frames — the race gate for the bounded leaf decode.
+# ExploreParity runs every exploration module (facets, HETree, keyword
+# search, profile, cube, graph...) over memory and a 4-frame disk store at
+# one executor thread and at four — the race gate for the explore paths.
 cmake -B "$TSAN_BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DLODVIZ_SANITIZE=thread >/dev/null
 cmake --build "$TSAN_BUILD" --target obs_test exec_test sparql_parity_test \
-  serve_test rdf_store_test storage_test -j "$JOBS"
+  serve_test rdf_store_test storage_test explore_parity_test -j "$JOBS"
 ctest --test-dir "$TSAN_BUILD" \
-  -R '^(Obs|Exec|SparqlParity|Serve|RdfStoreConcurrency|StorageConcurrency)' \
+  -R '^(Obs|Exec|SparqlParity|Serve|RdfStoreConcurrency|StorageConcurrency|ExploreParity)' \
   --output-on-failure -j "$JOBS"
 
 echo "== [6/6] serving layer end-to-end parity (serve_check) =="

@@ -266,6 +266,9 @@ Result<ViewResult> Engine::Render(const viz::VisSpec& spec, bool with_svg) {
   LODVIZ_TRACE_SPAN("core.engine.render");
   CountCapability("render");
   Stopwatch sw;
+  // A fresh canvas per call. Keeping one saved its zeroing, but the
+  // explore session then ran fast only while the host left its other data
+  // in cache, and its throughput varied from run to run.
   viz::Canvas canvas(kCanvasWidth, kCanvasHeight);
   ViewResult view;
   view.spec = spec;

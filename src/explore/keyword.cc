@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/string_util.h"
 #include "rdf/vocab.h"
@@ -70,43 +71,64 @@ KeywordIndex KeywordIndex::Build(const rdf::TripleSource& source,
 
 std::vector<SearchHit> KeywordIndex::Search(const std::string& query,
                                             size_t top_k) const {
-  std::vector<std::string> terms = TokenizeWords(query);
-  if (terms.empty()) return {};
-
-  // Accumulate scores and term-match counts per doc.
-  std::unordered_map<uint32_t, std::pair<double, int>> scores;
-  int matched_terms = 0;
-  for (const std::string& term : terms) {
+  // The posting list of each query term the index holds, in query order.
+  std::vector<const std::vector<Posting>*> lists;
+  for (const std::string& term : TokenizeWords(query)) {
     auto it = postings_.find(term);
-    if (it == postings_.end()) continue;
-    ++matched_terms;
-    for (const Posting& p : it->second) {
-      auto& entry = scores[p.doc];
-      entry.first += p.weight;
-      entry.second += 1;
-    }
+    if (it != postings_.end()) lists.push_back(&it->second);
   }
-  if (matched_terms == 0) return {};
+  if (lists.empty()) return {};
+
+  // Every list ascends by doc, so merging them visits each matching doc
+  // once and adds its weights in query order.
+  struct Scored {
+    double score = 0.0;
+    uint32_t doc = 0;
+    size_t matched = 0;
+  };
+  std::vector<Scored> scored;
+  std::vector<size_t> next(lists.size(), 0);
+  for (;;) {
+    uint32_t doc = UINT32_MAX;
+    for (size_t l = 0; l < lists.size(); ++l) {
+      if (next[l] < lists[l]->size()) {
+        doc = std::min(doc, (*lists[l])[next[l]].doc);
+      }
+    }
+    if (doc == UINT32_MAX) break;
+    Scored entry;
+    entry.doc = doc;
+    for (size_t l = 0; l < lists.size(); ++l) {
+      if (next[l] < lists[l]->size() && (*lists[l])[next[l]].doc == doc) {
+        entry.score += (*lists[l])[next[l]++].weight;
+        ++entry.matched;
+      }
+    }
+    scored.push_back(entry);
+  }
 
   // AND semantics first; OR fallback when no doc has all matched terms.
-  std::vector<SearchHit> hits;
-  for (int required : {matched_terms, 1}) {
-    hits.clear();
-    for (const auto& [doc, entry] : scores) {
-      if (entry.second < required) continue;
-      SearchHit hit;
-      hit.subject = subjects_[doc];
-      hit.score = entry.first;
-      hit.label = labels_[doc];
-      hits.push_back(std::move(hit));
-    }
-    if (!hits.empty()) break;
+  const size_t all = lists.size();
+  if (std::any_of(scored.begin(), scored.end(),
+                  [all](const Scored& e) { return e.matched == all; })) {
+    std::erase_if(scored, [all](const Scored& e) { return e.matched < all; });
   }
-  std::sort(hits.begin(), hits.end(), [](const SearchHit& a, const SearchHit& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.label < b.label;
-  });
-  if (hits.size() > top_k) hits.resize(top_k);
+
+  // Only the returned hits are ordered and copy their labels.
+  const size_t k = std::min(top_k, scored.size());
+  std::partial_sort(scored.begin(), scored.begin() + k, scored.end(),
+                    [this](const Scored& a, const Scored& b) {
+                      if (a.score != b.score) return a.score > b.score;
+                      const int c = labels_[a.doc].compare(labels_[b.doc]);
+                      if (c != 0) return c < 0;
+                      return subjects_[a.doc] < subjects_[b.doc];
+                    });
+  std::vector<SearchHit> hits;
+  hits.reserve(k);
+  for (size_t i = 0; i < k; ++i) {
+    const uint32_t doc = scored[i].doc;
+    hits.push_back({subjects_[doc], scored[i].score, labels_[doc]});
+  }
   return hits;
 }
 

@@ -28,7 +28,8 @@ class KeywordIndex {
                             double label_boost = 2.0);
 
   /// Top-k subjects matching the query (AND semantics across terms; falls
-  /// back to OR when the conjunction is empty).
+  /// back to OR when the conjunction is empty), ordered by score
+  /// descending, then label, then subject.
   std::vector<SearchHit> Search(const std::string& query,
                                 size_t top_k = 10) const;
 

@@ -25,8 +25,26 @@ HETree::HETree(std::shared_ptr<const SortedData> data, const Options& options)
   nodes_.push_back(std::move(root));
 }
 
+namespace {
+
+/// (value, object): a total order once NaN values are gone, so a sort
+/// leaves equal values in one order whatever the thread count.
+bool ItemLess(const Item& a, const Item& b) {
+  if (a.value != b.value) return a.value < b.value;
+  return a.object < b.object;
+}
+
+}  // namespace
+
 Result<HETree> HETree::Build(std::vector<Item> items, const Options& options) {
   LODVIZ_TRACE_SPAN("hier.hetree.build");
+  std::erase_if(items, [](const Item& item) { return std::isnan(item.value); });
+  exec::ParallelSort(items.begin(), items.end(), ItemLess);
+  return BuildSorted(std::move(items), options);
+}
+
+Result<HETree> HETree::BuildSorted(std::vector<Item> items,
+                                   const Options& options) {
   static obs::Counter* builds =
       &obs::MetricRegistry::Global().GetCounter("hier.hetree.builds");
   static obs::Counter* items_indexed =
@@ -46,14 +64,8 @@ Result<HETree> HETree::Build(std::vector<Item> items, const Options& options) {
   if (options.leaf_capacity < 1) {
     return Status::InvalidArgument("leaf_capacity must be >= 1");
   }
+  LODVIZ_DCHECK(std::is_sorted(items.begin(), items.end(), ItemLess));
   auto data = std::make_shared<SortedData>();
-  // Serial mode (LODVIZ_THREADS=1) degrades to plain std::sort, so tie
-  // order — and therefore every downstream structure — matches the
-  // pre-exec serial build bit for bit.
-  exec::ParallelSort(items.begin(), items.end(),
-                     [](const Item& a, const Item& b) {
-                       return a.value < b.value;
-                     });
   size_t n = items.size();
   data->items = std::move(items);
   data->prefix_sum.resize(n + 1, 0.0);
@@ -72,18 +84,58 @@ Result<HETree> HETree::BuildFromProperty(const rdf::TripleSource& source,
                                          rdf::TermId predicate,
                                          const Options& options) {
   LODVIZ_TRACE_SPAN("hier.hetree.build_from_property");
-  std::vector<Item> items;
+  // One group per distinct object, holding its subjects' range in
+  // `subjects`. A group may span runs; a dropped object adds no subjects,
+  // so each group ends where the next one starts.
+  struct Group {
+    double value = 0.0;
+    size_t first = 0;
+    size_t last = 0;
+  };
   const rdf::Dictionary& dict = source.dict();
-  rdf::TriplePattern pat(rdf::kInvalidTermId, predicate, rdf::kInvalidTermId);
-  source.Scan(pat, [&](const rdf::Triple& t) {
-    Result<double> v = dict.ScalarValue(t.o);
-    if (v.ok()) items.push_back({*v, t.s});
-    return true;
-  });
-  if (items.empty()) {
+  std::vector<rdf::TermId> subjects;
+  std::vector<Group> groups;
+  rdf::TermId object = rdf::kInvalidTermId;
+  bool keep = false;
+  source.ScanRuns({rdf::kInvalidTermId, predicate, rdf::kInvalidTermId},
+                  [&](const rdf::Triple* run, size_t n) {
+                    for (size_t i = 0; i < n; ++i) {
+                      if (run[i].o != object) {
+                        object = run[i].o;
+                        Result<double> v = dict.ScalarValue(object);
+                        keep = v.ok() && !std::isnan(*v);
+                        if (keep) groups.push_back({*v, subjects.size(), 0});
+                      }
+                      if (keep) subjects.push_back(run[i].s);
+                    }
+                    return true;
+                  });
+  if (groups.empty()) {
     return Status::NotFound("predicate has no numeric/temporal objects");
   }
-  return Build(std::move(items), options);
+  for (size_t g = 0; g + 1 < groups.size(); ++g) {
+    groups[g].last = groups[g + 1].first;
+  }
+  groups.back().last = subjects.size();
+  std::sort(groups.begin(), groups.end(), [](const Group& a, const Group& b) {
+    return a.value < b.value;
+  });
+  // Each group's subjects ascend, so only a value shared by several
+  // objects (say "30" and "30.0") needs its range sorted by subject.
+  std::vector<Item> items;
+  items.reserve(subjects.size());
+  for (size_t g = 0; g < groups.size();) {
+    const size_t begin = items.size();
+    size_t h = g;
+    for (; h < groups.size() && groups[h].value == groups[g].value; ++h) {
+      for (size_t i = groups[h].first; i < groups[h].last; ++i) {
+        items.push_back({groups[h].value, subjects[i]});
+      }
+    }
+    if (h - g > 1) std::sort(items.begin() + begin, items.end(), ItemLess);
+    g = h;
+  }
+  return BuildSorted(std::move(items), options);
 }
 
 NodeStats HETree::StatsForItemRange(size_t first, size_t last) const {

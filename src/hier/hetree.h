@@ -74,11 +74,16 @@ class HETree {
     uint32_t depth = 0;
   };
 
-  /// Builds over `items` (sorted internally). Items must be non-empty.
+  /// Builds over `items`, sorted internally by (value, object) so that
+  /// equal values order alike on every thread count. NaN values are
+  /// dropped; at least one item must remain.
   static Result<HETree> Build(std::vector<Item> items, const Options& options);
 
   /// Builds over the numeric (or temporal, as epoch seconds) objects of
-  /// `predicate`, with subjects as item objects.
+  /// `predicate`, with subjects as item objects: the same tree as Build
+  /// over those items. The `{?, p, ?}` scan delivers each object's
+  /// subjects together and ascending, so each distinct object is decoded
+  /// once and only the groups are sorted by value, not the items.
   static Result<HETree> BuildFromProperty(const rdf::TripleSource& source,
                                           rdf::TermId predicate,
                                           const Options& options);
@@ -110,12 +115,18 @@ class HETree {
  private:
   /// Sorted items + prefix aggregates, shared across adaptations.
   struct SortedData {
-    std::vector<Item> items;       // ascending by value
+    std::vector<Item> items;       // ascending by (value, object)
     std::vector<double> prefix_sum;    // size n+1
     std::vector<double> prefix_sumsq;  // size n+1
   };
 
   HETree(std::shared_ptr<const SortedData> data, const Options& options);
+
+  /// The build after the sort: argument checks, the `hier.hetree.*`
+  /// counters, prefix sums and the tree over `items`, which are already
+  /// ascending by (value, object) and hold no NaN.
+  static Result<HETree> BuildSorted(std::vector<Item> items,
+                                    const Options& options);
 
   NodeStats StatsForItemRange(size_t first, size_t last) const;
   size_t LowerBound(double value) const;  // first index with value >= v

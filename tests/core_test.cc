@@ -13,6 +13,7 @@
 #include "core/ldvm.h"
 #include "core/registry.h"
 #include "rdf/vocab.h"
+#include "test_util.h"
 #include "workload/synthetic_lod.h"
 
 namespace lodviz::core {
@@ -184,6 +185,36 @@ TEST_F(EngineFixture, RenderEveryKind) {
                            << view.status().ToString();
     EXPECT_GT(view->render.elements_drawn, 0u) << viz::VisKindName(kind);
   }
+}
+
+/// A render carries nothing over from the one before: a scatter after a
+/// bar chart reports what a fresh engine's first scatter does.
+TEST_F(EngineFixture, RenderHasNoCarryOver) {
+  viz::VisSpec scatter;
+  scatter.kind = viz::VisKind::kScatter;
+  scatter.x_property = "http://lod.example/ontology/age";
+  scatter.y_property = rdf::vocab::kGeoLat;
+  viz::VisSpec bars;
+  bars.kind = viz::VisKind::kChart;
+  bars.x_property = "http://lod.example/ontology/age";
+  auto same = [](const ViewResult& a, const ViewResult& b) {
+    EXPECT_EQ(a.render.elements_drawn, b.render.elements_drawn);
+    EXPECT_EQ(a.pixels_touched, b.pixels_touched);
+    EXPECT_EQ(a.overplot_factor, b.overplot_factor);
+    EXPECT_EQ(a.hidden_fraction, b.hidden_fraction);
+  };
+  const ViewResult first = test::Unwrap(engine_.Render(scatter));
+  const ViewResult chart = test::Unwrap(engine_.Render(bars));
+  EXPECT_NE(chart.pixels_touched, first.pixels_touched);
+  const ViewResult third = test::Unwrap(engine_.Render(scatter));
+  same(third, first);
+
+  Engine fresh;
+  workload::SyntheticLodOptions opts;
+  opts.num_entities = 400;
+  opts.seed = 99;
+  fresh.LoadSynthetic(opts);
+  same(third, test::Unwrap(fresh.Render(scatter)));
 }
 
 TEST_F(EngineFixture, RenderWithSvg) {

@@ -246,6 +246,49 @@ TEST(ExecDeterminismTest, HETreeBuildIsThreadCountInvariant) {
   }
 }
 
+/// 100,000 items over 100 distinct values, shuffled: equal values tie, so
+/// the order within a value comes from the objects alone.
+std::vector<hier::Item> TiedItems() {
+  constexpr size_t kN = 100000;
+  std::vector<hier::Item> items(kN);
+  for (size_t i = 0; i < kN; ++i) {
+    items[i] = {static_cast<double>(i % 100), i};
+  }
+  Rng rng(7);
+  for (size_t i = kN; i > 1; --i) std::swap(items[i - 1], items[rng.Uniform(i)]);
+  return items;
+}
+
+TEST(ExecDeterminismTest, HETreeBuildWithTiesIsThreadCountInvariant) {
+  hier::HETree::Options opt;
+  opt.fanout = 4;
+  opt.leaf_capacity = 64;
+  auto build = [&] {
+    auto t = hier::HETree::Build(TiedItems(), opt);
+    EXPECT_TRUE(t.ok());
+    return std::move(t).ValueOrDie();
+  };
+  SetThreads(1);
+  hier::HETree serial = build();
+  SetThreads(4);
+  hier::HETree parallel = build();
+  SetThreads(0);
+  ASSERT_EQ(serial.materialized_nodes(), parallel.materialized_nodes());
+  size_t leaves = 0;
+  for (hier::HETree::NodeId id = 0; id < serial.materialized_nodes(); ++id) {
+    if (!serial.node(id).is_leaf) continue;
+    ++leaves;
+    const std::vector<hier::Item> a = serial.LeafItems(id);
+    const std::vector<hier::Item> b = parallel.LeafItems(id);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a[i].value, b[i].value) << "leaf " << id << " item " << i;
+      ASSERT_EQ(a[i].object, b[i].object) << "leaf " << id << " item " << i;
+    }
+  }
+  EXPECT_GT(leaves, 1000u);
+}
+
 TEST(ExecDeterminismTest, ModularityIsExactAcrossThreadCounts) {
   graph::Graph g = graph::BarabasiAlbert(3000, 3, 11);
   graph::Clustering c = graph::LouvainClustering(g, 5);

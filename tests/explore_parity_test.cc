@@ -1,6 +1,7 @@
 // Memory/disk parity for the exploration modules: each one reads only the
 // rdf::TripleSource contract, so over the in-memory store and over a
-// disk store behind a tiny buffer pool it must produce identical output.
+// disk store behind a tiny buffer pool, on one executor thread and on
+// four, it must produce identical output.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +15,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/string_util.h"
 #include "cube/data_cube.h"
+#include "exec/parallel.h"
 #include "explore/browser.h"
 #include "explore/facets.h"
 #include "explore/interest.h"
@@ -232,13 +235,24 @@ class ExploreParityTest : public ::testing::Test {
     return id;
   }
 
-  /// Runs `fn` over both backends and expects the same, non-empty text.
+  /// Runs `fn` over both backends, at one executor thread and at four,
+  /// and expects the same, non-empty text from all four legs.
   template <typename Fn>
   static void ExpectParity(const Fn& fn) {
-    const std::string on_memory = fn(*mem_);
-    const std::string on_disk = fn(*adapter_);
-    EXPECT_FALSE(on_memory.empty());
-    EXPECT_EQ(on_memory, on_disk);
+    std::string serial;
+    for (size_t threads : {1, 4}) {
+      exec::SetThreads(threads);
+      const std::string on_memory = fn(*mem_);
+      const std::string on_disk = fn(*adapter_);
+      EXPECT_FALSE(on_memory.empty());
+      EXPECT_EQ(on_memory, on_disk) << threads << " threads";
+      if (threads == 1) {
+        serial = on_memory;
+      } else {
+        EXPECT_EQ(on_memory, serial) << "4 threads vs 1";
+      }
+    }
+    exec::SetThreads(0);
   }
 
   static std::unique_ptr<rdf::TripleStore> mem_;
@@ -288,6 +302,91 @@ TEST_F(ExploreParityTest, HETreeOverNumericAndTemporalProperties) {
   }
 }
 
+/// The HETree as Build makes it from a plain Scan's items: the reference
+/// BuildFromProperty's grouped POS walk must reproduce.
+std::string ScanBuildDigest(const rdf::TripleSource& source, TermId predicate,
+                            const hier::HETree::Options& options) {
+  std::vector<hier::Item> items;
+  source.Scan({rdf::kInvalidTermId, predicate, rdf::kInvalidTermId},
+              [&](const rdf::Triple& t) {
+                Result<double> v = source.dict().ScalarValue(t.o);
+                if (v.ok()) items.push_back({*v, t.s});
+                return true;
+              });
+  return Digest(test::Unwrap(hier::HETree::Build(std::move(items), options)));
+}
+
+hier::HETree::Options RangeOptions() {
+  hier::HETree::Options options;
+  options.kind = hier::HETree::Kind::kRange;
+  options.leaf_capacity = 8;
+  return options;
+}
+
+TEST_F(ExploreParityTest, HETreeFromPropertyEqualsBuildOverScan) {
+  const OneTriplePerRun one_per_run(mem_.get());
+  for (const char* property : {lod::kAge, lod::kCreated}) {
+    const TermId predicate = Iri(property);
+    for (const hier::HETree::Options& options :
+         {hier::HETree::Options(), RangeOptions()}) {
+      for (const rdf::TripleSource* source :
+           {static_cast<const rdf::TripleSource*>(mem_.get()),
+            static_cast<const rdf::TripleSource*>(adapter_.get()),
+            static_cast<const rdf::TripleSource*>(&one_per_run)}) {
+        EXPECT_EQ(Digest(test::Unwrap(hier::HETree::BuildFromProperty(
+                      *source, predicate, options))),
+                  ScanBuildDigest(*source, predicate, options))
+            << property;
+      }
+    }
+  }
+}
+
+/// Distinct objects that share a value ("30" and "30.0", "0" and "-0.0")
+/// hold interleaved subjects, one subject holds both, and NaN and text
+/// objects are dropped.
+TEST(HETreeFromPropertyTest, SharedValuesOrderBySubject) {
+  using rdf::Term;
+  namespace vocab = rdf::vocab;
+  rdf::TripleStore mem;
+  const Term p = Term::Iri("http://x/p");
+  for (int i = 0; i < 40; ++i) {
+    const Term s = Term::Iri("http://x/e" + std::to_string(i));
+    switch (i % 5) {
+      case 0: mem.Add(s, p, Term::Literal("30", vocab::kXsdInteger)); break;
+      case 1: mem.Add(s, p, Term::Literal("30.0", vocab::kXsdDecimal)); break;
+      case 2: mem.Add(s, p, Term::Literal("0", vocab::kXsdInteger)); break;
+      case 3: mem.Add(s, p, Term::Literal("-0.0", vocab::kXsdDecimal)); break;
+      default: mem.Add(s, p, Term::IntLiteral(i)); break;
+    }
+  }
+  mem.Add(Term::Iri("http://x/e7"), p, Term::Literal("30", vocab::kXsdInteger));
+  mem.Add(Term::Iri("http://x/nan"), p, Term::Literal("NaN", vocab::kXsdDouble));
+  mem.Add(Term::Iri("http://x/text"), p, Term::Literal("thirty"));
+  mem.Compact();
+  const TermId predicate = mem.dict().Lookup(p);
+
+  const test::TempFile tmp("hetree_shared_values");
+  auto disk = test::Unwrap(storage::DiskTripleStore::Create(tmp.path(), 4));
+  ASSERT_TRUE(disk->BulkLoad(mem.Match(rdf::TriplePattern())).ok());
+  const storage::DiskSourceAdapter adapter(disk.get(), &mem.dict());
+  const OneTriplePerRun one_per_run(&mem);
+  hier::HETree::Options options;
+  options.leaf_capacity = 4;
+  const std::string reference = ScanBuildDigest(mem, predicate, options);
+  EXPECT_NE(reference.find("-0@"), std::string::npos);
+  for (const rdf::TripleSource* source :
+       {static_cast<const rdf::TripleSource*>(&mem),
+        static_cast<const rdf::TripleSource*>(&adapter),
+        static_cast<const rdf::TripleSource*>(&one_per_run)}) {
+    const hier::HETree tree =
+        test::Unwrap(hier::HETree::BuildFromProperty(*source, predicate,
+                                                     options));
+    EXPECT_EQ(tree.num_items(), 41u);
+    EXPECT_EQ(Digest(tree), reference);
+  }
+}
+
 TEST_F(ExploreParityTest, SchemaSummary) {
   ExpectParity([](const rdf::TripleSource& source) {
     return explore::BuildSchemaSummary(source).ToString(1000);
@@ -307,6 +406,142 @@ TEST_F(ExploreParityTest, KeywordSearch) {
     }
     return out;
   });
+}
+
+/// Keyword search as it was before it kept only the top k: tf-idf
+/// postings rebuilt from a full scan, each matching document scored in a
+/// hash map, and every hit sorted by (score desc, label asc, subject asc).
+std::vector<explore::SearchHit> FullSortSearch(const rdf::TripleSource& source,
+                                               const std::string& query) {
+  const rdf::Dictionary& dict = source.dict();
+  const TermId label_pred =
+      dict.Lookup(rdf::Term::Iri(rdf::vocab::kRdfsLabel));
+  std::vector<TermId> subjects;
+  std::vector<std::string> labels;
+  std::vector<double> lengths;
+  std::unordered_map<TermId, uint32_t> doc_of;
+  std::unordered_map<std::string, std::map<uint32_t, double>> tf;
+  source.Scan(rdf::TriplePattern(), [&](const rdf::Triple& t) {
+    const rdf::Term& obj = dict.term(t.o);
+    if (!obj.is_literal()) return true;
+    const std::vector<std::string> tokens = TokenizeWords(obj.lexical);
+    if (tokens.empty()) return true;
+    auto [it, inserted] =
+        doc_of.emplace(t.s, static_cast<uint32_t>(subjects.size()));
+    if (inserted) {
+      subjects.push_back(t.s);
+      labels.emplace_back();
+      lengths.push_back(0.0);
+    }
+    const uint32_t doc = it->second;
+    const bool is_label = label_pred != rdf::kInvalidTermId && t.p == label_pred;
+    if (is_label && labels[doc].empty()) labels[doc] = obj.lexical;
+    for (const std::string& token : tokens) {
+      tf[token][doc] += is_label ? 2.0 : 1.0;
+      lengths[doc] += is_label ? 2.0 : 1.0;
+    }
+    return true;
+  });
+  for (size_t d = 0; d < subjects.size(); ++d) {
+    if (labels[d].empty()) labels[d] = dict.term(subjects[d]).lexical;
+  }
+  const double n = static_cast<double>(subjects.size());
+  std::unordered_map<uint32_t, std::pair<double, size_t>> scores;
+  size_t matched_terms = 0;
+  for (const std::string& term : TokenizeWords(query)) {
+    auto it = tf.find(term);
+    if (it == tf.end()) continue;
+    ++matched_terms;
+    const double idf =
+        std::log((n + 1.0) / (static_cast<double>(it->second.size()) + 1.0)) +
+        1.0;
+    for (const auto& [doc, freq] : it->second) {
+      scores[doc].first += freq / std::max(1.0, lengths[doc]) * idf;
+      scores[doc].second += 1;
+    }
+  }
+  std::vector<explore::SearchHit> hits;
+  for (size_t required : {matched_terms, size_t{1}}) {
+    for (const auto& [doc, entry] : scores) {
+      if (entry.second >= required) {
+        hits.push_back({subjects[doc], entry.first, labels[doc]});
+      }
+    }
+    if (!hits.empty()) break;
+  }
+  std::sort(hits.begin(), hits.end(),
+            [](const explore::SearchHit& a, const explore::SearchHit& b) {
+              if (a.score != b.score) return a.score > b.score;
+              if (a.label != b.label) return a.label < b.label;
+              return a.subject < b.subject;
+            });
+  return hits;
+}
+
+std::string Digest(const std::vector<explore::SearchHit>& hits) {
+  std::string out;
+  for (const explore::SearchHit& hit : hits) {
+    out += std::to_string(hit.subject) + " " + Num(hit.score) + " " +
+           hit.label + "\n";
+  }
+  return out;
+}
+
+/// Search(q, k) is the first k hits of the full-sort reference.
+void ExpectTopKOfFullSort(const rdf::TripleSource& source,
+                          const std::vector<std::string>& queries) {
+  const explore::KeywordIndex index = explore::KeywordIndex::Build(source);
+  for (const std::string& query : queries) {
+    const std::vector<explore::SearchHit> all = FullSortSearch(source, query);
+    for (size_t k : {size_t{0}, size_t{1}, size_t{10}, all.size(),
+                     index.num_documents() + 1}) {
+      const size_t kept = std::min(k, all.size());
+      EXPECT_EQ(Digest(index.Search(query, k)),
+                Digest(std::vector<explore::SearchHit>(
+                    all.begin(), all.begin() + kept)))
+          << "'" << query << "' k=" << k;
+    }
+  }
+}
+
+TEST_F(ExploreParityTest, KeywordSearchIsTopKOfFullSort) {
+  const OneTriplePerRun one_per_run(mem_.get());
+  for (const rdf::TripleSource* source :
+       {static_cast<const rdf::TripleSource*>(mem_.get()),
+        static_cast<const rdf::TripleSource*>(adapter_.get()),
+        static_cast<const rdf::TripleSource*>(&one_per_run)}) {
+    ExpectTopKOfFullSort(*source, {"ancient", "lunar harbor", "keep 12",
+                                   "agent", "harbor harbor", "nothing"});
+  }
+}
+
+/// Documents that tie on score and label order by subject.
+TEST(KeywordSearchTest, TiesOnScoreAndLabelOrderBySubject) {
+  using rdf::Term;
+  rdf::TripleStore mem;
+  const Term label = Term::Iri(rdf::vocab::kRdfsLabel);
+  const Term comment = Term::Iri("http://x/comment");
+  for (const char* s : {"http://x/d", "http://x/b", "http://x/c", "http://x/a"}) {
+    mem.Add(Term::Iri(s), label, Term::Literal("twin peak"));
+  }
+  mem.Add(Term::Iri("http://x/e"), label, Term::Literal("twin"));
+  mem.Add(Term::Iri("http://x/f"), comment, Term::Literal("peak twin"));
+  mem.Add(Term::Iri("http://x/g"), comment, Term::Literal("peak"));
+  mem.Compact();
+  const std::vector<explore::SearchHit> all = FullSortSearch(mem, "twin peak");
+  // Five hits on one score: the comment-only document first by its IRI
+  // label, then the four "twin peak" labels by subject.
+  ASSERT_EQ(all.size(), 5u);
+  EXPECT_EQ(all[0].label, "http://x/f");
+  for (size_t i = 1; i < all.size(); ++i) {
+    EXPECT_EQ(all[i].score, all[0].score);
+    if (i < 2) continue;
+    EXPECT_EQ(all[i].label, all[1].label);
+    EXPECT_LT(all[i - 1].subject, all[i].subject);
+  }
+  ExpectTopKOfFullSort(mem, {"twin", "peak", "twin peak", "peak twin x"});
+  const OneTriplePerRun one_per_run(&mem);
+  ExpectTopKOfFullSort(one_per_run, {"twin", "peak", "twin peak"});
 }
 
 TEST_F(ExploreParityTest, DatasetProfile) {

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <sstream>
+#include <string>
 
 #include "common/random.h"
 #include "hier/hetree.h"
 #include "rdf/triple_store.h"
+#include "rdf/vocab.h"
 
 namespace lodviz::hier {
 namespace {
@@ -267,6 +271,73 @@ TEST(HETreeTest, TemporalPropertySupported) {
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(tree->node(tree->root()).stats.count, 50u);
   EXPECT_DOUBLE_EQ(tree->node(tree->root()).stats.min, 1000000000.0);
+}
+
+/// Every materialized node and every leaf's items, doubles at full
+/// precision.
+std::string Digest(const HETree& tree) {
+  std::ostringstream out;
+  out.precision(17);
+  for (HETree::NodeId id = 0; id < tree.materialized_nodes(); ++id) {
+    const HETree::Node& n = tree.node(id);
+    out << n.lo << ":" << n.hi << " [" << n.first << "," << n.last
+        << ") mean=" << n.stats.mean << " var=" << n.stats.variance << "\n";
+    if (!n.is_leaf) continue;
+    for (const Item& item : tree.LeafItems(id)) {
+      out << item.value << "@" << item.object << " ";
+    }
+    out << "\n";
+  }
+  return out.str();
+}
+
+/// 1,960 ages, then (when `with_nan`) 40 more subjects whose age is
+/// "NaN"^^xsd:double. The NaN terms are interned last, so both stores
+/// give every other term the same id.
+void AddAges(rdf::TripleStore* store, bool with_nan) {
+  using rdf::Term;
+  const Term age = Term::Iri("http://x/age");
+  for (int i = 0; i < 1960; ++i) {
+    store->Add(Term::Iri("http://x/e" + std::to_string(i)), age,
+               Term::IntLiteral(i % 97));
+  }
+  if (!with_nan) return;
+  for (int i = 1960; i < 2000; ++i) {
+    store->Add(Term::Iri("http://x/e" + std::to_string(i)), age,
+               Term::Literal("NaN", rdf::vocab::kXsdDouble));
+  }
+}
+
+TEST(HETreeTest, NaNValuesAreDropped) {
+  rdf::TripleStore with_nan;
+  rdf::TripleStore without_nan;
+  AddAges(&with_nan, true);
+  AddAges(&without_nan, false);
+  const rdf::TermId age = with_nan.dict().Lookup(rdf::Term::Iri("http://x/age"));
+  ASSERT_EQ(age, without_nan.dict().Lookup(rdf::Term::Iri("http://x/age")));
+  for (HETree::Options opts : {ContentOpts(), RangeOpts()}) {
+    auto tree = HETree::BuildFromProperty(with_nan, age, opts);
+    auto clean = HETree::BuildFromProperty(without_nan, age, opts);
+    ASSERT_TRUE(tree.ok() && clean.ok());
+    EXPECT_EQ(tree->num_items(), 1960u);
+    EXPECT_FALSE(std::isnan(tree->node(tree->root()).stats.mean));
+    EXPECT_EQ(tree->RangeStats(0, 100).count, 1960u);
+    EXPECT_EQ(Digest(*tree), Digest(*clean));
+  }
+
+  // Build drops NaN items the same way.
+  std::vector<Item> items = UniformItems(500, 23);
+  std::vector<Item> with_nan_items = items;
+  for (uint64_t i = 0; i < 20; ++i) {
+    with_nan_items.push_back({std::numeric_limits<double>::quiet_NaN(), i});
+  }
+  auto tree = HETree::Build(with_nan_items, ContentOpts());
+  auto clean = HETree::Build(items, ContentOpts());
+  ASSERT_TRUE(tree.ok() && clean.ok());
+  EXPECT_EQ(Digest(*tree), Digest(*clean));
+  EXPECT_FALSE(HETree::Build({{std::numeric_limits<double>::quiet_NaN(), 1}},
+                             ContentOpts())
+                   .ok());
 }
 
 }  // namespace
