@@ -84,9 +84,9 @@ echo "== [5/6] TSan obs + exec + sparql + serve + rdf store + storage + explore 
 # with profiling off and on, and the shared-engine tests mix profiled and
 # plain engines, so gate 4 (ASan) and this gate cover the profiler's
 # observe-don't-perturb contract.
-# RdfStoreConcurrency races readers to the memory store's first fold and
-# keeps scans running (with their callbacks parked) while a writer
-# publishes a new snapshot — the race gate for the snapshot swap.
+# RdfStoreConcurrency races readers to the memory store's first fold of
+# pending writes, then has them scan the published snapshot together —
+# the race gate for fold-on-read.
 # StorageConcurrency runs four threads of bounded B+-tree range scans over
 # a 4-frame pool, so leaf decodes race eviction and re-reads of the same
 # frames — the race gate for the bounded leaf decode.

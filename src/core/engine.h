@@ -113,8 +113,9 @@ class Engine {
   // ---- rendering ----
   /// Renders `spec` headlessly; set `with_svg` to also emit SVG.
   Result<ViewResult> Render(const viz::VisSpec& spec, bool with_svg = false);
-  /// The (x, y) numeric pairs a scatter plots: one per y triple, in POS
-  /// order, whose subject has a numeric x value (its last in POS order).
+  /// The (x, y) finite numeric pairs a scatter plots: one per finite y
+  /// triple, in POS order, whose subject has a finite x value (its last
+  /// in POS order).
   std::vector<geo::Point> CollectPairs(const std::string& x_iri,
                                        const std::string& y_iri) const;
 

@@ -27,8 +27,8 @@ HETree::HETree(std::shared_ptr<const SortedData> data, const Options& options)
 
 namespace {
 
-/// (value, object): a total order once NaN values are gone, so a sort
-/// leaves equal values in one order whatever the thread count.
+/// (value, object): a total order once non-finite values are gone, so a
+/// sort leaves equal values in one order whatever the thread count.
 bool ItemLess(const Item& a, const Item& b) {
   if (a.value != b.value) return a.value < b.value;
   return a.object < b.object;
@@ -38,7 +38,8 @@ bool ItemLess(const Item& a, const Item& b) {
 
 Result<HETree> HETree::Build(std::vector<Item> items, const Options& options) {
   LODVIZ_TRACE_SPAN("hier.hetree.build");
-  std::erase_if(items, [](const Item& item) { return std::isnan(item.value); });
+  std::erase_if(items,
+                [](const Item& item) { return !std::isfinite(item.value); });
   exec::ParallelSort(items.begin(), items.end(), ItemLess);
   return BuildSorted(std::move(items), options);
 }
@@ -103,7 +104,7 @@ Result<HETree> HETree::BuildFromProperty(const rdf::TripleSource& source,
                       if (run[i].o != object) {
                         object = run[i].o;
                         Result<double> v = dict.ScalarValue(object);
-                        keep = v.ok() && !std::isnan(*v);
+                        keep = v.ok() && std::isfinite(*v);
                         if (keep) groups.push_back({*v, subjects.size(), 0});
                       }
                       if (keep) subjects.push_back(run[i].s);

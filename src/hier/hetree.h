@@ -75,15 +75,15 @@ class HETree {
   };
 
   /// Builds over `items`, sorted internally by (value, object) so that
-  /// equal values order alike on every thread count. NaN values are
-  /// dropped; at least one item must remain.
+  /// equal values order alike on every thread count. Non-finite values
+  /// (NaN, INF, -INF) are dropped; at least one item must remain.
   static Result<HETree> Build(std::vector<Item> items, const Options& options);
 
-  /// Builds over the numeric (or temporal, as epoch seconds) objects of
-  /// `predicate`, with subjects as item objects: the same tree as Build
-  /// over those items. The `{?, p, ?}` scan delivers each object's
-  /// subjects together and ascending, so each distinct object is decoded
-  /// once and only the groups are sorted by value, not the items.
+  /// Builds over the finite numeric (or temporal, as epoch seconds)
+  /// objects of `predicate`, with subjects as item objects: the same tree
+  /// as Build over those items. The `{?, p, ?}` scan delivers each
+  /// object's subjects together and ascending, so each distinct object is
+  /// decoded once and only the groups are sorted by value, not the items.
   static Result<HETree> BuildFromProperty(const rdf::TripleSource& source,
                                           rdf::TermId predicate,
                                           const Options& options);
@@ -124,7 +124,7 @@ class HETree {
 
   /// The build after the sort: argument checks, the `hier.hetree.*`
   /// counters, prefix sums and the tree over `items`, which are already
-  /// ascending by (value, object) and hold no NaN.
+  /// ascending by (value, object) and all finite.
   static Result<HETree> BuildSorted(std::vector<Item> items,
                                     const Options& options);
 

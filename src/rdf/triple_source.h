@@ -41,9 +41,10 @@ namespace lodviz::rdf {
 ///    example `Count` or a nested scan); no implementation holds a lock
 ///    while `fn` runs.
 ///  - **Thread-safety:** concurrent scans on one source must be safe and
-///    must not wait on each other's callbacks. The memory store scans
-///    immutable snapshots; the disk adapter scans B-trees over the
-///    lock-striped buffer pool, so disjoint scans run in parallel.
+///    must not wait on each other's callbacks. The memory store scans an
+///    immutable snapshot, replaced only while no read runs; the disk
+///    adapter scans B-trees over the lock-striped buffer pool, so disjoint
+///    scans run in parallel.
 ///
 /// `Scan(pattern, fn)` is the per-triple form, defined once here as the
 /// loop over ScanRuns: the same triples in the same order, and nothing

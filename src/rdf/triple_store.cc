@@ -8,26 +8,7 @@
 
 namespace lodviz::rdf {
 
-namespace {
-
-/// This thread's reader slot: threads take slots round-robin, so up to
-/// kReaderSlots concurrent readers never share a counter's cache line.
-size_t ThisThreadSlot(size_t num_slots) {
-  static std::atomic<size_t> next_slot{0};
-  thread_local const size_t slot = next_slot.fetch_add(1);
-  return slot % num_slots;
-}
-
-}  // namespace
-
-const TripleStore::Indexes* TripleStore::EmptyIndexes() {
-  static const Indexes empty;
-  return &empty;
-}
-
-TripleStore::TripleStore() : current_(EmptyIndexes()) {}
-
-TripleStore::TripleStore(TripleStore&& other) noexcept : TripleStore() {
+TripleStore::TripleStore(TripleStore&& other) noexcept {
   *this = std::move(other);
 }
 
@@ -39,12 +20,9 @@ TripleStore& TripleStore::operator=(TripleStore&& other) noexcept
   MutexLock lock_this(&mu_);
   pending_ = std::move(other.pending_);
   other.pending_.clear();
-  published_ = std::move(other.published_);
-  retired_ = std::move(other.retired_);
-  other.retired_.clear();
-  current_.store(other.current_.exchange(EmptyIndexes()));
+  snapshot_ = std::move(other.snapshot_);
+  other.snapshot_ = Indexes();
   has_pending_.store(other.has_pending_.exchange(false));
-  has_retired_.store(other.has_retired_.exchange(false));
   return *this;
 }
 
@@ -63,38 +41,15 @@ void TripleStore::AddEncoded(const Triple& t) {
   has_pending_.store(true);
 }
 
-// The reader count is raised before the snapshot pointer is loaded, and
-// ReclaimLocked reads the counts after the pointer was swapped (all
-// sequentially consistent): either the reader loads the new snapshot, or
-// the reclaimer sees the reader and keeps the old one.
-TripleStore::SnapshotRef::SnapshotRef(const TripleStore* store)
-    : store_(store),
-      readers_(&store->reader_slots_[ThisThreadSlot(kReaderSlots)].readers) {
-  readers_->fetch_add(1);
-  if (store_->has_pending_.load()) {
-    MutexLock lock(&store_->mu_);
-    store_->FoldLocked();
+const TripleStore::Indexes& TripleStore::Snapshot() const {
+  if (has_pending_.load()) {
+    MutexLock lock(&mu_);
+    FoldLocked();
   }
-  snap_ = store_->current_.load();
+  return snapshot_;
 }
 
-TripleStore::SnapshotRef::~SnapshotRef() {
-  readers_->fetch_sub(1);
-  if (store_->has_retired_.load()) {
-    MutexLock lock(&store_->mu_);
-    store_->ReclaimLocked();
-  }
-}
-
-void TripleStore::ReclaimLocked() const {
-  for (const ReaderSlot& slot : reader_slots_) {
-    if (slot.readers.load() != 0) return;
-  }
-  retired_.clear();
-  has_retired_.store(false);
-}
-
-void TripleStore::Compact() const { SnapshotRef pin(this); }
+void TripleStore::Compact() const { Snapshot(); }
 
 namespace {
 
@@ -143,7 +98,7 @@ void TripleStore::FoldLocked() const {
   std::sort(fresh.begin(), fresh.end(), OrderSpo());
   fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
 
-  const Indexes& old = *current_.load();
+  const Indexes& old = snapshot_;
   if (!old.spo.empty()) {
     std::vector<Triple> added;
     std::set_difference(fresh.begin(), fresh.end(), old.spo.begin(),
@@ -151,8 +106,8 @@ void TripleStore::FoldLocked() const {
     fresh = std::move(added);
   }
   if (!fresh.empty()) {
-    auto next = std::make_unique<Indexes>();
-    next->spo = MergeSorted(old.spo, fresh, OrderSpo());
+    Indexes next;
+    next.spo = MergeSorted(old.spo, fresh, OrderSpo());
     std::vector<TermId> fresh_subjects;
     for (const Triple& t : fresh) {  // SPO order
       if (fresh_subjects.empty() || fresh_subjects.back() != t.s) {
@@ -161,19 +116,15 @@ void TripleStore::FoldLocked() const {
     }
     std::set_union(old.subjects.begin(), old.subjects.end(),
                    fresh_subjects.begin(), fresh_subjects.end(),
-                   std::back_inserter(next->subjects));
+                   std::back_inserter(next.subjects));
     std::sort(fresh.begin(), fresh.end(), OrderPos());
-    next->pred_counts = MergePredicateCounts(old.pred_counts, fresh);
-    next->pos = MergeSorted(old.pos, fresh, OrderPos());
+    next.pred_counts = MergePredicateCounts(old.pred_counts, fresh);
+    next.pos = MergeSorted(old.pos, fresh, OrderPos());
     std::sort(fresh.begin(), fresh.end(), OrderOsp());
-    next->osp = MergeSorted(old.osp, fresh, OrderOsp());
-
-    current_.store(next.get());
-    if (published_ != nullptr) {
-      retired_.push_back(std::move(published_));
-      has_retired_.store(true);
-    }
-    published_ = std::move(next);
+    next.osp = MergeSorted(old.osp, fresh, OrderOsp());
+    // No read is in flight (class contract), so the replaced snapshot
+    // can go now.
+    snapshot_ = std::move(next);
   }
   // Cleared only once the new snapshot is published: a reader that sees
   // no pending writes must also see the snapshot that holds them.
@@ -213,30 +164,29 @@ void ScanIndex(const std::vector<Triple>& index, const Triple& lo,
 
 void TripleStore::ScanRuns(const TriplePattern& pattern,
                            const ScanRunFn& fn) const {
-  // The pin keeps the snapshot alive (and unchanged) for the whole scan;
-  // no lock is held while `fn` runs.
-  const SnapshotRef snap(this);
+  // No lock is held while `fn` runs.
+  const Indexes& snap = Snapshot();
   constexpr TermId kMax = ~TermId(0);
   if (pattern.s != kInvalidTermId) {
     // SPO index: range over (s) or (s,p) prefix.
     ScanIndex<OrderSpo>(
-        snap->spo, Triple(pattern.s, pattern.p, 0),
+        snap.spo, Triple(pattern.s, pattern.p, 0),
         Triple(pattern.s, pattern.p != kInvalidTermId ? pattern.p : kMax,
                kMax),
         pattern, fn);
   } else if (pattern.p != kInvalidTermId) {
     // POS index: range over (p) or (p,o) prefix.
     ScanIndex<OrderPos>(
-        snap->pos, Triple(0, pattern.p, pattern.o),
+        snap.pos, Triple(0, pattern.p, pattern.o),
         Triple(kMax, pattern.p,
                pattern.o != kInvalidTermId ? pattern.o : kMax),
         pattern, fn);
   } else if (pattern.o != kInvalidTermId) {
     // OSP index: range over (o).
-    ScanIndex<OrderOsp>(snap->osp, Triple(0, 0, pattern.o),
+    ScanIndex<OrderOsp>(snap.osp, Triple(0, 0, pattern.o),
                         Triple(kMax, kMax, pattern.o), pattern, fn);
   } else {
-    RunRange(snap->spo.data(), snap->spo.data() + snap->spo.size(), pattern,
+    RunRange(snap.spo.data(), snap.spo.data() + snap.spo.size(), pattern,
              fn);
   }
 }
@@ -250,36 +200,31 @@ uint64_t TripleStore::Count(const TriplePattern& pattern) const {
   return n;
 }
 
-uint64_t TripleStore::size() const {
-  const SnapshotRef snap(this);
-  return snap->spo.size();
-}
+uint64_t TripleStore::size() const { return Snapshot().spo.size(); }
 
 uint64_t TripleStore::PredicateCount(TermId p) const {
-  const SnapshotRef snap(this);
+  const Indexes& snap = Snapshot();
   auto it = std::lower_bound(
-      snap->pred_counts.begin(), snap->pred_counts.end(), p,
+      snap.pred_counts.begin(), snap.pred_counts.end(), p,
       [](const std::pair<TermId, uint64_t>& e, TermId id) {
         return e.first < id;
       });
-  return it != snap->pred_counts.end() && it->first == p ? it->second : 0;
+  return it != snap.pred_counts.end() && it->first == p ? it->second : 0;
 }
 
 std::vector<std::pair<TermId, uint64_t>> TripleStore::PredicateCounts()
     const {
-  const SnapshotRef snap(this);
-  return snap->pred_counts;
+  return Snapshot().pred_counts;
 }
 
 std::vector<TermId> TripleStore::DistinctSubjects() const {
-  const SnapshotRef snap(this);
-  return snap->subjects;
+  return Snapshot().subjects;
 }
 
 size_t TripleStore::MemoryUsage() const {
-  const SnapshotRef snap(this);
+  const Indexes& snap = Snapshot();
   return dict_.MemoryUsage() +
-         (snap->spo.capacity() + snap->pos.capacity() + snap->osp.capacity()) *
+         (snap.spo.capacity() + snap.pos.capacity() + snap.osp.capacity()) *
              sizeof(Triple);
 }
 

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -29,20 +28,17 @@ namespace lodviz::rdf {
 /// scan is a binary-searched range of a sorted index, and a triple
 /// inserted twice is delivered once.
 ///
-/// Thread-safety: `mu_` guards the pending buffer and snapshot ownership,
-/// and is taken only to fold or to free a replaced snapshot. A read pins
-/// the published snapshot by bumping a per-thread-striped reader count,
-/// so concurrent readers share no lock and no written cache line, and the
-/// scan and the caller's callback run with no lock held on a snapshot
-/// that cannot change: readers never wait on each other's callbacks, and
-/// a callback may reenter the store. A replaced snapshot is freed once no
-/// reader is active. Writers must be serialized against each other.
-/// AddEncoded may overlap readers (they see the snapshot published before
-/// their call, or a later one); Add also interns into the dictionary,
-/// which is not synchronized, so Add must not overlap readers of dict().
+/// Thread-safety: any number of threads may read at once, and a scan's
+/// callback may reenter the store. Writers (Add, AddEncoded) must be
+/// serialized against each other and must never overlap a read of the
+/// same store: load first, then serve. A snapshot is therefore replaced
+/// only while no read is in flight, and a fold frees the old one at once.
+/// Readers that race to fold the same writes serialize on `mu_`; a read
+/// that finds nothing pending takes no lock, so the scan and its callback
+/// run with no lock held.
 class TripleStore : public TripleSource {
  public:
-  TripleStore();
+  TripleStore() = default;
 
   TripleStore(const TripleStore&) = delete;
   TripleStore& operator=(const TripleStore&) = delete;
@@ -67,8 +63,7 @@ class TripleStore : public TripleSource {
 
   /// TripleSource scan primitive (triple_source.h): delivers maximal
   /// contiguous matching spans of the best permutation index of the
-  /// current snapshot — zero-copy pointers into the snapshot, which stays
-  /// alive for the whole scan.
+  /// current snapshot — zero-copy pointers into the snapshot.
   void ScanRuns(const TriplePattern& pattern, const ScanRunFn& fn) const
       override LODVIZ_EXCLUDES(mu_);
 
@@ -82,7 +77,7 @@ class TripleStore : public TripleSource {
       LODVIZ_EXCLUDES(mu_);
 
   /// The snapshot's predicate counts, ascending by id. Returned by value:
-  /// the vector belongs to a snapshot that a later fold may release.
+  /// the vector belongs to a snapshot that a later fold replaces.
   [[nodiscard]] std::vector<std::pair<TermId, uint64_t>> PredicateCounts()
       const override LODVIZ_EXCLUDES(mu_);
 
@@ -110,35 +105,10 @@ class TripleStore : public TripleSource {
     std::vector<TermId> subjects;
   };
 
-  /// Pins the current snapshot for one read, folding pending triples
-  /// first. Takes `mu_` only when there is something to fold or free.
-  class SnapshotRef {
-   public:
-    explicit SnapshotRef(const TripleStore* store);
-    ~SnapshotRef();
-    SnapshotRef(const SnapshotRef&) = delete;
-    SnapshotRef& operator=(const SnapshotRef&) = delete;
-
-    const Indexes* operator->() const { return snap_; }
-
-   private:
-    const TripleStore* store_;
-    std::atomic<uint64_t>* readers_;
-    const Indexes* snap_;
-  };
-
-  /// A reader count on its own cache line; threads spread over the slots.
-  struct alignas(64) ReaderSlot {
-    std::atomic<uint64_t> readers{0};
-  };
-  static constexpr size_t kReaderSlots = 16;
-
-  /// The snapshot of an empty store; shared and never freed, so it needs
-  /// no retiring.
-  static const Indexes* EmptyIndexes();
+  /// The snapshot every read uses: folds the pending triples first, under
+  /// `mu_`, when there are any.
+  const Indexes& Snapshot() const LODVIZ_EXCLUDES(mu_);
   void FoldLocked() const LODVIZ_REQUIRES(mu_);
-  /// Frees replaced snapshots if no reader is active.
-  void ReclaimLocked() const LODVIZ_REQUIRES(mu_);
 
   /// The dictionary is written only by Add, which the class contract (see
   /// the header comment) requires to be serialized against readers of
@@ -146,22 +116,17 @@ class TripleStore : public TripleSource {
   // LINT-ALLOW(concurrency.guarded_by): written by externally-serialized Add
   Dictionary dict_;
 
-  /// Guards the pending buffer and snapshot ownership (mutable: folding
-  /// is logically const and runs inside reads).
+  /// Guards the pending buffer and serializes folds (mutable: folding is
+  /// logically const and runs inside reads).
   mutable Mutex mu_;
   mutable std::vector<Triple> pending_ LODVIZ_GUARDED_BY(mu_);
-  /// Owns the published snapshot (null while it is EmptyIndexes()).
-  mutable std::unique_ptr<const Indexes> published_ LODVIZ_GUARDED_BY(mu_);
-  /// Replaced snapshots that a reader may still be scanning.
-  mutable std::vector<std::unique_ptr<const Indexes>> retired_
-      LODVIZ_GUARDED_BY(mu_);
-
-  /// The published snapshot, read without the lock.
-  mutable std::atomic<const Indexes*> current_;
+  /// Set by a write, cleared by the fold that publishes it. A read that
+  /// sees it clear also sees that fold's snapshot.
   mutable std::atomic<bool> has_pending_{false};
-  mutable std::atomic<bool> has_retired_{false};
-  // LINT-ALLOW(concurrency.guarded_by): each slot is one atomic counter
-  mutable ReaderSlot reader_slots_[kReaderSlots];
+  /// The published snapshot. Read without the lock: a fold replaces it
+  /// only while no read is in flight.
+  // LINT-ALLOW(concurrency.guarded_by): replaced only while no read runs
+  mutable Indexes snapshot_;
 };
 
 }  // namespace lodviz::rdf

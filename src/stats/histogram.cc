@@ -8,9 +8,16 @@ namespace lodviz::stats {
 Result<Histogram> Histogram::Build(const std::vector<double>& values,
                                    size_t num_bins, BinningKind kind) {
   if (num_bins == 0) return Status::InvalidArgument("num_bins must be > 0");
-  if (values.empty()) return Status::InvalidArgument("no values to bin");
-
-  std::vector<double> sorted = values;
+  // Non-finite values have no place on a value axis, and a NaN would
+  // leave std::sort without a strict weak order.
+  std::vector<double> sorted;
+  sorted.reserve(values.size());
+  for (double v : values) {
+    if (std::isfinite(v)) sorted.push_back(v);
+  }
+  if (sorted.empty()) {
+    return Status::InvalidArgument("no finite values to bin");
+  }
   std::sort(sorted.begin(), sorted.end());
   double lo = sorted.front();
   double hi = sorted.back();
@@ -38,7 +45,9 @@ Result<Histogram> Histogram::Build(const std::vector<double>& values,
   }
 
   Histogram h(std::move(bins), kind);
-  for (double v : values) h.Add(v);
+  for (double v : values) {
+    if (std::isfinite(v)) h.Add(v);
+  }
   return h;
 }
 

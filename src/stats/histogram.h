@@ -30,7 +30,8 @@ enum class BinningKind {
 /// values, built in one shot from a value vector.
 class Histogram {
  public:
-  /// Builds from `values` (copied & sorted internally for equi-depth).
+  /// Builds from the finite `values` (copied & sorted internally);
+  /// NaN, INF and -INF are skipped. InvalidArgument if none is finite.
   static Result<Histogram> Build(const std::vector<double>& values,
                                  size_t num_bins, BinningKind kind);
 

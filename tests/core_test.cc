@@ -13,6 +13,7 @@
 #include "core/ldvm.h"
 #include "core/registry.h"
 #include "rdf/vocab.h"
+#include "stats/histogram.h"
 #include "test_util.h"
 #include "workload/synthetic_lod.h"
 
@@ -267,7 +268,8 @@ TEST_F(EngineFixture, MapAggregatesAboveBudget) {
 
 TEST_F(EngineFixture, CollectPairsMatchesMapReference) {
   // Entity 5 gets a second age, so the last one in POS order must win;
-  // entity 7's second age is NaN, which must pair like any other number.
+  // entity 7's second age is NaN, which is skipped, so its first age
+  // pairs with its lat values, the added 1.5 among them.
   using rdf::Term;
   const Term age = Term::Iri(workload::lod::kAge);
   const Term lat = Term::Iri(rdf::vocab::kGeoLat);
@@ -286,7 +288,7 @@ TEST_F(EngineFixture, CollectPairsMatchesMapReference) {
   store.Scan({rdf::kInvalidTermId, xp, rdf::kInvalidTermId},
              [&](const rdf::Triple& t) {
                Result<double> v = dict.NumberValue(t.o);
-               if (v.ok()) x_values[t.s] = *v;
+               if (v.ok() && std::isfinite(*v)) x_values[t.s] = *v;
                return true;
              });
   std::vector<geo::Point> expected;
@@ -294,7 +296,7 @@ TEST_F(EngineFixture, CollectPairsMatchesMapReference) {
              [&](const rdf::Triple& t) {
                auto it = x_values.find(t.s);
                Result<double> v = dict.NumberValue(t.o);
-               if (it != x_values.end() && v.ok()) {
+               if (it != x_values.end() && v.ok() && std::isfinite(*v)) {
                  expected.push_back({it->second, *v});
                }
                return true;
@@ -303,17 +305,86 @@ TEST_F(EngineFixture, CollectPairsMatchesMapReference) {
   const std::vector<geo::Point> pairs =
       engine_.CollectPairs(workload::lod::kAge, rdf::vocab::kGeoLat);
   ASSERT_EQ(pairs.size(), expected.size());
-  size_t nan_pairs = 0;
+  const double entity7_age =
+      x_values.at(dict.Lookup(Term::Iri(entity + "7")));
+  size_t entity7_pairs = 0;
   for (size_t i = 0; i < pairs.size(); ++i) {
-    // Bit patterns, so a NaN compares equal to itself.
     EXPECT_EQ(std::bit_cast<uint64_t>(pairs[i].x),
               std::bit_cast<uint64_t>(expected[i].x)) << i;
     EXPECT_EQ(std::bit_cast<uint64_t>(pairs[i].y),
               std::bit_cast<uint64_t>(expected[i].y)) << i;
-    nan_pairs += std::isnan(pairs[i].x);
+    entity7_pairs += pairs[i].x == entity7_age && pairs[i].y == 1.5;
   }
-  EXPECT_EQ(nan_pairs, 2u);  // entity 7's two lat values
+  EXPECT_EQ(entity7_pairs, 1u);
   EXPECT_EQ(x_values.at(dict.Lookup(Term::Iri(entity + "5"))), 1234.5);
+}
+
+/// 200 subjects with age i % 50 and a height, plus one subject whose age
+/// is -INF and one whose age is NaN (both valid xsd:doubles, both with a
+/// height): every view must count the 200 finite ages only.
+TEST(EngineNonFiniteTest, HierarchyChartAndScatterSkipNonFiniteValues) {
+  const std::string age = "http://x/age";
+  const std::string height = "http://x/height";
+  auto literal = [](const std::string& s, const std::string& p,
+                    const std::string& value, const char* type) {
+    return "<" + s + "> <" + p + "> \"" + value + "\"^^<" + type + "> .\n";
+  };
+  std::string doc;
+  for (int i = 0; i < 200; ++i) {
+    const std::string s = "http://x/e" + std::to_string(i);
+    doc += literal(s, age, std::to_string(i % 50), rdf::vocab::kXsdInteger);
+    doc += literal(s, height, std::to_string(100 + i), rdf::vocab::kXsdInteger);
+  }
+  doc += literal("http://x/neg", age, "-INF", rdf::vocab::kXsdDouble);
+  doc += literal("http://x/neg", height, "1", rdf::vocab::kXsdInteger);
+  doc += literal("http://x/nan", age, "NaN", rdf::vocab::kXsdDouble);
+  doc += literal("http://x/nan", height, "2", rdf::vocab::kXsdInteger);
+  Engine engine;
+  ASSERT_TRUE(engine.LoadNTriples(doc).ok());
+
+  auto tree = engine.BuildHierarchy(age, hier::HETree::Options());
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  const hier::NodeStats& root = tree->node(tree->root()).stats;
+  EXPECT_EQ(root.count, 200u);
+  EXPECT_DOUBLE_EQ(root.mean, 24.5);
+  const hier::NodeStats range = tree->RangeStats(10, 20);
+  EXPECT_EQ(range.count, 44u);
+  EXPECT_DOUBLE_EQ(range.mean, 15.0);
+
+  // The chart bins the finite ages; its histogram, built over every age
+  // value the store holds, keeps finite bounds and counts 200.
+  viz::VisSpec chart;
+  chart.kind = viz::VisKind::kChart;
+  chart.x_property = age;
+  auto bars = engine.Render(chart);
+  ASSERT_TRUE(bars.ok()) << bars.status().ToString();
+  EXPECT_EQ(bars->render.input_size, 200u);
+  const rdf::Dictionary& dict = engine.store().dict();
+  std::vector<double> ages;
+  engine.store().Scan(
+      {rdf::kInvalidTermId, dict.Lookup(rdf::Term::Iri(age)),
+       rdf::kInvalidTermId},
+      [&](const rdf::Triple& t) {
+        ages.push_back(*dict.ScalarValue(t.o));
+        return true;
+      });
+  ASSERT_EQ(ages.size(), 202u);
+  auto hist = stats::Histogram::Build(ages, 40, stats::BinningKind::kEquiWidth);
+  ASSERT_TRUE(hist.ok()) << hist.status().ToString();
+  uint64_t binned = 0;
+  for (const stats::Bin& bin : hist->bins()) {
+    EXPECT_TRUE(std::isfinite(bin.lo) && std::isfinite(bin.hi));
+    binned += bin.count;
+  }
+  EXPECT_EQ(binned, 200u);
+
+  viz::VisSpec scatter;
+  scatter.kind = viz::VisKind::kScatter;
+  scatter.x_property = age;
+  scatter.y_property = height;
+  auto points = engine.Render(scatter);
+  ASSERT_TRUE(points.ok()) << points.status().ToString();
+  EXPECT_EQ(points->render.elements_drawn, 200u);
 }
 
 TEST_F(EngineFixture, HierarchyGraphSearchFacets) {
